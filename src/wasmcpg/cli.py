@@ -131,11 +131,13 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("WASMCPG_LOG",
                              "DEBUG" if args.verbose else "WARNING"))
     try:
-        if args.command == "build":
+        if args.command in ("build", "scan"):
             with open(args.input, "r", encoding="utf-8") as fh:
                 cpg, report = build_cpg(fh.read())
             if args.timing:
                 _print_timing(report)
+
+        if args.command == "build":
             text = to_json(cpg)
             if args.output:
                 with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -151,10 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_FINDINGS if findings else EXIT_CLEAN
 
         if args.command == "scan":
-            with open(args.input, "r", encoding="utf-8") as fh:
-                cpg, report = build_cpg(fh.read())
-            if args.timing:
-                _print_timing(report)
             findings = _run_queries(cpg, args)
             _emit_findings(findings, args.output)
             return EXIT_FINDINGS if findings else EXIT_CLEAN

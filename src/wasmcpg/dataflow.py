@@ -54,16 +54,10 @@ class State:
     labels: tuple[tuple[str, int], ...] = ()
 
     def get_global(self, name: str) -> frozenset:
-        for k, v in self.globals_:
-            if k == name:
-                return v
-        return EMPTY
+        return next((v for k, v in self.globals_ if k == name), EMPTY)
 
     def get_local(self, name: str) -> frozenset:
-        for k, v in self.locals_:
-            if k == name:
-                return v
-        return EMPTY
+        return next((v for k, v in self.locals_ if k == name), EMPTY)
 
     def set_global(self, name: str, deps: frozenset) -> "State":
         return State(_store_set(self.globals_, name, deps), self.locals_,
@@ -108,30 +102,24 @@ def join(a: Optional[State], b: State) -> tuple[State, bool]:
             f"{len(a.stack)} vs {len(b.stack)}")
     if a.labels != b.labels:
         raise DataflowError("join of states with mismatched label stacks")
-    grew = False
-    stack = []
-    for x, y in zip(a.stack, b.stack):
-        u = x | y
-        if len(u) != len(x):
-            grew = True
-        stack.append(u)
-    ga = dict(a.globals_)
-    for k, v in b.globals_:
-        u = ga.get(k, EMPTY) | v
-        if len(u) != len(ga.get(k, EMPTY)):
-            grew = True
-        ga[k] = u
-    la = dict(a.locals_)
-    for k, v in b.locals_:
-        u = la.get(k, EMPTY) | v
-        if len(u) != len(la.get(k, EMPTY)):
-            grew = True
-        la[k] = u
-    if not grew:
+    stack = tuple(x | y for x, y in zip(a.stack, b.stack))
+    grew = any(len(u) != len(x) for u, x in zip(stack, a.stack))
+    ga, grew_g = _join_store(a.globals_, b.globals_)
+    la, grew_l = _join_store(a.locals_, b.locals_)
+    if not (grew or grew_g or grew_l):
         return a, False
     return State(tuple(sorted((k, v) for k, v in ga.items() if v)),
                  tuple(sorted((k, v) for k, v in la.items() if v)),
-                 tuple(stack), a.labels), True
+                 stack, a.labels), True
+
+
+def _join_store(a: tuple, b: tuple) -> tuple[dict, bool]:
+    merged, grew = dict(a), False
+    for k, v in b:
+        old = merged.get(k, EMPTY)
+        merged[k] = old | v
+        grew = grew or len(merged[k]) != len(old)
+    return merged, grew
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +447,32 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
 
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
-    """Add one DDG edge per (origin, consumer, kind, label), coalesced."""
-    cpg = ctx.cpg
-    added = 0
-    for node in sorted(analysis.res):
-        state = analysis.res[node]
-        _, popped = transfer(node, analysis.fd.info[node], state)
-        deps = sorted({d for s in popped for d in s}, key=Dep.sort_key)
-        for dep in deps:
-            label = dep.value if dep.kind == CONST_DEP else dep.name
-            key = (dep.kind, label)
-            if cpg.has_edge(dep.origin, node, g.DDG, key):
-                continue
-            cpg.remember_edge(dep.origin, node, g.DDG, key)
-            props = {"ddgType": dep.kind, "label": label}
-            if dep.kind == CONST_DEP:
-                props["valueType"] = dep.value_type
-                props["value"] = dep.value
-            cpg.add_edge(dep.origin, node, g.DDG, props)
-            added += 1
-    return added
+    """Add one DDG edge per (origin, consumer), consumers in id order.
+
+    An origin node yields the same `Dep` wherever its value flows, so a
+    consumer's popped sets name each origin once, and all edges from one
+    origin share one property map.
+    """
+    info = analysis.fd.info
+    props_of: dict[Dep, dict] = {}
+
+    def rows():
+        for node in sorted(analysis.res):
+            _, popped = transfer(node, info[node], analysis.res[node])
+            for dep in sorted(EMPTY.union(*popped), key=Dep.sort_key):
+                props = props_of.get(dep)
+                if props is None:
+                    props = props_of[dep] = _ddg_props(dep)
+                yield dep.origin, node, props
+
+    return ctx.cpg.add_ddg_edges(rows())
+
+
+def _ddg_props(dep: Dep) -> dict:
+    if dep.kind == CONST_DEP:
+        return {"ddgType": dep.kind, "label": dep.value,
+                "valueType": dep.value_type, "value": dep.value}
+    return {"ddgType": dep.kind, "label": dep.name}
 
 
 def build_ddg(ctx: BuildContext) -> dict[str, AnalysisStats]:

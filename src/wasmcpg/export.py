@@ -62,16 +62,25 @@ def import_json(path: str) -> g.Cpg:
         raise ExportError("not a serialized graph file")
     if doc["schema"] != SCHEMA_VERSION:
         raise ExportError(f"unsupported schema version {doc['schema']}")
+    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise ExportError("nodes and edges must be lists")
     cpg = g.Cpg()
-    for i, node in enumerate(doc.get("nodes", [])):
-        if node["id"] != i:
-            raise ExportError("node ids must be dense and ordered")
-        cpg.add_node(node["kind"], node.get("properties", {}))
-    for i, edge in enumerate(doc.get("edges", [])):
-        if edge["id"] != i:
-            raise ExportError("edge ids must be dense and ordered")
-        cpg.add_edge(edge["src"], edge["dst"], edge["type"],
-                     edge.get("properties", {}))
+    try:
+        with g.gc_paused():
+            for i, node in enumerate(nodes):
+                if node["id"] != i:
+                    raise ExportError("node ids must be dense and ordered")
+                cpg.add_node(node["kind"], node.get("properties", {}))
+            for i, edge in enumerate(edges):
+                if edge["id"] != i:
+                    raise ExportError("edge ids must be dense and ordered")
+                cpg.add_edge(edge["src"], edge["dst"], edge["type"],
+                             edge.get("properties", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        # a record that is not an object, lacks a field or has ill-typed values
+        raise ExportError(f"malformed node or edge record: "
+                          f"{type(exc).__name__}: {exc}") from exc
     return cpg.freeze()
 
 
@@ -237,13 +246,11 @@ def write_neo4j(cpg: g.Cpg, outdir: str) -> list[str]:
 def export(cpg: g.Cpg, manifest: ExportManifest) -> list[str]:
     if not cpg.frozen:
         raise ExportError("export requires a frozen graph")
-    if manifest.format == "json":
+    if manifest.format in ("json", "dot"):
+        text = to_json(cpg) if manifest.format == "json" else \
+            to_dot(cpg, manifest.edge_types)
         with open(manifest.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(to_json(cpg))
-        return [manifest.path]
-    if manifest.format == "dot":
-        with open(manifest.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(to_dot(cpg, manifest.edge_types))
+            fh.write(text)
         return [manifest.path]
     if manifest.format == "datalog":
         return write_datalog(cpg, manifest.path)

@@ -4,12 +4,18 @@ One shared node set carries four edge-typed subgraphs (AST, CFG, CG, DDG).
 Properties are schema-checked at insertion; `type` and `id` are virtual keys
 answered by accessors rather than stored. After ``freeze()`` the graph is
 immutable and safe for concurrent readers.
+
+Edge property maps may be shared between edges: the DDG bulk path stores one
+map per origin node for all of its edges. Every property map read from the
+graph is read-only.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import GraphError, SchemaError
 
@@ -185,14 +191,28 @@ def _check_edge_schema(edge_type: str, props: dict[str, Any]) -> None:
     raise SchemaError(f"unknown edge type {edge_type!r}")
 
 
-@dataclass
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic GC while a graph is built: a build frees almost nothing,
+    so collections would only rescan a growing heap. On exit, also on error,
+    GC is switched back on if it was on at entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@dataclass(slots=True)
 class Node:
     id: int
     kind: str
     properties: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: int
     src: int
@@ -210,7 +230,6 @@ class Cpg:
         self._out: list[dict[str, list[int]]] = []   # node -> type -> edge ids
         self._in: list[dict[str, list[int]]] = []
         self._frozen = False
-        self._edge_keys: set[tuple] = set()
 
     # -- construction --------------------------------------------------------
     def _writable(self) -> None:
@@ -240,12 +259,28 @@ class Cpg:
         self._in[dst].setdefault(edge_type, []).append(eid)
         return eid
 
-    def has_edge(self, src: int, dst: int, edge_type: str, key: tuple = ()) -> bool:
-        """Duplicate check used by the DDG emitter for coalescing."""
-        return (src, dst, edge_type) + key in self._edge_keys
-
-    def remember_edge(self, src: int, dst: int, edge_type: str, key: tuple = ()) -> None:
-        self._edge_keys.add((src, dst, edge_type) + key)
+    def add_ddg_edges(self, rows: Iterable[tuple[int, int, dict[str, Any]]]) -> int:
+        """Append DDG edges from `(src, dst, properties)` rows, in order. The
+        first row with a given map goes through `add_edge`, which validates
+        and copies it; later rows with that map share the copy. Returns the
+        count added; rows before a failing one stay added."""
+        self._writable()
+        edges, out, inc = self.edges, self._out, self._in
+        n_nodes, first = len(self.nodes), len(edges)
+        shared: dict[int, tuple] = {}   # id(map) -> (map, copy); holding map keeps id unique
+        for src, dst, props in rows:
+            seen = shared.get(id(props))
+            if seen is None:
+                eid = self.add_edge(src, dst, DDG, props)
+                shared[id(props)] = (props, edges[eid].properties)
+                continue
+            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                raise GraphError(f"dangling edge endpoint {src}->{dst}")
+            eid = len(edges)
+            edges.append(Edge(eid, src, dst, DDG, seen[1]))
+            out[src].setdefault(DDG, []).append(eid)
+            inc[dst].setdefault(DDG, []).append(eid)
+        return len(edges) - first
 
     def freeze(self) -> "Cpg":
         self._frozen = True
@@ -316,10 +351,7 @@ class Cpg:
         return [e for e in self.edges if e.type == edge_type]
 
     def module_node(self) -> Optional[Node]:
-        for n in self.nodes:
-            if n.kind == MODULE:
-                return n
-        return None
+        return next((n for n in self.nodes if n.kind == MODULE), None)
 
     def function_nodes(self) -> list[Node]:
         funcs = self.nodes_of_kind(FUNCTION)

@@ -232,33 +232,13 @@ def _fmt_value(inst: InstructionIR) -> str:
 def _fmt_inst(inst: InstructionIR, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     o = inst.opcode
+    label = inst.label
     if o == "block" and inst.block_params == 1 and len(inst.body) == 1 \
             and inst.body[0].opcode == "if":
         # collapse the if-wrapper back to a labeled if
-        inner = inst.body[0]
-        head = f"{pad}if {inst.label}"
-        if inner.nresults:
-            head += f" (result {inner.value_type or 'i32'})"
-        out.append(head)
-        for i in inner.body:
-            _fmt_inst(i, indent + 1, out)
-        if inner.has_else:
-            out.append(f"{pad}else")
-            for i in inner.else_body:
-                _fmt_inst(i, indent + 1, out)
-        out.append(f"{pad}end")
-        return
-    if o in ("block", "loop"):
-        head = f"{pad}{o} {inst.label}"
-        if inst.nresults:
-            head += f" (result {inst.value_type or 'i32'})"
-        out.append(head)
-        for i in inst.body:
-            _fmt_inst(i, indent + 1, out)
-        out.append(f"{pad}end")
-        return
-    if o == "if":
-        head = f"{pad}if {inst.label}"
+        inst, o = inst.body[0], "if"
+    if o in ("block", "loop", "if"):
+        head = f"{pad}{o} {label}"
         if inst.nresults:
             head += f" (result {inst.value_type or 'i32'})"
         out.append(head)

@@ -26,39 +26,40 @@ class BuildReport:
         return sum(self.timings.values())
 
 
-def build_cpg_from_ir(module: ModuleIR, report: BuildReport | None = None) -> tuple[g.Cpg, BuildReport]:
-    report = report or BuildReport()
-    t0 = time.perf_counter()
-    ctx = build_ast(module)
-    t1 = time.perf_counter()
-    report.timings["ast"] = t1 - t0
-    build_cfg(ctx)
-    t2 = time.perf_counter()
-    report.timings["cfg"] = t2 - t1
-    build_cg(ctx, build_signature_index(module))
-    t3 = time.perf_counter()
-    report.timings["cg"] = t3 - t2
-    report.function_stats = build_ddg(ctx)
-    report.timings["ddg"] = time.perf_counter() - t3
-    ctx.cpg.freeze()
+def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
+    """The one build path: parse (unless given a module), AST, CFG, CG, DDG
+    and freeze, each stage timed, with cyclic GC paused throughout."""
+    report = BuildReport()
+    last = [time.perf_counter()]
+
+    def timed(stage, fn, *args):
+        result = fn(*args)
+        now = time.perf_counter()
+        report.timings[stage], last[0] = now - last[0], now
+        return result
+
+    with g.gc_paused():
+        module = source if isinstance(source, ModuleIR) else \
+            timed("parse", parse_module, source)
+        ctx = timed("ast", build_ast, module)
+        timed("cfg", build_cfg, ctx)
+        timed("cg", build_cg, ctx, build_signature_index(module))
+        report.function_stats = timed("ddg", build_ddg, ctx)
+        ctx.cpg.freeze()
+    return ctx, report
+
+
+def build_cpg_from_ir(module: ModuleIR) -> tuple[g.Cpg, BuildReport]:
+    ctx, report = _build(module)
     return ctx.cpg, report
 
 
 def build_cpg(source: str) -> tuple[g.Cpg, BuildReport]:
     """Parse WAT text and build the frozen four-subgraph property graph."""
-    report = BuildReport()
-    t0 = time.perf_counter()
-    module = parse_module(source)
-    report.timings["parse"] = time.perf_counter() - t0
-    return build_cpg_from_ir(module, report)
+    ctx, report = _build(source)
+    return ctx.cpg, report
 
 
 def build_context(source: str) -> BuildContext:
     """Builder context with all edge sets present and the graph frozen."""
-    module = parse_module(source)
-    ctx = build_ast(module)
-    build_cfg(ctx)
-    build_cg(ctx)
-    build_ddg(ctx)
-    ctx.cpg.freeze()
-    return ctx
+    return _build(source)[0]

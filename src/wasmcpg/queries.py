@@ -241,13 +241,6 @@ def _param_var_nodes(cpg: g.Cpg, fnode: int) -> list[int]:
     return cpg.ast_children(params)
 
 
-def _function_of(cpg: g.Cpg, node: int) -> int | None:
-    cur = node
-    while cur is not None and cpg.node(cur).kind != g.FUNCTION:
-        cur = cpg.ast_parent(cur)
-    return cur
-
-
 def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     """Parameters of exported functions flowing, unsanitized, into sinks.
 

@@ -164,14 +164,6 @@ def p_in_edge(cpg: g.Cpg, edge_type: str, label=None, equal: bool = True) -> Pre
     return pred
 
 
-def p_out_edge(cpg: g.Cpg, edge_type: str, label=None, equal: bool = True) -> Predicate:
-    def pred(n: int) -> bool:
-        hit = any(label is None or e.properties.get("label") == label
-                  for e in cpg.out_edges(n, edge_type))
-        return hit if equal else not hit
-    return pred
-
-
 def p_in_ddg_edge(cpg: g.Cpg, ddg_type: str, label=None, equal: bool = True) -> Predicate:
     cond = ddg_edge_cond(ddg_type, label)
     def pred(n: int) -> bool:

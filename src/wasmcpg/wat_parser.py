@@ -725,8 +725,3 @@ class _FormCursor:
 def parse_module(source: str) -> ModuleIR:
     """Parse WAT text into a validated ModuleIR."""
     return Parser(source).parse()
-
-
-def parse_file(path: str) -> ModuleIR:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_module(fh.read())

@@ -7,13 +7,9 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from wasmcpg.pipeline import BuildReport, build_cpg_from_ir
-from wasmcpg.ast_builder import BuildContext, build_ast
-from wasmcpg.cfg_builder import build_cfg
-from wasmcpg.cg_builder import build_cg
-from wasmcpg.dataflow import build_ddg
+from wasmcpg.pipeline import BuildReport, _build
+from wasmcpg.ast_builder import BuildContext
 from wasmcpg.queries import ScanConfig
-from wasmcpg.wat_parser import parse_module
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -51,14 +47,7 @@ _CTX_CACHE: dict[str, tuple[BuildContext, BuildReport]] = {}
 def build_fixture(name: str) -> tuple[BuildContext, BuildReport]:
     """Full build (all four edge sets, frozen graph) with per-session caching."""
     if name not in _CTX_CACHE:
-        module = parse_module(fixture_source(name))
-        ctx = build_ast(module)
-        report = BuildReport()
-        build_cfg(ctx)
-        build_cg(ctx)
-        report.function_stats = build_ddg(ctx)
-        ctx.cpg.freeze()
-        _CTX_CACHE[name] = (ctx, report)
+        _CTX_CACHE[name] = _build(fixture_source(name))
     return _CTX_CACHE[name]
 
 

@@ -121,6 +121,14 @@ class TestErrors:
         assert code == 3
         assert "v128.load" in err
 
+    def test_malformed_graph_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema": 1, "nodes": [{"kind": "Else"}], "edges": []}')
+        code, out, err = run(capsys, "query", str(bad))
+        assert code == 3
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
+
     def test_bad_query_ids(self, capsys):
         code, _, err = run(capsys, "scan", str(FIXTURES / "empty.wat"),
                            "--builtin", "42")

@@ -13,6 +13,7 @@ from wasmcpg.ast_builder import build_ast
 from wasmcpg.cfg_builder import build_cfg
 from wasmcpg.cg_builder import build_cg
 from wasmcpg.errors import DataflowError
+from wasmcpg.pipeline import build_cpg
 from wasmcpg.wat_parser import parse_module
 from wasmcpg import dataflow as df
 from wasmcpg import graph as g
@@ -188,7 +189,6 @@ class TestAnalyzeFunction:
             assert stats.pops <= (stats.height_bound + 1) * stats.cfg_nodes, fname
 
     def test_ddg_stage_dominates_on_loop_heavy_input(self):
-        from wasmcpg.pipeline import build_cpg
         from gen import scaling_module
         _, report = build_cpg(scaling_module(500))
         ddg = report.timings["ddg"]
@@ -247,12 +247,26 @@ class TestEmitDdgEdges:
             (None, "Local", "$token"),   # the parameter node seed
         }
 
+    @staticmethod
+    def _assert_no_duplicate_edges(cpg):
+        seen = set()
+        for e in cpg.edges_of_type(g.DDG):
+            key = (e.src, e.dst, e.properties["ddgType"], e.properties["label"])
+            assert key not in seen
+            seen.add(key)
+
     def test_duplicate_edges_coalesce(self):
         for name in ALL_FIXTURES:
-            cpg = fixture_cpg(name)
-            seen = set()
-            for e in cpg.edges_of_type(g.DDG):
-                key = (e.src, e.dst, e.properties["ddgType"],
-                       e.properties["label"])
-                assert key not in seen
-                seen.add(key)
+            self._assert_no_duplicate_edges(fixture_cpg(name))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_duplicate_edges_on_random_modules(self, seed):
+        cpg, _ = build_cpg(random_module(seed, max_insts=80))
+        assert cpg.edges_of_type(g.DDG)
+        self._assert_no_duplicate_edges(cpg)
+
+    def test_edges_from_one_origin_share_properties(self):
+        cpg = fixture_cpg("libpng_get_token")
+        by_origin = {}
+        for e in cpg.edges_of_type(g.DDG):
+            assert by_origin.setdefault(e.src, e.properties) is e.properties

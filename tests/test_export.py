@@ -69,6 +69,37 @@ class TestJson:
         with pytest.raises(ExportError):
             import_json(str(path))
 
+    NODE = {"id": 0, "kind": "Else", "properties": {}}
+    EDGE = {"id": 0, "src": 0, "dst": 0, "type": "CFG", "properties": {}}
+
+    @pytest.mark.parametrize("nodes, edges", [
+        (["Else"], []),
+        ([{"kind": "Else"}], []),
+        ([{"id": 0}], []),
+        ([{"id": "0", "kind": "Else"}], []),
+        ([{"id": 0, "kind": ["Else"]}], []),
+        ([{"id": 0, "kind": "Else", "properties": ["x"]}], []),
+        ([NODE], [7]),
+        ([NODE], [{k: v for k, v in EDGE.items() if k != "src"}]),
+        ([NODE], [{k: v for k, v in EDGE.items() if k != "dst"}]),
+        ([NODE], [{k: v for k, v in EDGE.items() if k != "type"}]),
+        ([NODE], [{k: v for k, v in EDGE.items() if k != "id"}]),
+        ([NODE], [{**EDGE, "src": "0"}]),
+        ({"0": NODE}, []),
+    ])
+    def test_reject_malformed_elements(self, tmp_path, nodes, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": 1, "nodes": nodes, "edges": edges}))
+        with pytest.raises(ExportError):
+            import_json(str(path))
+
+    def test_well_formed_minimal_graph_loads(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"schema": 1, "nodes": [self.NODE],
+                                    "edges": [self.EDGE]}))
+        cpg = import_json(str(path))
+        assert cpg.frozen and len(cpg.edges) == 1
+
 
 class TestDot:
     def test_colors_and_labels(self):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
-from wasmcpg.errors import GraphError, SchemaError
+from wasmcpg.errors import GraphError, ParseError, SchemaError
+from wasmcpg.pipeline import build_cpg
 from wasmcpg import graph as g
 
 
@@ -112,6 +115,89 @@ class TestAddEdge:
             cpg.node(3)
         with pytest.raises(GraphError):
             cpg.edge(0)
+
+
+class TestAddDdgEdges:
+    def _three_nodes(self):
+        cpg = g.Cpg()
+        a = cpg.add_node(g.INSTRUCTION, {"instType": "LocalGet", "label": "$y"})
+        b = cpg.add_node(g.INSTRUCTION, {"instType": "Binary", "opcode": "i32.add"})
+        c = cpg.add_node(g.INSTRUCTION, {"instType": "Drop"})
+        return cpg, a, b, c
+
+    def test_same_edges_as_add_edge(self):
+        props = {"ddgType": "Local", "label": "$y"}
+        bulk, a, b, c = self._three_nodes()
+        assert bulk.add_ddg_edges([(a, b, props), (a, c, props), (b, c, props)]) == 3
+        single, *_ = self._three_nodes()
+        for src, dst in ((a, b), (a, c), (b, c)):
+            single.add_edge(src, dst, g.DDG, props)
+        assert bulk.edges == single.edges
+        assert bulk.in_edges(c, g.DDG) == single.in_edges(c, g.DDG)
+        assert bulk.adjacency(a, g.DDG) == [b, c]
+
+    def test_rows_sharing_a_map_share_the_stored_copy(self):
+        cpg, a, b, c = self._three_nodes()
+        props = {"ddgType": "Local", "label": "$y"}
+        cpg.add_ddg_edges([(a, b, props), (a, c, props)])
+        first, second = cpg.edges
+        assert first.properties is second.properties
+        props["label"] = "$changed"   # the graph holds its own copy
+        assert cpg.edge_property(second.id, "label") == "$y"
+
+    def test_frozen_graph_rejects_writes(self):
+        cpg, a, b, _ = self._three_nodes()
+        cpg.freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            cpg.add_ddg_edges([(a, b, {"ddgType": "Local", "label": "$y"})])
+        with pytest.raises(GraphError, match="frozen"):
+            cpg.add_ddg_edges([])
+
+    def test_dangling_endpoint(self):
+        props = {"ddgType": "Local", "label": "$y"}
+        cpg, a, b, _ = self._three_nodes()
+        with pytest.raises(GraphError, match="dangling"):
+            cpg.add_ddg_edges([(a, 99, props)])
+        with pytest.raises(GraphError, match="dangling"):
+            cpg.add_ddg_edges([(a, b, props), (-1, b, props)])
+
+    @pytest.mark.parametrize("props", [
+        {"label": "$y"},
+        {"ddgType": "Magic", "label": "$y"},
+        {"ddgType": "Local", "label": "$y", "value": 3},
+        {"ddgType": "Const", "label": 3, "valueType": "i32"},
+        {"ddgType": "Local", "label": "$y", "childIndex": 0},
+    ])
+    def test_schema_violations(self, props):
+        cpg, a, b, c = self._three_nodes()
+        good = {"ddgType": "Local", "label": "$y"}
+        with pytest.raises(SchemaError):
+            cpg.add_edge(a, b, g.DDG, props)
+        with pytest.raises(SchemaError):
+            cpg.add_ddg_edges([(a, b, good), (a, c, props)])
+
+
+class TestGcPause:
+    def test_enabled_after_build(self):
+        assert gc.isenabled()
+        build_cpg("(module (func $f (result i32) i32.const 1))")
+        assert gc.isenabled()
+
+    def test_enabled_after_failed_build(self):
+        with pytest.raises(ParseError):
+            build_cpg("(module (func $f i32.bogus))")
+        assert gc.isenabled()
+
+    def test_stays_disabled_if_caller_disabled_it(self):
+        gc.disable()
+        try:
+            build_cpg("(module (func $f (result i32) i32.const 1))")
+            assert not gc.isenabled()
+            with pytest.raises(ParseError):
+                build_cpg("(module (func $f i32.bogus))")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 EDGE_PROPERTY_DOMAINS = {
