@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .errors import WasmCpgError
+from .errors import ParseError, WasmCpgError, WqlError
 from .export import ExportManifest, export, import_json, to_json
 from .findings import Finding
 from .pipeline import STAGES, build_cpg
@@ -87,6 +87,14 @@ def _load_config(path: str | None) -> ScanConfig:
     return ScanConfig.from_file(path)
 
 
+def _read_text(path: str, error: type[WasmCpgError]) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _emit_findings(findings: list[Finding], output: str | None) -> None:
     import json
     text = "".join(json.dumps(f.to_json_dict(), sort_keys=True) + "\n"
@@ -113,8 +121,7 @@ def _run_queries(cpg, args) -> list[Finding]:
     if enabled is not None or not args.wql:
         findings.extend(run_all(cpg, config, enabled))
     for path in args.wql:
-        with open(path, "r", encoding="utf-8") as fh:
-            program = parse_wql(fh.read())
+        program = parse_wql(_read_text(path, WqlError))
         findings.extend(eval_wql(program, cpg, config.to_wql_bindings()))
     return findings
 
@@ -132,18 +139,15 @@ def main(argv: list[str] | None = None) -> int:
                              "DEBUG" if args.verbose else "WARNING"))
     try:
         if args.command in ("build", "scan"):
-            with open(args.input, "r", encoding="utf-8") as fh:
-                cpg, report = build_cpg(fh.read())
+            cpg, report = build_cpg(_read_text(args.input, ParseError))
             if args.timing:
                 _print_timing(report)
 
         if args.command == "build":
-            text = to_json(cpg)
             if args.output:
-                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                export(cpg, ExportManifest("json", args.output))
             else:
-                sys.stdout.write(text)
+                sys.stdout.write(to_json(cpg))
             return EXIT_CLEAN
 
         if args.command == "query":
@@ -165,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in export(cpg, manifest):
                 print(path, file=sys.stderr)
             return EXIT_CLEAN
-    except FileNotFoundError as exc:
+    except OSError as exc:   # missing, unreadable or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WasmCpgError as exc:

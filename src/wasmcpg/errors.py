@@ -61,3 +61,8 @@ class WqlRuntimeError(WqlError):
 
 class ExportError(WasmCpgError):
     """Serialization or import failure."""
+
+
+class ConfigError(WasmCpgError, ValueError):
+    """Malformed scan configuration. Also a ValueError, so callers that
+    validate a configuration with `except ValueError` keep working."""

@@ -4,6 +4,12 @@ DOT, Datalog fact files, and Neo4j bulk-import CSV.
 All outputs are byte-deterministic for a given graph: elements are written in
 id order and property keys sorted. The lossy formats (DOT/facts/CSV) project
 the graph; JSON round-trips exactly.
+
+JSON is compact, with one node or edge record per line between the lines
+`{"edges":[`, `],"nodes":[` and `],"schema":1}`. Each distinct property map
+is encoded once, so the DDG edges of one origin, which share a map, cost one
+encoding. `import_json` accepts any layout of the same document, including
+files pretty-printed by older versions.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from .errors import ExportError
 from . import graph as g
 
 SCHEMA_VERSION = 1
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 EDGE_COLORS = {g.AST: "green", g.CFG: "red", g.DDG: "blue", g.CG: "black"}
 
@@ -36,27 +44,31 @@ class ExportManifest:
 # -- JSON --------------------------------------------------------------------
 
 def to_json(cpg: g.Cpg) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "nodes": [
-            {"id": n.id, "kind": n.kind,
-             "properties": {k: n.properties[k] for k in sorted(n.properties)}}
-            for n in cpg.nodes
-        ],
-        "edges": [
-            {"id": e.id, "src": e.src, "dst": e.dst, "type": e.type,
-             "properties": {k: e.properties[k] for k in sorted(e.properties)}}
-            for e in cpg.edges
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """The graph as compact JSON, one record per line (see the module doc)."""
+    memo: dict[int, str] = {}   # id(obj) -> encoding; the graph keeps obj alive
+
+    def enc(obj) -> str:
+        text = memo.get(id(obj))
+        if text is None:
+            text = memo[id(obj)] = _encode(obj)
+        return text
+
+    edges = ",\n".join(['{"dst":%d,"id":%d,"properties":%s,"src":%d,"type":%s}'
+                        % (e.dst, e.id, enc(e.properties), e.src, enc(e.type))
+                        for e in cpg.edges])
+    nodes = ",\n".join(['{"id":%d,"kind":%s,"properties":%s}'
+                        % (n.id, enc(n.kind), enc(n.properties))
+                        for n in cpg.nodes])
+    parts = ('{"edges":[', edges, '],"nodes":[', nodes,
+             '],"schema":%d}' % SCHEMA_VERSION)
+    return "\n".join(p for p in parts if p) + "\n"
 
 
 def import_json(path: str) -> g.Cpg:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
         raise ExportError(f"cannot load graph file {path}: {exc}")
     if not isinstance(doc, dict) or "schema" not in doc:
         raise ExportError("not a serialized graph file")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .findings import Finding
 from . import graph as g
 from . import query as q
@@ -26,27 +27,37 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
-        fmt = {k: int(v) for k, v in dict(data.get("formatFunctions", {})).items()}
-        pairs = dict(data.get("allocPairs", {}))
+        if not isinstance(data, dict):
+            raise ConfigError("scan configuration must be a JSON object")
+        try:
+            fmt = {k: int(v) for k, v in dict(data.get("formatFunctions", {})).items()}
+            pairs = dict(data.get("allocPairs", {}))
+            config = cls(
+                sources=list(data.get("sources", [])),
+                sinks=list(data.get("sinks", [])),
+                dangerous_functions=list(data.get("dangerousFunctions", [])),
+                format_functions=fmt,
+                alloc_pairs=pairs,
+                taint_depth=int(data.get("taintDepth", 3)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed scan configuration: {exc}") from exc
         for alloc, dealloc in pairs.items():
             if alloc == dealloc:
-                raise ValueError(f"allocator pair maps {alloc} to itself")
+                raise ConfigError(f"allocator pair maps {alloc} to itself")
         for name, idx in fmt.items():
             if idx < 0:
-                raise ValueError(f"format argument index for {name} must be >= 0")
-        return cls(
-            sources=list(data.get("sources", [])),
-            sinks=list(data.get("sinks", [])),
-            dangerous_functions=list(data.get("dangerousFunctions", [])),
-            format_functions=fmt,
-            alloc_pairs=pairs,
-            taint_depth=int(data.get("taintDepth", 3)),
-        )
+                raise ConfigError(f"format argument index for {name} must be >= 0")
+        return config
 
     @classmethod
     def from_file(cls, path: str) -> "ScanConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
+            raise ConfigError(f"cannot load scan configuration {path}: {exc}") from exc
+        return cls.from_dict(data)
 
     def to_wql_bindings(self) -> dict:
         return {

@@ -11,6 +11,7 @@ from conftest import FIXTURES
 from wasmcpg.cli import main
 
 CONFIG = str(FIXTURES / "scan_config.json")
+MIXED = str(FIXTURES / "mixed.wat")
 
 
 def run(capsys, *argv):
@@ -133,3 +134,41 @@ class TestErrors:
         code, _, err = run(capsys, "scan", str(FIXTURES / "empty.wat"),
                            "--builtin", "42")
         assert code == 3
+
+
+class TestFailClosed:
+    """Unreadable or undecodable inputs and unusable output paths end in one
+    `error:` line and exit 2 (file system) or 3 (content), never a traceback."""
+
+    @pytest.fixture
+    def t(self, tmp_path, capsys):
+        (tmp_path / "bad.wat").write_bytes(b"(module \xff)")
+        (tmp_path / "bad.json").write_bytes(b"\xff{}")
+        (tmp_path / "deep.json").write_text("[" * 100000)
+        (tmp_path / "open.json").write_text("{")
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("code, argv", [
+        (3, ["build", "{t}/bad.wat"]),
+        (3, ["query", "{t}/bad.json"]),
+        (3, ["query", "{t}/deep.json"]),
+        (2, ["build", MIXED, "-o", "{t}/dir"]),
+        (2, ["export", "{t}/g.json", "--format", "datalog", "-o", "{t}/file"]),
+        (2, ["scan", MIXED, "--wql", "{t}/dir"]),
+        (3, ["scan", MIXED, "--wql", "{t}/bad.wat"]),
+        (3, ["scan", MIXED, "--config", "{t}/open.json"]),
+        (3, ["scan", MIXED, "--config", "{t}/list.json"]),
+        (3, ["query", "{t}/g.json", "--config", "{t}/deep.json"]),
+    ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
+            "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
+            "config-not-object", "config-too-deep"])
+    def test_exit_code_without_traceback(self, capsys, t, code, argv):
+        got, out, err = run(capsys, *[a.format(t=t) for a in argv])
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

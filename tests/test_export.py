@@ -11,6 +11,7 @@ import pytest
 from conftest import ALL_FIXTURES, fixture_cpg
 from wasmcpg.errors import ExportError
 from wasmcpg.export import (
+    SCHEMA_VERSION,
     ExportManifest,
     datalog_facts,
     export,
@@ -19,6 +20,7 @@ from wasmcpg.export import (
     to_dot,
     to_json,
 )
+from wasmcpg.pipeline import build_cpg
 from wasmcpg.queries import ScanConfig, run_all
 from wasmcpg import graph as g
 
@@ -29,6 +31,24 @@ FACT_ARITIES = {
 }
 
 
+def _document(cpg: g.Cpg) -> dict:
+    """The serialized document, built field by field from the graph."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "nodes": [{"id": n.id, "kind": n.kind, "properties": dict(n.properties)}
+                  for n in cpg.nodes],
+        "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "type": e.type,
+                   "properties": dict(e.properties)} for e in cpg.edges],
+    }
+
+
+def _edgeless(n_nodes: int) -> g.Cpg:
+    cpg = g.Cpg()
+    for _ in range(n_nodes):
+        cpg.add_node(g.ELSE, {})
+    return cpg.freeze()
+
+
 class TestJson:
     def test_empty_module(self):
         doc = json.loads(to_json(fixture_cpg("empty")))
@@ -36,6 +56,66 @@ class TestJson:
         assert len(doc["nodes"]) == 1
         assert doc["nodes"][0]["kind"] == "Module"
         assert doc["edges"] == []
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_document_matches_graph(self, name):
+        cpg = fixture_cpg(name)
+        assert json.loads(to_json(cpg)) == _document(cpg)
+
+    @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "libpng_get_token"])
+    def test_one_compact_record_per_line(self, name):
+        cpg = fixture_cpg(name)
+        doc = _document(cpg)
+        lines = to_json(cpg).split("\n")
+        assert lines[-1] == ""      # newline-terminated
+        lines = lines[:-1]
+        assert len(lines) == len(cpg.nodes) + len(cpg.edges) + 3
+        n_edges = len(cpg.edges)
+        assert lines[0] == '{"edges":['
+        assert lines[n_edges + 1] == '],"nodes":['
+        assert lines[-1] == '],"schema":1}'
+        records = lines[1:n_edges + 1] + lines[n_edges + 2:-1]
+        for line, record in zip(records, doc["edges"] + doc["nodes"]):
+            alone = line.removesuffix(",")
+            assert json.loads(alone) == record
+            assert alone == json.dumps(record, sort_keys=True,
+                                       separators=(",", ":"))
+        # every record but the last of each list ends with a comma
+        assert [l.endswith(",") for l in records].count(False) == 2
+
+    @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "empty"])
+    def test_pretty_printed_file_imports(self, name, tmp_path):
+        cpg = fixture_cpg(name)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(_document(cpg), indent=1, sort_keys=True)
+                        + "\n", encoding="utf-8")
+        assert to_json(import_json(str(path))) == to_json(cpg)
+
+    def test_value_types_kept(self, tmp_path):
+        cpg, _ = build_cpg("""(module (func $f (export "f") (result f32)
+            (local i32) i32.const 7 local.set 0
+            f32.const 1.0 f32.const 2.5 f32.add))""")
+        text = to_json(cpg)
+        assert '"value":1.0,' in text and '"value":7,' in text
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        for graph in (json.loads(text), _document(import_json(str(path)))):
+            values = {(e["properties"]["value"], type(e["properties"]["value"]))
+                      for e in graph["edges"] if e["type"] == "DDG"}
+            assert values == {(7, int), (1.0, float), (2.5, float)}
+            (fn,) = [n for n in graph["nodes"] if n["kind"] == "Function"]
+            assert fn["properties"]["isExport"] is True
+            assert fn["properties"]["isImport"] is False
+
+    @pytest.mark.parametrize("n_nodes", [0, 1, 3])
+    def test_graph_without_edges(self, n_nodes, tmp_path):
+        cpg = _edgeless(n_nodes)
+        text = to_json(cpg)
+        assert json.loads(text) == _document(cpg)
+        assert text.count("\n") == n_nodes + 3
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        assert to_json(import_json(str(path))) == text
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_roundtrip_byte_identical(self, name, tmp_path):
@@ -67,6 +147,14 @@ class TestJson:
             import_json(str(path))
         path.write_text('["not", "a", "graph"]')
         with pytest.raises(ExportError):
+            import_json(str(path))
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "too-deep"])
+    def test_reject_undecodable(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ExportError, match="cannot load"):
             import_json(str(path))
 
     NODE = {"id": 0, "kind": "Else", "properties": {}}

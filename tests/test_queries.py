@@ -7,6 +7,7 @@ import collections
 import pytest
 
 from conftest import ANSWER_KEY, CORPUS, build_fixture, fixture_cpg, fixture_source
+from wasmcpg.errors import ConfigError
 from wasmcpg.pipeline import build_context
 from wasmcpg.queries import QUERIES, ScanConfig, run_all
 
@@ -63,6 +64,22 @@ class TestScanConfig:
     def test_rejects_negative_format_index(self):
         with pytest.raises(ValueError, match=">= 0"):
             ScanConfig.from_dict({"formatFunctions": {"$printf": -1}})
+
+    @pytest.mark.parametrize("data", [
+        [], "x", {"formatFunctions": [1]}, {"formatFunctions": {"$p": "x"}},
+        {"taintDepth": None}, {"taintDepth": float("inf")}, {"sources": 3},
+    ])
+    def test_malformed_config_is_config_error(self, data):
+        with pytest.raises(ConfigError):
+            ScanConfig.from_dict(data)
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff{}", b"[" * 100000],
+                             ids=["bad-json", "not-utf8", "too-deep"])
+    def test_unreadable_config_file(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot load"):
+            ScanConfig.from_file(str(path))
 
     def test_wql_bindings_alias(self):
         cfg = ScanConfig.from_dict({"allocPairs": {"$m": "$f"}})
