@@ -1,10 +1,12 @@
 """AST construction: module/function hierarchy plus operand-tree folding.
 
-Folding simulates the value stack over a flat instruction sequence: the last
-`nargs` pending producers become an instruction's AST children (childIndex 0
-is the deepest operand); instructions producing no value are rooted
-statements. Structured instructions fold their bodies first, then join the
-outer frame as single units.
+The folding is the validating stack walk of `ir.validate_function`, run with
+a hook that adds AST edges: an instruction's operands are the producers it
+pops (childIndex 0 is the deepest operand); instructions producing no value
+are rooted statements. Each construct's children are its condition (an
+`if`), then its body's statements and leftover values, bracketed by the
+BeginBlock/EndLoop/Else nodes. A function's statements hang off its node and
+its leftover values off the synthetic exit node.
 
 Node ids follow source order inside each function (Module, then per function:
 Function node, body instructions, synthetic exit, signature subtree), which
@@ -15,45 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
-from .ir import FunctionIR, InstructionIR, ModuleIR, instruction_arity
+from .ir import FunctionIR, InstructionIR, ModuleIR, validate_function
 from . import graph as g
 from . import opcodes as op
-
-
-@dataclass
-class FoldFrame:
-    pending: list[int] = field(default_factory=list)  # LIFO: value producers
-    rooted: list[int] = field(default_factory=list)   # FIFO: statements
-
-
-def fold_step(cpg: g.Cpg, frame: FoldFrame, node: int, nargs: int, nresults: int) -> None:
-    """Fold one instruction node into the frame, wiring AST child edges."""
-    if nargs > len(frame.pending):
-        raise ValidationError(
-            f"AST folding underflow at node {node}: need {nargs} operands, "
-            f"have {len(frame.pending)}")
-    if nargs:
-        children = frame.pending[len(frame.pending) - nargs:]
-        del frame.pending[len(frame.pending) - nargs:]
-        for i, child in enumerate(children):
-            cpg.add_edge(node, child, g.AST, {"childIndex": i})
-    if nresults == 0:
-        frame.rooted.append(node)
-    else:
-        frame.pending.append(node)
-
-
-def fold_instructions(cpg: g.Cpg, items: list[tuple[int, int, int]]) -> list[int]:
-    """Fold a flat list of (node id, nargs, nresults); returns rooted statements.
-
-    Leftover pending values are appended after the rooted statements, mirroring
-    a block that produces results.
-    """
-    frame = FoldFrame()
-    for node, nargs, nresults in items:
-        fold_step(cpg, frame, node, nargs, nresults)
-    return frame.rooted + frame.pending
 
 
 @dataclass
@@ -124,99 +90,67 @@ def _create_nodes(ctx: BuildContext, layout: FunctionLayout,
                 _create_nodes(ctx, layout, inst.else_body)
 
 
-def _fold_sequence(ctx: BuildContext, layout: FunctionLayout,
-                   seq: list[InstructionIR], labels: dict[str, int],
-                   seed: list[int] | None = None) -> FoldFrame:
-    """Fold one nesting level; the returned frame holds statements and leftovers."""
-    cpg = ctx.cpg
-    frame = FoldFrame(pending=list(seed or ()))
-    dead = False
-    for inst in seq:
-        node = layout.inst_node[id(inst)]
-        if inst.is_structured():
-            inner_labels = dict(labels)
-            inner_labels[inst.label] = 0 if inst.opcode == "loop" else inst.nresults
-            if inst.opcode == "if":
-                if dead:
-                    cond: list[int] = []
-                else:
-                    if not frame.pending:
-                        raise ValidationError("if without a condition value")
-                    cond = [frame.pending.pop()]
-                tframe = _fold_sequence(ctx, layout, inst.body, inner_labels)
-                then_stmts = tframe.rooted + tframe.pending
-                idx = 0
-                for c in cond:
-                    cpg.add_edge(node, c, g.AST, {"childIndex": idx})
-                    idx += 1
-                for s in then_stmts:
-                    cpg.add_edge(node, s, g.AST, {"childIndex": idx})
-                    idx += 1
-                if inst.has_else:
-                    enode = layout.else_node[id(inst)]
-                    eframe = _fold_sequence(ctx, layout, inst.else_body, inner_labels)
-                    else_stmts = eframe.rooted + eframe.pending
-                    j = 0
-                    for s in else_stmts:
-                        cpg.add_edge(enode, s, g.AST, {"childIndex": j})
-                        j += 1
-                    cpg.add_edge(node, enode, g.AST, {"childIndex": idx})
-            else:
-                seed: list[int] = []
-                bp = inst.block_params
-                if bp and not dead:
-                    if len(frame.pending) < bp:
-                        raise ValidationError("block parameter without a producer")
-                    seed = frame.pending[len(frame.pending) - bp:]
-                    del frame.pending[len(frame.pending) - bp:]
-                bframe = _fold_sequence(ctx, layout, inst.body, inner_labels, seed)
-                stmts = bframe.rooted + bframe.pending
-                idx = 0
-                if inst.opcode == "block":
-                    cpg.add_edge(node, layout.begin_node[id(inst)], g.AST,
-                                 {"childIndex": idx})
-                    idx += 1
-                for s in stmts:
-                    cpg.add_edge(node, s, g.AST, {"childIndex": idx})
-                    idx += 1
-                if inst.opcode == "loop":
-                    cpg.add_edge(node, layout.end_node[id(inst)], g.AST,
-                                 {"childIndex": idx})
-            if dead:
-                frame.rooted.append(node)
-            else:
-                fold_step(cpg, frame, node, 0, inst.nresults)
-            continue
-        if dead:
-            frame.rooted.append(node)
-            continue
-        nargs, nresults = instruction_arity(inst, ctx.module, layout.func, labels)
-        fold_step(cpg, frame, node, nargs, nresults)
-        if inst.opcode in ("br", "return", "unreachable", "br_table"):
-            dead = True
-    return frame
+def _ast_hook(cpg: g.Cpg, layout: FunctionLayout):
+    """The hook that turns the validating walk's folds into AST edges.
+
+    Children are numbered by `childIndex` in walk order; `None` producers
+    (entry values of a dead construct) get no edge.
+    """
+    inst_node = layout.inst_node
+    add_edge = cpg.add_edge
+    then_count: dict[int, int] = {}   # if node -> condition + then children
+
+    def wire(parent: int, kids, start: int = 0) -> int:
+        for kid in kids:
+            if kid is not None:
+                add_edge(parent, inst_node[id(kid)], g.AST, {"childIndex": start})
+                start += 1
+        return start
+
+    def hook(owner, body, rooted, values) -> None:
+        if body is None:   # an instruction's operands
+            wire(inst_node[id(owner)], rooted)
+            return
+        if owner is layout.func:
+            # statements hang off the function; leftover values are the
+            # return expression, under the exit node
+            idx = wire(layout.func_node, rooted, 1)
+            wire(layout.exit_node, values)
+            add_edge(layout.func_node, layout.exit_node, g.AST, {"childIndex": idx})
+            return
+        node = inst_node[id(owner)]
+        o = owner.opcode
+        if o == "block":
+            add_edge(node, layout.begin_node[id(owner)], g.AST, {"childIndex": 0})
+            wire(node, rooted + values, 1)
+        elif o == "loop":
+            idx = wire(node, rooted + values)
+            add_edge(node, layout.end_node[id(owner)], g.AST, {"childIndex": idx})
+        elif body is owner.body:
+            then_count[node] = wire(node, rooted + values)
+        else:
+            enode = layout.else_node[id(owner)]
+            wire(enode, rooted + values)
+            add_edge(node, enode, g.AST, {"childIndex": then_count[node]})
+
+    return hook
 
 
 def _build_signature(ctx: BuildContext, layout: FunctionLayout) -> int:
     cpg = ctx.cpg
     func = layout.func
     sig = cpg.add_node(g.FUNCTION_SIGNATURE)
-    params = cpg.add_node(g.PARAMETERS)
-    cpg.add_edge(sig, params, g.AST, {"childIndex": 0})
-    for i, (name, ty) in enumerate(func.params):
-        var = cpg.add_node(g.VAR_NODE, {"name": name, "varType": ty})
-        layout.param_var_node[name] = var
-        cpg.add_edge(params, var, g.AST, {"childIndex": i})
-    locals_node = cpg.add_node(g.LOCALS)
-    cpg.add_edge(sig, locals_node, g.AST, {"childIndex": 1})
-    for i, (name, ty) in enumerate(func.locals):
-        var = cpg.add_node(g.VAR_NODE, {"name": name, "varType": ty})
-        cpg.add_edge(locals_node, var, g.AST, {"childIndex": i})
-    results = cpg.add_node(g.RESULTS)
-    cpg.add_edge(sig, results, g.AST, {"childIndex": 2})
-    for i, ty in enumerate(func.results):
-        var = cpg.add_node(g.VAR_NODE, {"name": f"$r{i}", "varType": ty})
-        cpg.add_edge(results, var, g.AST, {"childIndex": i})
+    results = [(f"$r{i}", ty) for i, ty in enumerate(func.results)]
+    for index, (kind, pairs) in enumerate(((g.PARAMETERS, func.params),
+                                           (g.LOCALS, func.locals),
+                                           (g.RESULTS, results))):
+        group = cpg.add_node(kind)
+        cpg.add_edge(sig, group, g.AST, {"childIndex": index})
+        for i, (name, ty) in enumerate(pairs):
+            var = cpg.add_node(g.VAR_NODE, {"name": name, "varType": ty})
+            if kind == g.PARAMETERS:
+                layout.param_var_node[name] = var
+            cpg.add_edge(group, var, g.AST, {"childIndex": i})
     return sig
 
 
@@ -249,14 +183,5 @@ def build_ast(module: ModuleIR) -> BuildContext:
         cpg.add_edge(fn_node, sig, g.AST, {"childIndex": 0})
 
         if not func.is_import:
-            labels = {"$__func__": func.nresults}
-            frame = _fold_sequence(ctx, layout, func.body, labels)
-            idx = 1
-            for s in frame.rooted:
-                cpg.add_edge(fn_node, s, g.AST, {"childIndex": idx})
-                idx += 1
-            # leftover producers are the return expression, under the exit node
-            for i, t in enumerate(frame.pending):
-                cpg.add_edge(layout.exit_node, t, g.AST, {"childIndex": i})
-            cpg.add_edge(fn_node, layout.exit_node, g.AST, {"childIndex": idx})
+            validate_function(func, module, _ast_hook(cpg, layout))
     return ctx

@@ -7,6 +7,12 @@ leaving a loop are buffered until no work remains inside it, and a loop header
 whose joined input gained nothing is not re-expanded, so stabilized inner
 loops are not re-swept by outer iterations.
 
+The transfer pops each node's operands and pushes by its instType. Operand
+counts come from `ir.instruction_arity`, the arity the validating walk uses,
+taken without label or function context, so a branch or `return` pops only
+its own operands (the br_if/br_table index). The values it carries stay on
+the abstract stack for the edge fixups below.
+
 Stack/label fixups for block and loop exits are applied when traversing an
 edge into the construct's exit node: the frame entry records the base height,
 the top `nresults` sets survive, and values abandoned by a branch are dropped.
@@ -22,8 +28,9 @@ from typing import Iterable, NamedTuple, Optional
 
 from .ast_builder import BuildContext, FunctionLayout
 from .errors import DataflowError
-from .ir import InstructionIR, iter_instructions
+from .ir import InstructionIR, instruction_arity
 from . import graph as g
+from . import opcodes as op
 
 CONST_DEP = "Const"
 FUNCTION_DEP = "Function"
@@ -80,10 +87,6 @@ class State:
         return popped, State(self.globals_, self.locals_,
                              self.stack[:len(self.stack) - n], self.labels)
 
-    def push_label(self, label: str) -> "State":
-        return State(self.globals_, self.locals_, self.stack,
-                     self.labels + ((label, len(self.stack)),))
-
 
 def _store_set(store: tuple, name: str, deps: frozenset) -> tuple:
     out = tuple((k, v) for k, v in store if k != name)
@@ -125,16 +128,22 @@ def _join_store(a: tuple, b: tuple) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 # Per-node transfer information
 
+EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken)
+
+
 @dataclass
 class NodeInfo:
+    """What the transfer needs about one CFG node. `tag` is the node's
+    instType (or EXIT, Else, Function); `nargs` is how many values it pops."""
     tag: str
+    nargs: int = 0
+    nresults: int = 0
     var: str | None = None
     name: str | None = None
     value: int | float | None = None
     value_type: str | None = None
-    nargs: int = 0
-    nresults: int = 0
     label: str | None = None
+    params: int = 0                  # BeginBlock: values entering the frame
 
 
 @dataclass
@@ -149,6 +158,10 @@ class FunctionDataflow:
     n_globals: int = 0
 
 
+_ANCHORS = frozenset((op.CONST, op.LOCAL_GET, op.GLOBAL_GET))
+_CALLS = frozenset((op.CALL, op.CALL_INDIRECT))
+
+
 def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd = FunctionDataflow(layout=layout)
     module = ctx.module
@@ -157,187 +170,115 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd.n_globals = len(module.globals)
     fd.phi_static = len(func.params)
 
+    def add(node: int, info: NodeInfo, loops: tuple[int, ...]) -> None:
+        fd.info[node] = info
+        fd.loops_of[node] = loops
+        fd.nodes.append(node)
+
     def visit(seq: Iterable[InstructionIR], loops: tuple[int, ...]) -> None:
         for inst in seq:
             node = layout.inst_node[id(inst)]
-            fd.loops_of[node] = loops
-            fd.nodes.append(node)
             o = inst.opcode
             if o == "block":
-                begin = layout.begin_node[id(inst)]
-                fd.info[begin] = NodeInfo("begin_block", label=inst.label,
-                                          nargs=inst.block_params)
-                fd.loops_of[begin] = loops
-                fd.nodes.append(begin)
-                fd.info[node] = NodeInfo("block_end", label=inst.label,
-                                         nresults=inst.nresults)
+                add(node, NodeInfo(op.BLOCK, label=inst.label,
+                                   nresults=inst.nresults), loops)
+                add(layout.begin_node[id(inst)], NodeInfo(
+                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params), loops)
                 visit(inst.body, loops)
             elif o == "loop":
-                fd.info[node] = NodeInfo("loop", label=inst.label)
-                fd.loops_of[node] = loops + (node,)
+                add(node, NodeInfo(op.LOOP, label=inst.label), loops + (node,))
                 visit(inst.body, loops + (node,))
-                end = layout.end_node[id(inst)]
-                fd.info[end] = NodeInfo("end_loop", label=inst.label,
-                                        nresults=inst.nresults)
-                fd.loops_of[end] = loops
-                fd.nodes.append(end)
-            elif o == "if":
-                fd.info[node] = NodeInfo("if")
-                visit(inst.body, loops)
-                if inst.has_else:
-                    enode = layout.else_node[id(inst)]
-                    fd.info[enode] = NodeInfo("identity")
-                    fd.loops_of[enode] = loops
-                    fd.nodes.append(enode)
-                    visit(inst.else_body, loops)
-            elif o == "call":
-                callee = module.function_by_name(inst.callee)
-                fd.info[node] = NodeInfo("call", name=inst.callee,
-                                         nargs=callee.nargs,
-                                         nresults=callee.nresults)
-                fd.phi_static += 1 if callee.nresults else 0
-            elif o == "call_indirect":
-                sig = inst.type_use
-                fd.info[node] = NodeInfo("call_indirect", name=sig.text(),
-                                         nargs=len(sig.params),
-                                         nresults=len(sig.results))
-                fd.phi_static += 1 if sig.results else 0
+                add(layout.end_node[id(inst)], NodeInfo(
+                    op.END_LOOP, label=inst.label, nresults=inst.nresults), loops)
             else:
-                fd.info[node] = _plain_info(inst)
-                if fd.info[node].tag in ("const", "local.get", "global.get"):
+                tag = op.opcode_inst_type(o)
+                nargs, nresults = instruction_arity(inst, module)
+                name = inst.callee if o == "call" else \
+                    inst.type_use.text() if o == "call_indirect" else None
+                add(node, NodeInfo(tag, nargs, nresults, var=inst.var, name=name,
+                                   value=inst.value, value_type=inst.value_type), loops)
+                if tag in _ANCHORS or (nresults and tag in _CALLS):
                     fd.phi_static += 1
+                if o == "if":
+                    visit(inst.body, loops)
+                    if inst.has_else:
+                        add(layout.else_node[id(inst)], NodeInfo(g.ELSE), loops)
+                        visit(inst.else_body, loops)
 
     visit(func.body, ())
-    exit_node = layout.exit_node
-    fd.info[exit_node] = NodeInfo("exit", nresults=func.nresults)
-    fd.loops_of[exit_node] = ()
-    fd.nodes.append(exit_node)
-    fd.info[layout.func_node] = NodeInfo("identity")
+    add(layout.exit_node, NodeInfo(EXIT, nresults=func.nresults), ())
+    fd.info[layout.func_node] = NodeInfo(g.FUNCTION)
     fd.loops_of[layout.func_node] = ()
     return fd
-
-
-_PLAIN_TAGS = {
-    "Const": "const", "Unary": "unop", "Convert": "unop",
-    "Binary": "binop", "Compare": "binop",
-    "Drop": "drop", "Select": "select",
-    "LocalGet": "local.get", "LocalSet": "local.set", "LocalTee": "local.tee",
-    "GlobalGet": "global.get", "GlobalSet": "global.set",
-    "Load": "load", "Store": "store",
-    "MemorySize": "memsize", "MemoryGrow": "memgrow",
-    "Nop": "identity", "Unreachable": "identity", "Return": "identity",
-    "Br": "identity", "BrIf": "br_if", "BrTable": "br_if",
-}
-
-
-def _plain_info(inst: InstructionIR) -> NodeInfo:
-    from . import opcodes as op
-    t = op.opcode_inst_type(inst.opcode)
-    tag = _PLAIN_TAGS[t]
-    if t in ("Binary", "Compare", "Unary", "Convert"):
-        # eqz is a one-operand comparison; follow the opcode arity
-        tag = "unop" if op.SIMPLE_OPCODES[inst.opcode][1] == 1 else "binop"
-    return NodeInfo(tag, var=inst.var, value=inst.value,
-                    value_type=inst.value_type)
 
 
 # ---------------------------------------------------------------------------
 # Transfer function
 
+_UNIONS = frozenset((op.BINARY, op.COMPARE, op.UNARY, op.CONVERT, op.SELECT))
+_UNTRACKED = frozenset((op.LOAD, op.MEMORY_SIZE, op.MEMORY_GROW))
+_FRAME_EXITS = frozenset((op.BLOCK, op.END_LOOP, op.LOOP))
+
+
 def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset]]:
-    """One instruction's effect; returns (out state, popped dependency sets)."""
-    tag = info.tag
-    if tag == "const":
-        dep = Dep(CONST_DEP, node, value=info.value, value_type=info.value_type)
-        return s.push(frozenset((dep,))), []
-    if tag == "unop":
-        popped, s2 = s.pop(1)
-        return s2.push(popped[0]), popped
-    if tag == "binop":
-        popped, s2 = s.pop(2)
-        return s2.push(popped[0] | popped[1]), popped
-    if tag == "drop":
-        popped, s2 = s.pop(1)
-        return s2, popped
-    if tag == "select":
-        popped, s2 = s.pop(3)  # v0, v1, condition (top)
-        return s2.push(popped[0] | popped[1]), popped
-    if tag == "local.get":
+    """One instruction's effect; returns (out state, popped dependency sets).
+
+    Every node pops its `nargs` operands; what it pushes follows its tag.
+    Values a branch carries to its target are not popped: they stay on the
+    stack until `adjust_for_edge` applies the target's frame.
+    """
+    popped, s = s.pop(info.nargs)
+    t = info.tag
+    if t in _UNIONS:
+        # a select's third operand is its condition
+        return s.push(popped[0] | popped[1] if len(popped) > 1 else popped[0]), popped
+    if t == op.LOCAL_GET:
         dep = Dep(LOCAL_DEP, node, name=info.var)
-        return s.push(s.get_local(info.var) | {dep}), []
-    if tag == "local.set":
-        popped, s2 = s.pop(1)
-        return s2.set_local(info.var, popped[0]), popped
-    if tag == "local.tee":
-        popped, s2 = s.pop(1)
-        return s2.set_local(info.var, popped[0]).push(popped[0]), popped
-    if tag == "global.get":
+        return s.push(s.get_local(info.var) | {dep}), popped
+    if t == op.CONST:
+        dep = Dep(CONST_DEP, node, value=info.value, value_type=info.value_type)
+        return s.push(frozenset((dep,))), popped
+    if t == op.LOCAL_SET:
+        return s.set_local(info.var, popped[0]), popped
+    if t == op.LOCAL_TEE:
+        return s.set_local(info.var, popped[0]).push(popped[0]), popped
+    if t == op.GLOBAL_GET:
         dep = Dep(GLOBAL_DEP, node, name=info.var)
-        return s.push(s.get_global(info.var) | {dep}), []
-    if tag == "global.set":
-        popped, s2 = s.pop(1)
-        return s2.set_global(info.var, popped[0]), popped
-    if tag == "load":
-        popped, s2 = s.pop(1)
-        return s2.push(EMPTY), popped   # memory contents are untracked
-    if tag == "store":
-        popped, s2 = s.pop(2)
-        return s2, popped
-    if tag == "memsize":
-        return s.push(EMPTY), []
-    if tag == "memgrow":
-        popped, s2 = s.pop(1)
-        return s2.push(EMPTY), popped
-    if tag == "identity" or tag == "block_end" or tag == "end_loop" or tag == "exit":
-        return s, []
-    if tag == "begin_block":
+        return s.push(s.get_global(info.var) | {dep}), popped
+    if t == op.GLOBAL_SET:
+        return s.set_global(info.var, popped[0]), popped
+    if t in _UNTRACKED:
+        return s.push(EMPTY), popped   # memory contents are untracked
+    if t in _CALLS:
+        if info.nresults:
+            s = s.push(frozenset((Dep(FUNCTION_DEP, node, name=info.name),)))
+        return s, popped
+    if t == op.BEGIN_BLOCK or t == op.LOOP:
         # frame base sits below any values entering as block parameters
-        labels = s.labels + ((info.label, len(s.stack) - info.nargs),)
-        return State(s.globals_, s.locals_, s.stack, labels), []
-    if tag == "loop":
-        return s.push_label(info.label), []
-    if tag == "if" or tag == "br_if":
-        popped, s2 = s.pop(1)
-        return s2, popped
-    if tag == "call":
-        popped, s2 = s.pop(info.nargs)
-        if info.nresults:
-            s2 = s2.push(frozenset((Dep(FUNCTION_DEP, node, name=info.name),)))
-        return s2, popped
-    if tag == "call_indirect":
-        popped, s2 = s.pop(info.nargs + 1)
-        if info.nresults:
-            s2 = s2.push(frozenset((Dep(FUNCTION_DEP, node, name=info.name),)))
-        return s2, popped
-    raise DataflowError(f"no transfer rule for tag {tag!r}")
+        labels = s.labels + ((info.label, len(s.stack) - info.params),)
+        return State(s.globals_, s.locals_, s.stack, labels), popped
+    return s, popped
 
 
 def adjust_for_edge(s: State, target_info: NodeInfo) -> State:
-    """Frame fixup when an edge enters a construct exit or a loop header."""
+    """Frame fixup when an edge enters a construct exit or a loop header: the
+    innermost frame of that label closes, keeping its top `nresults` values."""
     tag = target_info.tag
-    if tag in ("block_end", "end_loop"):
-        base, labels = _pop_label(s, target_info.label)
-        r = target_info.nresults
-        stack = s.stack[:base] + (s.stack[len(s.stack) - r:] if r else ())
-        return State(s.globals_, s.locals_, stack, labels)
-    if tag == "loop":
+    if tag in _FRAME_EXITS:
+        label = target_info.label
         for i in range(len(s.labels) - 1, -1, -1):
-            if s.labels[i][0] == target_info.label:
-                base = s.labels[i][1]
-                return State(s.globals_, s.locals_, s.stack[:base], s.labels[:i])
-        return s   # construct entry; the frame is not open yet
-    if tag == "exit":
+            if s.labels[i][0] == label:
+                base, r = s.labels[i][1], target_info.nresults
+                stack = s.stack[:base] + (s.stack[len(s.stack) - r:] if r else ())
+                return State(s.globals_, s.locals_, stack, s.labels[:i])
+        if tag != op.LOOP:
+            raise DataflowError(f"label {label!r} not open at a construct exit")
+        return s   # loop entry; the frame is not open yet
+    if tag == EXIT:
         r = target_info.nresults
         stack = s.stack[len(s.stack) - r:] if r else ()
         return State(s.globals_, s.locals_, stack, ())
     return s
-
-
-def _pop_label(s: State, label: str) -> tuple[int, tuple]:
-    for i in range(len(s.labels) - 1, -1, -1):
-        if s.labels[i][0] == label:
-            return s.labels[i][1], s.labels[:i]
-    raise DataflowError(f"label {label!r} not open at a construct exit")
 
 
 # ---------------------------------------------------------------------------

@@ -65,21 +65,23 @@ def to_json(cpg: g.Cpg) -> str:
 
 
 def import_json(path: str) -> g.Cpg:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
-        raise ExportError(f"cannot load graph file {path}: {exc}")
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise ExportError("not a serialized graph file")
-    if doc["schema"] != SCHEMA_VERSION:
-        raise ExportError(f"unsupported schema version {doc['schema']}")
-    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
-    if not isinstance(nodes, list) or not isinstance(edges, list):
-        raise ExportError("nodes and edges must be lists")
-    cpg = g.Cpg()
-    try:
-        with g.gc_paused():
+    """Rebuild a frozen graph from a file `to_json` wrote. A file that cannot
+    be opened raises `OSError`; one that is not a graph raises `ExportError`."""
+    with g.gc_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
+            raise ExportError(f"cannot load graph file {path}: {exc}")
+        if not isinstance(doc, dict) or "schema" not in doc:
+            raise ExportError("not a serialized graph file")
+        if doc["schema"] != SCHEMA_VERSION:
+            raise ExportError(f"unsupported schema version {doc['schema']}")
+        nodes, edges = doc.get("nodes", []), doc.get("edges", [])
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise ExportError("nodes and edges must be lists")
+        cpg = g.Cpg()
+        try:
             for i, node in enumerate(nodes):
                 if node["id"] != i:
                     raise ExportError("node ids must be dense and ordered")
@@ -89,11 +91,11 @@ def import_json(path: str) -> g.Cpg:
                     raise ExportError("edge ids must be dense and ordered")
                 cpg.add_edge(edge["src"], edge["dst"], edge["type"],
                              edge.get("properties", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        # a record that is not an object, lacks a field or has ill-typed values
-        raise ExportError(f"malformed node or edge record: "
-                          f"{type(exc).__name__}: {exc}") from exc
-    return cpg.freeze()
+        except (KeyError, TypeError, ValueError) as exc:
+            # a record that is not an object, lacks a field or has ill-typed values
+            raise ExportError(f"malformed node or edge record: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        return cpg.freeze()
 
 
 # -- DOT ----------------------------------------------------------------------

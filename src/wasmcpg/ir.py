@@ -8,7 +8,7 @@ the parser, so builders always see execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import ValidationError
 from . import opcodes as op
@@ -103,8 +103,11 @@ def instruction_arity(
 ) -> tuple[int, int]:
     """Stack consumption/production of one instruction, per MVP typing.
 
-    Branches and `return` need context: the target label's result count (taken
-    from `label_results`, keyed by label name) and the enclosing function.
+    Branches and `return` also move the values their target receives: the
+    target label's result count (from `label_results`, keyed by label name)
+    or the enclosing function's. Without that context a branch or `return`
+    counts only its own operands (the br_if/br_table index), which is what
+    the dataflow pops; the values it carries stay on the abstract stack.
     """
     o = inst.opcode
     if o in op.SIMPLE_OPCODES:
@@ -123,92 +126,124 @@ def instruction_arity(
     if o == "if":
         return 1, inst.nresults
     if o == "return":
-        if func is None:
-            raise ValidationError("return outside a function context")
-        return func.nresults, 0
-    target_r = 0
-    if label_results is not None and inst.opcode in ("br", "br_if", "br_table"):
-        key = inst.label if o != "br_table" else (inst.br_targets[-1] if inst.br_targets else None)
-        if key is not None and key in label_results:
-            target_r = label_results[key]
-    if o == "br":
-        return target_r, 0
-    if o == "br_if":
-        return 1 + target_r, target_r
-    if o == "br_table":
-        return 1 + target_r, 0
-    raise ValidationError(f"no arity rule for opcode {o!r}")
+        return (func.nresults if func is not None else 0), 0
+    if o not in ("br", "br_if", "br_table"):
+        raise ValidationError(f"no arity rule for opcode {o!r}")
+    key = inst.br_targets[-1] if o == "br_table" else inst.label
+    carried = label_results.get(key, 0) if label_results else 0
+    return (0 if o == "br" else 1) + carried, (carried if o == "br_if" else 0)
 
 
 @dataclass
 class FunctionStats:
-    """Static facts the validator collects; the dataflow bound check reads them."""
+    """Static facts the validating walk collects about one function body."""
     max_stack: int = 0
     instruction_count: int = 0
 
 
-def validate_function(func: FunctionIR, module: ModuleIR) -> FunctionStats:
-    """Check stack discipline through the nested body; mark nothing, just verify.
+# hook(owner, body, rooted, values): see validate_function
+Hook = Callable[[object, Optional[list], list, list], None]
 
-    Code after an unconditional transfer (br/return/unreachable/br_table) is
-    dead: heights are not checked there, mirroring the validator's polymorphic
-    stack. Each construct must fall out at base + nresults when reachable.
+_STRUCTURED = frozenset(("block", "loop", "if"))
+_ENDS_REACH = frozenset(("br", "br_table", "return", "unreachable"))
+
+
+def validate_function(func: FunctionIR, module: ModuleIR,
+                      hook: Hook | None = None) -> FunctionStats:
+    """The one walk over a function body's value stack: it validates and folds.
+
+    The stack holds the instruction producing each value. Each body gets a
+    frame of its own, seeded with the producers of the values entering it
+    (block parameters). Code after br/br_table/return/unreachable is dead, as
+    under the validator's polymorphic stack: its instructions are unchecked
+    statements, and a dead construct's body is walked as reachable with `None`
+    producers for its entry values. A reachable body must end at its declared
+    result count. `hook`, if given, sees the folding:
+    - `hook(inst, None, operands, ())` for each reachable non-construct
+      instruction that pops values, in push order;
+    - `hook(owner, body, rooted, values)` after each body of a construct or
+      of `func`: its statements, then the values left on its frame. An `if`'s
+      condition producer leads its then-body's `rooted`.
     """
     stats = FunctionStats()
+    arity = op.SIMPLE_OPCODES
 
-    def walk(seq: list[InstructionIR], base: int, frame_results: int,
-             labels: dict[str, int], height: int) -> None:
+    def walk(seq: list[InstructionIR], stack: list, results: int,
+             labels: dict[str, int], base: int) -> tuple[list, list]:
+        stats.instruction_count += len(seq)
+        rooted: list = []
         dead = False
+        peak = 0
         for inst in seq:
-            stats.instruction_count += 1
-            if dead:
-                if inst.is_structured():
-                    inner = dict(labels)
-                    inner[inst.label] = inst.nresults if inst.opcode != "loop" else 0
-                    walk(inst.body, 0, inst.nresults, inner, inst.block_params)
-                    if inst.opcode == "if":
-                        walk(inst.else_body, 0, inst.nresults, inner, 0)
-                continue
-            if inst.is_structured():
+            o = inst.opcode
+            if o in _STRUCTURED:
                 inner = dict(labels)
                 # br to a loop label carries no operands in the MVP
-                inner[inst.label] = 0 if inst.opcode == "loop" else inst.nresults
-                if inst.opcode == "if":
-                    if height - base < 1:
+                inner[inst.label] = 0 if o == "loop" else inst.nresults
+                if dead:
+                    head, entry, depth = [], [None] * inst.block_params, 0
+                else:
+                    cut = len(stack) - (1 if o == "if" else inst.block_params)
+                    if cut < 0:
                         raise ValidationError(
-                            f"stack underflow at {inst.opcode} (#{inst.source_order})")
-                    height -= 1
-                    walk(inst.body, height, inst.nresults, inner, height)
+                            f"stack underflow at {o} (#{inst.source_order})")
+                    # an if pops its condition; block parameters enter the frame
+                    head, entry = (stack[cut:], []) if o == "if" else ([], stack[cut:])
+                    del stack[cut:]
+                    depth = base + cut
+                r, v = walk(inst.body, entry, inst.nresults, inner, depth)
+                if hook is not None:
+                    hook(inst, inst.body, head + r, v)
+                if o == "if":
                     if inst.has_else:
-                        walk(inst.else_body, height, inst.nresults, inner, height)
+                        r, v = walk(inst.else_body, [], inst.nresults, inner, depth)
+                        if hook is not None:
+                            hook(inst, inst.else_body, r, v)
                     elif inst.nresults:
                         raise ValidationError("if with results requires an else branch")
+                if dead or not inst.nresults:
+                    rooted.append(inst)
                 else:
-                    bp = inst.block_params
-                    if height - base < bp:
-                        raise ValidationError(
-                            f"stack underflow at {inst.opcode} (#{inst.source_order})")
-                    walk(inst.body, height - bp, inst.nresults, inner, height)
-                    height -= bp
-                height += inst.nresults
-                stats.max_stack = max(stats.max_stack, height)
+                    stack.append(inst)
+                    peak = max(peak, len(stack))
                 continue
-            nargs, nres = instruction_arity(inst, module, func, labels)
-            if height - base < nargs:
-                raise ValidationError(
-                    f"stack underflow at {inst.opcode} (#{inst.source_order}): "
-                    f"need {nargs}, have {height - base}")
-            height += nres - nargs
-            stats.max_stack = max(stats.max_stack, height)
-            if inst.opcode in ("br", "return", "unreachable", "br_table"):
+            if dead:
+                rooted.append(inst)
+                continue
+            spec = arity.get(o)
+            if spec is not None:
+                _, nargs, nres = spec
+            else:
+                nargs, nres = instruction_arity(inst, module, func, labels)
+            if nargs:
+                cut = len(stack) - nargs
+                if cut < 0:
+                    raise ValidationError(
+                        f"stack underflow at {o} (#{inst.source_order}): "
+                        f"need {nargs}, have {len(stack)}")
+                if hook is not None:
+                    hook(inst, None, stack[cut:], ())
+                del stack[cut:]
+            # at most one result: the parser rejects multi-value signatures
+            if nres:
+                stack.append(inst)
+                if len(stack) > peak:
+                    peak = len(stack)
+            else:
+                rooted.append(inst)
+            if o in _ENDS_REACH:
                 dead = True
-        if not dead and height != base + frame_results:
+        if not dead and len(stack) != results:
             raise ValidationError(
-                f"block leaves {height - base} values, declared {frame_results}")
+                f"block leaves {len(stack)} values, declared {results}")
+        stats.max_stack = max(stats.max_stack, base + peak)
+        return rooted, stack
 
-    if func.is_import:
-        return stats
-    walk(func.body, 0, func.nresults, {"$__func__": func.nresults}, 0)
+    if not func.is_import:
+        rooted, values = walk(func.body, [], func.nresults,
+                              {"$__func__": func.nresults}, 0)
+        if hook is not None:
+            hook(func, func.body, rooted, values)
     return stats
 
 

@@ -177,7 +177,7 @@ class Parser:
         return f"{prefix}_syn{self._label_counter}"
 
     # -- signatures ----------------------------------------------------------
-    def _parse_params_results(self, forms, i, params, results, names_ok=True):
+    def _parse_params_results(self, forms, i, params, results):
         """Consume (param ...)/(result ...) forms starting at forms[i]."""
         while i < len(forms):
             h = _head(forms[i])
@@ -297,11 +297,14 @@ class Parser:
         self.global_names = {g.name for g in module.globals}
 
         for name, ref in exports:
-            target = self._resolve_func_ref(ref, where=None)
+            target = self._resolve_func_ref(ref)
             decls[target].export_name = name
 
         # pass 2: bodies
         for idx, d in enumerate(decls):
+            if len(d.results) > 1:
+                raise ParseError("multi-value signatures are not supported",
+                                 d.sx.line, d.sx.col)
             func = FunctionIR(
                 name=d.name,
                 index=idx,
@@ -323,7 +326,7 @@ class Parser:
             if len(module.table) < need:
                 module.table.extend([-1] * (need - len(module.table)))
             for nm in names:
-                module.table[slot] = self._resolve_func_ref(nm, where=None)
+                module.table[slot] = self._resolve_func_ref(nm)
                 slot += 1
         module.table = [i for i in module.table if i >= 0]
 
@@ -336,7 +339,7 @@ class Parser:
             out.append((name if name is not None else f"${base + i}", ty))
         return out
 
-    def _resolve_func_ref(self, ref: str, where) -> int:
+    def _resolve_func_ref(self, ref: str) -> int:
         if ref.startswith("$"):
             if ref not in self.func_index:
                 raise NameResolutionError(f"unknown function {ref}")
@@ -350,11 +353,7 @@ class Parser:
         return idx
 
     def _func_name_for_ref(self, ref: str) -> str:
-        idx = self._resolve_func_ref(ref, None)
-        for name, i in self.func_index.items():
-            if i == idx:
-                return name
-        raise NameResolutionError(f"unknown function {ref}")
+        return list(self.func_index)[self._resolve_func_ref(ref)]
 
     def _scan_import_func(self, f: SExpr) -> _FuncDecl:
         d = _FuncDecl(f)
@@ -470,36 +469,29 @@ class Parser:
             return
         opname = form.text
         if opname in ("block", "loop"):
-            inst, _ = self._begin_structured(opname, it, form, counter)
+            inst = self._begin_structured(opname, it, form, counter)
             inst.body = self._parse_flat_block(it, func, labels + [inst.label],
                                                counter, inst, allow_else=False)
             out.append(inst)
             return
         if opname == "if":
-            inst, explicit = self._begin_structured("if", it, form, counter)
+            inst = self._begin_structured("if", it, form, counter)
             branch_label = inst.label
             inst.label = self._fresh_label("if")
             inst.body = self._parse_flat_block(it, func, labels + [branch_label],
                                                counter, inst, allow_else=True)
-            # a branch may target the if's label; give it a continuation block
-            if branch_label in self._used_labels:
-                out.append(self._wrap_labeled_if(inst, branch_label))
-            else:
-                inst.label = branch_label
-                out.append(inst)
+            out.append(self._finish_if(inst, branch_label))
             return
         if opname in ("else", "end"):
             raise ParseError(f"unexpected {opname!r}", form.line, form.col)
         out.append(self._plain_instruction(opname, form, it, func, labels, counter))
 
     def _begin_structured(self, opname: str, it: "_FormCursor", where: Atom,
-                          counter: list[int]) -> tuple[InstructionIR, bool]:
+                          counter: list[int]) -> InstructionIR:
         inst = InstructionIR(opcode=opname, source_order=counter[0])
         counter[0] += 1
-        explicit = False
         if not it.done() and _is_atom(it.peek()) and it.peek().text.startswith("$"):
             inst.label = it.take().text
-            explicit = True
         else:
             inst.label = self._fresh_label(opname)
         while not it.done() and _head(it.peek()) == "result":
@@ -508,12 +500,15 @@ class Parser:
                 inst.nresults += 1
         if inst.nresults > 1:
             raise ParseError("multi-value blocks are not supported", where.line, where.col)
-        return inst, explicit
+        return inst
 
-    def _wrap_labeled_if(self, inst: InstructionIR, label: str) -> InstructionIR:
-        # A branch targets this if's label; give it a real continuation by
+    def _finish_if(self, inst: InstructionIR, label: str) -> InstructionIR:
+        # If a branch targets this if's label, give it a real continuation by
         # wrapping the if in a one-parameter block (the parameter re-routes
         # the if condition into the new frame) carrying that label.
+        if label not in self._used_labels:
+            inst.label = label
+            return inst
         inst.label = label + "@inner"
         return InstructionIR(
             opcode="block", source_order=inst.source_order, label=label,
@@ -544,9 +539,6 @@ class Parser:
                 current = inst.else_body
                 continue
             self._parse_one(it, current, func, labels, counter)
-        if current is body:
-            return body
-        # we were filling else_body; body already captured in `body`
         return body
 
     def _parse_folded(self, sx: SExpr, out: list[InstructionIR], func, labels,
@@ -556,7 +548,7 @@ class Parser:
             raise ParseError("empty expression", sx.line, sx.col)
         if h in ("block", "loop", "if"):
             it = _FormCursor(list(sx)[1:])
-            inst, explicit = self._begin_structured(h, it, sx[0], counter)
+            inst = self._begin_structured(h, it, sx[0], counter)
             if h == "if":
                 branch_label = inst.label
                 inst.label = self._fresh_label("if")
@@ -575,11 +567,7 @@ class Parser:
                                                       labels + [branch_label], counter)
                 if not it.done():
                     raise ParseError("junk after folded if", sx.line, sx.col)
-                if branch_label in self._used_labels:
-                    out.append(self._wrap_labeled_if(inst, branch_label))
-                else:
-                    inst.label = branch_label
-                    out.append(inst)
+                out.append(self._finish_if(inst, branch_label))
                 return
             inst.body = self._parse_body(it.rest(), func,
                                          labels + [inst.label], counter)
@@ -684,9 +672,9 @@ class Parser:
                 raise NameResolutionError(f"unresolved label {ref}", a.line, a.col)
             self._used_labels.add(ref)
             return ref
-        depth = int(ref)
-        if depth >= len(labels) + 1:
-            raise NameResolutionError(f"branch depth {depth} out of range", a.line, a.col)
+        depth = int(ref) if ref.isdecimal() else -1
+        if not 0 <= depth <= len(labels):
+            raise NameResolutionError(f"branch target {ref} out of range", a.line, a.col)
         if depth == len(labels):
             return "$__func__"  # function-level target: behaves like return
         name = labels[len(labels) - 1 - depth]
@@ -724,4 +712,7 @@ class _FormCursor:
 
 def parse_module(source: str) -> ModuleIR:
     """Parse WAT text into a validated ModuleIR."""
-    return Parser(source).parse()
+    try:
+        return Parser(source).parse()
+    except RecursionError:   # the parser recurses once or more per nesting level
+        raise ParseError("nesting too deep") from None

@@ -205,3 +205,14 @@ def scaling_module(n_insts: int) -> str:
             "  (func $main\n"
             "    (local $l0 i32) (local $l1 i32) (local $l2 i32) (local $l3 i32)\n"
             f"    {body}))\n")
+
+
+def nested_blocks(depth: int) -> str:
+    """`depth` flat `block`s, each inside the last."""
+    return "(module (func $f " + "block " * depth + "end " * depth + "))"
+
+
+def nested_expression(depth: int) -> str:
+    """A folded expression `depth` operators deep."""
+    return ("(module (func $f (result i32) "
+            + "(i32.add (i32.const 1) " * depth + "(i32.const 0)" + ")" * depth + "))")

@@ -6,10 +6,13 @@ import pytest
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg, fixture_source
 from gen import random_flat_sequence, random_module
-from wasmcpg.ast_builder import build_ast, fold_instructions
+from wasmcpg.ast_builder import build_ast
 from wasmcpg.errors import ValidationError
-from wasmcpg.ir import instruction_arity, iter_instructions
+from wasmcpg.ir import (FunctionIR, InstructionIR, ModuleIR, instruction_arity,
+                        iter_instructions, validate_function)
+from wasmcpg.pipeline import build_context, build_cpg
 from wasmcpg.wat_parser import parse_module
+from wasmcpg import dataflow as df
 from wasmcpg import graph as g
 
 
@@ -25,30 +28,88 @@ def _node(cpg, **props):
     raise AssertionError(props)
 
 
+def _fold(src: str):
+    """Walk the first function of `src`, recording every hook call."""
+    module = parse_module(src)
+    func = module.functions[0]
+    calls = []
+    validate_function(func, module, lambda *args: calls.append(args))
+    return func, calls
+
+
 class TestFoldInstructions:
     def test_binary_fold(self):
-        cpg = g.Cpg()
-        get = cpg.add_node(g.INSTRUCTION, {"instType": "LocalGet", "label": "$i"})
-        one = cpg.add_node(g.INSTRUCTION, {"instType": "Const",
-                                           "valueType": "i32", "value": 1})
-        add = cpg.add_node(g.INSTRUCTION, {"instType": "Binary",
-                                           "opcode": "i32.add"})
-        stmts = fold_instructions(cpg, [(get, 0, 1), (one, 0, 1), (add, 2, 1)])
-        assert stmts == [add]
-        assert cpg.ast_children(add) == [get, one]
+        func, calls = _fold("""(module (func $f (param $i i32) (result i32)
+            local.get $i
+            i32.const 1
+            i32.add))""")
+        get, one, add = func.body
+        assert calls == [(add, None, [get, one], ()),
+                         (func, func.body, [], [add])]
 
     def test_zero_arity_instruction_is_rooted(self):
-        cpg = g.Cpg()
-        nop = cpg.add_node(g.INSTRUCTION, {"instType": "Nop"})
-        assert fold_instructions(cpg, [(nop, 0, 0)]) == [nop]
-        assert cpg.out_edges(nop, g.AST) == []
+        func, calls = _fold("(module (func $f nop))")
+        (nop,) = func.body
+        assert calls == [(func, func.body, [nop], [])]
 
     def test_underflow_is_an_error(self):
-        cpg = g.Cpg()
-        add = cpg.add_node(g.INSTRUCTION, {"instType": "Binary",
-                                           "opcode": "i32.add"})
+        add = InstructionIR(opcode="i32.add")
+        func = FunctionIR(name="$f", index=0, body=[add])
         with pytest.raises(ValidationError, match="underflow"):
-            fold_instructions(cpg, [(add, 2, 1)])
+            validate_function(func, ModuleIR(functions=[func]))
+
+
+DEAD_LABELED_IF = """(module (func $f (param $x i32)
+    local.get $x
+    drop
+    unreachable
+    if $l
+      local.get $x
+      br_if $l
+      br $l
+    end))"""
+
+
+class TestDeadCode:
+    def test_dead_labeled_if_builds_without_a_condition(self):
+        cpg, _ = build_cpg(DEAD_LABELED_IF)
+        if_node = _node(cpg, instType="If")
+        kids = cpg.ast_children(if_node.id)
+        assert [cpg.node_property(k, "instType") for k in kids] == ["BrIf", "Br"]
+        # the wrapper block's children: BeginBlock, then the if
+        block = _node(cpg, instType="Block")
+        assert cpg.ast_children(block.id)[1:] == [if_node.id]
+
+    def test_dead_labeled_if_folds_like_an_unlabeled_one(self):
+        unlabeled = DEAD_LABELED_IF.replace("    if $l", "    if") \
+            .replace("br_if $l", "br_if 0").replace("br $l", "br 0")
+        labeled_cpg, _ = build_cpg(DEAD_LABELED_IF)
+        plain_cpg, _ = build_cpg(unlabeled)
+
+        def if_children(cpg):
+            node = _node(cpg, instType="If")
+            return [cpg.node_property(k, "instType") for k in cpg.ast_children(node.id)]
+
+        assert if_children(labeled_cpg) == if_children(plain_cpg) == ["BrIf", "Br"]
+
+    def test_dead_nodes_have_no_incoming_cfg_edges_from_live_code(self):
+        ctx = build_context(DEAD_LABELED_IF)
+        cpg = ctx.cpg
+        layout = ctx.layouts["$f"]
+        unreachable = _node(cpg, instType="Unreachable").id
+        live = {layout.func_node}
+        stack = [layout.func_node]
+        while stack:
+            for e in cpg.out_edges(stack.pop(), g.CFG):
+                if e.dst not in live:
+                    live.add(e.dst)
+                    stack.append(e.dst)
+        dead = {n.id for n in cpg.nodes
+                if n.kind == g.INSTRUCTION and unreachable < n.id < layout.exit_node}
+        assert dead and not dead & live
+        begin = _node(cpg, instType="BeginBlock").id
+        assert cpg.in_edges(begin, g.CFG) == []
+        assert dead.isdisjoint(df.analyze_function(ctx, "$f").res)
 
 
 def _flatten(cpg, node: int):

@@ -8,6 +8,9 @@ import pathlib
 import pytest
 
 from conftest import FIXTURES
+from test_ast_builder import DEAD_LABELED_IF
+from gen import nested_blocks, nested_expression
+from test_wat_parser import MULTI_RESULT
 from wasmcpg.cli import main
 
 CONFIG = str(FIXTURES / "scan_config.json")
@@ -149,6 +152,9 @@ class TestFailClosed:
         (tmp_path / "list.json").write_text("[]")
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
+        (tmp_path / "multi.wat").write_text(MULTI_RESULT)
+        (tmp_path / "deep_blocks.wat").write_text(nested_blocks(1000))
+        (tmp_path / "deep_expr.wat").write_text(nested_expression(1000))
         assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
         return tmp_path
 
@@ -163,12 +169,24 @@ class TestFailClosed:
         (3, ["scan", MIXED, "--config", "{t}/open.json"]),
         (3, ["scan", MIXED, "--config", "{t}/list.json"]),
         (3, ["query", "{t}/g.json", "--config", "{t}/deep.json"]),
+        (3, ["scan", "{t}/multi.wat"]),
+        (3, ["scan", "{t}/deep_blocks.wat"]),
+        (3, ["scan", "{t}/deep_expr.wat"]),
+        (2, ["query", "{t}/missing.json"]),
+        (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
-            "config-not-object", "config-too-deep"])
+            "config-not-object", "config-too-deep", "multi-result-function",
+            "blocks-too-deep", "expression-too-deep", "query-missing-graph",
+            "export-missing-graph"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_dead_labeled_if_scans_clean(self, capsys, tmp_path):
+        path = tmp_path / "dead_if.wat"
+        path.write_text(DEAD_LABELED_IF)
+        assert run(capsys, "scan", str(path)) == (0, "", "")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from gen import random_module
@@ -12,11 +13,12 @@ from oracle import round_robin_states
 from wasmcpg.ast_builder import build_ast
 from wasmcpg.cfg_builder import build_cfg
 from wasmcpg.cg_builder import build_cg
-from wasmcpg.errors import DataflowError
-from wasmcpg.pipeline import build_cpg
+from wasmcpg.errors import DataflowError, WasmCpgError
+from wasmcpg.pipeline import _build, build_cpg
 from wasmcpg.wat_parser import parse_module
 from wasmcpg import dataflow as df
 from wasmcpg import graph as g
+from wasmcpg import opcodes as op
 
 
 def _context(src: str):
@@ -34,71 +36,81 @@ def _ddg_edges(cpg):
     }
 
 
+def _info(opcode: str, **props) -> df.NodeInfo:
+    """The NodeInfo `_prepare` gives a plain instruction: its instType tag
+    and its operand and result counts from the opcode table."""
+    tag, nargs, nresults = op.SIMPLE_OPCODES[opcode]
+    return df.NodeInfo(tag, nargs, nresults, **props)
+
+
 class TestTransfer:
     def test_const_pushes_anchored_dependency(self):
         s = df.State()
         out, popped = df.transfer(
-            5, df.NodeInfo("const", value=2, value_type="i32"), s)
+            5, _info("i32.const", value=2, value_type="i32"), s)
         assert popped == []
         assert out.stack == (frozenset({df.Dep("Const", 5, None, 2, "i32")}),)
 
     def test_local_get_anchors_itself_and_forwards_the_store(self):
         seeded = df.State(locals_=(("$y", frozenset({df.Dep("Local", 16, "$y")})),))
-        out, _ = df.transfer(4, df.NodeInfo("local.get", var="$y"), seeded)
+        out, _ = df.transfer(4, _info("local.get", var="$y"), seeded)
         assert out.stack[-1] == {df.Dep("Local", 4, "$y"),
                                  df.Dep("Local", 16, "$y")}
         # an untouched local still records the use site
-        out2, _ = df.transfer(4, df.NodeInfo("local.get", var="$q"), df.State())
+        out2, _ = df.transfer(4, _info("local.get", var="$q"), df.State())
         assert out2.stack[-1] == {df.Dep("Local", 4, "$q")}
 
     def test_binop_unions_operands(self):
         lv = frozenset({df.Dep("Local", 4, "$y")})
         cv = frozenset({df.Dep("Const", 5, None, 2, "i32")})
         s = df.State(stack=(frozenset(), lv, cv))
-        out, popped = df.transfer(6, df.NodeInfo("binop"), s)
+        out, popped = df.transfer(6, _info("i32.add"), s)
         assert out.stack == (frozenset(), lv | cv)
         assert popped == [lv, cv]
 
     def test_select_discards_condition_set(self):
         a, b, c = (frozenset({df.Dep("Const", i, None, i, "i32")}) for i in (1, 2, 3))
-        out, popped = df.transfer(9, df.NodeInfo("select"), df.State(stack=(a, b, c)))
+        out, popped = df.transfer(9, _info("select"), df.State(stack=(a, b, c)))
         assert out.stack == (a | b,)
         assert popped == [a, b, c]
 
     def test_load_pushes_empty_set(self):
         addr = frozenset({df.Dep("Local", 4, "$p")})
-        out, popped = df.transfer(7, df.NodeInfo("load"), df.State(stack=(addr,)))
+        out, popped = df.transfer(7, _info("i32.load"), df.State(stack=(addr,)))
         assert out.stack == (frozenset(),)
         assert popped == [addr]
 
     def test_call_pushes_function_dependency(self):
         arg = frozenset({df.Dep("Const", 1, None, 0, "i32")})
-        info = df.NodeInfo("call", name="$fgetc", nargs=1, nresults=1)
+        info = df.NodeInfo(op.CALL, nargs=1, nresults=1, name="$fgetc")
         out, popped = df.transfer(3, info, df.State(stack=(arg,)))
         assert out.stack == (frozenset({df.Dep("Function", 3, "$fgetc")}),)
         assert popped == [arg]
 
     def test_stack_underflow(self):
         with pytest.raises(DataflowError, match="underflow"):
-            df.transfer(1, df.NodeInfo("binop"), df.State())
+            df.transfer(1, _info("i32.add"), df.State())
 
     def test_monotone_on_random_states(self):
         rng = random.Random(7)
         deps = [df.Dep("Const", i, None, i, "i32") for i in range(6)]
+        opcodes = ["i32.add", "i32.eqz", "drop", "local.set", "local.tee",
+                   "global.set", "i32.load", "i32.store"]
         for _ in range(200):
             small = frozenset(rng.sample(deps, rng.randrange(0, 4)))
             big = small | frozenset(rng.sample(deps, rng.randrange(0, 3)))
-            tag = rng.choice(["binop", "drop", "local.set", "local.tee"])
-            info = df.NodeInfo(tag, var="$x")
+            info = _info(rng.choice(opcodes), var="$x")
             extra = frozenset(rng.sample(deps, 2))
             s1 = df.State(stack=(extra, small))
             s2 = df.State(stack=(extra, big))
-            o1, _ = df.transfer(0, info, s1)
-            o2, _ = df.transfer(0, info, s2)
-            for x, y in zip(o1.stack, o2.stack):
+            o1, p1 = df.transfer(0, info, s1)
+            o2, p2 = df.transfer(0, info, s2)
+            assert len(p1) == info.nargs > 0
+            for x, y in zip(o1.stack + tuple(p1), o2.stack + tuple(p2)):
                 assert x <= y
-            assert dict(o1.locals_).get("$x", frozenset()) <= \
-                dict(o2.locals_).get("$x", frozenset())
+            for store in ("locals_", "globals_"):
+                assert dict(getattr(o1, store)).get("$x", frozenset()) <= \
+                    dict(getattr(o2, store)).get("$x", frozenset())
 
 
 class TestJoin:
@@ -270,3 +282,87 @@ class TestEmitDdgEdges:
         by_origin = {}
         for e in cpg.edges_of_type(g.DDG):
             assert by_origin.setdefault(e.src, e.properties) is e.properties
+
+
+# -- dead code ----------------------------------------------------------------
+
+TRANSFERS = ("i32.const 0 br 0", "i32.const 0 i32.const 0 br_table 0 0",
+             "i32.const 0 return", "unreachable")
+DEAD_PLAIN = ("i32.add", "drop", "select", "i32.eqz", "nop", "local.set $l0",
+              "local.get $p0", "i32.const 3", "call $h1", "global.set $g0",
+              "i32.store", "br 0", "return")
+
+
+class _DeadCode:
+    """Draws code for `inject_dead_code`; labels are unique per draw."""
+
+    def __init__(self, data):
+        self.draw = data.draw
+        self.labels = 0
+
+    def dead(self, depth: int) -> str:
+        """An unconditional transfer, then plain and structured dead code."""
+        out = [self.draw(st.sampled_from(TRANSFERS))]
+        for _ in range(self.draw(st.integers(0, 3))):
+            if depth < 2 and self.draw(st.booleans()):
+                out.append(self.construct(depth, dead=True))
+            else:
+                out.append(self.draw(st.sampled_from(DEAD_PLAIN)))
+        return " ".join(out)
+
+    def body(self, depth: int, label: str) -> str:
+        """Stack-neutral code that is valid where it is reachable."""
+        out = []
+        for _ in range(self.draw(st.integers(0, 3))):
+            kind = self.draw(st.sampled_from(("plain", "br_if", "construct", "dead")))
+            if kind == "plain":
+                out.append(self.draw(st.sampled_from(
+                    ("nop", "i32.const 1 drop", "local.get $p0 local.set $l1"))))
+            elif kind == "br_if":
+                out.append(f"local.get $p1 br_if {label}")
+            elif kind == "construct" and depth < 2:
+                out.append(self.construct(depth + 1, dead=False))
+            elif kind == "dead":
+                out.append(self.draw(st.sampled_from((f"br {label}", self.dead(depth)))))
+                break
+        return " ".join(out)
+
+    def construct(self, depth: int, dead: bool) -> str:
+        self.labels += 1
+        label = f"$dead{self.labels}"
+        kind = self.draw(st.sampled_from(("block", "loop", "if")))
+        if kind != "if":
+            return f"{kind} {label} {self.body(depth, label)} end"
+        # a dead if needs no condition; a branch may target its label
+        cond = "" if dead and self.draw(st.booleans()) else "local.get $p0 "
+        text = f"{cond}if {label} {self.body(depth, label)}"
+        if self.draw(st.booleans()):
+            text += f" else {self.body(depth, label)}"
+        return text + " end"
+
+
+def inject_dead_code(source: str, data) -> str:
+    """Insert 1-3 dead-code snippets at random lines of `$main`'s body."""
+    lines = source.split("\n")
+    first = next(i for i, line in enumerate(lines) if "(func $main" in line) + 2
+    gen = _DeadCode(data)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(first, len(lines) - 2))
+        lines.insert(at, "    " + gen.dead(0))
+    return "\n".join(lines)
+
+
+class TestDeadCodeProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_accepted_dead_code_builds_and_matches_the_oracle(self, seed, data):
+        source = inject_dead_code(random_module(seed, max_insts=30), data)
+        try:
+            module = parse_module(source)
+        except WasmCpgError:
+            return
+        ctx, _ = _build(module)
+        for fn in module.functions:
+            analysis = df.analyze_function(ctx, fn.name)
+            assert analysis.res == round_robin_states(ctx, fn.name), fn.name

@@ -157,6 +157,10 @@ class TestJson:
         with pytest.raises(ExportError, match="cannot load"):
             import_json(str(path))
 
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            import_json(str(tmp_path / "missing.json"))
+
     NODE = {"id": 0, "kind": "Else", "properties": {}}
     EDGE = {"id": 0, "src": 0, "dst": 0, "type": "CFG", "properties": {}}
 

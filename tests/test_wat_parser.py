@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import ALL_FIXTURES, fixture_source
-from gen import random_module
+from gen import nested_blocks, nested_expression, random_module
 from wasmcpg.errors import (
     NameResolutionError,
     ParseError,
@@ -20,6 +20,7 @@ from wasmcpg.ir import (
     iter_instructions,
     validate_module,
 )
+from wasmcpg.pipeline import build_cpg
 from wasmcpg.wat_parser import parse_module
 from wasmcpg import opcodes as op
 
@@ -213,3 +214,33 @@ class TestValidation:
     def test_random_modules_validate(self):
         for seed in range(20):
             validate_module(parse_module(random_module(seed)))
+
+
+MULTI_RESULT = """(module (func $two (result i32 i32)
+    i32.const 1
+    i32.const 2))"""
+
+
+class TestFailClosed:
+    def test_multi_result_function_is_rejected(self):
+        with pytest.raises(ParseError, match="multi-value"):
+            parse_module(MULTI_RESULT)
+
+    def test_multi_result_import_is_rejected(self):
+        with pytest.raises(ParseError, match="multi-value"):
+            parse_module('(module (import "env" "f" (func $f (result i32 i64))))')
+
+    @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
+    def test_deep_nesting_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_module(shape(1000))
+
+    @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
+    def test_300_deep_module_builds(self, shape):
+        cpg, _ = build_cpg(shape(300))
+        assert len(cpg.nodes) > 600
+
+    @pytest.mark.parametrize("label", ["foo", "-1", "0x1", "\u00b2"])
+    def test_malformed_branch_label(self, label):
+        with pytest.raises(NameResolutionError):
+            parse_module(f"(module (func block br {label} end))")
