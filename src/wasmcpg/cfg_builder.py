@@ -3,8 +3,9 @@
 WebAssembly control flow is structured, so edges are mostly linear. Branch
 targets: a block's label jumps forward to its exit node, a loop's label jumps
 back to the loop header. `if`/`br_if` fan out with true/false labels and
-`br_table` with one labeled edge per case plus a default. Code after an
-unconditional transfer receives nodes but no incoming edges.
+`br_table` with one labeled edge per case plus a default. Dead code keeps its
+nodes but gets no CFG edges, in or out: the walk stops at an instruction no
+edge reaches, and a block or loop continues only if its end is reachable.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ class _FuncCfg:
         self.ctx = ctx
         self.cpg = ctx.cpg
         self.layout = layout
-        # innermost last: (label, kind, branch target node)
-        self.stack: list[tuple[str, str, int]] = []
+        # innermost last: [label, branch target node, targeted by a branch]
+        self.stack: list[list] = []
 
     def resolve(self, label: str) -> int:
         if label == "$__func__":
             return self.layout.exit_node
-        for lab, kind, target in reversed(self.stack):
-            if lab == label:
-                return target
+        for frame in reversed(self.stack):
+            if frame[0] == label:
+                frame[2] = True
+                return frame[1]
         raise GraphError(f"unresolved branch label {label}")
 
     def walk(self, seq: list[InstructionIR], incoming: Pending) -> Pending:
@@ -45,24 +47,27 @@ class _FuncCfg:
         layout = self.layout
         cur = incoming
         for inst in seq:
+            if not cur:
+                break   # dead code
             node = layout.inst_node[id(inst)]
             o = inst.opcode
             if o == "block":
                 begin = layout.begin_node[id(inst)]
                 _connect(cpg, cur, begin)
-                self.stack.append((inst.label, "block", node))
+                frame = [inst.label, node, False]
+                self.stack.append(frame)
                 body_out = self.walk(inst.body, [(begin, None)])
                 self.stack.pop()
                 _connect(cpg, body_out, node)
-                cur = [(node, None)]
+                cur = [(node, None)] if body_out or frame[2] else []
             elif o == "loop":
                 _connect(cpg, cur, node)
                 end = layout.end_node[id(inst)]
-                self.stack.append((inst.label, "loop", node))
+                self.stack.append([inst.label, node, False])
                 body_out = self.walk(inst.body, [(node, None)])
                 self.stack.pop()
                 _connect(cpg, body_out, end)
-                cur = [(end, None)]
+                cur = [(end, None)] if body_out else []
             elif o == "if":
                 _connect(cpg, cur, node)
                 then_out = self.walk(inst.body, [(node, True)])

@@ -1,11 +1,11 @@
 """Dependency dataflow over the CFG and DDG edge materialization.
 
 Tracks four dependency kinds (constant, function result, global, local) per
-abstract state (global store, local store, value stack, open-label list) and
-propagates them with a LIFO worklist. Loops are processed modularly: edges
-leaving a loop are buffered until no work remains inside it, and a loop header
-whose joined input gained nothing is not re-expanded, so stabilized inner
-loops are not re-swept by outer iterations.
+abstract state (global store, local store, value stack, open-label list).
+The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
+order, which structured control flow gives for free: program order, with each
+loop a nested component (header, then body) iterated while its header's input
+grows. An inner loop whose input is unchanged is not re-swept by outer loops.
 
 The transfer pops each node's operands and pushes by its instType. Operand
 counts come from `ir.instruction_arity`, the arity the validating walk uses,
@@ -134,7 +134,7 @@ EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken
 @dataclass
 class NodeInfo:
     """What the transfer needs about one CFG node. `tag` is the node's
-    instType (or EXIT, Else, Function); `nargs` is how many values it pops."""
+    instType (or EXIT, Else); `nargs` is how many values it pops."""
     tag: str
     nargs: int = 0
     nresults: int = 0
@@ -151,8 +151,9 @@ class FunctionDataflow:
     """Everything the engine needs about one function's nodes."""
     layout: FunctionLayout
     info: dict[int, NodeInfo] = field(default_factory=dict)
-    loops_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     nodes: list[int] = field(default_factory=list)
+    # weak topological order: node ids and (loop header, body order) pairs
+    order: list = field(default_factory=list)
     phi_static: int = 0
     n_locals: int = 0
     n_globals: int = 0
@@ -164,51 +165,54 @@ _CALLS = frozenset((op.CALL, op.CALL_INDIRECT))
 
 def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd = FunctionDataflow(layout=layout)
-    module = ctx.module
     func = layout.func
+    if func.is_import:
+        return fd
+    module = ctx.module
     fd.n_locals = len(func.params) + len(func.locals)
     fd.n_globals = len(module.globals)
     fd.phi_static = len(func.params)
 
-    def add(node: int, info: NodeInfo, loops: tuple[int, ...]) -> None:
+    def add(node: int, info: NodeInfo) -> int:
         fd.info[node] = info
-        fd.loops_of[node] = loops
         fd.nodes.append(node)
+        return node
 
-    def visit(seq: Iterable[InstructionIR], loops: tuple[int, ...]) -> None:
+    def visit(seq: Iterable[InstructionIR], order: list) -> None:
         for inst in seq:
             node = layout.inst_node[id(inst)]
             o = inst.opcode
             if o == "block":
-                add(node, NodeInfo(op.BLOCK, label=inst.label,
-                                   nresults=inst.nresults), loops)
-                add(layout.begin_node[id(inst)], NodeInfo(
-                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params), loops)
-                visit(inst.body, loops)
+                add(node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
+                order.append(add(layout.begin_node[id(inst)], NodeInfo(
+                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
+                visit(inst.body, order)
+                order.append(node)
             elif o == "loop":
-                add(node, NodeInfo(op.LOOP, label=inst.label), loops + (node,))
-                visit(inst.body, loops + (node,))
-                add(layout.end_node[id(inst)], NodeInfo(
-                    op.END_LOOP, label=inst.label, nresults=inst.nresults), loops)
+                add(node, NodeInfo(op.LOOP, label=inst.label))
+                body: list = []
+                visit(inst.body, body)
+                order.append((node, body))
+                order.append(add(layout.end_node[id(inst)], NodeInfo(
+                    op.END_LOOP, label=inst.label, nresults=inst.nresults)))
             else:
                 tag = op.opcode_inst_type(o)
                 nargs, nresults = instruction_arity(inst, module)
                 name = inst.callee if o == "call" else \
                     inst.type_use.text() if o == "call_indirect" else None
-                add(node, NodeInfo(tag, nargs, nresults, var=inst.var, name=name,
-                                   value=inst.value, value_type=inst.value_type), loops)
+                order.append(add(node, NodeInfo(
+                    tag, nargs, nresults, var=inst.var, name=name,
+                    value=inst.value, value_type=inst.value_type)))
                 if tag in _ANCHORS or (nresults and tag in _CALLS):
                     fd.phi_static += 1
                 if o == "if":
-                    visit(inst.body, loops)
+                    visit(inst.body, order)
                     if inst.has_else:
-                        add(layout.else_node[id(inst)], NodeInfo(g.ELSE), loops)
-                        visit(inst.else_body, loops)
+                        order.append(add(layout.else_node[id(inst)], NodeInfo(g.ELSE)))
+                        visit(inst.else_body, order)
 
-    visit(func.body, ())
-    add(layout.exit_node, NodeInfo(EXIT, nresults=func.nresults), ())
-    fd.info[layout.func_node] = NodeInfo(g.FUNCTION)
-    fd.loops_of[layout.func_node] = ()
+    visit(func.body, fd.order)
+    fd.order.append(add(layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
     return fd
 
 
@@ -282,7 +286,7 @@ def adjust_for_edge(s: State, target_info: NodeInfo) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Worklist engine
+# Fixpoint engine
 
 @dataclass
 class AnalysisStats:
@@ -316,75 +320,56 @@ def initial_state(fd: FunctionDataflow) -> State:
 
 
 def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
-    """LIFO worklist with loop-exit buffering; res maps nodes to joined inputs."""
+    """Recursive iteration over `fd.order`; res maps nodes to joined inputs.
+
+    A node's inbox joins the adjusted states sent to it; the node is dirty
+    when its inbox grew. Firing it transfers the inbox and sends the result
+    along its CFG out-edges. A pass fires dirty nodes in order and repeats a
+    loop component while its header is dirty. Every CFG edge goes forward in
+    the order or back to an enclosing loop header, so no node stays dirty.
+    """
     layout = ctx.layouts[func_name]
     fd = _prepare(ctx, layout)
-    cpg = ctx.cpg
+    cpg, info = ctx.cpg, fd.info
     stats = AnalysisStats(phi_static=fd.phi_static, n_locals=fd.n_locals,
                           n_globals=fd.n_globals, cfg_nodes=len(fd.nodes))
     res: dict[int, State] = {}
-    if layout.func.is_import:
-        return FunctionAnalysis(res, stats, fd)
-
     entry_edges = cpg.out_edges(layout.func_node, g.CFG)
     if not entry_edges:
         return FunctionAnalysis(res, stats, fd)
-    entry = entry_edges[0].dst
+    inbox = {entry_edges[0].dst: initial_state(fd)}
+    dirty = set(inbox)
 
-    worklist: list[tuple[int, State]] = []
-    pending_in_loop: dict[int, int] = {}
-    exit_buffer: dict[int, list[tuple[int, State]]] = {}
-
-    def push(node: int, state: State) -> None:
-        worklist.append((node, state))
-        for loop in fd.loops_of.get(node, ()):
-            pending_in_loop[loop] = pending_in_loop.get(loop, 0) + 1
-
-    def propagate(src: int, out: State) -> None:
-        src_loops = fd.loops_of.get(src, ())
-        for edge in cpg.out_edges(src, g.CFG):
-            succ = edge.dst
-            adjusted = adjust_for_edge(out, fd.info[succ])
-            succ_loops = fd.loops_of.get(succ, ())
-            left = [l for l in src_loops if l not in succ_loops]
-            if left:
-                outermost = min(left)
-                exit_buffer.setdefault(outermost, []).append((succ, adjusted))
-            else:
-                push(succ, adjusted)
-
-    def flush_ready(candidates: tuple[int, ...]) -> None:
-        # innermost first; flushing only ever re-opens enclosing loops, so the
-        # candidate set never grows beyond the popped node's own loop nest
-        for loop in sorted(candidates, reverse=True):
-            if pending_in_loop.get(loop, 0) == 0 and exit_buffer.get(loop):
-                for node, state in exit_buffer.pop(loop):
-                    push(node, state)
-
-    push(entry, initial_state(fd))
-    while worklist:
-        node, incoming = worklist.pop()
-        stats.pops += 1
-        node_loops = fd.loops_of.get(node, ())
-        for loop in node_loops:
-            pending_in_loop[loop] -= 1
-        seen = node in res
-        joined, grew = join(res.get(node), incoming)
-        if seen and not grew:
-            flush_ready(node_loops)
-            continue
-        if seen:
+    def fire(node: int) -> None:
+        dirty.discard(node)
+        if node in res:
             stats.growth_revisits += 1
-        res[node] = joined
-        stats.max_stack = max(stats.max_stack, len(joined.stack))
-        out, _ = transfer(node, fd.info[node], joined)
-        stats.max_stack = max(stats.max_stack, len(out.stack))
+        s = res[node] = inbox[node]
+        out, _ = transfer(node, info[node], s)
+        stats.pops += 1
+        stats.max_stack = max(stats.max_stack, len(s.stack), len(out.stack))
         stats.transfer_counts[node] = stats.transfer_counts.get(node, 0) + 1
-        propagate(node, out)
-        flush_ready(node_loops)
-    if any(exit_buffer.values()):
-        raise DataflowError("loop exit buffer not drained")
+        for edge in cpg.out_edges(node, g.CFG):
+            succ = edge.dst
+            joined, grew = join(inbox.get(succ), adjust_for_edge(out, info[succ]))
+            if grew:
+                inbox[succ] = joined
+                dirty.add(succ)
+
+    _run(fd.order, dirty, fire)
     return FunctionAnalysis(res, stats, fd)
+
+
+def _run(order: list, dirty: set, fire) -> None:
+    """Fire the dirty nodes of `order`; repeat a loop while its header is dirty."""
+    for item in order:
+        if type(item) is tuple:
+            header, body = item
+            while header in dirty:
+                fire(header)
+                _run(body, dirty, fire)
+        elif item in dirty:
+            fire(item)
 
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:

@@ -18,6 +18,10 @@ def _succs(cpg, nid):
     return {(e.dst, e.properties.get("label")) for e in cpg.out_edges(nid, g.CFG)}
 
 
+def _cfg_edges(cpg, nid):
+    return cpg.in_edges(nid, g.CFG) + cpg.out_edges(nid, g.CFG)
+
+
 class TestBranches:
     def test_libpng_first_br_if(self):
         cpg = fixture_cpg("libpng_get_token")
@@ -114,10 +118,14 @@ class TestInvariants:
                     if e.dst not in reach:
                         reach.add(e.dst)
                         stack.append(e.dst)
-            for nid in layout.inst_node.values():
+            nodes = [layout.exit_node]
+            for by_inst in (layout.inst_node, layout.begin_node,
+                            layout.end_node, layout.else_node):
+                nodes += by_inst.values()
+            for nid in nodes:
                 if nid not in reach:
-                    # dead code keeps its node but gains no incoming edges
-                    assert cpg.in_edges(nid, g.CFG) == []
+                    # dead code keeps its node but gets no CFG edges
+                    assert _cfg_edges(cpg, nid) == [], nid
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_edge_count_is_linear(self, name):
@@ -140,3 +148,37 @@ class TestInvariants:
                           if n.properties.get("instType") == "Const")
         assert cpg.in_edges(dead_const.id, g.CFG) == []
         assert cpg.node(dead_const.id) is not None
+        (dead_drop,) = _nodes(cpg, instType="Drop")
+        assert _cfg_edges(cpg, dead_drop.id) == []
+
+    def test_dead_branch_adds_no_edge_to_a_live_target(self):
+        ctx = build_context("""(module (func $f (param i32)
+            block $b
+              local.get 0
+              br_if $b
+              unreachable
+              br $b
+            end))""")
+        cpg = ctx.cpg
+        (block,) = _nodes(cpg, instType="Block")
+        (br_if,) = _nodes(cpg, instType="BrIf")
+        (dead_br,) = _nodes(cpg, instType="Br")
+        assert [e.src for e in cpg.in_edges(block.id, g.CFG)] == [br_if.id]
+        assert _cfg_edges(cpg, dead_br.id) == []
+
+    def test_code_after_an_infinite_loop_is_dead(self):
+        ctx = build_context("""(module (func $f
+            block $o
+              loop $L
+                br $L
+              end
+              br $o
+            end))""")
+        cpg = ctx.cpg
+        (block,) = _nodes(cpg, instType="Block")
+        (end_loop,) = _nodes(cpg, instType="EndLoop")
+        (dead_br,) = _nodes(cpg, instType="Br", label="$o")
+        assert cpg.in_edges(block.id, g.CFG) == []
+        assert cpg.in_edges(ctx.layouts["$f"].exit_node, g.CFG) == []
+        for nid in (end_loop.id, dead_br.id, block.id):
+            assert _cfg_edges(cpg, nid) == [], nid

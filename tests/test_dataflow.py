@@ -1,4 +1,4 @@
-"""Dependency analysis: transfer rules, the worklist engine, edge emission."""
+"""Dependency analysis: transfer rules, the fixpoint engine, edge emission."""
 
 from __future__ import annotations
 
@@ -34,6 +34,42 @@ def _ddg_edges(cpg):
         (e.src, e.dst, e.properties["ddgType"], e.properties["label"])
         for e in cpg.edges_of_type(g.DDG)
     }
+
+
+def _checked_analysis(ctx, func_name: str) -> df.FunctionAnalysis:
+    """`analyze_function` after checking the engine's precondition on
+    `fd.order`, and its visit counters after the run.
+
+    The flattened order holds every node once; every CFG edge goes back to
+    the header of an enclosing loop, or forward without entering a loop
+    component anywhere but at its header.
+    """
+    analysis = df.analyze_function(ctx, func_name)
+    fd, stats = analysis.fd, analysis.stats
+    where: dict[int, tuple[int, tuple[int, ...]]] = {}  # node -> (position, loops)
+    flat = []
+
+    def flatten(order, loops):
+        for item in order:
+            if type(item) is tuple:
+                header, body = item
+                flat.append(header)
+                where[header] = (len(where), loops + (header,))
+                flatten(body, loops + (header,))
+            else:
+                flat.append(item)
+                where[item] = (len(where), loops)
+
+    flatten(fd.order, ())
+    assert sorted(flat) == sorted(fd.nodes)
+    for src, (pos, loops) in where.items():
+        for e in ctx.cpg.out_edges(src, g.CFG):
+            dst_pos, dst_loops = where[e.dst]
+            assert e.dst in loops or (
+                dst_pos > pos and set(dst_loops) - {e.dst} <= set(loops)), (src, e.dst)
+    assert stats.pops == sum(stats.transfer_counts.values())
+    assert stats.growth_revisits == stats.pops - len(analysis.res)
+    return analysis
 
 
 def _info(opcode: str, **props) -> df.NodeInfo:
@@ -200,6 +236,24 @@ class TestAnalyzeFunction:
             assert stats.growth_revisits <= stats.height_bound, fname
             assert stats.pops <= (stats.height_bound + 1) * stats.cfg_nodes, fname
 
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_order_and_counters_on_fixtures(self, name):
+        ctx, _ = build_fixture(name)
+        for fn in ctx.module.functions:
+            _checked_analysis(ctx, fn.name)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_and_counters_on_random_modules(self, seed):
+        ctx = _context(random_module(seed))
+        for fn in ctx.module.functions:
+            _checked_analysis(ctx, fn.name)
+
+    def test_import_has_no_dataflow_nodes(self):
+        ctx, report = build_fixture("libpng_get_token")
+        fd = df._prepare(ctx, ctx.layouts["$fgetc"])
+        assert fd.nodes == fd.order == [] and fd.info == {}
+        assert report.function_stats["$fgetc"].cfg_nodes == 0
+
     def test_ddg_stage_dominates_on_loop_heavy_input(self):
         from gen import scaling_module
         _, report = build_cpg(scaling_module(500))
@@ -364,5 +418,5 @@ class TestDeadCodeProperty:
             return
         ctx, _ = _build(module)
         for fn in module.functions:
-            analysis = df.analyze_function(ctx, fn.name)
+            analysis = _checked_analysis(ctx, fn.name)
             assert analysis.res == round_robin_states(ctx, fn.name), fn.name
