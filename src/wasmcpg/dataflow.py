@@ -2,6 +2,9 @@
 
 Tracks four dependency kinds (constant, function result, global, local) per
 abstract state (global store, local store, value stack, open-label list).
+A store holds one dependency set per slot: a local's slot is its index among
+params then locals, a global's its index in the module. `_prepare` resolves
+each `local.*`/`global.*` node's slot once, so a read is a tuple index.
 The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
 order, which structured control flow gives for free: program order, with each
 loop a nested component (header, then body) iterated while its header's input
@@ -17,6 +20,9 @@ Stack/label fixups for block and loop exits are applied when traversing an
 edge into the construct's exit node: the frame entry records the base height,
 the top `nresults` sets survive, and values abandoned by a branch are dropped.
 
+Edges come from the sets each node popped on its last visit: one edge per
+(origin, consumer), consumers in id order and origins ascending.
+
 Linear memory is deliberately untracked: a load pushes the empty set, so a
 store followed by a load never induces an edge.
 """
@@ -24,6 +30,7 @@ store followed by a load never induces an edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .ast_builder import BuildContext, FunctionLayout
@@ -45,34 +52,19 @@ class Dep(NamedTuple):
     value: int | float | None = None  # constant payload
     value_type: str | None = None
 
-    def sort_key(self):
-        return (self.origin, self.kind, self.name or "", repr(self.value))
-
 
 EMPTY: frozenset = frozenset()
+_ORIGIN = itemgetter(1)   # Dep.origin: an origin fixes its Dep, so it sorts them
 
 
 @dataclass(frozen=True)
 class State:
-    """(global store, local store, abstract stack, open labels)."""
-    globals_: tuple[tuple[str, frozenset], ...] = ()
-    locals_: tuple[tuple[str, frozenset], ...] = ()
+    """(global store, local store, abstract stack, open labels); a store is
+    one dependency set per slot."""
+    globals_: tuple[frozenset, ...] = ()
+    locals_: tuple[frozenset, ...] = ()
     stack: tuple[frozenset, ...] = ()
     labels: tuple[tuple[str, int], ...] = ()
-
-    def get_global(self, name: str) -> frozenset:
-        return next((v for k, v in self.globals_ if k == name), EMPTY)
-
-    def get_local(self, name: str) -> frozenset:
-        return next((v for k, v in self.locals_ if k == name), EMPTY)
-
-    def set_global(self, name: str, deps: frozenset) -> "State":
-        return State(_store_set(self.globals_, name, deps), self.locals_,
-                     self.stack, self.labels)
-
-    def set_local(self, name: str, deps: frozenset) -> "State":
-        return State(self.globals_, _store_set(self.locals_, name, deps),
-                     self.stack, self.labels)
 
     def push(self, deps: frozenset) -> "State":
         return State(self.globals_, self.locals_, self.stack + (deps,), self.labels)
@@ -88,13 +80,6 @@ class State:
                              self.stack[:len(self.stack) - n], self.labels)
 
 
-def _store_set(store: tuple, name: str, deps: frozenset) -> tuple:
-    out = tuple((k, v) for k, v in store if k != name)
-    if deps:
-        out = out + ((name, deps),)
-    return tuple(sorted(out))
-
-
 def join(a: Optional[State], b: State) -> tuple[State, bool]:
     """Pointwise union; returns (joined, grew-relative-to-a)."""
     if a is None:
@@ -105,24 +90,12 @@ def join(a: Optional[State], b: State) -> tuple[State, bool]:
             f"{len(a.stack)} vs {len(b.stack)}")
     if a.labels != b.labels:
         raise DataflowError("join of states with mismatched label stacks")
-    stack = tuple(x | y for x, y in zip(a.stack, b.stack))
-    grew = any(len(u) != len(x) for u, x in zip(stack, a.stack))
-    ga, grew_g = _join_store(a.globals_, b.globals_)
-    la, grew_l = _join_store(a.locals_, b.locals_)
-    if not (grew or grew_g or grew_l):
+    old = a.globals_ + a.locals_ + a.stack
+    new = tuple(x | y for x, y in zip(old, b.globals_ + b.locals_ + b.stack))
+    if all(len(u) == len(x) for u, x in zip(new, old)):
         return a, False
-    return State(tuple(sorted((k, v) for k, v in ga.items() if v)),
-                 tuple(sorted((k, v) for k, v in la.items() if v)),
-                 stack, a.labels), True
-
-
-def _join_store(a: tuple, b: tuple) -> tuple[dict, bool]:
-    merged, grew = dict(a), False
-    for k, v in b:
-        old = merged.get(k, EMPTY)
-        merged[k] = old | v
-        grew = grew or len(merged[k]) != len(old)
-    return merged, grew
+    ng, nl = len(a.globals_), len(a.globals_) + len(a.locals_)
+    return State(new[:ng], new[ng:nl], new[nl:], a.labels), True
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +107,13 @@ EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken
 @dataclass
 class NodeInfo:
     """What the transfer needs about one CFG node. `tag` is the node's
-    instType (or EXIT, Else); `nargs` is how many values it pops."""
+    instType (or EXIT, Else); `nargs` is how many values it pops; `slot`
+    is a `local.*`/`global.*` variable's index in its store."""
     tag: str
     nargs: int = 0
     nresults: int = 0
     var: str | None = None
+    slot: int | None = None
     name: str | None = None
     value: int | float | None = None
     value_type: str | None = None
@@ -172,48 +147,56 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd.n_locals = len(func.params) + len(func.locals)
     fd.n_globals = len(module.globals)
     fd.phi_static = len(func.params)
-
-    def add(node: int, info: NodeInfo) -> int:
-        fd.info[node] = info
-        fd.nodes.append(node)
-        return node
-
-    def visit(seq: Iterable[InstructionIR], order: list) -> None:
-        for inst in seq:
-            node = layout.inst_node[id(inst)]
-            o = inst.opcode
-            if o == "block":
-                add(node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
-                order.append(add(layout.begin_node[id(inst)], NodeInfo(
-                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
-                visit(inst.body, order)
-                order.append(node)
-            elif o == "loop":
-                add(node, NodeInfo(op.LOOP, label=inst.label))
-                body: list = []
-                visit(inst.body, body)
-                order.append((node, body))
-                order.append(add(layout.end_node[id(inst)], NodeInfo(
-                    op.END_LOOP, label=inst.label, nresults=inst.nresults)))
-            else:
-                tag = op.opcode_inst_type(o)
-                nargs, nresults = instruction_arity(inst, module)
-                name = inst.callee if o == "call" else \
-                    inst.type_use.text() if o == "call_indirect" else None
-                order.append(add(node, NodeInfo(
-                    tag, nargs, nresults, var=inst.var, name=name,
-                    value=inst.value, value_type=inst.value_type)))
-                if tag in _ANCHORS or (nresults and tag in _CALLS):
-                    fd.phi_static += 1
-                if o == "if":
-                    visit(inst.body, order)
-                    if inst.has_else:
-                        order.append(add(layout.else_node[id(inst)], NodeInfo(g.ELSE)))
-                        visit(inst.else_body, order)
-
-    visit(func.body, fd.order)
-    fd.order.append(add(layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
+    # locals and globals are separate namespaces: one name->slot map each
+    slots = {"local": {name: i for i, (name, _) in enumerate(func.params + func.locals)},
+             "global": {gl.name: i for i, gl in enumerate(module.globals)}}
+    _visit(fd, module, slots, func.body, fd.order)
+    fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
     return fd
+
+
+def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
+    fd.info[node] = info
+    fd.nodes.append(node)
+    return node
+
+
+def _visit(fd: FunctionDataflow, module, slots: dict, seq: Iterable[InstructionIR],
+           order: list) -> None:
+    """Give each node of `seq` its NodeInfo and append it to `order`."""
+    layout = fd.layout
+    for inst in seq:
+        node = layout.inst_node[id(inst)]
+        o = inst.opcode
+        if o == "block":
+            _add(fd, node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
+            order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(
+                op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
+            _visit(fd, module, slots, inst.body, order)
+            order.append(node)
+        elif o == "loop":
+            _add(fd, node, NodeInfo(op.LOOP, label=inst.label))
+            body: list = []
+            _visit(fd, module, slots, inst.body, body)
+            order.append((node, body))
+            order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
+                op.END_LOOP, label=inst.label, nresults=inst.nresults)))
+        else:
+            tag = op.opcode_inst_type(o)
+            nargs, nresults = instruction_arity(inst, module)
+            name = inst.callee if o == "call" else \
+                inst.type_use.text() if o == "call_indirect" else None
+            slot = None if inst.var is None else slots[o.partition(".")[0]][inst.var]
+            order.append(_add(fd, node, NodeInfo(
+                tag, nargs, nresults, var=inst.var, slot=slot, name=name,
+                value=inst.value, value_type=inst.value_type)))
+            if tag in _ANCHORS or (nresults and tag in _CALLS):
+                fd.phi_static += 1
+            if o == "if":
+                _visit(fd, module, slots, inst.body, order)
+                if inst.has_else:
+                    order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
+                    _visit(fd, module, slots, inst.else_body, order)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +221,22 @@ def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset
         return s.push(popped[0] | popped[1] if len(popped) > 1 else popped[0]), popped
     if t == op.LOCAL_GET:
         dep = Dep(LOCAL_DEP, node, name=info.var)
-        return s.push(s.get_local(info.var) | {dep}), popped
+        return s.push(s.locals_[info.slot] | {dep}), popped
     if t == op.CONST:
         dep = Dep(CONST_DEP, node, value=info.value, value_type=info.value_type)
         return s.push(frozenset((dep,))), popped
-    if t == op.LOCAL_SET:
-        return s.set_local(info.var, popped[0]), popped
-    if t == op.LOCAL_TEE:
-        return s.set_local(info.var, popped[0]).push(popped[0]), popped
+    if t == op.LOCAL_SET or t == op.LOCAL_TEE:
+        i, deps = info.slot, popped[0]
+        s = State(s.globals_, s.locals_[:i] + (deps,) + s.locals_[i + 1:],
+                  s.stack + (deps,) if t == op.LOCAL_TEE else s.stack, s.labels)
+        return s, popped
     if t == op.GLOBAL_GET:
         dep = Dep(GLOBAL_DEP, node, name=info.var)
-        return s.push(s.get_global(info.var) | {dep}), popped
+        return s.push(s.globals_[info.slot] | {dep}), popped
     if t == op.GLOBAL_SET:
-        return s.set_global(info.var, popped[0]), popped
+        i = info.slot
+        return State(s.globals_[:i] + (popped[0],) + s.globals_[i + 1:], s.locals_,
+                     s.stack, s.labels), popped
     if t in _UNTRACKED:
         return s.push(EMPTY), popped   # memory contents are untracked
     if t in _CALLS:
@@ -309,14 +295,16 @@ class FunctionAnalysis:
     res: dict[int, State]
     stats: AnalysisStats
     fd: FunctionDataflow
+    # the dependency sets each node popped on its last visit, from res[node]
+    popped: dict[int, list[frozenset]] = field(default_factory=dict)
 
 
 def initial_state(fd: FunctionDataflow) -> State:
-    seeds = []
-    for name, _ty in fd.layout.func.params:
-        var_node = fd.layout.param_var_node[name]
-        seeds.append((name, frozenset((Dep(LOCAL_DEP, var_node, name=name),))))
-    return State(locals_=tuple(sorted(seeds)))
+    layout = fd.layout
+    params = tuple(frozenset((Dep(LOCAL_DEP, layout.param_var_node[name], name=name),))
+                   for name, _ty in layout.func.params)
+    return State((EMPTY,) * fd.n_globals,
+                 params + (EMPTY,) * (fd.n_locals - len(params)))
 
 
 def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
@@ -333,10 +321,11 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
     cpg, info = ctx.cpg, fd.info
     stats = AnalysisStats(phi_static=fd.phi_static, n_locals=fd.n_locals,
                           n_globals=fd.n_globals, cfg_nodes=len(fd.nodes))
-    res: dict[int, State] = {}
+    analysis = FunctionAnalysis({}, stats, fd)
+    res, popped = analysis.res, analysis.popped
     entry_edges = cpg.out_edges(layout.func_node, g.CFG)
     if not entry_edges:
-        return FunctionAnalysis(res, stats, fd)
+        return analysis
     inbox = {entry_edges[0].dst: initial_state(fd)}
     dirty = set(inbox)
 
@@ -345,7 +334,7 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
         if node in res:
             stats.growth_revisits += 1
         s = res[node] = inbox[node]
-        out, _ = transfer(node, info[node], s)
+        out, popped[node] = transfer(node, info[node], s)
         stats.pops += 1
         stats.max_stack = max(stats.max_stack, len(s.stack), len(out.stack))
         stats.transfer_counts[node] = stats.transfer_counts.get(node, 0) + 1
@@ -357,7 +346,7 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
                 dirty.add(succ)
 
     _run(fd.order, dirty, fire)
-    return FunctionAnalysis(res, stats, fd)
+    return analysis
 
 
 def _run(order: list, dirty: set, fire) -> None:
@@ -373,22 +362,22 @@ def _run(order: list, dirty: set, fire) -> None:
 
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
-    """Add one DDG edge per (origin, consumer), consumers in id order.
+    """Add one DDG edge per (origin, consumer), consumers in id order and
+    origins ascending.
 
     An origin node yields the same `Dep` wherever its value flows, so a
     consumer's popped sets name each origin once, and all edges from one
     origin share one property map.
     """
-    info = analysis.fd.info
-    props_of: dict[Dep, dict] = {}
+    popped = analysis.popped
+    props_of: dict[int, dict] = {}
 
     def rows():
-        for node in sorted(analysis.res):
-            _, popped = transfer(node, info[node], analysis.res[node])
-            for dep in sorted(EMPTY.union(*popped), key=Dep.sort_key):
-                props = props_of.get(dep)
+        for node in sorted(popped):
+            for dep in sorted(EMPTY.union(*popped[node]), key=_ORIGIN):
+                props = props_of.get(dep.origin)
                 if props is None:
-                    props = props_of[dep] = _ddg_props(dep)
+                    props = props_of[dep.origin] = _ddg_props(dep)
                 yield dep.origin, node, props
 
     return ctx.cpg.add_ddg_edges(rows())

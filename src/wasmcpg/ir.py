@@ -134,13 +134,6 @@ def instruction_arity(
     return (0 if o == "br" else 1) + carried, (carried if o == "br_if" else 0)
 
 
-@dataclass
-class FunctionStats:
-    """Static facts the validating walk collects about one function body."""
-    max_stack: int = 0
-    instruction_count: int = 0
-
-
 # hook(owner, body, rooted, values): see validate_function
 Hook = Callable[[object, Optional[list], list, list], None]
 
@@ -149,7 +142,7 @@ _ENDS_REACH = frozenset(("br", "br_table", "return", "unreachable"))
 
 
 def validate_function(func: FunctionIR, module: ModuleIR,
-                      hook: Hook | None = None) -> FunctionStats:
+                      hook: Hook | None = None) -> None:
     """The one walk over a function body's value stack: it validates and folds.
 
     The stack holds the instruction producing each value. Each body gets a
@@ -165,15 +158,12 @@ def validate_function(func: FunctionIR, module: ModuleIR,
       of `func`: its statements, then the values left on its frame. An `if`'s
       condition producer leads its then-body's `rooted`.
     """
-    stats = FunctionStats()
     arity = op.SIMPLE_OPCODES
 
     def walk(seq: list[InstructionIR], stack: list, results: int,
-             labels: dict[str, int], base: int) -> tuple[list, list]:
-        stats.instruction_count += len(seq)
+             labels: dict[str, int]) -> tuple[list, list]:
         rooted: list = []
         dead = False
-        peak = 0
         for inst in seq:
             o = inst.opcode
             if o in _STRUCTURED:
@@ -181,7 +171,7 @@ def validate_function(func: FunctionIR, module: ModuleIR,
                 # br to a loop label carries no operands in the MVP
                 inner[inst.label] = 0 if o == "loop" else inst.nresults
                 if dead:
-                    head, entry, depth = [], [None] * inst.block_params, 0
+                    head, entry = [], [None] * inst.block_params
                 else:
                     cut = len(stack) - (1 if o == "if" else inst.block_params)
                     if cut < 0:
@@ -190,13 +180,12 @@ def validate_function(func: FunctionIR, module: ModuleIR,
                     # an if pops its condition; block parameters enter the frame
                     head, entry = (stack[cut:], []) if o == "if" else ([], stack[cut:])
                     del stack[cut:]
-                    depth = base + cut
-                r, v = walk(inst.body, entry, inst.nresults, inner, depth)
+                r, v = walk(inst.body, entry, inst.nresults, inner)
                 if hook is not None:
                     hook(inst, inst.body, head + r, v)
                 if o == "if":
                     if inst.has_else:
-                        r, v = walk(inst.else_body, [], inst.nresults, inner, depth)
+                        r, v = walk(inst.else_body, [], inst.nresults, inner)
                         if hook is not None:
                             hook(inst, inst.else_body, r, v)
                     elif inst.nresults:
@@ -205,7 +194,6 @@ def validate_function(func: FunctionIR, module: ModuleIR,
                     rooted.append(inst)
                 else:
                     stack.append(inst)
-                    peak = max(peak, len(stack))
                 continue
             if dead:
                 rooted.append(inst)
@@ -227,8 +215,6 @@ def validate_function(func: FunctionIR, module: ModuleIR,
             # at most one result: the parser rejects multi-value signatures
             if nres:
                 stack.append(inst)
-                if len(stack) > peak:
-                    peak = len(stack)
             else:
                 rooted.append(inst)
             if o in _ENDS_REACH:
@@ -236,22 +222,20 @@ def validate_function(func: FunctionIR, module: ModuleIR,
         if not dead and len(stack) != results:
             raise ValidationError(
                 f"block leaves {len(stack)} values, declared {results}")
-        stats.max_stack = max(stats.max_stack, base + peak)
         return rooted, stack
 
     if not func.is_import:
-        rooted, values = walk(func.body, [], func.nresults,
-                              {"$__func__": func.nresults}, 0)
+        rooted, values = walk(func.body, [], func.nresults, {"$__func__": func.nresults})
         if hook is not None:
             hook(func, func.body, rooted, values)
-    return stats
 
 
-def validate_module(module: ModuleIR) -> dict[str, FunctionStats]:
+def validate_module(module: ModuleIR) -> None:
     for idx in module.table:
         if not 0 <= idx < len(module.functions):
             raise ValidationError(f"table entry {idx} references no function")
-    return {f.name: validate_function(f, module) for f in module.functions}
+    for f in module.functions:
+        validate_function(f, module)
 
 
 # ---------------------------------------------------------------------------

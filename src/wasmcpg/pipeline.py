@@ -49,11 +49,6 @@ def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
     return ctx, report
 
 
-def build_cpg_from_ir(module: ModuleIR) -> tuple[g.Cpg, BuildReport]:
-    ctx, report = _build(module)
-    return ctx.cpg, report
-
-
 def build_cpg(source: str) -> tuple[g.Cpg, BuildReport]:
     """Parse WAT text and build the frozen four-subgraph property graph."""
     ctx, report = _build(source)

@@ -240,6 +240,7 @@ class Parser:
         decls: list[_FuncDecl] = []
         table_elems: list[tuple[int, list[str]]] = []
         exports: list[tuple[str, str]] = []
+        global_names: set[str] = set()
 
         # pass 1: types, names, globals, table, exports
         for f in fields:
@@ -270,7 +271,12 @@ class Parser:
             elif h == "func":
                 decls.append(self._scan_func(f))
             elif h == "global":
-                module.globals.append(self._parse_global(f))
+                gl = self._parse_global(f)
+                if gl.name in global_names:
+                    raise NameResolutionError(f"duplicate global name {gl.name}",
+                                              f.line, f.col)
+                global_names.add(gl.name)
+                module.globals.append(gl)
             elif h in ("memory", "data", "start"):
                 pass
             elif h == "table":
@@ -294,7 +300,7 @@ class Parser:
             if d.name in self.func_index:
                 raise ParseError(f"duplicate function name {d.name}", d.sx.line, d.sx.col)
             self.func_index[d.name] = idx
-        self.global_names = {g.name for g in module.globals}
+        self.global_names = global_names
 
         for name, ref in exports:
             target = self._resolve_func_ref(ref)
@@ -315,6 +321,12 @@ class Parser:
                 is_export=d.export_name is not None,
                 export_name=d.export_name,
             )
+            seen: set[str] = set()
+            for name, _ in func.params + func.locals:
+                if name in seen:
+                    raise NameResolutionError(
+                        f"duplicate local name {name} in {d.name}", d.sx.line, d.sx.col)
+                seen.add(name)
             if not d.is_import:
                 counter = [0]
                 func.body = self._parse_body(d.body_forms, func, [], counter)

@@ -302,4 +302,7 @@ class Interpreter:
 
 
 def eval_wql(program: A.Program, cpg: g.Cpg, config: dict | None = None) -> list[Finding]:
-    return Interpreter(cpg, config).run(program)
+    try:
+        return Interpreter(cpg, config).run(program)
+    except RecursionError:   # evaluation recurses once per expression level
+        raise WqlRuntimeError("expression nesting too deep") from None

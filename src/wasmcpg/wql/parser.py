@@ -229,4 +229,9 @@ class _Parser:
 
 
 def parse_wql(source: str) -> A.Program:
-    return _Parser(tokenize(source)).program()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.program()
+    except RecursionError:   # the parser recurses once or more per nesting level
+        t = parser.peek()
+        raise WqlSyntaxError("nesting too deep", t.line, t.col) from None

@@ -10,7 +10,7 @@ import pytest
 from conftest import FIXTURES
 from test_ast_builder import DEAD_LABELED_IF
 from gen import nested_blocks, nested_expression
-from test_wat_parser import MULTI_RESULT
+from test_wat_parser import MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
 from wasmcpg.cli import main
 
 CONFIG = str(FIXTURES / "scan_config.json")
@@ -155,6 +155,10 @@ class TestFailClosed:
         (tmp_path / "multi.wat").write_text(MULTI_RESULT)
         (tmp_path / "deep_blocks.wat").write_text(nested_blocks(1000))
         (tmp_path / "deep_expr.wat").write_text(nested_expression(1000))
+        (tmp_path / "dup_local.wat").write_text(SYNTHESIZED_LOCAL_CLASH)
+        (tmp_path / "parens.wql").write_text("x := " + "(" * 3000 + "1" + ")" * 3000 + ";")
+        (tmp_path / "minus.wql").write_text("x := " + "-" * 5000 + "1;")
+        (tmp_path / "sum.wql").write_text("x := " + " + ".join(["1"] * 5000) + ";")
         assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
         return tmp_path
 
@@ -172,13 +176,18 @@ class TestFailClosed:
         (3, ["scan", "{t}/multi.wat"]),
         (3, ["scan", "{t}/deep_blocks.wat"]),
         (3, ["scan", "{t}/deep_expr.wat"]),
+        (3, ["scan", "{t}/dup_local.wat"]),
+        (3, ["scan", MIXED, "--wql", "{t}/parens.wql"]),
+        (3, ["scan", MIXED, "--wql", "{t}/minus.wql"]),
+        (3, ["scan", MIXED, "--wql", "{t}/sum.wql"]),
         (2, ["query", "{t}/missing.json"]),
         (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
             "config-not-object", "config-too-deep", "multi-result-function",
-            "blocks-too-deep", "expression-too-deep", "query-missing-graph",
-            "export-missing-graph"])
+            "blocks-too-deep", "expression-too-deep", "duplicate-local-name",
+            "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
+            "query-missing-graph", "export-missing-graph"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -88,12 +89,13 @@ class TestTransfer:
         assert out.stack == (frozenset({df.Dep("Const", 5, None, 2, "i32")}),)
 
     def test_local_get_anchors_itself_and_forwards_the_store(self):
-        seeded = df.State(locals_=(("$y", frozenset({df.Dep("Local", 16, "$y")})),))
-        out, _ = df.transfer(4, _info("local.get", var="$y"), seeded)
+        # slot 0 is $y, slot 1 is $q
+        seeded = df.State(locals_=(frozenset({df.Dep("Local", 16, "$y")}), df.EMPTY))
+        out, _ = df.transfer(4, _info("local.get", var="$y", slot=0), seeded)
         assert out.stack[-1] == {df.Dep("Local", 4, "$y"),
                                  df.Dep("Local", 16, "$y")}
         # an untouched local still records the use site
-        out2, _ = df.transfer(4, _info("local.get", var="$q"), df.State())
+        out2, _ = df.transfer(4, _info("local.get", var="$q", slot=1), seeded)
         assert out2.stack[-1] == {df.Dep("Local", 4, "$q")}
 
     def test_binop_unions_operands(self):
@@ -135,18 +137,18 @@ class TestTransfer:
         for _ in range(200):
             small = frozenset(rng.sample(deps, rng.randrange(0, 4)))
             big = small | frozenset(rng.sample(deps, rng.randrange(0, 3)))
-            info = _info(rng.choice(opcodes), var="$x")
+            info = _info(rng.choice(opcodes), var="$x", slot=1)
             extra = frozenset(rng.sample(deps, 2))
-            s1 = df.State(stack=(extra, small))
-            s2 = df.State(stack=(extra, big))
+            store = (extra, frozenset())   # $x is slot 1 of each store
+            s1 = df.State(store, store, stack=(extra, small))
+            s2 = df.State(store, store, stack=(extra, big))
             o1, p1 = df.transfer(0, info, s1)
             o2, p2 = df.transfer(0, info, s2)
             assert len(p1) == info.nargs > 0
             for x, y in zip(o1.stack + tuple(p1), o2.stack + tuple(p2)):
                 assert x <= y
-            for store in ("locals_", "globals_"):
-                assert dict(getattr(o1, store)).get("$x", frozenset()) <= \
-                    dict(getattr(o2, store)).get("$x", frozenset())
+            for x, y in zip(o1.locals_ + o1.globals_, o2.locals_ + o2.globals_):
+                assert x <= y
 
 
 class TestJoin:
@@ -254,6 +256,21 @@ class TestAnalyzeFunction:
         assert fd.nodes == fd.order == [] and fd.info == {}
         assert report.function_stats["$fgetc"].cfg_nodes == 0
 
+    def test_dropped_analyses_leave_no_cyclic_garbage(self):
+        # with the cyclic collector off, only reference counting frees an
+        # analysis: its FunctionDataflow must not sit in a reference cycle
+        ctx, _ = build_fixture("mixed")
+
+        def live() -> int:
+            return sum(isinstance(o, df.FunctionDataflow) for o in gc.get_objects())
+
+        gc.collect()
+        before = live()
+        with g.gc_paused():
+            for fn in ctx.module.functions:
+                df.analyze_function(ctx, fn.name)
+            assert live() == before
+
     def test_ddg_stage_dominates_on_loop_heavy_input(self):
         from gen import scaling_module
         _, report = build_cpg(scaling_module(500))
@@ -330,6 +347,42 @@ class TestEmitDdgEdges:
         cpg, _ = build_cpg(random_module(seed, max_insts=80))
         assert cpg.edges_of_type(g.DDG)
         self._assert_no_duplicate_edges(cpg)
+
+    def test_crossed_local_and_global_names(self):
+        # $x and $y name a global and a param each, in opposite orders, so
+        # each name has a different slot as a local and as a global
+        ctx, _ = _build("""(module
+            (global $x (mut i32) (i32.const 0))
+            (global $y (mut i32) (i32.const 0))
+            (func $f (param $y i32) (param $x i32) (result i32)
+              local.get $y
+              global.set $x
+              local.get $x
+              global.set $y
+              global.get $y
+              local.set $y
+              global.get $x
+              local.set $x
+              local.get $y
+              local.get $x
+              i32.add))""")
+        layout = ctx.layouts["$f"]
+        n = [layout.inst_node[id(inst)] for inst in layout.func.body]
+        px, py = layout.param_var_node["$x"], layout.param_var_node["$y"]
+        lx = [(px, "Local", "$x"), (n[2], "Local", "$x")]
+        ly = [(py, "Local", "$y"), (n[0], "Local", "$y")]
+        gy5, gx7 = (n[4], "Global", "$y"), (n[6], "Global", "$x")
+        consumers = {
+            n[1]: ly,                               # global.set $x
+            n[3]: lx,                               # global.set $y
+            n[5]: lx + [gy5],                       # local.set $y
+            n[7]: ly + [gx7],                       # local.set $x
+            n[10]: lx + ly + [gy5, gx7, (n[8], "Local", "$y"),
+                              (n[9], "Local", "$x")],   # i32.add
+        }
+        assert _ddg_edges(ctx.cpg) == {
+            (src, dst, kind, label)
+            for dst, deps in consumers.items() for src, kind, label in deps}
 
     def test_edges_from_one_origin_share_properties(self):
         cpg = fixture_cpg("libpng_get_token")

@@ -207,9 +207,7 @@ class TestValidation:
     def test_fixture_functions_validate(self, name):
         # validate_module re-runs the stack-effect walk; non-negative heights
         # and exact terminal heights are its postcondition
-        stats = validate_module(parse_module(fixture_source(name)))
-        for fstats in stats.values():
-            assert fstats.max_stack >= 0
+        validate_module(parse_module(fixture_source(name)))
 
     def test_random_modules_validate(self):
         for seed in range(20):
@@ -219,6 +217,25 @@ class TestValidation:
 MULTI_RESULT = """(module (func $two (result i32 i32)
     i32.const 1
     i32.const 2))"""
+
+# the unnamed local is synthesized as $1, the name of the explicit param
+SYNTHESIZED_LOCAL_CLASH = "(module (func (param $1 i32) (local i32) local.get 1 drop))"
+
+DUPLICATE_NAMES = {
+    "params": ("(module (func (param $a i32) (param $a i32)))", "local name \\$a"),
+    "locals": ("(module (func (local $a i32) (local $a i32)))", "local name \\$a"),
+    "param-local": ("(module (func (param $a i32) (local $a i32)))", "local name \\$a"),
+    "globals": ("(module (global $a i32 (i32.const 0)) (global $a i32 (i32.const 0)))",
+                "global name \\$a"),
+    "synthesized-local": (SYNTHESIZED_LOCAL_CLASH, "local name \\$1"),
+    "synthesized-param": ("(module (func (param i32) (local $0 i32)))", "local name \\$0"),
+    "synthesized-global-first": (
+        "(module (global i32 (i32.const 0)) (global $g0 i32 (i32.const 0)))",
+        "global name \\$g0"),
+    "synthesized-global-second": (
+        "(module (global $g0 i32 (i32.const 0)) (global i32 (i32.const 0)))",
+        "global name \\$g0"),
+}
 
 
 class TestFailClosed:
@@ -244,3 +261,9 @@ class TestFailClosed:
     def test_malformed_branch_label(self, label):
         with pytest.raises(NameResolutionError):
             parse_module(f"(module (func block br {label} end))")
+
+    @pytest.mark.parametrize("source, message", DUPLICATE_NAMES.values(),
+                             ids=DUPLICATE_NAMES.keys())
+    def test_duplicate_names_are_rejected(self, source, message):
+        with pytest.raises(NameResolutionError, match=f"duplicate {message}"):
+            parse_module(source)
