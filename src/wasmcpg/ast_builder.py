@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import FunctionIR, InstructionIR, ModuleIR, validate_function
+from .ir import ELSE, ENTER, PLAIN, FunctionIR, InstructionIR, ModuleIR, \
+    validate_function, walk
 from . import graph as g
 from . import opcodes as op
 
@@ -71,23 +72,19 @@ def _instruction_props(inst: InstructionIR) -> dict:
 def _create_nodes(ctx: BuildContext, layout: FunctionLayout,
                   seq: list[InstructionIR]) -> None:
     cpg = ctx.cpg
-    for inst in seq:
-        node = cpg.add_node(g.INSTRUCTION, _instruction_props(inst))
-        layout.inst_node[id(inst)] = node
-        if inst.opcode == "block":
-            layout.begin_node[id(inst)] = cpg.add_node(
-                g.INSTRUCTION, {"instType": "BeginBlock", "label": inst.label})
-            _create_nodes(ctx, layout, inst.body)
+    for inst, ev in walk(seq):
+        if ev == PLAIN or ev == ENTER:
+            layout.inst_node[id(inst)] = cpg.add_node(
+                g.INSTRUCTION, _instruction_props(inst))
+            if inst.opcode == "block":
+                layout.begin_node[id(inst)] = cpg.add_node(
+                    g.INSTRUCTION, {"instType": "BeginBlock", "label": inst.label})
+        elif ev == ELSE:
+            layout.else_node[id(inst)] = cpg.add_node(g.ELSE)
         elif inst.opcode == "loop":
-            _create_nodes(ctx, layout, inst.body)
             layout.end_node[id(inst)] = cpg.add_node(
                 g.INSTRUCTION,
                 {"instType": "EndLoop", "label": inst.label, "nresults": inst.nresults})
-        elif inst.opcode == "if":
-            _create_nodes(ctx, layout, inst.body)
-            if inst.has_else:
-                layout.else_node[id(inst)] = cpg.add_node(g.ELSE)
-                _create_nodes(ctx, layout, inst.else_body)
 
 
 def _ast_hook(cpg: g.Cpg, layout: FunctionLayout):

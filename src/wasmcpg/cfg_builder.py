@@ -4,15 +4,16 @@ WebAssembly control flow is structured, so edges are mostly linear. Branch
 targets: a block's label jumps forward to its exit node, a loop's label jumps
 back to the loop header. `if`/`br_if` fan out with true/false labels and
 `br_table` with one labeled edge per case plus a default. Dead code keeps its
-nodes but gets no CFG edges, in or out: the walk stops at an instruction no
-edge reaches, and a block or loop continues only if its end is reachable.
+nodes but gets no CFG edges, in or out: the walk skips from an instruction no
+edge reaches to the end of its body, and a block or loop continues only if its
+end is reachable.
 """
 
 from __future__ import annotations
 
 from .ast_builder import BuildContext, FunctionLayout
 from .errors import GraphError
-from .ir import InstructionIR
+from .ir import ELSE, ENTER, EXIT, walk
 from . import graph as g
 
 # (node, branch label or None) pairs waiting for their successor
@@ -25,92 +26,78 @@ def _connect(cpg: g.Cpg, pending: Pending, target: int) -> None:
         cpg.add_edge(node, target, g.CFG, props)
 
 
-class _FuncCfg:
-    def __init__(self, ctx: BuildContext, layout: FunctionLayout):
-        self.ctx = ctx
-        self.cpg = ctx.cpg
-        self.layout = layout
-        # innermost last: [label, branch target node, targeted by a branch]
-        self.stack: list[list] = []
+def _func_cfg(cpg: g.Cpg, layout: FunctionLayout) -> Pending:
+    """Add one function's CFG edges; returns what flows into its exit node."""
+    # innermost last: [label, branch target node, targeted by a branch,
+    # then-body exits]; an if is no branch target, so its label is None
+    frames: list[list] = []
 
-    def resolve(self, label: str) -> int:
+    def resolve(label: str) -> int:
         if label == "$__func__":
-            return self.layout.exit_node
-        for frame in reversed(self.stack):
+            return layout.exit_node
+        for frame in reversed(frames):
             if frame[0] == label:
                 frame[2] = True
                 return frame[1]
         raise GraphError(f"unresolved branch label {label}")
 
-    def walk(self, seq: list[InstructionIR], incoming: Pending) -> Pending:
-        cpg = self.cpg
-        layout = self.layout
-        cur = incoming
-        for inst in seq:
-            if not cur:
-                break   # dead code
-            node = layout.inst_node[id(inst)]
-            o = inst.opcode
+    cur: Pending = [(layout.func_node, None)]
+    skip = 0   # open constructs inside the dead code being skipped
+    for inst, ev in walk(layout.func.body):
+        o = inst.opcode
+        if ev == ELSE or ev == EXIT:
+            if skip:
+                if ev == EXIT:
+                    skip -= 1
+                continue
+        elif skip or not cur:   # dead code: skip to the end of its body
+            if ev == ENTER:
+                skip += 1
+            continue
+        node = layout.inst_node[id(inst)]
+        if ev == ENTER:
+            # a block is entered at its BeginBlock, a loop or an if at itself
+            entry = layout.begin_node[id(inst)] if o == "block" else node
+            _connect(cpg, cur, entry)
+            frames.append([None if o == "if" else inst.label, node, False, None])
+            cur = [(entry, True if o == "if" else None)]
+        elif ev == ELSE:
+            frames[-1][3] = cur
+            enode = layout.else_node[id(inst)]
+            cpg.add_edge(node, enode, g.CFG, {"label": False})
+            cur = [(enode, None)]
+        elif ev == EXIT:
+            frame = frames.pop()
             if o == "block":
-                begin = layout.begin_node[id(inst)]
-                _connect(cpg, cur, begin)
-                frame = [inst.label, node, False]
-                self.stack.append(frame)
-                body_out = self.walk(inst.body, [(begin, None)])
-                self.stack.pop()
-                _connect(cpg, body_out, node)
-                cur = [(node, None)] if body_out or frame[2] else []
+                _connect(cpg, cur, node)
+                cur = [(node, None)] if cur or frame[2] else []
             elif o == "loop":
-                _connect(cpg, cur, node)
                 end = layout.end_node[id(inst)]
-                self.stack.append([inst.label, node, False])
-                body_out = self.walk(inst.body, [(node, None)])
-                self.stack.pop()
-                _connect(cpg, body_out, end)
-                cur = [(end, None)] if body_out else []
-            elif o == "if":
-                _connect(cpg, cur, node)
-                then_out = self.walk(inst.body, [(node, True)])
-                if inst.has_else:
-                    enode = layout.else_node[id(inst)]
-                    cpg.add_edge(node, enode, g.CFG, {"label": False})
-                    else_out = self.walk(inst.else_body, [(enode, None)])
-                    cur = then_out + else_out
-                else:
-                    cur = then_out + [(node, False)]
-            elif o == "br":
-                _connect(cpg, cur, node)
-                cpg.add_edge(node, self.resolve(inst.label), g.CFG)
-                cur = []
-            elif o == "br_if":
-                _connect(cpg, cur, node)
-                cpg.add_edge(node, self.resolve(inst.label), g.CFG, {"label": True})
-                cur = [(node, False)]
-            elif o == "br_table":
-                _connect(cpg, cur, node)
-                cases, default = inst.br_targets[:-1], inst.br_targets[-1]
-                for i, target in enumerate(cases):
-                    cpg.add_edge(node, self.resolve(target), g.CFG, {"label": i})
-                cpg.add_edge(node, self.resolve(default), g.CFG,
-                             {"label": "default"})
-                cur = []
-            elif o == "return":
-                _connect(cpg, cur, node)
-                cpg.add_edge(node, self.layout.exit_node, g.CFG)
-                cur = []
-            elif o == "unreachable":
-                _connect(cpg, cur, node)
-                cur = []
+                _connect(cpg, cur, end)
+                cur = [(end, None)] if cur else []
             else:
-                _connect(cpg, cur, node)
-                cur = [(node, None)]
-        return cur
+                cur = frame[3] + cur if inst.has_else else cur + [(node, False)]
+        else:
+            _connect(cpg, cur, node)
+            cur = [(node, None)]
+            if o == "br_if":
+                cpg.add_edge(node, resolve(inst.label), g.CFG, {"label": True})
+                cur = [(node, False)]
+            elif o == "br":
+                cpg.add_edge(node, resolve(inst.label), g.CFG)
+            elif o == "br_table":
+                last = len(inst.br_targets) - 1
+                for i, target in enumerate(inst.br_targets):
+                    cpg.add_edge(node, resolve(target), g.CFG,
+                                 {"label": "default" if i == last else i})
+            elif o == "return":
+                cpg.add_edge(node, layout.exit_node, g.CFG)
+            if o in ("br", "br_table", "return", "unreachable"):
+                cur = []
+    return cur
 
 
 def build_cfg(ctx: BuildContext) -> None:
     for layout in ctx.layouts.values():
-        if layout.func.is_import:
-            continue
-        walker = _FuncCfg(ctx, layout)
-        leftovers = walker.walk(layout.func.body, [(layout.func_node, None)])
-        _connect(ctx.cpg, leftovers, layout.exit_node)
+        if not layout.func.is_import:
+            _connect(ctx.cpg, _func_cfg(ctx.cpg, layout), layout.exit_node)

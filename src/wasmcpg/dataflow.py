@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .ast_builder import BuildContext, FunctionLayout
 from .errors import DataflowError
-from .ir import InstructionIR, instruction_arity
+from .ir import ELSE as ELSE_EV, ENTER as ENTER_EV, EXIT as EXIT_EV, \
+    instruction_arity, walk
 from . import graph as g
 from . import opcodes as op
 
@@ -150,38 +151,31 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     # locals and globals are separate namespaces: one name->slot map each
     slots = {"local": {name: i for i, (name, _) in enumerate(func.params + func.locals)},
              "global": {gl.name: i for i, gl in enumerate(module.globals)}}
-    _visit(fd, module, slots, func.body, fd.order)
-    fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
-    return fd
-
-
-def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
-    fd.info[node] = info
-    fd.nodes.append(node)
-    return node
-
-
-def _visit(fd: FunctionDataflow, module, slots: dict, seq: Iterable[InstructionIR],
-           order: list) -> None:
-    """Give each node of `seq` its NodeInfo and append it to `order`."""
-    layout = fd.layout
-    for inst in seq:
+    order = fd.order   # a loop's body order nests under its header
+    enclosing: list[list] = []   # the orders open loops interrupt, innermost last
+    for inst, ev in walk(func.body):
         node = layout.inst_node[id(inst)]
         o = inst.opcode
         if o == "block":
-            _add(fd, node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
-            order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(
-                op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
-            _visit(fd, module, slots, inst.body, order)
-            order.append(node)
+            if ev == ENTER_EV:
+                _add(fd, node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
+                order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(
+                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
+            else:
+                order.append(node)
         elif o == "loop":
-            _add(fd, node, NodeInfo(op.LOOP, label=inst.label))
-            body: list = []
-            _visit(fd, module, slots, inst.body, body)
-            order.append((node, body))
-            order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
-                op.END_LOOP, label=inst.label, nresults=inst.nresults)))
-        else:
+            if ev == ENTER_EV:
+                _add(fd, node, NodeInfo(op.LOOP, label=inst.label))
+                enclosing.append(order)
+                order = []
+            else:
+                body, order = order, enclosing.pop()
+                order.append((node, body))
+                order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
+                    op.END_LOOP, label=inst.label, nresults=inst.nresults)))
+        elif ev == ELSE_EV:
+            order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
+        elif ev != EXIT_EV:   # a plain instruction or an if
             tag = op.opcode_inst_type(o)
             nargs, nresults = instruction_arity(inst, module)
             name = inst.callee if o == "call" else \
@@ -192,11 +186,14 @@ def _visit(fd: FunctionDataflow, module, slots: dict, seq: Iterable[InstructionI
                 value=inst.value, value_type=inst.value_type)))
             if tag in _ANCHORS or (nresults and tag in _CALLS):
                 fd.phi_static += 1
-            if o == "if":
-                _visit(fd, module, slots, inst.body, order)
-                if inst.has_else:
-                    order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
-                    _visit(fd, module, slots, inst.else_body, order)
+    fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
+    return fd
+
+
+def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
+    fd.info[node] = info
+    fd.nodes.append(node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +348,24 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
 
 def _run(order: list, dirty: set, fire) -> None:
     """Fire the dirty nodes of `order`; repeat a loop while its header is dirty."""
-    for item in order:
-        if type(item) is tuple:
-            header, body = item
-            while header in dirty:
+    # innermost last: (loop header or None, its body, iterator over the body)
+    stack = [(None, order, iter(order))]
+    while stack:
+        header, body, items = stack[-1]
+        for item in items:
+            if type(item) is tuple:
+                if item[0] in dirty:
+                    fire(item[0])
+                    stack.append((item[0], item[1], iter(item[1])))
+                    break
+            elif item in dirty:
+                fire(item)
+        else:
+            if header in dirty:
                 fire(header)
-                _run(body, dirty, fire)
-        elif item in dirty:
-            fire(item)
+                stack[-1] = (header, body, iter(body))
+            else:
+                stack.pop()
 
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:

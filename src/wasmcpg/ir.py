@@ -1,14 +1,17 @@
 """In-memory module representation produced by the WAT frontend.
 
 Function bodies are flat instruction lists; block/loop/if carry their nested
-bodies on the instruction itself. Folded source expressions are linearized by
-the parser, so builders always see execution order.
+bodies on the instruction itself. The parser unfolds folded source
+expressions, so builders always see execution order. `walk` is the one
+traversal of nested bodies: every pass over the IR (validation and AST
+folding, node creation, CFG, dataflow order, printing) iterates its events,
+so none recurses and nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ValidationError
 from . import opcodes as op
@@ -41,9 +44,6 @@ class InstructionIR:
     else_body: list["InstructionIR"] = field(default_factory=list)
     has_else: bool = False
     block_params: int = 0                     # values entering the frame (if-wrapper blocks)
-
-    def is_structured(self) -> bool:
-        return self.opcode in ("block", "loop", "if")
 
 
 @dataclass
@@ -134,11 +134,39 @@ def instruction_arity(
     return (0 if o == "br" else 1) + carried, (carried if o == "br_if" else 0)
 
 
-# hook(owner, body, rooted, values): see validate_function
-Hook = Callable[[object, Optional[list], list, list], None]
+# walk events: a plain instruction, and a construct's start, the start of its
+# else body, and its end
+PLAIN, ENTER, ELSE, EXIT = "plain", "enter", "else", "exit"
 
 _STRUCTURED = frozenset(("block", "loop", "if"))
 _ENDS_REACH = frozenset(("br", "br_table", "return", "unreachable"))
+
+
+def walk(seq: Iterable[InstructionIR]) -> Iterator[tuple[InstructionIR, str]]:
+    """Program-order events over nested bodies, driven by an explicit stack.
+
+    A plain instruction yields `(inst, PLAIN)`. A construct yields
+    `(inst, ENTER)`, its body's events, then `(inst, ELSE)` and its else
+    body's events if it has an else, then `(inst, EXIT)`.
+    """
+    stack = [(None, iter(seq), None)]   # (owner, body iterator, event at its end)
+    while stack:
+        for inst in stack[-1][1]:
+            if inst.opcode in _STRUCTURED:
+                yield inst, ENTER
+                if inst.has_else:
+                    stack.append((inst, iter(inst.else_body), EXIT))
+                stack.append((inst, iter(inst.body), ELSE if inst.has_else else EXIT))
+                break
+            yield inst, PLAIN
+        else:
+            owner, _, event = stack.pop()
+            if owner is not None:
+                yield owner, event
+
+
+# hook(owner, body, rooted, values): see validate_function
+Hook = Callable[[object, Optional[list], list, list], None]
 
 
 def validate_function(func: FunctionIR, module: ModuleIR,
@@ -158,43 +186,20 @@ def validate_function(func: FunctionIR, module: ModuleIR,
       of `func`: its statements, then the values left on its frame. An `if`'s
       condition producer leads its then-body's `rooted`.
     """
+    if func.is_import:
+        return
     arity = op.SIMPLE_OPCODES
-
-    def walk(seq: list[InstructionIR], stack: list, results: int,
-             labels: dict[str, int]) -> tuple[list, list]:
-        rooted: list = []
-        dead = False
-        for inst in seq:
-            o = inst.opcode
-            if o in _STRUCTURED:
-                inner = dict(labels)
-                # br to a loop label carries no operands in the MVP
-                inner[inst.label] = 0 if o == "loop" else inst.nresults
-                if dead:
-                    head, entry = [], [None] * inst.block_params
-                else:
-                    cut = len(stack) - (1 if o == "if" else inst.block_params)
-                    if cut < 0:
-                        raise ValidationError(
-                            f"stack underflow at {o} (#{inst.source_order})")
-                    # an if pops its condition; block parameters enter the frame
-                    head, entry = (stack[cut:], []) if o == "if" else ([], stack[cut:])
-                    del stack[cut:]
-                r, v = walk(inst.body, entry, inst.nresults, inner)
-                if hook is not None:
-                    hook(inst, inst.body, head + r, v)
-                if o == "if":
-                    if inst.has_else:
-                        r, v = walk(inst.else_body, [], inst.nresults, inner)
-                        if hook is not None:
-                            hook(inst, inst.else_body, r, v)
-                    elif inst.nresults:
-                        raise ValidationError("if with results requires an else branch")
-                if dead or not inst.nresults:
-                    rooted.append(inst)
-                else:
-                    stack.append(inst)
-                continue
+    # label -> values a branch to it carries; saved and restored per construct
+    labels: dict[str, int] = {"$__func__": func.nresults}
+    # the open body's frame; `outer` holds the enclosing ones, innermost last,
+    # as (stack, rooted, dead, saved label entry)
+    stack: list = []
+    rooted: list = []
+    dead = False
+    outer: list[tuple] = []
+    for inst, ev in walk(func.body):
+        o = inst.opcode
+        if ev == PLAIN:
             if dead:
                 rooted.append(inst)
                 continue
@@ -219,15 +224,48 @@ def validate_function(func: FunctionIR, module: ModuleIR,
                 rooted.append(inst)
             if o in _ENDS_REACH:
                 dead = True
-        if not dead and len(stack) != results:
-            raise ValidationError(
-                f"block leaves {len(stack)} values, declared {results}")
-        return rooted, stack
-
-    if not func.is_import:
-        rooted, values = walk(func.body, [], func.nresults, {"$__func__": func.nresults})
-        if hook is not None:
-            hook(func, func.body, rooted, values)
+        elif ev == ENTER:
+            if dead:
+                head, entry = [], [None] * inst.block_params
+            else:
+                cut = len(stack) - (1 if o == "if" else inst.block_params)
+                if cut < 0:
+                    raise ValidationError(
+                        f"stack underflow at {o} (#{inst.source_order})")
+                # an if pops its condition, which leads its then-body's
+                # statements; block parameters enter the frame
+                head, entry = (stack[cut:], []) if o == "if" else ([], stack[cut:])
+                del stack[cut:]
+            outer.append((stack, rooted, dead, labels.get(inst.label)))
+            # br to a loop label carries no operands in the MVP
+            labels[inst.label] = 0 if o == "loop" else inst.nresults
+            stack, rooted, dead = entry, head, False
+        else:   # ELSE or EXIT: a body of `inst` ends
+            if not dead and len(stack) != inst.nresults:
+                raise ValidationError(
+                    f"block leaves {len(stack)} values, declared {inst.nresults}")
+            if hook is not None:
+                body = inst.else_body if ev == EXIT and inst.has_else else inst.body
+                hook(inst, body, rooted, stack)
+            if ev == ELSE:
+                stack, rooted, dead = [], [], False
+                continue
+            if o == "if" and not inst.has_else and inst.nresults:
+                raise ValidationError("if with results requires an else branch")
+            stack, rooted, dead, saved = outer.pop()
+            if saved is None:
+                del labels[inst.label]
+            else:
+                labels[inst.label] = saved
+            if dead or not inst.nresults:
+                rooted.append(inst)
+            else:
+                stack.append(inst)
+    if not dead and len(stack) != func.nresults:
+        raise ValidationError(
+            f"block leaves {len(stack)} values, declared {func.nresults}")
+    if hook is not None:
+        hook(func, func.body, rooted, stack)
 
 
 def validate_module(module: ModuleIR) -> None:
@@ -241,37 +279,11 @@ def validate_module(module: ModuleIR) -> None:
 # ---------------------------------------------------------------------------
 # Pretty printer (flat form); parse(format(parse(s))) is structurally stable.
 
-def _fmt_value(inst: InstructionIR) -> str:
-    v = inst.value
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _fmt_inst(inst: InstructionIR, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
+def _fmt_plain(inst: InstructionIR) -> str:
     o = inst.opcode
-    label = inst.label
-    if o == "block" and inst.block_params == 1 and len(inst.body) == 1 \
-            and inst.body[0].opcode == "if":
-        # collapse the if-wrapper back to a labeled if
-        inst, o = inst.body[0], "if"
-    if o in ("block", "loop", "if"):
-        head = f"{pad}{o} {label}"
-        if inst.nresults:
-            head += f" (result {inst.value_type or 'i32'})"
-        out.append(head)
-        for i in inst.body:
-            _fmt_inst(i, indent + 1, out)
-        if inst.has_else:
-            out.append(f"{pad}else")
-            for i in inst.else_body:
-                _fmt_inst(i, indent + 1, out)
-        out.append(f"{pad}end")
-        return
     parts = [o]
     if o.endswith(".const"):
-        parts.append(_fmt_value(inst))
+        parts.append(repr(inst.value) if isinstance(inst.value, float) else str(inst.value))
     elif inst.var is not None:
         parts.append(inst.var)
     elif o == "call":
@@ -289,7 +301,7 @@ def _fmt_inst(inst: InstructionIR, indent: int, out: list[str]) -> None:
     if inst.opcode in op.SIMPLE_OPCODES and op.SIMPLE_OPCODES[o][0] in ("Load", "Store"):
         if inst.offset:
             parts.append(f"offset={inst.offset}")
-    out.append(pad + " ".join(parts))
+    return " ".join(parts)
 
 
 def format_module(module: ModuleIR) -> str:
@@ -312,10 +324,29 @@ def format_module(module: ModuleIR) -> str:
         lines.append(head)
         for name, ty in f.locals:
             lines.append(f"    (local {name} {ty})")
-        body: list[str] = []
-        for inst in f.body:
-            _fmt_inst(inst, 2, body)
-        lines.extend(body)
+        depth = 2
+        wrapped: set[int] = set()   # ifs printed under their wrapper block's label
+        for inst, ev in walk(f.body):
+            pad = "  " * depth
+            if ev == PLAIN:
+                lines.append(pad + _fmt_plain(inst))
+            elif ev == ELSE:
+                lines.append(pad[2:] + "else")
+            elif id(inst) in wrapped:
+                continue
+            elif ev == EXIT:
+                depth -= 1
+                lines.append(pad[2:] + "end")
+            else:
+                head = inst
+                if inst.opcode == "block" and inst.block_params == 1 \
+                        and len(inst.body) == 1 and inst.body[0].opcode == "if":
+                    # collapse the if-wrapper back to a labeled if
+                    head = inst.body[0]
+                    wrapped.add(id(head))
+                result = f" (result {head.value_type or 'i32'})" if head.nresults else ""
+                lines.append(f"{pad}{head.opcode} {inst.label}{result}")
+                depth += 1
         lines.append("  )")
     if module.table:
         names = " ".join(module.functions[i].name for i in module.table)
@@ -324,10 +355,6 @@ def format_module(module: ModuleIR) -> str:
     return "\n".join(lines) + "\n"
 
 
-def iter_instructions(seq: Iterable[InstructionIR]):
+def iter_instructions(seq: Iterable[InstructionIR]) -> Iterator[InstructionIR]:
     """Depth-first, source-order walk over nested instruction lists."""
-    for inst in seq:
-        yield inst
-        if inst.is_structured():
-            yield from iter_instructions(inst.body)
-            yield from iter_instructions(inst.else_body)
+    return (inst for inst, ev in walk(seq) if ev == PLAIN or ev == ENTER)

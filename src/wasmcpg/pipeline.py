@@ -10,7 +10,7 @@ from .cfg_builder import build_cfg
 from .cg_builder import build_cg, build_signature_index
 from .dataflow import AnalysisStats, build_ddg
 from .ir import ModuleIR
-from .wat_parser import parse_module
+from .wat_parser import Parser
 from . import graph as g
 
 STAGES = ("parse", "ast", "cfg", "cg", "ddg")
@@ -27,8 +27,8 @@ class BuildReport:
 
 
 def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
-    """The one build path: parse (unless given a module), AST, CFG, CG, DDG
-    and freeze, each stage timed, with cyclic GC paused throughout."""
+    """The one build path: parse (unless given a module), AST (its walk is
+    the validator), CFG, CG, DDG and freeze, each timed, cyclic GC paused."""
     report = BuildReport()
     last = [time.perf_counter()]
 
@@ -40,7 +40,7 @@ def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
 
     with g.gc_paused():
         module = source if isinstance(source, ModuleIR) else \
-            timed("parse", parse_module, source)
+            timed("parse", Parser(source).parse)
         ctx = timed("ast", build_ast, module)
         timed("cfg", build_cfg, ctx)
         timed("cg", build_cg, ctx, build_signature_index(module))

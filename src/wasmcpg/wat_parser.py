@@ -1,8 +1,9 @@
 """WAT (WebAssembly text format) frontend.
 
-Parses the MVP subset this package analyzes. Folded expressions such as
-``(i32.add (local.get $x) (i32.const 1))`` are linearized at parse time;
-block/loop/if keep nested bodies. Unsupported opcodes are hard errors.
+Parses the MVP subset this package analyzes. `_unfold` rewrites folded
+instructions into the flat sequence they abbreviate, and one flat loop then
+builds the nested block/loop/if bodies, so nothing recurses. Malformed input
+raises `ParseError`; unsupported opcodes are hard errors.
 
 Accepted module fields: type, import, func, table, elem, global, export,
 memory, data, start (the last three are checked for shape and otherwise
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import NameResolutionError, ParseError, UnsupportedOpcodeError
 from .ir import FunctionIR, GlobalIR, InstructionIR, ModuleIR, Signature, validate_module
@@ -134,13 +136,17 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d[\d_]*\.?[\d_]*([eE][+-]?\d+)?|\.\d[\d_]*([eE]
 
 def _parse_number(text: str, value_type: str, where: Atom) -> int | float:
     t = text.replace("_", "")
-    if value_type in ("i32", "i64"):
-        if not _INT_RE.match(text):
-            raise ParseError(f"bad integer literal {text!r}", where.line, where.col)
-        return int(t, 0)
-    if not (_INT_RE.match(text) or _FLOAT_RE.match(text)):
-        raise ParseError(f"bad float literal {text!r}", where.line, where.col)
-    return float(int(t, 0)) if _INT_RE.match(text) else float(t)
+    is_int = value_type in ("i32", "i64")
+    try:
+        if _INT_RE.match(text):
+            n = int(t, 16 if "x" in t else 10)
+            return n if is_int else float(n)
+        if not is_int and _FLOAT_RE.match(text):
+            return float(t)
+    except (ValueError, OverflowError):   # "0x_", or an int too large for a float
+        pass
+    raise ParseError(f"bad {'integer' if is_int else 'float'} literal {text!r}",
+                     where.line, where.col)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +215,9 @@ class Parser:
         results: list[str] = []
         type_ref: str | None = None
         if i < len(forms) and _head(forms[i]) == "type":
-            ref = forms[i][1]
-            type_ref = ref.text
+            if len(forms[i]) != 2 or not _is_atom(forms[i][1]):
+                raise ParseError("expected (type <ref>)", forms[i].line, forms[i].col)
+            type_ref = forms[i][1].text
             i += 1
         i = self._parse_params_results(forms, i, params, results)
         if type_ref is not None:
@@ -245,53 +252,58 @@ class Parser:
         # pass 1: types, names, globals, table, exports
         for f in fields:
             h = _head(f)
-            if h == "type":
-                i = 1
-                name = None
-                if _is_atom(f[i]) and f[i].text.startswith("$"):
-                    name = f[i].text
-                    i += 1
-                if _head(f[i]) != "func":
-                    raise ParseError("(type ...) must wrap a (func ...) form", f.line, f.col)
-                params: list[tuple[str | None, str]] = []
-                results: list[str] = []
-                self._parse_params_results(list(f[i])[1:], 0, params, results)
-                sig = Signature(tuple(t for _, t in params), tuple(results))
-                self.type_order.append(sig)
-                key = name if name is not None else str(len(self.type_order) - 1)
-                self.types[key] = sig
-            elif h == "import":
-                kind = _head(f[3])
-                if kind == "func":
-                    decls.append(self._scan_import_func(f))
-                elif kind in ("global", "memory", "table"):
-                    pass  # shape accepted, contents irrelevant to the analysis
+            try:
+                if h == "type":
+                    i = 1
+                    name = None
+                    if _is_atom(f[i]) and f[i].text.startswith("$"):
+                        name = f[i].text
+                        i += 1
+                    if _head(f[i]) != "func":
+                        raise ParseError("(type ...) must wrap a (func ...)", f.line, f.col)
+                    params: list[tuple[str | None, str]] = []
+                    results: list[str] = []
+                    self._parse_params_results(list(f[i])[1:], 0, params, results)
+                    sig = Signature(tuple(t for _, t in params), tuple(results))
+                    self.type_order.append(sig)
+                    key = name if name is not None else str(len(self.type_order) - 1)
+                    if key in self.types:
+                        raise NameResolutionError(f"duplicate type name {key}", f.line, f.col)
+                    self.types[key] = sig
+                elif h == "import":
+                    kind = _head(f[3])
+                    if kind == "func":
+                        decls.append(self._scan_import_func(f))
+                    elif kind in ("global", "memory", "table"):
+                        pass  # shape accepted, contents irrelevant to the analysis
+                    else:
+                        raise ParseError(f"unsupported import kind {kind!r}", f.line, f.col)
+                elif h == "func":
+                    decls.append(self._scan_func(f))
+                elif h == "global":
+                    gl = self._parse_global(f)
+                    if gl.name in global_names:
+                        raise NameResolutionError(f"duplicate global name {gl.name}",
+                                                  f.line, f.col)
+                    global_names.add(gl.name)
+                    module.globals.append(gl)
+                elif h in ("memory", "data", "start"):
+                    pass
+                elif h == "table":
+                    elems = self._scan_table(f)
+                    if elems is not None:
+                        table_elems.append((0, elems))
+                elif h == "elem":
+                    table_elems.append(self._scan_elem(f))
+                elif h == "export":
+                    name = _unquote(f[1])
+                    desc = f[2]
+                    if _head(desc) == "func":
+                        exports.append((name, desc[1].text))
                 else:
-                    raise ParseError(f"unsupported import kind {kind!r}", f.line, f.col)
-            elif h == "func":
-                decls.append(self._scan_func(f))
-            elif h == "global":
-                gl = self._parse_global(f)
-                if gl.name in global_names:
-                    raise NameResolutionError(f"duplicate global name {gl.name}",
-                                              f.line, f.col)
-                global_names.add(gl.name)
-                module.globals.append(gl)
-            elif h in ("memory", "data", "start"):
-                pass
-            elif h == "table":
-                elems = self._scan_table(f)
-                if elems is not None:
-                    table_elems.append((0, elems))
-            elif h == "elem":
-                table_elems.append(self._scan_elem(f))
-            elif h == "export":
-                name = _unquote(f[1])
-                desc = f[2]
-                if _head(desc) == "func":
-                    exports.append((name, desc[1].text))
-            else:
-                raise ParseError(f"unsupported module field {h!r}", f.line, f.col)
+                    raise ParseError(f"unsupported module field {h!r}", f.line, f.col)
+            except (IndexError, AttributeError, TypeError):   # short, or an atom for a form
+                raise ParseError(f"malformed ({h} ...) field", f.line, f.col) from None
 
         # assign names and indices
         for idx, d in enumerate(decls):
@@ -328,8 +340,7 @@ class Parser:
                         f"duplicate local name {name} in {d.name}", d.sx.line, d.sx.col)
                 seen.add(name)
             if not d.is_import:
-                counter = [0]
-                func.body = self._parse_body(d.body_forms, func, [], counter)
+                func.body = self._parse_body(d.body_forms, func)
             module.functions.append(func)
 
         for offset, names in table_elems:
@@ -341,8 +352,6 @@ class Parser:
                 module.table[slot] = self._resolve_func_ref(nm)
                 slot += 1
         module.table = [i for i in module.table if i >= 0]
-
-        validate_module(module)
         return module
 
     def _positional_names(self, pairs, base):
@@ -435,7 +444,7 @@ class Parser:
                 inner = f[i]
                 if h == "offset":
                     inner = inner[1]
-                offset = int(inner[1].text.replace("_", ""), 0)
+                offset = _parse_number(inner[1].text, "i32", inner[1])
                 i += 1
         if i < len(f) and _is_atom(f[i], "func"):
             i += 1
@@ -460,48 +469,53 @@ class Parser:
 
     # -- instruction parsing ---------------------------------------------------
 
-    def _parse_body(self, forms, func: FunctionIR, label_stack: list[str],
-                    counter: list[int]) -> list[InstructionIR]:
-        """Parse a mixed flat/folded sequence until exhaustion.
-
-        `label_stack` holds open labels, innermost last; numeric branch
-        immediates index into it from the end.
-        """
-        out: list[InstructionIR] = []
-        it = _FormCursor(forms)
+    def _parse_body(self, forms, func: FunctionIR) -> list[InstructionIR]:
+        """Unfold a body, then build its nested lists in one flat loop."""
+        out = body = []
+        # the open constructs' branch labels, innermost last: numeric branch
+        # immediates index into it from the end
+        labels: list[str] = []
+        open_: list[tuple[InstructionIR, list]] = []   # (construct, list it joins)
+        self._orders = count()
+        it = _FormCursor(_unfold(forms))
         while not it.done():
-            self._parse_one(it, out, func, label_stack, counter)
-        return out
+            item = it.take()
+            # a folded instruction reads its immediates from its own list
+            head, src = (item[0], _FormCursor(item[1])) if type(item) is tuple \
+                else (item, it)
+            if not isinstance(head, Atom):
+                raise ParseError(f"unexpected ({_head(head)} ...)", head.line, head.col)
+            name = head.text
+            if name in ("block", "loop", "if"):
+                inst = self._begin_structured(name, src, head)
+                labels.append(inst.label)
+                if name == "if":
+                    inst.label = self._fresh_label("if")
+                open_.append((inst, out))
+                out = inst.body
+            elif name in ("else", "end"):
+                inst = open_[-1][0] if open_ else None
+                if inst is None or name == "else" and (inst.opcode != "if" or inst.has_else):
+                    raise ParseError(f"unexpected {name!r}", head.line, head.col)
+                if not src.done() and _is_atom(src.peek()) and src.peek().text.startswith("$"):
+                    src.take()  # trailing label comment
+                if name == "else":
+                    inst.has_else = True
+                    out = inst.else_body
+                else:
+                    out = open_.pop()[1]
+                    label = labels.pop()
+                    out.append(self._finish_if(inst, label) if inst.opcode == "if" else inst)
+            else:
+                out.append(self._plain_instruction(name, head, src, func, labels))
+            if src is not it and not src.done():
+                raise ParseError(f"{name}: unexpected immediate", head.line, head.col)
+        if open_:
+            raise ParseError("missing 'end' for structured instruction", 0, 0)
+        return body
 
-    def _parse_one(self, it: "_FormCursor", out: list[InstructionIR],
-                   func: FunctionIR, labels: list[str], counter: list[int]) -> None:
-        form = it.take()
-        if isinstance(form, SExpr):
-            self._parse_folded(form, out, func, labels, counter)
-            return
-        opname = form.text
-        if opname in ("block", "loop"):
-            inst = self._begin_structured(opname, it, form, counter)
-            inst.body = self._parse_flat_block(it, func, labels + [inst.label],
-                                               counter, inst, allow_else=False)
-            out.append(inst)
-            return
-        if opname == "if":
-            inst = self._begin_structured("if", it, form, counter)
-            branch_label = inst.label
-            inst.label = self._fresh_label("if")
-            inst.body = self._parse_flat_block(it, func, labels + [branch_label],
-                                               counter, inst, allow_else=True)
-            out.append(self._finish_if(inst, branch_label))
-            return
-        if opname in ("else", "end"):
-            raise ParseError(f"unexpected {opname!r}", form.line, form.col)
-        out.append(self._plain_instruction(opname, form, it, func, labels, counter))
-
-    def _begin_structured(self, opname: str, it: "_FormCursor", where: Atom,
-                          counter: list[int]) -> InstructionIR:
-        inst = InstructionIR(opcode=opname, source_order=counter[0])
-        counter[0] += 1
+    def _begin_structured(self, opname: str, it: "_FormCursor", where: Atom) -> InstructionIR:
+        inst = InstructionIR(opcode=opname, source_order=next(self._orders))
         if not it.done() and _is_atom(it.peek()) and it.peek().text.startswith("$"):
             inst.label = it.take().text
         else:
@@ -527,78 +541,12 @@ class Parser:
             nresults=inst.nresults, value_type=inst.value_type, body=[inst],
             block_params=1)
 
-    def _parse_flat_block(self, it: "_FormCursor", func, labels, counter,
-                          inst: InstructionIR, allow_else: bool) -> list[InstructionIR]:
-        body: list[InstructionIR] = []
-        current = body
-        while True:
-            if it.done():
-                raise ParseError("missing 'end' for structured instruction", 0, 0)
-            nxt = it.peek()
-            if _is_atom(nxt, "end"):
-                it.take()
-                if not it.done() and _is_atom(it.peek()) and it.peek().text.startswith("$"):
-                    it.take()  # trailing label comment
-                break
-            if _is_atom(nxt, "else"):
-                if not allow_else:
-                    raise ParseError("'else' outside if", nxt.line, nxt.col)
-                it.take()
-                if not it.done() and _is_atom(it.peek()) and it.peek().text.startswith("$"):
-                    it.take()
-                inst.has_else = True
-                inst.else_body = []
-                current = inst.else_body
-                continue
-            self._parse_one(it, current, func, labels, counter)
-        return body
-
-    def _parse_folded(self, sx: SExpr, out: list[InstructionIR], func, labels,
-                      counter: list[int]) -> None:
-        h = _head(sx)
-        if h is None:
-            raise ParseError("empty expression", sx.line, sx.col)
-        if h in ("block", "loop", "if"):
-            it = _FormCursor(list(sx)[1:])
-            inst = self._begin_structured(h, it, sx[0], counter)
-            if h == "if":
-                branch_label = inst.label
-                inst.label = self._fresh_label("if")
-                # folded if: condition expressions, then (then ...) (else ...)?
-                while not it.done() and _head(it.peek()) not in ("then", "else"):
-                    self._parse_one(it, out, func, labels, counter)
-                if it.done() or _head(it.peek()) != "then":
-                    raise ParseError("folded if requires a (then ...) form", sx.line, sx.col)
-                then_sx = it.take()
-                inst.body = self._parse_body(list(then_sx)[1:], func,
-                                             labels + [branch_label], counter)
-                if not it.done() and _head(it.peek()) == "else":
-                    else_sx = it.take()
-                    inst.has_else = True
-                    inst.else_body = self._parse_body(list(else_sx)[1:], func,
-                                                      labels + [branch_label], counter)
-                if not it.done():
-                    raise ParseError("junk after folded if", sx.line, sx.col)
-                out.append(self._finish_if(inst, branch_label))
-                return
-            inst.body = self._parse_body(it.rest(), func,
-                                         labels + [inst.label], counter)
-            out.append(inst)
-            return
-        # plain folded op: (op imm* operand-exprs*)
-        it = _FormCursor(list(sx)[1:])
-        inst = self._plain_instruction(h, sx[0], it, func, labels, counter,
-                                       folded_operands=out)
-        out.append(inst)
-
     def _plain_instruction(self, opname: str, where: Atom, it: "_FormCursor",
-                           func, labels, counter,
-                           folded_operands: list | None = None) -> InstructionIR:
+                           func, labels) -> InstructionIR:
         if not op.is_supported(opname):
             raise UnsupportedOpcodeError(f"unsupported opcode {opname!r}",
                                          where.line, where.col)
-        inst = InstructionIR(opcode=opname, source_order=counter[0])
-        counter[0] += 1
+        inst = InstructionIR(opcode=opname, source_order=next(self._orders))
 
         def take_atom(what: str) -> Atom:
             if it.done() or not _is_atom(it.peek()):
@@ -638,24 +586,12 @@ class Parser:
                 op.SIMPLE_OPCODES[opname][0] in (op.LOAD, op.STORE):
             while not it.done() and _is_atom(it.peek()) and \
                     ("=" in it.peek().text):
-                kv = it.take().text
-                key, _, val = kv.partition("=")
+                a = it.take()
+                key, _, val = a.text.partition("=")
                 if key == "offset":
-                    inst.offset = int(val.replace("_", ""), 0)
+                    inst.offset = _parse_number(val, "i32", a)
                 elif key != "align":
                     raise ParseError(f"unknown memarg {key!r}", where.line, where.col)
-
-        if folded_operands is not None:
-            # remaining forms are operand expressions, evaluated before the op
-            while not it.done():
-                nxt = it.peek()
-                if not isinstance(nxt, SExpr):
-                    raise ParseError(f"{opname}: unexpected immediate {nxt.text!r}",
-                                     nxt.line, nxt.col)
-                self._parse_folded(it.take(), folded_operands, func, labels, counter)
-            # re-number: operands execute before this instruction
-            inst.source_order = counter[0]
-            counter[0] += 1
         return inst
 
     def _resolve_var(self, opname: str, a: Atom, func: FunctionIR) -> str:
@@ -666,10 +602,9 @@ class Parser:
                 if ref not in names:
                     raise NameResolutionError(f"unknown local {ref}", a.line, a.col)
                 return ref
-            idx = int(ref)
-            if idx >= len(names):
-                raise NameResolutionError(f"local index {idx} out of range", a.line, a.col)
-            return names[idx]
+            if not ref.isdecimal() or int(ref) >= len(names):
+                raise NameResolutionError(f"bad local reference {ref!r}", a.line, a.col)
+            return names[int(ref)]
         if ref.startswith("$"):
             if ref not in self.global_names:
                 raise NameResolutionError(f"unknown global {ref}", a.line, a.col)
@@ -710,11 +645,6 @@ class _FormCursor:
         self.i += 1
         return f
 
-    def rest(self):
-        r = self.forms[self.i:]
-        self.i = len(self.forms)
-        return r
-
     def take_heads(self, heads) -> list:
         out = []
         while not self.done() and _head(self.peek()) in heads:
@@ -722,9 +652,71 @@ class _FormCursor:
         return out
 
 
+_IMMEDIATE_FORMS = frozenset(("type", "param", "result"))
+
+
+def _unfold(forms: list) -> list:
+    """Rewrite the folded instructions in `forms` as the flat sequence they
+    abbreviate in the text format, with an explicit stack of form lists.
+
+    A folded head comes out as one `(atom, immediates)` pair, so its
+    immediates cannot consume the next instruction's tokens; the `else` and
+    `end` it implies come out as pairs with no immediates. Atoms and the
+    `(type ...)`, `(param ...)` and `(result ...)` immediates pass through.
+    """
+    out: list = []
+    stack = [iter(forms)]
+    while stack:
+        for form in stack[-1]:
+            if isinstance(form, SExpr) and _head(form) not in _IMMEDIATE_FORMS:
+                stack.append(iter(_unfold_one(form)))
+                break
+            out.append(form)
+        else:
+            stack.pop()
+    return out
+
+
+def _unfold_one(sx: SExpr) -> list:
+    """One folded instruction, one level down, in flat order:
+    - `(op imm* e*)` is `e*` then `op imm*`;
+    - `(block ...)` and `(loop ...)` are the same forms followed by `end`;
+    - `(if l? r* e* (then a*) (else b*)?)` is `e* if l? r* a* else b* end`.
+    """
+    h = _head(sx)
+    if h is None or h in ("then", "else", "end"):
+        raise ParseError(f"unexpected expression ({h or ''} ...)", sx.line, sx.col)
+    n, i = len(sx), 1
+    if h not in ("block", "loop", "if"):
+        while i < n and (isinstance(sx[i], Atom) or _head(sx[i]) in _IMMEDIATE_FORMS):
+            i += 1
+        for e in sx[i:]:
+            if isinstance(e, Atom):
+                raise ParseError(f"{h}: unexpected immediate {e.text!r}", e.line, e.col)
+        return [*sx[i:], (sx[0], sx[1:i])]
+    if i < n and _is_atom(sx[i]) and sx[i].text.startswith("$"):
+        i += 1
+    while i < n and _head(sx[i]) == "result":
+        i += 1
+    head, end = (sx[0], sx[1:i]), (Atom("end", sx.line, sx.col), ())
+    if h != "if":
+        return [head, *sx[i:], end]
+    j = i
+    while j < n and _head(sx[j]) not in ("then", "else"):
+        j += 1
+    if j == n or _head(sx[j]) != "then":
+        raise ParseError("folded if requires a (then ...) form", sx.line, sx.col)
+    parts = [*sx[i:j], head, *sx[j][1:]]
+    if j + 1 < n and _head(sx[j + 1]) == "else":
+        j += 1
+        parts += [(Atom("else", sx[j].line, sx[j].col), ()), *sx[j][1:]]
+    if j + 1 < n:
+        raise ParseError("junk after folded if", sx.line, sx.col)
+    return parts + [end]
+
+
 def parse_module(source: str) -> ModuleIR:
     """Parse WAT text into a validated ModuleIR."""
-    try:
-        return Parser(source).parse()
-    except RecursionError:   # the parser recurses once or more per nesting level
-        raise ParseError("nesting too deep") from None
+    module = Parser(source).parse()
+    validate_module(module)
+    return module

@@ -7,7 +7,10 @@ that require no operands.
 
 from __future__ import annotations
 
+import copy
 import random
+
+from wasmcpg.ir import ELSE, ENTER, PLAIN, _fmt_plain, format_module, instruction_arity, walk
 
 BINOPS = ("i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor")
 RELOPS = ("i32.eq", "i32.ne", "i32.lt_s", "i32.gt_s")
@@ -216,3 +219,73 @@ def nested_expression(depth: int) -> str:
     """A folded expression `depth` operators deep."""
     return ("(module (func $f (result i32) "
             + "(i32.add (i32.const 1) " * depth + "(i32.const 0)" + ")" * depth + "))")
+
+
+def fold_module(module) -> str:
+    """`module` printed in folded form: each construct as `(block ...)`,
+    `(loop ...)` or `(if ... (then ...) (else ...)?)`, each instruction as
+    `(op imm* e*)` over the single-value forms just before it that it pops.
+
+    A folded form abbreviates its flat sequence, so this parses back to the
+    module `format_module` prints.
+    """
+    bare = copy.deepcopy(module)
+    for func in bare.functions:
+        func.body = []
+    bodies = iter([_fold_body(func, module) for func in module.functions])
+    lines = []
+    for line in format_module(bare).split("\n"):
+        if line == "  )":   # a function's closing line
+            lines.append(next(bodies))
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _form(head: str, forms: list) -> str:
+    return "(" + " ".join([head] + [text for text, _ in forms]) + ")"
+
+
+def _operands(forms: list, n: int) -> list:
+    """Pop the last `n` forms if each leaves one value, else none."""
+    tail = forms[len(forms) - n:] if 0 < n <= len(forms) else []
+    if any(values != 1 for _, values in tail):
+        return []
+    del forms[len(forms) - len(tail):]
+    return tail
+
+
+def _fold_body(func, module) -> str:
+    # innermost last: [construct, its forms, its then-forms once in its else];
+    # a form is (text, number of values it leaves)
+    frames: list[list] = [[None, [], None]]
+    for inst, ev in walk(func.body):
+        forms = frames[-1][1]
+        if ev == PLAIN:
+            nargs, nres = instruction_arity(inst, module)
+            forms.append((_form(_fmt_plain(inst), _operands(forms, nargs)), nres))
+        elif ev == ENTER:
+            frames.append([inst, [], None])
+        elif ev == ELSE:
+            frames[-1][1:] = [[], forms]
+            continue
+        else:
+            _, body, then = frames.pop()
+            owner, parent = frames[-1][:2]
+            result = f" (result {inst.value_type or 'i32'})" if inst.nresults else ""
+            if inst.opcode != "if":
+                if inst.block_params:   # an if-wrapper block prints as its if
+                    parent.extend(body)
+                else:
+                    head = f"{inst.opcode} {inst.label}{result}"
+                    parent.append((_form(head, body), inst.nresults))
+                continue
+            label, cond_forms = inst.label, parent
+            if owner is not None and owner.block_params:   # under its wrapper
+                label, cond_forms = owner.label, frames[-2][1]
+            arms = [_form("then", body if then is None else then)]
+            if then is not None:
+                arms.append(_form("else", body))
+            head = f"if {label}{result}"
+            parent.append((_form(head, _operands(cond_forms, 1) + [(a, 0) for a in arms]),
+                           inst.nresults))
+    return "    " + "\n    ".join(text for text, _ in frames[0][1])

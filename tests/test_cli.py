@@ -6,12 +6,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import ALL_FIXTURES, FIXTURES, fixture_source
 from test_ast_builder import DEAD_LABELED_IF
-from gen import nested_blocks, nested_expression
-from test_wat_parser import MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
+from gen import fold_module, nested_blocks, nested_expression, random_module
+from test_wat_parser import MALFORMED, MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
 from wasmcpg.cli import main
+from wasmcpg.wat_parser import _TOKEN_RE, parse_module
 
 CONFIG = str(FIXTURES / "scan_config.json")
 MIXED = str(FIXTURES / "mixed.wat")
@@ -153,8 +155,8 @@ class TestFailClosed:
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
         (tmp_path / "multi.wat").write_text(MULTI_RESULT)
-        (tmp_path / "deep_blocks.wat").write_text(nested_blocks(1000))
-        (tmp_path / "deep_expr.wat").write_text(nested_expression(1000))
+        for name, source in MALFORMED.items():
+            (tmp_path / f"{name}.wat").write_text(source)
         (tmp_path / "dup_local.wat").write_text(SYNTHESIZED_LOCAL_CLASH)
         (tmp_path / "parens.wql").write_text("x := " + "(" * 3000 + "1" + ")" * 3000 + ";")
         (tmp_path / "minus.wql").write_text("x := " + "-" * 5000 + "1;")
@@ -174,20 +176,19 @@ class TestFailClosed:
         (3, ["scan", MIXED, "--config", "{t}/list.json"]),
         (3, ["query", "{t}/g.json", "--config", "{t}/deep.json"]),
         (3, ["scan", "{t}/multi.wat"]),
-        (3, ["scan", "{t}/deep_blocks.wat"]),
-        (3, ["scan", "{t}/deep_expr.wat"]),
         (3, ["scan", "{t}/dup_local.wat"]),
         (3, ["scan", MIXED, "--wql", "{t}/parens.wql"]),
         (3, ["scan", MIXED, "--wql", "{t}/minus.wql"]),
         (3, ["scan", MIXED, "--wql", "{t}/sum.wql"]),
         (2, ["query", "{t}/missing.json"]),
         (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
+        *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
             "config-not-object", "config-too-deep", "multi-result-function",
-            "blocks-too-deep", "expression-too-deep", "duplicate-local-name",
+            "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
-            "query-missing-graph", "export-missing-graph"])
+            "query-missing-graph", "export-missing-graph", *MALFORMED])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code
@@ -199,3 +200,54 @@ class TestFailClosed:
         path = tmp_path / "dead_if.wat"
         path.write_text(DEAD_LABELED_IF)
         assert run(capsys, "scan", str(path)) == (0, "", "")
+
+    @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
+    def test_deep_nesting_scans_clean(self, capsys, tmp_path, shape):
+        path = tmp_path / "deep.wat"
+        path.write_text(shape(1000))
+        assert run(capsys, "scan", str(path)) == (0, "", "")
+
+
+# tokens a mutation may insert: keywords, literals and forms in and out of place
+MUTATION_TOKENS = ("(", ")", "$x", "0", "-1", "0x1", "zz", "offset=zz", "end", "else",
+                   "then", "block", "loop", "if", "i32.const", "local.get", "br_table",
+                   "call_indirect", "(then)", "(end)", "(result i32)", "(type $t)",
+                   "(elem (x))", "func", "global", "type", "export", '"s"')
+
+
+@st.composite
+def wat_inputs(draw):
+    """Generated modules, folded or flat, nested shapes, and token
+    mutations of the fixtures."""
+    kind = draw(st.sampled_from(("random", "folded", "nested", "mutated")))
+    if kind in ("random", "folded"):
+        source = random_module(draw(st.integers(0, 10_000)), max_insts=30)
+        return fold_module(parse_module(source)) if kind == "folded" else source
+    if kind == "nested":
+        shape = draw(st.sampled_from((nested_blocks, nested_expression)))
+        return shape(draw(st.integers(0, 300)))
+    tokens = _TOKEN_RE.findall(fixture_source(draw(st.sampled_from(ALL_FIXTURES))))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("delete", "replace", "insert")))
+        new = draw(st.sampled_from(MUTATION_TOKENS))
+        if edit == "delete":
+            del tokens[at]
+        elif edit == "replace":
+            tokens[at] = new
+        else:
+            tokens.insert(at, new)
+    return " ".join(tokens)
+
+
+class TestScanProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(source=wat_inputs())
+    def test_scan_exits_with_a_code_and_no_traceback(self, capsys, tmp_path, source):
+        path = tmp_path / "input.wat"
+        path.write_text(source)
+        code, _, err = run(capsys, "scan", str(path), "--config", CONFIG)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import ALL_FIXTURES, fixture_source
-from gen import nested_blocks, nested_expression, random_module
+from gen import fold_module, nested_blocks, nested_expression, random_module
+from oracle import round_robin_states
 from wasmcpg.errors import (
     NameResolutionError,
     ParseError,
@@ -20,8 +21,10 @@ from wasmcpg.ir import (
     iter_instructions,
     validate_module,
 )
-from wasmcpg.pipeline import build_cpg
-from wasmcpg.wat_parser import parse_module
+from wasmcpg.dataflow import analyze_function
+from wasmcpg.export import to_json
+from wasmcpg.pipeline import build_context, build_cpg
+from wasmcpg.wat_parser import _TOKEN_RE, parse_module
 from wasmcpg import opcodes as op
 
 
@@ -103,6 +106,28 @@ class TestParseModule:
     def test_table_entry_bounds_checked(self):
         with pytest.raises(NameResolutionError):
             parse_module("(module (table funcref (elem $nope)))")
+
+
+FOLDING_INPUTS = {**{name: fixture_source(name) for name in ALL_FIXTURES},
+                  **{f"random-{seed}": random_module(seed) for seed in range(6)}}
+
+
+class TestFoldedForms:
+    """A folded form abbreviates its flat sequence, so printing a module
+    folded and parsing it back gives the same module and the same graph."""
+
+    @pytest.mark.parametrize("source", FOLDING_INPUTS.values(), ids=FOLDING_INPUTS.keys())
+    def test_folded_module_builds_the_flat_graph(self, source):
+        module = parse_module(source)
+        folded = fold_module(module)
+        assert "end" not in _TOKEN_RE.findall(folded)   # every construct is folded
+        assert parse_module(folded) == module
+        assert to_json(build_cpg(folded)[0]) == to_json(build_cpg(source)[0])
+
+    def test_folded_immediates_stay_with_their_op(self):
+        # `(i32.const)` may not take the next instruction's literal
+        with pytest.raises(ParseError, match="i32.const: expected a literal"):
+            parse_module("(module (func (i32.const) i32.const 1 drop))")
 
 
 class TestRoundTrip:
@@ -235,6 +260,26 @@ DUPLICATE_NAMES = {
     "synthesized-global-second": (
         "(module (global $g0 i32 (i32.const 0)) (global i32 (i32.const 0)))",
         "global name \\$g0"),
+    "types": ("(module (type $t (func (param i32))) (type $t (func (result i32))))",
+              "type name \\$t"),
+}
+
+# malformed WAT that once escaped as ValueError, IndexError or AttributeError
+MALFORMED = {
+    "local-name-not-a-ref": "(module (func (local i32) local.get foo drop))",
+    "local-index-hex": "(module (func (local i32) local.get 0x1 drop))",
+    "memarg-offset": "(module (memory 1) (func i32.const 0 i32.load offset=zz drop))",
+    "elem-offset": "(module (func $f) (table 1 funcref) (elem (i32.const zz) $f))",
+    "table-elem-form": "(module (table funcref (elem (x))))",
+    "empty-global": "(module (global))",
+    "empty-type": "(module (type))",
+    "import-no-desc": '(module (import "a" "b"))',
+    "empty-export": "(module (export))",
+    "hex-no-digits": "(module (func i32.const 0x_ drop))",
+    "float-overflow": "(module (func f64.const 1" + "0" * 400 + " drop))",
+    "typeuse-no-ref": "(module (func i32.const 0 call_indirect (type) drop))",
+    "folded-end": "(module (func (block (end))))",
+    "folded-else": "(module (func i32.const 1 if (else) end))",
 }
 
 
@@ -247,10 +292,11 @@ class TestFailClosed:
         with pytest.raises(ParseError, match="multi-value"):
             parse_module('(module (import "env" "f" (func $f (result i32 i64))))')
 
-    @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
-    def test_deep_nesting_is_a_parse_error(self, shape):
-        with pytest.raises(ParseError, match="nesting too deep"):
-            parse_module(shape(1000))
+    @pytest.mark.parametrize("source", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_is_a_parse_error(self, source):
+        with pytest.raises(ParseError):
+            parse_module(source)
+
 
     @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
     def test_300_deep_module_builds(self, shape):
@@ -267,3 +313,29 @@ class TestFailClosed:
     def test_duplicate_names_are_rejected(self, source, message):
         with pytest.raises(NameResolutionError, match=f"duplicate {message}"):
             parse_module(source)
+
+
+class TestDeepNesting:
+    """Nesting depth is bounded by memory, not by the recursion limit."""
+
+    @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
+    def test_10000_deep_module_parses(self, shape):
+        assert len(parse_module(shape(10_000)).functions[0].body) == \
+            (1 if shape is nested_blocks else 20_001)
+
+    def test_3000_deep_blocks_build_with_the_oracle_ddg(self):
+        # the round-robin oracle needs a sweep per level, so it is cubic in
+        # the depth: it checks the engine at depth 200, where both find no
+        # dependencies, and depth 3000 builds to the same empty DDG
+        ctx = build_context(nested_blocks(200))
+        assert analyze_function(ctx, "$f").res == round_robin_states(ctx, "$f")
+        for depth in (200, 3000):
+            cpg = build_context(nested_blocks(depth)).cpg
+            assert len(cpg.nodes) > 2 * depth and cpg.edges_of_type("DDG") == []
+
+    def test_10000_deep_eqz_chain_builds(self):
+        source = ("(module (func $f (param i32) (result i32) "
+                  + "(i32.eqz " * 10_000 + "(local.get 0)" + ")" * 10_000 + "))")
+        cpg = build_context(source).cpg
+        # every eqz depends on the parameter and on the local.get reading it
+        assert len(cpg.edges_of_type("DDG")) == 2 * 10_000
