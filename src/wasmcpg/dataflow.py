@@ -1,10 +1,11 @@
 """Dependency dataflow over the CFG and DDG edge materialization.
 
 Tracks four dependency kinds (constant, function result, global, local) per
-abstract state (global store, local store, value stack, open-label list).
-A store holds one dependency set per slot: a local's slot is its index among
-params then locals, a global's its index in the module. `_prepare` resolves
-each `local.*`/`global.*` node's slot once, so a read is a tuple index.
+abstract state (global store, local store, value stack). A store holds one
+dependency set per slot: a local's slot is its index among params then
+locals, a global's its index in the module. `_prepare` resolves each
+`local.*`/`global.*` node's slot once, so a read is a tuple index, and builds
+each origin node's own dependency once.
 The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
 order, which structured control flow gives for free: program order, with each
 loop a nested component (header, then body) iterated while its header's input
@@ -16,9 +17,11 @@ taken without label or function context, so a branch or `return` pops only
 its own operands (the br_if/br_table index). The values it carries stay on
 the abstract stack for the edge fixups below.
 
-Stack/label fixups for block and loop exits are applied when traversing an
-edge into the construct's exit node: the frame entry records the base height,
-the top `nresults` sets survive, and values abandoned by a branch are dropped.
+Frame bases are static: in validated code the stack height at each point is
+fixed, so `_prepare` records each frame's base height once. An edge into a
+construct exit, a loop header or the function exit keeps the values below
+the target's base and its top `nresults` sets, dropping values a branch
+abandoned.
 
 Edges come from the sets each node popped on its last visit: one edge per
 (origin, consumer), consumers in id order and origins ascending.
@@ -60,15 +63,14 @@ _ORIGIN = itemgetter(1)   # Dep.origin: an origin fixes its Dep, so it sorts the
 
 @dataclass(frozen=True)
 class State:
-    """(global store, local store, abstract stack, open labels); a store is
-    one dependency set per slot."""
+    """(global store, local store, abstract stack); a store is one
+    dependency set per slot."""
     globals_: tuple[frozenset, ...] = ()
     locals_: tuple[frozenset, ...] = ()
     stack: tuple[frozenset, ...] = ()
-    labels: tuple[tuple[str, int], ...] = ()
 
     def push(self, deps: frozenset) -> "State":
-        return State(self.globals_, self.locals_, self.stack + (deps,), self.labels)
+        return State(self.globals_, self.locals_, self.stack + (deps,))
 
     def pop(self, n: int) -> tuple[list[frozenset], "State"]:
         if n == 0:
@@ -78,7 +80,7 @@ class State:
                 f"abstract stack underflow: need {n}, have {len(self.stack)}")
         popped = list(self.stack[len(self.stack) - n:])
         return popped, State(self.globals_, self.locals_,
-                             self.stack[:len(self.stack) - n], self.labels)
+                             self.stack[:len(self.stack) - n])
 
 
 def join(a: Optional[State], b: State) -> tuple[State, bool]:
@@ -89,14 +91,12 @@ def join(a: Optional[State], b: State) -> tuple[State, bool]:
         raise DataflowError(
             f"join of states with mismatched stack heights "
             f"{len(a.stack)} vs {len(b.stack)}")
-    if a.labels != b.labels:
-        raise DataflowError("join of states with mismatched label stacks")
     old = a.globals_ + a.locals_ + a.stack
     new = tuple(x | y for x, y in zip(old, b.globals_ + b.locals_ + b.stack))
     if all(len(u) == len(x) for u, x in zip(new, old)):
         return a, False
     ng, nl = len(a.globals_), len(a.globals_) + len(a.locals_)
-    return State(new[:ng], new[ng:nl], new[nl:], a.labels), True
+    return State(new[:ng], new[ng:nl], new[nl:]), True
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +109,15 @@ EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken
 class NodeInfo:
     """What the transfer needs about one CFG node. `tag` is the node's
     instType (or EXIT, Else); `nargs` is how many values it pops; `slot`
-    is a `local.*`/`global.*` variable's index in its store."""
+    is a `local.*`/`global.*` variable's index in its store; `own` is an
+    origin's own dependency; `base` is the static stack height below the
+    frame a construct exit, loop header or the function exit closes."""
     tag: str
     nargs: int = 0
     nresults: int = 0
-    var: str | None = None
     slot: int | None = None
-    name: str | None = None
-    value: int | float | None = None
-    value_type: str | None = None
-    label: str | None = None
-    params: int = 0                  # BeginBlock: values entering the frame
+    own: frozenset = EMPTY
+    base: int | None = None
 
 
 @dataclass
@@ -135,8 +133,8 @@ class FunctionDataflow:
     n_globals: int = 0
 
 
-_ANCHORS = frozenset((op.CONST, op.LOCAL_GET, op.GLOBAL_GET))
-_CALLS = frozenset((op.CALL, op.CALL_INDIRECT))
+_ORIGINS = {op.CONST: CONST_DEP, op.LOCAL_GET: LOCAL_DEP, op.GLOBAL_GET: GLOBAL_DEP,
+            op.CALL: FUNCTION_DEP, op.CALL_INDIRECT: FUNCTION_DEP}
 
 
 def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
@@ -153,40 +151,52 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
              "global": {gl.name: i for i, gl in enumerate(module.globals)}}
     order = fd.order   # a loop's body order nests under its header
     enclosing: list[list] = []   # the orders open loops interrupt, innermost last
+    height = 0      # the static stack height; dead code leaves it unread
+    bases: list[int] = []   # open frames' base heights, innermost last
     for inst, ev in walk(func.body):
         node = layout.inst_node[id(inst)]
         o = inst.opcode
+        if ev == ENTER_EV:
+            if o == "if":
+                height -= 1   # an if pops its condition
+            bases.append(height - inst.block_params)
+        elif ev == ELSE_EV:
+            height = bases[-1]
+        elif ev == EXIT_EV:
+            base = bases.pop()
+            height = base + inst.nresults
         if o == "block":
             if ev == ENTER_EV:
-                _add(fd, node, NodeInfo(op.BLOCK, label=inst.label, nresults=inst.nresults))
-                order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(
-                    op.BEGIN_BLOCK, label=inst.label, params=inst.block_params)))
+                _add(fd, node, NodeInfo(op.BLOCK, nresults=inst.nresults, base=bases[-1]))
+                order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(op.BEGIN_BLOCK)))
             else:
                 order.append(node)
         elif o == "loop":
             if ev == ENTER_EV:
-                _add(fd, node, NodeInfo(op.LOOP, label=inst.label))
+                _add(fd, node, NodeInfo(op.LOOP, base=bases[-1]))
                 enclosing.append(order)
                 order = []
             else:
                 body, order = order, enclosing.pop()
                 order.append((node, body))
                 order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
-                    op.END_LOOP, label=inst.label, nresults=inst.nresults)))
+                    op.END_LOOP, nresults=inst.nresults, base=base)))
         elif ev == ELSE_EV:
             order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
         elif ev != EXIT_EV:   # a plain instruction or an if
             tag = op.opcode_inst_type(o)
             nargs, nresults = instruction_arity(inst, module)
-            name = inst.callee if o == "call" else \
-                inst.type_use.text() if o == "call_indirect" else None
+            if ev != ENTER_EV:
+                height += nresults - nargs
             slot = None if inst.var is None else slots[o.partition(".")[0]][inst.var]
-            order.append(_add(fd, node, NodeInfo(
-                tag, nargs, nresults, var=inst.var, slot=slot, name=name,
-                value=inst.value, value_type=inst.value_type)))
-            if tag in _ANCHORS or (nresults and tag in _CALLS):
+            kind, own = _ORIGINS.get(tag), EMPTY
+            if kind and nresults:   # a call without results is no origin
+                name = inst.callee if o == "call" else \
+                    inst.type_use.text() if o == "call_indirect" else inst.var
+                own = frozenset((Dep(kind, node, name, inst.value, inst.value_type),))
                 fd.phi_static += 1
-    fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults)))
+            order.append(_add(fd, node, NodeInfo(tag, nargs, nresults, slot, own)))
+    fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults, base=0)))
     return fd
 
 
@@ -201,7 +211,6 @@ def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
 
 _UNIONS = frozenset((op.BINARY, op.COMPARE, op.UNARY, op.CONVERT, op.SELECT))
 _UNTRACKED = frozenset((op.LOAD, op.MEMORY_SIZE, op.MEMORY_GROW))
-_FRAME_EXITS = frozenset((op.BLOCK, op.END_LOOP, op.LOOP))
 
 
 def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset]]:
@@ -217,55 +226,31 @@ def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset
         # a select's third operand is its condition
         return s.push(popped[0] | popped[1] if len(popped) > 1 else popped[0]), popped
     if t == op.LOCAL_GET:
-        dep = Dep(LOCAL_DEP, node, name=info.var)
-        return s.push(s.locals_[info.slot] | {dep}), popped
-    if t == op.CONST:
-        dep = Dep(CONST_DEP, node, value=info.value, value_type=info.value_type)
-        return s.push(frozenset((dep,))), popped
+        return s.push(s.locals_[info.slot] | info.own), popped
+    if t == op.GLOBAL_GET:
+        return s.push(s.globals_[info.slot] | info.own), popped
     if t == op.LOCAL_SET or t == op.LOCAL_TEE:
         i, deps = info.slot, popped[0]
         s = State(s.globals_, s.locals_[:i] + (deps,) + s.locals_[i + 1:],
-                  s.stack + (deps,) if t == op.LOCAL_TEE else s.stack, s.labels)
+                  s.stack + (deps,) if t == op.LOCAL_TEE else s.stack)
         return s, popped
-    if t == op.GLOBAL_GET:
-        dep = Dep(GLOBAL_DEP, node, name=info.var)
-        return s.push(s.globals_[info.slot] | {dep}), popped
     if t == op.GLOBAL_SET:
         i = info.slot
         return State(s.globals_[:i] + (popped[0],) + s.globals_[i + 1:], s.locals_,
-                     s.stack, s.labels), popped
-    if t in _UNTRACKED:
-        return s.push(EMPTY), popped   # memory contents are untracked
-    if t in _CALLS:
-        if info.nresults:
-            s = s.push(frozenset((Dep(FUNCTION_DEP, node, name=info.name),)))
-        return s, popped
-    if t == op.BEGIN_BLOCK or t == op.LOOP:
-        # frame base sits below any values entering as block parameters
-        labels = s.labels + ((info.label, len(s.stack) - info.params),)
-        return State(s.globals_, s.locals_, s.stack, labels), popped
+                     s.stack), popped
+    if info.own or t in _UNTRACKED:   # a constant or a call result; memory is untracked
+        return s.push(info.own), popped
     return s, popped
 
 
 def adjust_for_edge(s: State, target_info: NodeInfo) -> State:
-    """Frame fixup when an edge enters a construct exit or a loop header: the
-    innermost frame of that label closes, keeping its top `nresults` values."""
-    tag = target_info.tag
-    if tag in _FRAME_EXITS:
-        label = target_info.label
-        for i in range(len(s.labels) - 1, -1, -1):
-            if s.labels[i][0] == label:
-                base, r = s.labels[i][1], target_info.nresults
-                stack = s.stack[:base] + (s.stack[len(s.stack) - r:] if r else ())
-                return State(s.globals_, s.locals_, stack, s.labels[:i])
-        if tag != op.LOOP:
-            raise DataflowError(f"label {label!r} not open at a construct exit")
-        return s   # loop entry; the frame is not open yet
-    if tag == EXIT:
-        r = target_info.nresults
-        stack = s.stack[len(s.stack) - r:] if r else ()
-        return State(s.globals_, s.locals_, stack, ())
-    return s
+    """Frame fixup on an edge into a construct exit, a loop header or the
+    function exit: keep the values below the target's base and the top
+    `nresults` values, dropping those a branch abandoned."""
+    base, r = target_info.base, target_info.nresults
+    if base is None or len(s.stack) == base + r:
+        return s
+    return State(s.globals_, s.locals_, s.stack[:base] + s.stack[len(s.stack) - r:])
 
 
 # ---------------------------------------------------------------------------

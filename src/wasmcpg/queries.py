@@ -29,23 +29,32 @@ class ScanConfig:
     def from_dict(cls, data: dict) -> "ScanConfig":
         if not isinstance(data, dict):
             raise ConfigError("scan configuration must be a JSON object")
+
+        def names(key: str) -> list[str]:
+            value = data.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"{key} must be an array of strings")
+            return list(value)
+
+        def table(key: str) -> dict:
+            value = data.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object")
+            return dict(value)
+
+        config = cls(sources=names("sources"), sinks=names("sinks"),
+                     dangerous_functions=names("dangerousFunctions"),
+                     alloc_pairs=table("allocPairs"))
+        formats = table("formatFunctions")
         try:
-            fmt = {k: int(v) for k, v in dict(data.get("formatFunctions", {})).items()}
-            pairs = dict(data.get("allocPairs", {}))
-            config = cls(
-                sources=list(data.get("sources", [])),
-                sinks=list(data.get("sinks", [])),
-                dangerous_functions=list(data.get("dangerousFunctions", [])),
-                format_functions=fmt,
-                alloc_pairs=pairs,
-                taint_depth=int(data.get("taintDepth", 3)),
-            )
+            config.format_functions = {k: int(v) for k, v in formats.items()}
+            config.taint_depth = int(data.get("taintDepth", 3))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed scan configuration: {exc}") from exc
-        for alloc, dealloc in pairs.items():
+        for alloc, dealloc in config.alloc_pairs.items():
             if alloc == dealloc:
                 raise ConfigError(f"allocator pair maps {alloc} to itself")
-        for name, idx in fmt.items():
+        for name, idx in config.format_functions.items():
             if idx < 0:
                 raise ConfigError(f"format argument index for {name} must be >= 0")
         return config

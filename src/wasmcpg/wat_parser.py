@@ -13,7 +13,9 @@ order.
 
 from __future__ import annotations
 
+import math
 import re
+import struct
 from dataclasses import dataclass
 from itertools import count
 
@@ -140,10 +142,20 @@ def _parse_number(text: str, value_type: str, where: Atom) -> int | float:
     try:
         if _INT_RE.match(text):
             n = int(t, 16 if "x" in t else 10)
-            return n if is_int else float(n)
-        if not is_int and _FLOAT_RE.match(text):
-            return float(t)
-    except (ValueError, OverflowError):   # "0x_", or an int too large for a float
+            if is_int:
+                return n
+            v = float(n)
+        elif not is_int and _FLOAT_RE.match(text):
+            v = float(t)
+        else:
+            raise ValueError(text)
+        # a literal that rounds to infinity in its own type is malformed;
+        # packing an f32 raises on it
+        if value_type == "f32":
+            struct.pack("<f", v)
+        if not math.isinf(v):
+            return v
+    except (ValueError, OverflowError):   # "0x_", or too large for its type
         pass
     raise ParseError(f"bad {'integer' if is_int else 'float'} literal {text!r}",
                      where.line, where.col)
@@ -281,7 +293,7 @@ class Parser:
                 elif h == "func":
                     decls.append(self._scan_func(f))
                 elif h == "global":
-                    gl = self._parse_global(f)
+                    gl = self._parse_global(f, len(module.globals))
                     if gl.name in global_names:
                         raise NameResolutionError(f"duplicate global name {gl.name}",
                                                   f.line, f.col)
@@ -450,7 +462,9 @@ class Parser:
             i += 1
         return offset, [a.text for a in f[i:]]
 
-    def _parse_global(self, f: SExpr) -> GlobalIR:
+    def _parse_global(self, f: SExpr, index: int) -> GlobalIR:
+        """A global field; an unnamed one is named by its index among all
+        the module's globals."""
         i = 1
         name = None
         if _is_atom(f[i]) and f[i].text.startswith("$"):
@@ -463,8 +477,7 @@ class Parser:
         else:
             vt = self._valtype(f[i])
         if name is None:
-            name = f"$g{len(self.global_names)}"
-            self.global_names.add(name)
+            name = f"$g{index}"
         return GlobalIR(name=name, value_type=vt, mutable=mutable)
 
     # -- instruction parsing ---------------------------------------------------

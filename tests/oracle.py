@@ -1,9 +1,12 @@
 """Independent fixpoint oracle: round-robin chaotic iteration.
 
-Sweeps every CFG node in id order, recomputing each node's input as the join
-of its predecessors' adjusted outputs, until nothing changes. Shares only the
+Sweeps every reachable CFG node in a reverse postorder of its own, computed
+by a depth-first search over CFG out-edges, recomputing each node's input as
+the join of its predecessors' adjusted outputs, until nothing changes. In
+reverse postorder every forward edge is followed within one sweep, so the
+sweep count grows with loop nesting, not with block depth. Shares only the
 per-instruction transfer rules with the engine under test; the iteration
-strategy, bookkeeping and convergence detection are its own.
+order, bookkeeping and convergence detection are its own.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def round_robin_states(ctx, func_name: str) -> dict[int, df.State]:
         return {}
     entry = entry_edges[0].dst
     init = df.initial_state(fd)
-    nodes = sorted(set(fd.nodes))
+    nodes = _reverse_postorder(cpg, entry)
 
     ins: dict[int, df.State] = {}
     outs: dict[int, df.State] = {}
@@ -51,3 +54,22 @@ def round_robin_states(ctx, func_name: str) -> dict[int, df.State]:
                 outs[n] = out
                 changed = True
     return ins
+
+
+def _reverse_postorder(cpg, entry: int) -> list[int]:
+    """The CFG nodes reachable from `entry`, in reverse postorder of an
+    explicit-stack depth-first search."""
+    seen = {entry}
+    post: list[int] = []
+    stack = [(entry, iter(cpg.out_edges(entry, g.CFG)))]
+    while stack:
+        node, edges = stack[-1]
+        for e in edges:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append((e.dst, iter(cpg.out_edges(e.dst, g.CFG))))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    return post[::-1]

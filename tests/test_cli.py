@@ -141,6 +141,25 @@ class TestErrors:
         assert code == 3
 
 
+# an allocation size that overflows to infinity, passed to an allocator
+INF_MALLOC = """(module
+  (import "env" "malloc" (func $malloc (param i32) (result i32)))
+  (import "env" "memcpy" (func $memcpy (param i32 i32 i32) (result i32)))
+  (func $heap_copy (param $src i32)
+    (local $buf i32)
+    (local.set $buf (call $malloc (f64.const 1e400)))
+    (drop (call $memcpy (local.get $buf) (local.get $src) (i32.const 64)))))"""
+
+# scan configs whose fields have the wrong shape
+BAD_CONFIGS = {
+    "sources-string": {"sources": "$read_input"},
+    "sinks-string": {"sinks": "$memcpy"},
+    "dangerous-string": {"dangerousFunctions": "$gets"},
+    "formats-array": {"formatFunctions": ["$printf"]},
+    "pairs-array": {"allocPairs": [["$malloc", "$free"]]},
+}
+
+
 class TestFailClosed:
     """Unreadable or undecodable inputs and unusable output paths end in one
     `error:` line and exit 2 (file system) or 3 (content), never a traceback."""
@@ -158,6 +177,9 @@ class TestFailClosed:
         for name, source in MALFORMED.items():
             (tmp_path / f"{name}.wat").write_text(source)
         (tmp_path / "dup_local.wat").write_text(SYNTHESIZED_LOCAL_CLASH)
+        (tmp_path / "inf_malloc.wat").write_text(INF_MALLOC)
+        for name, config in BAD_CONFIGS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         (tmp_path / "parens.wql").write_text("x := " + "(" * 3000 + "1" + ")" * 3000 + ";")
         (tmp_path / "minus.wql").write_text("x := " + "-" * 5000 + "1;")
         (tmp_path / "sum.wql").write_text("x := " + " + ".join(["1"] * 5000) + ";")
@@ -182,13 +204,16 @@ class TestFailClosed:
         (3, ["scan", MIXED, "--wql", "{t}/sum.wql"]),
         (2, ["query", "{t}/missing.json"]),
         (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
+        (3, ["scan", "{t}/inf_malloc.wat", "--config", CONFIG]),
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
+        *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
             "config-not-object", "config-too-deep", "multi-result-function",
             "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
-            "query-missing-graph", "export-missing-graph", *MALFORMED])
+            "query-missing-graph", "export-missing-graph", "infinite-alloc-size",
+            *MALFORMED, *BAD_CONFIGS])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code

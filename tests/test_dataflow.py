@@ -80,22 +80,28 @@ def _info(opcode: str, **props) -> df.NodeInfo:
     return df.NodeInfo(tag, nargs, nresults, **props)
 
 
+def _own(*dep) -> frozenset:
+    return frozenset({df.Dep(*dep)})
+
+
 class TestTransfer:
     def test_const_pushes_anchored_dependency(self):
         s = df.State()
         out, popped = df.transfer(
-            5, _info("i32.const", value=2, value_type="i32"), s)
+            5, _info("i32.const", own=_own("Const", 5, None, 2, "i32")), s)
         assert popped == []
         assert out.stack == (frozenset({df.Dep("Const", 5, None, 2, "i32")}),)
 
     def test_local_get_anchors_itself_and_forwards_the_store(self):
         # slot 0 is $y, slot 1 is $q
         seeded = df.State(locals_=(frozenset({df.Dep("Local", 16, "$y")}), df.EMPTY))
-        out, _ = df.transfer(4, _info("local.get", var="$y", slot=0), seeded)
+        out, _ = df.transfer(4, _info("local.get", slot=0, own=_own("Local", 4, "$y")),
+                             seeded)
         assert out.stack[-1] == {df.Dep("Local", 4, "$y"),
                                  df.Dep("Local", 16, "$y")}
         # an untouched local still records the use site
-        out2, _ = df.transfer(4, _info("local.get", var="$q", slot=1), seeded)
+        out2, _ = df.transfer(4, _info("local.get", slot=1, own=_own("Local", 4, "$q")),
+                              seeded)
         assert out2.stack[-1] == {df.Dep("Local", 4, "$q")}
 
     def test_binop_unions_operands(self):
@@ -120,7 +126,8 @@ class TestTransfer:
 
     def test_call_pushes_function_dependency(self):
         arg = frozenset({df.Dep("Const", 1, None, 0, "i32")})
-        info = df.NodeInfo(op.CALL, nargs=1, nresults=1, name="$fgetc")
+        info = df.NodeInfo(op.CALL, nargs=1, nresults=1,
+                           own=_own("Function", 3, "$fgetc"))
         out, popped = df.transfer(3, info, df.State(stack=(arg,)))
         assert out.stack == (frozenset({df.Dep("Function", 3, "$fgetc")}),)
         assert popped == [arg]
@@ -137,7 +144,7 @@ class TestTransfer:
         for _ in range(200):
             small = frozenset(rng.sample(deps, rng.randrange(0, 4)))
             big = small | frozenset(rng.sample(deps, rng.randrange(0, 3)))
-            info = _info(rng.choice(opcodes), var="$x", slot=1)
+            info = _info(rng.choice(opcodes), slot=1)
             extra = frozenset(rng.sample(deps, 2))
             store = (extra, frozenset())   # $x is slot 1 of each store
             s1 = df.State(store, store, stack=(extra, small))
@@ -163,6 +170,69 @@ class TestJoin:
         assert grew and len(joined.stack[0]) == 2
         again, grew2 = df.join(joined, b)
         assert not grew2 and again is joined
+
+
+class TestPrepare:
+    def test_origins_are_built_once(self):
+        ctx = _context("""(module
+            (global $g (mut i32) (i32.const 0))
+            (func $r (result i32) i32.const 7)
+            (func $v (param i32))
+            (func $f (param $p i32)
+              i32.const 2
+              local.get $p
+              global.get $g
+              call $r
+              i32.add i32.add i32.add
+              call $v))""")
+        fd = df._prepare(ctx, ctx.layouts["$f"])
+        owns = {i.tag: i.own for i in fd.info.values() if i.own}
+        node = {i.tag: n for n, i in fd.info.items()}
+        assert owns == {
+            op.CONST: {df.Dep("Const", node[op.CONST], None, 2, "i32")},
+            op.LOCAL_GET: {df.Dep("Local", node[op.LOCAL_GET], "$p")},
+            op.GLOBAL_GET: {df.Dep("Global", node[op.GLOBAL_GET], "$g")},
+            op.CALL: {df.Dep("Function", node[op.CALL] - 4, "$r")},
+        }
+        # the param and the four origins; a call without results is none
+        assert fd.phi_static == 5
+
+    def test_frame_bases_are_static(self):
+        ctx = _context("""(module (func $f (result i32)
+            i32.const 1
+            (block $b (result i32)
+              i32.const 2
+              (loop $l (br_if $l (i32.const 0)))
+              i32.const 3
+              br $b)
+            i32.add))""")
+        fd = df._prepare(ctx, ctx.layouts["$f"])
+        frames = {i.tag: (i.base, i.nresults) for i in fd.info.values()
+                  if i.base is not None}
+        assert frames == {op.BLOCK: (1, 1), op.LOOP: (2, 0),
+                          op.END_LOOP: (2, 0), df.EXIT: (0, 1)}
+        block = next(i for i in fd.info.values() if i.tag == op.BLOCK)
+        a, b, c = (_own("Const", n, None, n, "i32") for n in (1, 2, 3))
+        s = df.State(stack=(a, b, c))
+        assert df.adjust_for_edge(s, block).stack == (a, c)
+        fits = df.State(stack=(a, c))
+        assert df.adjust_for_edge(fits, block) is fits
+
+    def test_a_shadowed_label_closes_the_innermost_frame(self):
+        # the loop's entry edge must not close the outer block of the same name
+        ctx = _context("""(module (func $f (result i32)
+            (block $a (result i32)
+              i32.const 1
+              (loop $a (br_if $a (i32.const 0)))
+              i32.eqz)))""")
+        analysis = _checked_analysis(ctx, "$f")
+        assert analysis.res == round_robin_states(ctx, "$f")
+        df.emit_ddg_edges(ctx, analysis)
+        ctx.cpg.freeze()
+        info = analysis.fd.info
+        const = next(n for n, i in info.items() if i.own == _own("Const", n, None, 1, "i32"))
+        eqz = next(n for n, i in info.items() if i.tag == op.COMPARE)
+        assert [e.src for e in ctx.cpg.in_edges(eqz, g.DDG)] == [const]
 
 
 class TestAnalyzeFunction:

@@ -73,6 +73,23 @@ class TestScanConfig:
         with pytest.raises(ConfigError):
             ScanConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sources", "$read_input", "an array of strings"),
+        ("sinks", "$send", "an array of strings"),
+        ("dangerousFunctions", "$gets", "an array of strings"),
+        ("sources", ["$read_input", 3], "an array of strings"),
+        ("sinks", {"$send": 1}, "an array of strings"),
+        ("dangerousFunctions", None, "an array of strings"),
+        ("formatFunctions", "$printf", "an object"),
+        ("formatFunctions", [["$printf", 0]], "an object"),
+        ("allocPairs", "$malloc", "an object"),
+        ("allocPairs", [["$malloc", "$free"]], "an object"),
+    ])
+    def test_a_field_of_the_wrong_shape_is_config_error(self, key, value, message):
+        # a string must not be split into one-character names
+        with pytest.raises(ConfigError, match=f"{key} must be {message}"):
+            ScanConfig.from_dict({key: value})
+
     @pytest.mark.parametrize("content", [b"{", b"\xff{}", b"[" * 100000],
                              ids=["bad-json", "not-utf8", "too-deep"])
     def test_unreadable_config_file(self, tmp_path, content):

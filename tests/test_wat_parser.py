@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from conftest import ALL_FIXTURES, fixture_source
@@ -50,6 +55,11 @@ class TestParseModule:
         token = m.function_by_name("$get_token")
         assert [n for n, _ in token.params] == ["$pnm_file", "$token"]
         assert [n for n, _ in token.locals] == ["$i", "$ret"]
+
+    def test_unnamed_global_is_named_by_its_index(self):
+        m = parse_module("(module (global $x i32 (i32.const 0)) "
+                         "(global i32 (i32.const 1)) (global (mut i32) (i32.const 2)))")
+        assert [gl.name for gl in m.globals] == ["$x", "$g1", "$g2"]
 
     def test_numeric_indices_synthesized(self):
         m = parse_module("(module (func (param i32) i32.const 0 drop))")
@@ -258,8 +268,8 @@ DUPLICATE_NAMES = {
         "(module (global i32 (i32.const 0)) (global $g0 i32 (i32.const 0)))",
         "global name \\$g0"),
     "synthesized-global-second": (
-        "(module (global $g0 i32 (i32.const 0)) (global i32 (i32.const 0)))",
-        "global name \\$g0"),
+        "(module (global $g1 i32 (i32.const 0)) (global i32 (i32.const 0)))",
+        "global name \\$g1"),
     "types": ("(module (type $t (func (param i32))) (type $t (func (result i32))))",
               "type name \\$t"),
 }
@@ -272,6 +282,10 @@ MALFORMED = {
     "elem-offset": "(module (func $f) (table 1 funcref) (elem (i32.const zz) $f))",
     "table-elem-form": "(module (table funcref (elem (x))))",
     "empty-global": "(module (global))",
+    # a float literal that rounds to infinity in its own type
+    "f64-overflow": "(module (func f64.const 1e400 drop))",
+    "f32-overflow": "(module (func f32.const 1e39 drop))",
+    "f32-int-overflow": "(module (func f32.const 0x1" + "0" * 32 + " drop))",
     "empty-type": "(module (type))",
     "import-no-desc": '(module (import "a" "b"))',
     "empty-export": "(module (export))",
@@ -324,14 +338,25 @@ class TestDeepNesting:
             (1 if shape is nested_blocks else 20_001)
 
     def test_3000_deep_blocks_build_with_the_oracle_ddg(self):
-        # the round-robin oracle needs a sweep per level, so it is cubic in
-        # the depth: it checks the engine at depth 200, where both find no
-        # dependencies, and depth 3000 builds to the same empty DDG
-        ctx = build_context(nested_blocks(200))
+        # the oracle sweeps in reverse postorder, so block depth costs it no
+        # extra sweeps; engine and oracle both find no dependencies
+        ctx = build_context(nested_blocks(3000))
         assert analyze_function(ctx, "$f").res == round_robin_states(ctx, "$f")
-        for depth in (200, 3000):
-            cpg = build_context(nested_blocks(depth)).cpg
-            assert len(cpg.nodes) > 2 * depth and cpg.edges_of_type("DDG") == []
+        assert len(ctx.cpg.nodes) > 6000 and ctx.cpg.edges_of_type("DDG") == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+    def test_20000_deep_blocks_build_in_1_gib(self):
+        # the dataflow state holds no per-frame data, so the DDG's memory is
+        # linear in block depth; the child caps its own address space
+        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "import gen; from wasmcpg.pipeline import build_cpg\n"
+                "print(len(build_cpg(gen.nested_blocks(20_000))[0].nodes))")
+        tests = pathlib.Path(__file__).parent
+        path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert int(run.stdout) > 40_000
 
     def test_10000_deep_eqz_chain_builds(self):
         source = ("(module (func $f (param i32) (result i32) "
