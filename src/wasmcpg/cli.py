@@ -3,14 +3,14 @@
 Subcommands: build (WAT -> graph JSON), query (graph JSON -> findings),
 scan (WAT -> findings in one pass), export (graph JSON -> other formats).
 Findings go to stdout as JSON lines; diagnostics to stderr. Exit codes:
-0 no findings, 1 findings present, 2 usage error, 3 analysis error.
+0 no findings, 1 findings present, 2 usage error, 3 analysis error
+(including running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from .errors import ParseError, WasmCpgError, WqlError
@@ -31,8 +31,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="wasmcpg",
         description="Build and query code property graphs for WebAssembly "
                     "text modules.")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="verbose diagnostics on stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="parse a .wat file and emit the graph as JSON")
@@ -126,6 +124,41 @@ def _run_queries(cpg, args) -> list[Finding]:
     return findings
 
 
+def _run(args) -> int:
+    if args.command in ("build", "scan"):
+        cpg, report = build_cpg(_read_text(args.input, ParseError))
+        if args.timing:
+            _print_timing(report)
+
+    if args.command == "build":
+        if args.output:
+            export(cpg, ExportManifest("json", args.output))
+        else:
+            sys.stdout.write(to_json(cpg))
+        return EXIT_CLEAN
+
+    if args.command == "query":
+        cpg = import_json(args.input)
+        findings = _run_queries(cpg, args)
+        _emit_findings(findings, args.output)
+        return EXIT_FINDINGS if findings else EXIT_CLEAN
+
+    if args.command == "scan":
+        findings = _run_queries(cpg, args)
+        _emit_findings(findings, args.output)
+        return EXIT_FINDINGS if findings else EXIT_CLEAN
+
+    if args.command == "export":
+        cpg = import_json(args.input)
+        edge_types = tuple(args.edges.split(",")) if args.edges else \
+            ("AST", "CFG", "CG", "DDG")
+        manifest = ExportManifest(args.format, args.output, edge_types)
+        for path in export(cpg, manifest):
+            print(path, file=sys.stderr)
+        return EXIT_CLEAN
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     ap = _parser()
@@ -133,49 +166,21 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(args_list)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_CLEAN
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=os.environ.get("WASMCPG_LOG",
-                             "DEBUG" if args.verbose else "WARNING"))
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     try:
-        if args.command in ("build", "scan"):
-            cpg, report = build_cpg(_read_text(args.input, ParseError))
-            if args.timing:
-                _print_timing(report)
-
-        if args.command == "build":
-            if args.output:
-                export(cpg, ExportManifest("json", args.output))
-            else:
-                sys.stdout.write(to_json(cpg))
-            return EXIT_CLEAN
-
-        if args.command == "query":
-            cpg = import_json(args.input)
-            findings = _run_queries(cpg, args)
-            _emit_findings(findings, args.output)
-            return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-        if args.command == "scan":
-            findings = _run_queries(cpg, args)
-            _emit_findings(findings, args.output)
-            return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-        if args.command == "export":
-            cpg = import_json(args.input)
-            edge_types = tuple(args.edges.split(",")) if args.edges else \
-                ("AST", "CFG", "CG", "DDG")
-            manifest = ExportManifest(args.format, args.output, edge_types)
-            for path in export(cpg, manifest):
-                print(path, file=sys.stderr)
-            return EXIT_CLEAN
+        return _run(args)
     except OSError as exc:   # missing, unreadable or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WasmCpgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    return EXIT_USAGE
+    except MemoryError:
+        pass
+    # reported once the handler has dropped the exception, whose traceback
+    # holds the failed run's frames and so its memory
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_ANALYSIS
 
 
 if __name__ == "__main__":

@@ -2,7 +2,11 @@
 
 All of them are pure graph passes over a frozen CPG, parameterized by a scan
 configuration (sources/sinks/dangerous functions/format functions/allocator
-pairs). Sanitization is not modeled; taint queries over-approximate.
+pairs/taint depth). Sanitization is not modeled; taint queries over-approximate.
+The detectors share two tests: `_is_call` (a Call to one of a set of names)
+and `_ddg_labels` (the labels of a node's incoming DDG edges of one ddgType).
+Each has a query-language twin in `queries_wql/`, the independent reference
+the findings are checked against.
 """
 
 from __future__ import annotations
@@ -36,21 +40,24 @@ class ScanConfig:
                 raise ConfigError(f"{key} must be an array of strings")
             return list(value)
 
-        def table(key: str) -> dict:
+        def table(key: str, valid, what: str) -> dict:
             value = data.get(key, {})
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
+            if not isinstance(value, dict) or not all(map(valid, value.values())):
+                raise ConfigError(f"{key} must be an object of {what}")
             return dict(value)
 
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        depth = data.get("taintDepth", 3)
+        if not is_int(depth) or depth < 0:
+            raise ConfigError("taintDepth must be an integer >= 0")
         config = cls(sources=names("sources"), sinks=names("sinks"),
                      dangerous_functions=names("dangerousFunctions"),
-                     alloc_pairs=table("allocPairs"))
-        formats = table("formatFunctions")
-        try:
-            config.format_functions = {k: int(v) for k, v in formats.items()}
-            config.taint_depth = int(data.get("taintDepth", 3))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed scan configuration: {exc}") from exc
+                     format_functions=table("formatFunctions", is_int, "integers"),
+                     alloc_pairs=table("allocPairs", lambda v: isinstance(v, str),
+                                       "strings"),
+                     taint_depth=depth)
         for alloc, dealloc in config.alloc_pairs.items():
             if alloc == dealloc:
                 raise ConfigError(f"allocator pair maps {alloc} to itself")
@@ -85,21 +92,19 @@ def _fname(cpg: g.Cpg, fnode: int) -> str:
     return cpg.node_property(fnode, "name")
 
 
-def _calls(cpg: g.Cpg, fnode: int, names=None) -> list[int]:
-    def pred(n: int) -> bool:
-        if cpg.node_property(n, "instType") != "Call":
-            return False
-        return names is None or cpg.node_property(n, "label") in names
-    return q.instructions(cpg, [fnode], pred)
+def _is_call(cpg: g.Cpg, node: int, names) -> bool:
+    return cpg.node_property(node, "instType") == "Call" and \
+        cpg.node_property(node, "label") in names
 
 
-def _has_in_ddg(cpg: g.Cpg, node: int, ddg_type: str, labels=None) -> bool:
-    for e in cpg.in_edges(node, g.DDG):
-        if e.properties.get("ddgType") != ddg_type:
-            continue
-        if labels is None or e.properties.get("label") in labels:
-            return True
-    return False
+def _calls(cpg: g.Cpg, fnode: int, names) -> list[int]:
+    return q.instructions(cpg, [fnode], lambda n: _is_call(cpg, n, names))
+
+
+def _ddg_labels(cpg: g.Cpg, node: int, ddg_type: str) -> set:
+    """Labels of the node's incoming DDG edges of one `ddgType`."""
+    return {e.properties.get("label") for e in cpg.in_edges(node, g.DDG)
+            if e.properties.get("ddgType") == ddg_type}
 
 
 # -- 1. format strings ---------------------------------------------------------
@@ -110,14 +115,14 @@ def q1_format_strings(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     if not config.format_functions:
         return findings
     for fnode in q.functions(cpg):
-        for call in _calls(cpg, fnode, set(config.format_functions)):
+        for call in _calls(cpg, fnode, config.format_functions):
             label = cpg.node_property(call, "label")
             idx = config.format_functions[label]
             args = cpg.ast_children(call)
             fmt_arg = args[idx] if idx < len(args) else None
             direct_const = fmt_arg is not None and \
                 cpg.node_property(fmt_arg, "instType") == "Const"
-            if direct_const or _has_in_ddg(cpg, call, "Const"):
+            if direct_const or _ddg_labels(cpg, call, "Const"):
                 continue
             findings.append(Finding(
                 1, "FormatString", _fname(cpg, fnode), label,
@@ -149,9 +154,7 @@ def _alloc_dealloc_triples(cpg: g.Cpg, fnode: int, alloc: str, dealloc: str):
     for n1 in _calls(cpg, fnode, {alloc}):
         deallocs = [
             n2 for n2 in q.descendants_cfg(cpg, n1)
-            if cpg.node_property(n2, "instType") == "Call"
-            and cpg.node_property(n2, "label") == dealloc
-            and q.reaches_ddg(cpg, n1, n2, "Function", alloc)
+            if _is_call(cpg, n2, {dealloc}) and q.reaches_ddg(cpg, n1, n2, "Function", alloc)
         ]
         for n2 in deallocs:
             uses = [
@@ -161,25 +164,16 @@ def _alloc_dealloc_triples(cpg: g.Cpg, fnode: int, alloc: str, dealloc: str):
             yield n1, n2, uses
 
 
-def _is_dealloc_call(cpg: g.Cpg, node: int, dealloc: str) -> bool:
-    return cpg.node_property(node, "instType") == "Call" and \
-        cpg.node_property(node, "label") == dealloc
-
-
-def _feeds_dealloc_call(cpg: g.Cpg, node: int, dealloc: str) -> bool:
-    parent = cpg.ast_parent(node)
-    return parent is not None and _is_dealloc_call(cpg, parent, dealloc)
-
-
 def q3_use_after_free(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     findings = []
     for fnode in q.functions(cpg):
         for alloc, dealloc in config.alloc_pairs.items():
             for n1, n2, uses in _alloc_dealloc_triples(cpg, fnode, alloc, dealloc):
+                # a release, or an operand feeding one, is not a use
                 real_uses = [
                     n3 for n3 in uses
-                    if not _is_dealloc_call(cpg, n3, dealloc)
-                    and not _feeds_dealloc_call(cpg, n3, dealloc)
+                    if not any(_is_call(cpg, n, {dealloc})
+                               for n in [n3, *cpg.adjacency(n3, g.AST, "in")])
                 ]
                 if real_uses:
                     findings.append(Finding(
@@ -197,7 +191,7 @@ def q4_double_free(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
             for n1, n2, uses in _alloc_dealloc_triples(cpg, fnode, alloc, dealloc):
                 if n1 in reported:
                     continue
-                refrees = [n3 for n3 in uses if _is_dealloc_call(cpg, n3, dealloc)]
+                refrees = [n3 for n3 in uses if _is_call(cpg, n3, {dealloc})]
                 if refrees:
                     reported.add(n1)
                     findings.append(Finding(
@@ -220,10 +214,8 @@ def q5_tainted_call_indirect(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     if not sources:
         return findings
     for fnode in q.functions(cpg):
-        pred = q.p_and(q.p_inst_type(cpg, "CallIndirect"),
-                       q.p_in_ddg_edge(cpg, "Function"))
-        for node in q.instructions(cpg, [fnode], pred):
-            if _has_in_ddg(cpg, node, "Function", sources):
+        for node in q.instructions(cpg, [fnode], q.p_inst_type(cpg, "CallIndirect")):
+            if _ddg_labels(cpg, node, "Function") & sources:
                 findings.append(Finding(
                     5, "Tainted CallIndirect", _fname(cpg, fnode),
                     "call_indirect",
@@ -239,7 +231,7 @@ def q6_tainted_func_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
         return findings
     for fnode in q.functions(cpg):
         for sink in _calls(cpg, fnode, sinks):
-            if _has_in_ddg(cpg, sink, "Function", sources):
+            if _ddg_labels(cpg, sink, "Function") & sources:
                 findings.append(Finding(
                     6, "Tainted", _fname(cpg, fnode),
                     cpg.node_property(sink, "label"),
@@ -272,6 +264,7 @@ def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     sinks = set(config.sinks)
     if not sinks:
         return findings
+    call_pred = q.p_or(q.p_inst_type(cpg, "Call"), q.p_inst_type(cpg, "CallIndirect"))
     reported: set[tuple[str, int]] = set()
     for root in q.functions(cpg):
         if not cpg.node_property(root, "isExport"):
@@ -297,8 +290,6 @@ def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
                             f"reaches a sink", [origin, sink]))
             if depth >= config.taint_depth:
                 continue
-            call_pred = q.p_or(q.p_inst_type(cpg, "Call"),
-                               q.p_inst_type(cpg, "CallIndirect"))
             for call in q.instructions(cpg, [fnode], call_pred):
                 if not q.reaches_ddg(cpg, origin, call, "Local", pname):
                     continue
@@ -441,52 +432,35 @@ def q9_bo_static_malloc(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
 def q10_bo_loops(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     """Loops writing through an incremented index with no bound check on it.
 
-    Pattern: inside the loop, an i32.add with a Local and a Const dependency
-    feeding a store, and no br_if whose comparison depends on that local.
+    One pass per loop: the indexes are the Local dependencies of each i32.add
+    with a Const dependency under one of the loop's stores; the checked
+    variables are the Local dependencies of the comparisons under its
+    br_ifs. The loop is flagged when some index is not checked.
     """
     findings = []
     for fnode in q.functions(cpg):
         for loop in q.instructions(cpg, [fnode], q.p_inst_type(cpg, "Loop")):
-            insts = set(q.descendants_ast(cpg, loop))
-            vars_: set[str] = set()
-            for add in sorted(insts):
-                if cpg.node_property(add, "instType") != "Binary":
+            insts = q.descendants_ast(cpg, loop)
+            stored: set[int] = set()
+            for st in insts:
+                if cpg.node_property(st, "instType") == "Store":
+                    stored.update(q.descendants_ast(cpg, st))
+            indexes: set = set()
+            for add in stored:
+                if cpg.node_property(add, "instType") == "Binary" and \
+                        cpg.node_property(add, "opcode") == "i32.add" and \
+                        _ddg_labels(cpg, add, "Const"):
+                    indexes |= _ddg_labels(cpg, add, "Local")
+            if not indexes:
+                continue
+            checked: set = set()
+            for brif in insts:
+                if cpg.node_property(brif, "instType") != "BrIf":
                     continue
-                if cpg.node_property(add, "opcode") != "i32.add":
-                    continue
-                if not _has_in_ddg(cpg, add, "Const"):
-                    continue
-                local_labels = {
-                    e.properties.get("label")
-                    for e in cpg.in_edges(add, g.DDG)
-                    if e.properties.get("ddgType") == "Local"
-                }
-                if not local_labels:
-                    continue
-                under_store = any(
-                    cpg.node_property(st, "instType") == "Store"
-                    and add in q.descendants_ast(cpg, st)
-                    for st in insts
-                )
-                if under_store:
-                    vars_.update(local_labels)
-            flagged = False
-            for var in sorted(vars_):
-                checked = False
-                for brif in sorted(insts):
-                    if cpg.node_property(brif, "instType") != "BrIf":
-                        continue
-                    for comp in q.descendants_ast(cpg, brif):
-                        if cpg.node_property(comp, "instType") == "Compare" and \
-                                _has_in_ddg(cpg, comp, "Local", {var}):
-                            checked = True
-                            break
-                    if checked:
-                        break
-                if not checked:
-                    flagged = True
-                    break
-            if flagged:
+                for comp in q.descendants_ast(cpg, brif):
+                    if cpg.node_property(comp, "instType") == "Compare":
+                        checked |= _ddg_labels(cpg, comp, "Local")
+            if indexes - checked:
                 findings.append(Finding(
                     10, "BO Loops", _fname(cpg, fnode),
                     cpg.node_property(loop, "label"),

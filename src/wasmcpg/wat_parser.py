@@ -222,8 +222,9 @@ class Parser:
         raise ParseError(f"expected a value type, got {getattr(a, 'text', '(...)')!r}",
                          where.line, where.col)
 
-    def _parse_typeuse(self, forms, i) -> tuple[int, Signature]:
-        params: list[tuple[str | None, str]] = []
+    def _parse_typeuse(self, forms, i, params=None) -> tuple[int, Signature]:
+        """A type use at forms[i]; its inline params are appended to `params`."""
+        params = [] if params is None else params
         results: list[str] = []
         type_ref: str | None = None
         if i < len(forms) and _head(forms[i]) == "type":
@@ -415,19 +416,10 @@ class Parser:
             else:
                 d.is_import = True
             i += 1
-        if i < len(forms) and _head(forms[i]) == "type":
-            j, sig = self._parse_typeuse(forms, i)
-            d.params = [(None, t) for t in sig.params]
-            d.results = list(sig.results)
-            i = j
-            # explicit params may still follow for naming; keep the typed ones
-        params: list[tuple[str | None, str]] = []
-        results: list[str] = []
-        i = self._parse_params_results(forms, i, params, results)
-        if params:
-            d.params = params
-        if results:
-            d.results = results
+        params: list[tuple[str | None, str]] = []   # inline, with their names
+        i, sig = self._parse_typeuse(forms, i, params)
+        d.params = params or [(None, t) for t in sig.params]
+        d.results = list(sig.results)
         while i < len(forms) and _head(forms[i]) == "local":
             sx = forms[i]
             if len(sx) == 3 and _is_atom(sx[1]) and sx[1].text.startswith("$"):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +20,14 @@ from wasmcpg.wat_parser import _TOKEN_RE, parse_module
 
 CONFIG = str(FIXTURES / "scan_config.json")
 MIXED = str(FIXTURES / "mixed.wat")
+
+
+def run_child(argv, **env):
+    """Exit code, stdout and stderr of a Python child importing from src/."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src"), **env}
+    child = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                           env=env, timeout=300)
+    return child.returncode, child.stdout, child.stderr
 
 
 def run(capsys, *argv):
@@ -157,6 +168,12 @@ BAD_CONFIGS = {
     "dangerous-string": {"dangerousFunctions": "$gets"},
     "formats-array": {"formatFunctions": ["$printf"]},
     "pairs-array": {"allocPairs": [["$malloc", "$free"]]},
+    "pair-value-array": {"allocPairs": {"$malloc": ["$free"]}},
+    "format-index-string": {"formatFunctions": {"$printf": "0"}},
+    "format-index-bool": {"formatFunctions": {"$printf": False}},
+    "depth-string": {"taintDepth": "2"},
+    "depth-bool": {"taintDepth": True},
+    "depth-negative": {"taintDepth": -1},
 }
 
 
@@ -231,6 +248,24 @@ class TestFailClosed:
         path = tmp_path / "deep.wat"
         path.write_text(shape(1000))
         assert run(capsys, "scan", str(path)) == (0, "", "")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+    def test_out_of_memory_is_an_analysis_error(self, tmp_path):
+        # the DDG of a 3,000-deep expression does not fit in 300 MiB; the
+        # child caps its own address space
+        path = tmp_path / "deep.wat"
+        path.write_text(nested_expression(3000))
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+                "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
+        assert run_child(["-c", code, "scan", str(path)]) == (3, "", "error: out of memory\n")
+
+    def test_log_level_is_not_read_from_the_environment(self):
+        # in a child: under pytest the root logger already has handlers
+        argv = ["-m", "wasmcpg.cli", "scan", str(FIXTURES / "empty.wat")]
+        assert run_child(argv, WASMCPG_LOG="foo") == (0, "", "")
+
+    def test_verbose_is_not_an_option(self, capsys):
+        assert run(capsys, "-v", "scan", str(FIXTURES / "empty.wat"))[0] == 2
 
 
 # tokens a mutation may insert: keywords, literals and forms in and out of place

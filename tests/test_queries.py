@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import pathlib
 
 import pytest
 
@@ -10,6 +11,9 @@ from conftest import ANSWER_KEY, CORPUS, build_fixture, fixture_cpg, fixture_sou
 from wasmcpg.errors import ConfigError
 from wasmcpg.pipeline import build_context
 from wasmcpg.queries import QUERIES, ScanConfig, run_all
+from wasmcpg.wql import eval_wql, parse_wql
+
+QUERIES_WQL = pathlib.Path(__file__).parent.parent / "src" / "wasmcpg" / "queries_wql"
 
 
 def _keys(findings):
@@ -84,9 +88,19 @@ class TestScanConfig:
         ("formatFunctions", [["$printf", 0]], "an object"),
         ("allocPairs", "$malloc", "an object"),
         ("allocPairs", [["$malloc", "$free"]], "an object"),
+        ("allocPairs", {"$malloc": ["$free"]}, "an object of strings"),
+        ("allocPairs", {"$malloc": None}, "an object of strings"),
+        ("formatFunctions", {"$printf": "0"}, "an object of integers"),
+        ("formatFunctions", {"$printf": True}, "an object of integers"),
+        ("formatFunctions", {"$printf": 0.0}, "an object of integers"),
+        ("taintDepth", "2", "an integer >= 0"),
+        ("taintDepth", True, "an integer >= 0"),
+        ("taintDepth", 2.0, "an integer >= 0"),
+        ("taintDepth", -1, "an integer >= 0"),
     ])
     def test_a_field_of_the_wrong_shape_is_config_error(self, key, value, message):
-        # a string must not be split into one-character names
+        # a string must not be split into one-character names, nor a value
+        # of the wrong type coerced
         with pytest.raises(ConfigError, match=f"{key} must be {message}"):
             ScanConfig.from_dict({key: value})
 
@@ -175,3 +189,78 @@ class TestRenameInvariance:
                          mapping.get(f.label, f.label)) for f in base]
         assert [(f.query, f.kind, f.function, f.label)
                 for f in findings] == renamed_base
+
+
+ALLOC_IMPORTS = """
+  (import "env" "malloc" (func $malloc (param i32) (result i32)))
+  (import "env" "free" (func $free (param i32)))"""
+
+# (module, expected native findings); each also checked against its WQL twin
+EDGE_CASES = {
+    "q10-one-of-two-indexes-bounded": ("""(module
+      (func $two (param $n i32) (local $i i32) (local $j i32)
+        (loop $L
+          (i32.store8 (local.tee $i (i32.add (local.get $i) (i32.const 1))) (i32.const 7))
+          (i32.store8 (local.tee $j (i32.add (local.get $j) (i32.const 1))) (i32.const 7))
+          (br_if $L (i32.lt_s (local.get $i) (local.get $n))))))""",
+        [(10, "BO Loops", "$two", "$L")]),
+    "q10-both-bounded-one-in-a-nested-block": ("""(module
+      (func $both (param $n i32) (local $i i32) (local $j i32)
+        (loop $L
+          (i32.store8 (local.tee $i (i32.add (local.get $i) (i32.const 1))) (i32.const 7))
+          (i32.store8 (local.tee $j (i32.add (local.get $j) (i32.const 1))) (i32.const 7))
+          (block $B
+            (br_if $B (i32.ge_s (local.get $j) (local.get $n))))
+          (br_if $L (i32.lt_s (local.get $i) (local.get $n))))))""",
+        []),
+    "q10-increment-feeds-only-a-load": ("""(module
+      (func $sum (result i32) (local $i i32) (local $s i32)
+        (loop $L
+          (local.set $s (i32.add (local.get $s)
+            (i32.load8_u (local.tee $i (i32.add (local.get $i) (i32.const 1))))))
+          (i32.store8 (i32.const 1024) (local.get $s))
+          (br_if $L (i32.ne (local.get $s) (i32.const 10))))
+        (local.get $s)))""",
+        []),
+    "q10-inner-loop-bounded-only-by-the-outer": ("""(module
+      (func $nest (param $n i32) (local $i i32)
+        (loop $outer
+          (loop $inner
+            (i32.store8 (local.tee $i (i32.add (local.get $i) (i32.const 1))) (i32.const 7))
+            (br_if $inner (i32.ne (local.get $n) (i32.const 0))))
+          (br_if $outer (i32.lt_s (local.get $i) (local.get $n))))))""",
+        [(10, "BO Loops", "$nest", "$inner")]),
+    # the DDG does not tell loop iterations apart, so the next iteration's
+    # local.set of a fresh allocation counts as a use of the released one
+    "q3-q4-release-in-a-loop": (f"""(module {ALLOC_IMPORTS}
+      (func $churn (param $n i32) (local $p i32)
+        (loop $L
+          (local.set $p (call $malloc (i32.const 16)))
+          (call $free (local.get $p))
+          (br_if $L (local.tee $n (i32.sub (local.get $n) (i32.const 1)))))))""",
+        [(3, "Use after free", "$churn", "$free")]),
+    "q3-q4-double-release-in-a-loop": (f"""(module {ALLOC_IMPORTS}
+      (func $twice (param $n i32) (local $p i32)
+        (loop $L
+          (local.set $p (call $malloc (i32.const 16)))
+          (call $free (local.get $p))
+          (call $free (local.get $p))
+          (br_if $L (local.tee $n (i32.sub (local.get $n) (i32.const 1)))))))""",
+        [(3, "Use after free", "$twice", "$free")] * 2   # one per release
+        + [(4, "Double free", "$twice", "$free")]),
+}
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("source, expected", EDGE_CASES.values(),
+                             ids=EDGE_CASES.keys())
+    def test_native_findings_and_wql_parity(self, source, expected, scan_config):
+        cpg = build_context(source).cpg
+        qids = {3, 4, 10}
+        assert _keys(run_all(cpg, scan_config, qids)) == expected
+        bindings = scan_config.to_wql_bindings()
+        for qid in sorted(qids):
+            (path,) = QUERIES_WQL.glob(f"q{qid:02d}_*.wql")
+            twin = eval_wql(parse_wql(path.read_text(encoding="utf-8")), cpg, bindings)
+            native = run_all(cpg, scan_config, {qid})
+            assert [f.key() for f in twin] == [f.key() for f in native], qid

@@ -61,6 +61,15 @@ class TestParseModule:
                          "(global i32 (i32.const 1)) (global (mut i32) (i32.const 2)))")
         assert [gl.name for gl in m.globals] == ["$x", "$g1", "$g2"]
 
+    def test_inline_param_names_after_a_type_use(self):
+        m = parse_module("(module (type $t (func (param i32) (result i32))) "
+                         '(import "env" "g" (func $g (type $t))) '
+                         "(func $f (type $t) (param $x i32) (result i32) local.get $x) "
+                         "(func $h (type $t) local.get 0))")
+        assert [f.params for f in m.functions] == \
+            [[("$0", "i32")], [("$x", "i32")], [("$0", "i32")]]
+        assert [f.results for f in m.functions] == [["i32"]] * 3
+
     def test_numeric_indices_synthesized(self):
         m = parse_module("(module (func (param i32) i32.const 0 drop))")
         assert m.functions[0].name == "$0"
