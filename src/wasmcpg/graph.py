@@ -205,14 +205,15 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(slots=True)
+# Records compare and hash by identity: a graph holds one record per id.
+@dataclass(slots=True, eq=False)
 class Node:
     id: int
     kind: str
     properties: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Edge:
     id: int
     src: int
@@ -227,8 +228,8 @@ class Cpg:
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.edges: list[Edge] = []
-        self._out: list[dict[str, list[int]]] = []   # node -> type -> edge ids
-        self._in: list[dict[str, list[int]]] = []
+        self._out: list[dict[str, list[Edge]]] = []   # node -> type -> edges, id order
+        self._in: list[dict[str, list[Edge]]] = []
         self._frozen = False
 
     # -- construction --------------------------------------------------------
@@ -254,9 +255,10 @@ class Cpg:
         props = dict(properties or {})
         _check_edge_schema(edge_type, props)
         eid = len(self.edges)
-        self.edges.append(Edge(eid, src, dst, edge_type, props))
-        self._out[src].setdefault(edge_type, []).append(eid)
-        self._in[dst].setdefault(edge_type, []).append(eid)
+        edge = Edge(eid, src, dst, edge_type, props)
+        self.edges.append(edge)
+        self._out[src].setdefault(edge_type, []).append(edge)
+        self._in[dst].setdefault(edge_type, []).append(edge)
         return eid
 
     def add_ddg_edges(self, rows: Iterable[tuple[int, int, dict[str, Any]]]) -> int:
@@ -276,10 +278,10 @@ class Cpg:
                 continue
             if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
                 raise GraphError(f"dangling edge endpoint {src}->{dst}")
-            eid = len(edges)
-            edges.append(Edge(eid, src, dst, DDG, seen[1]))
-            out[src].setdefault(DDG, []).append(eid)
-            inc[dst].setdefault(DDG, []).append(eid)
+            edge = Edge(len(edges), src, dst, DDG, seen[1])
+            edges.append(edge)
+            out[src].setdefault(DDG, []).append(edge)
+            inc[dst].setdefault(DDG, []).append(edge)
         return len(edges) - first
 
     def freeze(self) -> "Cpg":
@@ -318,23 +320,20 @@ class Cpg:
             return e.type
         return e.properties.get(key)
 
-    def out_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
+    def _edges(self, table: list[dict[str, list[Edge]]], nid: int,
+               edge_type: str | None) -> list[Edge]:
         self.node(nid)
-        table = self._out[nid]
-        if edge_type is None:
-            ids = sorted(i for lst in table.values() for i in lst)
-        else:
-            ids = table.get(edge_type, [])
-        return [self.edges[i] for i in ids]
+        by_type = table[nid]
+        if edge_type is not None:
+            return list(by_type.get(edge_type, ()))
+        return sorted((e for lst in by_type.values() for e in lst), key=lambda e: e.id)
+
+    def out_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
+        """A fresh list: one type's edges, or every type's merged in id order."""
+        return self._edges(self._out, nid, edge_type)
 
     def in_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
-        self.node(nid)
-        table = self._in[nid]
-        if edge_type is None:
-            ids = sorted(i for lst in table.values() for i in lst)
-        else:
-            ids = table.get(edge_type, [])
-        return [self.edges[i] for i in ids]
+        return self._edges(self._in, nid, edge_type)
 
     def adjacency(self, nid: int, edge_type: str, direction: str = "out") -> list[int]:
         """Neighbor ids in edge insertion order (AST child order matters)."""

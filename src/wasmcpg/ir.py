@@ -84,12 +84,15 @@ class ModuleIR:
     functions: list[FunctionIR] = field(default_factory=list)
     globals: list[GlobalIR] = field(default_factory=list)
     table: list[int] = field(default_factory=list)   # function indices, slot order
+    _by_name: dict[str, FunctionIR] = field(default_factory=dict, init=False,
+                                            repr=False, compare=False)
 
     def function_by_name(self, name: str) -> FunctionIR:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        """The first function named `name`. The name map is rebuilt when its
+        size no longer matches `functions`, e.g. after an append."""
+        if len(self._by_name) != len(self.functions):
+            self._by_name = {f.name: f for f in reversed(self.functions)}
+        return self._by_name[name]
 
     def global_names(self) -> list[str]:
         return [g.name for g in self.globals]

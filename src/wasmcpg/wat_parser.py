@@ -184,6 +184,7 @@ class Parser:
         self.types: dict[str, Signature] = {}
         self.type_order: list[Signature] = []
         self.func_index: dict[str, int] = {}
+        self.func_names: list[str] = []   # func_index's keys, by index
         self.global_names: set[str] = set()
         self._label_counter = 0
         self._used_labels: set[str] = set()
@@ -325,6 +326,7 @@ class Parser:
             if d.name in self.func_index:
                 raise ParseError(f"duplicate function name {d.name}", d.sx.line, d.sx.col)
             self.func_index[d.name] = idx
+        self.func_names = list(self.func_index)
         self.global_names = global_names
 
         for name, ref in exports:
@@ -387,7 +389,7 @@ class Parser:
         return idx
 
     def _func_name_for_ref(self, ref: str) -> str:
-        return list(self.func_index)[self._resolve_func_ref(ref)]
+        return self.func_names[self._resolve_func_ref(ref)]
 
     def _scan_import_func(self, f: SExpr) -> _FuncDecl:
         d = _FuncDecl(f)

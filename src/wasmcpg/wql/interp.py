@@ -1,32 +1,24 @@
 """Tree-walking evaluator.
 
-Graph nodes and edges are first-class values; attribute access reads the
-property map and answers nil for absent keys. The only mutation an evaluation
-performs is appending to its findings list.
+Graph nodes and edges are first-class values: the graph's own `Node` and
+`Edge` records, each equal only to itself. Attribute access reads the
+property map and answers nil for absent keys. The only mutation an
+evaluation performs is appending to its findings list; every list it is
+handed, `inEdges` and `outEdges` included, is a fresh copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from typing import Any
 
-from ..errors import WqlRuntimeError
+from ..errors import GraphError, WqlRuntimeError
 from ..findings import Finding
 from .. import graph as g
 from .. import query as q
 from . import ast as A
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class NodeVal:
-    id: int
-
-
-@dataclass(frozen=True)
-class EdgeVal:
-    id: int
 
 
 class _BreakLoop(Exception):
@@ -40,7 +32,7 @@ class _ContinueLoop(Exception):
 class Interpreter:
     def __init__(self, cpg: g.Cpg, config: dict | None = None):
         self.cpg = cpg
-        self.config = dict(config or {})
+        self.config = copy.deepcopy(dict(config or {}))   # the program's own to change
         self.vars: dict[str, Any] = {
             "config": self.config,
             "sources": list(self.config.get("sources", [])),
@@ -120,7 +112,7 @@ class Interpreter:
             if node.op == "!":
                 return not self._bool(v, node.line)
             if node.op == "-":
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                if not _is_number(v):
                     raise WqlRuntimeError("unary '-' needs a number", node.line)
                 return -v
         if isinstance(node, A.BinOp):
@@ -133,8 +125,11 @@ class Interpreter:
             return self._method(self.eval(node.obj), node.name,
                                 [self.eval(a) for a in node.args], node.line)
         if isinstance(node, A.CallBuiltin):
-            return self._builtin(node.name, [self.eval(a) for a in node.args],
-                                 node.line)
+            args = [self.eval(a) for a in node.args]
+            try:
+                return self._builtin(node.name, args, node.line)
+            except GraphError as exc:   # e.g. instructions() of a non-Function node
+                raise WqlRuntimeError(str(exc), node.line) from None
         if isinstance(node, A.RangeExpr):
             items = self.eval(node.source)
             if not isinstance(items, list):
@@ -178,7 +173,7 @@ class Interpreter:
             if isinstance(right, list):
                 return left in right
             if isinstance(right, dict):
-                return left in right
+                return _key(left, node.line) in right
             raise WqlRuntimeError("'in' expects a list or map", node.line)
         if op in ("<", "<=", ">", ">="):
             try:
@@ -196,33 +191,36 @@ class Interpreter:
         if op in ("+", "-", "*", "/"):
             if isinstance(left, str) and isinstance(right, str) and op == "+":
                 return left + right
-            if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-                raise WqlRuntimeError(f"arithmetic on non-numbers", node.line)
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                raise WqlRuntimeError("division by zero", node.line)
-            return left / right if isinstance(left, float) or isinstance(right, float) \
-                else left // right
+            if not _is_number(left) or not _is_number(right):
+                raise WqlRuntimeError("arithmetic on non-numbers", node.line)
+            try:
+                if op == "+":
+                    return left + right
+                if op == "-":
+                    return left - right
+                if op == "*":
+                    return left * right
+                if right == 0:
+                    raise WqlRuntimeError("division by zero", node.line)
+                return left / right if isinstance(left, float) or isinstance(right, float) \
+                    else left // right
+            except OverflowError:   # an integer too large for a float
+                raise WqlRuntimeError("number too large", node.line) from None
         raise WqlRuntimeError(f"unknown operator {op!r}", node.line)
 
     # -- attributes, indexing, methods -------------------------------------------
     def _attr(self, obj: Any, name: str, line: int) -> Any:
-        if isinstance(obj, NodeVal):
+        if isinstance(obj, g.Node):
             if name == "inEdges":
-                return [EdgeVal(e.id) for e in self.cpg.in_edges(obj.id)]
+                return self.cpg.in_edges(obj.id)
             if name == "outEdges":
-                return [EdgeVal(e.id) for e in self.cpg.out_edges(obj.id)]
+                return self.cpg.out_edges(obj.id)
             return self.cpg.node_property(obj.id, name)
-        if isinstance(obj, EdgeVal):
+        if isinstance(obj, g.Edge):
             if name == "src":
-                return NodeVal(self.cpg.edge(obj.id).src)
+                return self.cpg.nodes[obj.src]
             if name == "dst":
-                return NodeVal(self.cpg.edge(obj.id).dst)
+                return self.cpg.nodes[obj.dst]
             return self.cpg.edge_property(obj.id, name)
         if obj is None:
             raise WqlRuntimeError(f"attribute {name!r} on nil", line)
@@ -237,9 +235,7 @@ class Interpreter:
                 raise WqlRuntimeError(f"list index {idx} out of range", line)
             return obj[idx]
         if isinstance(obj, dict):
-            if idx not in obj:
-                return None
-            return obj[idx]
+            return obj.get(_key(idx, line))
         raise WqlRuntimeError(f"cannot index {type(obj).__name__}", line)
 
     def _method(self, obj: Any, name: str, args: list, line: int) -> Any:
@@ -267,38 +263,51 @@ class Interpreter:
     def _builtin(self, name: str, args: list, line: int) -> Any:
         cpg = self.cpg
         if name == "functions" and not args:
-            return [NodeVal(n) for n in q.functions(cpg)]
-        if name == "instructions" and len(args) == 1:
-            arg = args[0]
-            fns = [arg.id] if isinstance(arg, NodeVal) else \
-                [n.id for n in arg]
-            return [NodeVal(n) for n in q.instructions(cpg, fns)]
-        if name == "descendantsCFG" and len(args) == 1:
-            return [NodeVal(n) for n in q.descendants_cfg(cpg, self._node_id(args[0], line))]
-        if name == "descendantsAST" and len(args) == 1:
-            return [NodeVal(n) for n in q.descendants_ast(cpg, self._node_id(args[0], line))]
-        if name == "ascendantsAST" and len(args) == 1:
-            return [NodeVal(n) for n in q.ascendants_ast(cpg, self._node_id(args[0], line))]
-        if name == "children" and len(args) == 2:
-            return [NodeVal(n) for n in
-                    q.children(cpg, self._node_id(args[0], line), args[1])]
-        if name == "reachesDDG" and len(args) == 4:
+            ids = q.functions(cpg)
+        elif name == "instructions" and len(args) == 1:
+            fns = args[0] if isinstance(args[0], list) else [args[0]]
+            ids = q.instructions(cpg, [self._node_id(f, line) for f in fns])
+        elif name in _WALKS and len(args) == 1:
+            ids = _WALKS[name](cpg, self._node_id(args[0], line))
+        elif name == "children" and len(args) == 2:
+            if args[1] not in g.EDGE_TYPES:
+                raise WqlRuntimeError(
+                    f"children() takes an edge type of {'/'.join(g.EDGE_TYPES)}", line)
+            ids = q.children(cpg, self._node_id(args[0], line), args[1])
+        elif name == "reachesDDG" and len(args) == 4:
             return q.reaches_ddg(cpg, self._node_id(args[0], line),
                                  self._node_id(args[1], line), args[2], args[3])
-        if name == "vulnerability" and len(args) in (3, 4):
+        elif name == "vulnerability" and len(args) in (3, 4):
             kind, func, label = args[0], args[1], args[2]
             desc = args[3] if len(args) == 4 else ""
             self.findings.append(Finding(None, str(kind), str(func),
                                          str(label), str(desc)))
             return None
-        if name == "List":
+        elif name == "List":
             return list(args)
-        raise WqlRuntimeError(f"unknown builtin {name!r}", line)
+        else:
+            raise WqlRuntimeError(f"unknown builtin {name!r}", line)
+        return [cpg.nodes[n] for n in ids]
 
     def _node_id(self, v: Any, line: int) -> int:
-        if isinstance(v, NodeVal):
+        if isinstance(v, g.Node):
             return v.id
         raise WqlRuntimeError(f"expected a node, got {type(v).__name__}", line)
+
+
+_WALKS = {"descendantsCFG": q.descendants_cfg, "descendantsAST": q.descendants_ast,
+          "ascendantsAST": q.ascendants_ast}
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _key(v: Any, line: int) -> Any:
+    """A map key: any value but a list or a map, which do not hash."""
+    if isinstance(v, (list, dict)):
+        raise WqlRuntimeError(f"a {type(v).__name__} cannot be a map key", line)
+    return v
 
 
 def eval_wql(program: A.Program, cpg: g.Cpg, config: dict | None = None) -> list[Finding]:

@@ -195,7 +195,10 @@ class _Parser:
         t = self.peek()
         if t.type == "NUMBER":
             self.next()
-            value = float(t.value) if "." in t.value else int(t.value)
+            try:
+                value = float(t.value) if "." in t.value else int(t.value)
+            except ValueError:   # past Python's int-from-string digit limit
+                raise WqlSyntaxError("integer literal too long", t.line, t.col) from None
             return A.Literal(value=value, line=t.line)
         if t.type == "STRING":
             self.next()

@@ -176,6 +176,20 @@ BAD_CONFIGS = {
     "depth-negative": {"taintDepth": -1},
 }
 
+# WQL programs that fail on line 1: at run time, or at parse time for a
+# literal past the int-from-string digit limit
+BAD_WQL = {
+    "wql-instructions-of-int": "x := instructions(5);",
+    "wql-instructions-of-int-list": "x := instructions(List(5));",
+    "wql-children-list-type": "x := children(functions()[0], List());",
+    "wql-children-unknown-type": 'x := children(functions()[0], "XYZ");',
+    "wql-list-as-map-key": "x := config[List()];",
+    "wql-list-in-map": 'x := config["sources"] in config;',
+    "wql-int-too-large-for-float": "x := 1" + "0" * 400 + " * 1.0;",
+    "wql-int-literal-too-long": "x := 1" + "0" * 5000 + ";",
+    "wql-number-plus-bool": "x := 1 + true;",
+}
+
 
 class TestFailClosed:
     """Unreadable or undecodable inputs and unusable output paths end in one
@@ -200,6 +214,8 @@ class TestFailClosed:
         (tmp_path / "parens.wql").write_text("x := " + "(" * 3000 + "1" + ")" * 3000 + ";")
         (tmp_path / "minus.wql").write_text("x := " + "-" * 5000 + "1;")
         (tmp_path / "sum.wql").write_text("x := " + " + ".join(["1"] * 5000) + ";")
+        for name, source in BAD_WQL.items():
+            (tmp_path / f"{name}.wql").write_text(source)
         assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
         return tmp_path
 
@@ -224,13 +240,14 @@ class TestFailClosed:
         (3, ["scan", "{t}/inf_malloc.wat", "--config", CONFIG]),
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
         *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
+        *[(3, ["query", "{t}/g.json", "--wql", f"{{t}}/{name}.wql"]) for name in BAD_WQL],
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
             "config-not-object", "config-too-deep", "multi-result-function",
             "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
             "query-missing-graph", "export-missing-graph", "infinite-alloc-size",
-            *MALFORMED, *BAD_CONFIGS])
+            *MALFORMED, *BAD_CONFIGS, *BAD_WQL])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code

@@ -62,6 +62,11 @@ class TestInstructions:
             q.instructions(cpg, [0])
 
 
+def _plain(cond):
+    """The same condition as a plain callable, which walks every edge type."""
+    return lambda e: cond(e)
+
+
 def _closure(cpg, edge_cond):
     """Floyd-Warshall reachability oracle over matching edges."""
     n = len(cpg.nodes)
@@ -97,17 +102,21 @@ class TestBfs:
 
     def test_matches_transitive_closure(self):
         cpg = fixture_cpg("fig_ddg")  # 29 nodes: small enough to close
+        n = len(cpg.nodes)
         for cond_type in (g.AST, g.CFG, g.DDG):
-            cond = q.edge_type_cond(cond_type)
-            closure = _closure(cpg, cond)
-            for src in range(len(cpg.nodes)):
-                got = set(q.bfs(cpg, [src], edge_cond=cond))
-                expected = {d for d in range(len(cpg.nodes))
-                            if closure[src][d]} - {src}
-                # reachable set excludes starts but keeps self-loops' targets
-                if closure[src][src]:
-                    expected.discard(src)
-                assert got == expected, (cond_type, src)
+            typed = q.edge_type_cond(cond_type)
+            closure = _closure(cpg, typed)
+            for cond in (typed, _plain(typed)):
+                for src in range(n):
+                    got = set(q.bfs(cpg, [src], edge_cond=cond))
+                    expected = {d for d in range(n) if closure[src][d]} - {src}
+                    # reachable set excludes starts but keeps self-loops' targets
+                    if closure[src][src]:
+                        expected.discard(src)
+                    assert got == expected, (cond_type, src)
+                    ascendants = q.bfs(cpg, [src], edge_cond=cond, direction="in")
+                    assert ascendants == [d for d in range(n)
+                                          if closure[d][src] and d != src], (cond_type, src)
 
     def test_limit(self):
         cpg = fixture_cpg("libpng_get_token")
@@ -115,6 +124,26 @@ class TestBfs:
         full = q.bfs(cpg, [fn], edge_cond=q.edge_type_cond(g.AST))
         limited = q.bfs(cpg, [fn], edge_cond=q.edge_type_cond(g.AST), limit=3)
         assert len(limited) == 3 and set(limited) <= set(full)
+        # a limit keeps the first nodes in breadth-first order, which a typed
+        # walk and an untyped one agree on
+        call = q.instructions(cpg, [fn], q.p_inst_type(cpg, "Call"))[0]
+        for cond_type in (g.AST, g.CFG, g.DDG):
+            typed = q.edge_type_cond(cond_type)
+            for start, direction in ((fn, "out"), (call, "out"), (call, "in")):
+                for limit in range(1, 6):
+                    assert q.bfs(cpg, [start], edge_cond=typed, limit=limit,
+                                 direction=direction) == \
+                        q.bfs(cpg, [start], edge_cond=_plain(typed), limit=limit,
+                              direction=direction), (cond_type, start, direction, limit)
+
+    def test_limit_zero_negative_and_bad_direction(self):
+        cpg = fixture_cpg("fig_ddg")
+        fn = q.functions(cpg)[0]
+        assert q.bfs(cpg, [fn], limit=0) == []
+        with pytest.raises(GraphError, match="limit"):
+            q.bfs(cpg, [fn], limit=-1)
+        with pytest.raises(GraphError, match="direction"):
+            q.bfs(cpg, [fn], direction="up")
 
     def test_deterministic(self):
         cpg = fixture_cpg("mixed")
@@ -147,6 +176,7 @@ class TestReachesDdg:
         for src in range(len(cpg.nodes)):
             for dst in range(len(cpg.nodes)):
                 assert q.reaches(cpg, src, dst, cond) == closure[src][dst]
+                assert q.reaches(cpg, src, dst, _plain(cond)) == closure[src][dst]
 
 
 class TestPredicates:

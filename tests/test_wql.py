@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import copy
 import pathlib
 
 import pytest
@@ -150,12 +151,40 @@ foreach f in functions():
             eval_wql(parse_wql("if (1): x := 2;"), cpg, {})
         with pytest.raises(WqlRuntimeError, match="nil"):
             eval_wql(parse_wql("x := nil; y := x.name;"), cpg, {})
+        with pytest.raises(WqlRuntimeError, match="line 2: instructions.. expects Function"):
+            eval_wql(parse_wql("f := functions()[1];\nx := instructions(descendantsAST(f));"),
+                     fixture_cpg("mixed"), {})
 
     def test_evaluation_does_not_mutate_the_graph(self, scan_config):
         cpg = fixture_cpg("q06_vuln")
-        before = (len(cpg.nodes), len(cpg.edges))
+
+        def snapshot():
+            return (len(cpg.nodes), len(cpg.edges),
+                    [[[e.id for e in read(n.id, t)] for t in (None, "AST", "CFG", "CG", "DDG")
+                      for read in (cpg.in_edges, cpg.out_edges)] for n in cpg.nodes])
+
+        before = snapshot()
         eval_wql(parse_wql(TAINT_LISTING), cpg, scan_config.to_wql_bindings())
-        assert (len(cpg.nodes), len(cpg.edges)) == before
+        # lists a program is handed are its own to change, the bindings' too
+        bindings = scan_config.to_wql_bindings()
+        bound = copy.deepcopy(bindings)
+        eval_wql(parse_wql("""
+config["sinks"].append(1);
+config["sources"].pop();
+fns := functions();
+nodes := descendantsAST(fns[1]);
+nodes.append(fns[0]);
+nodes.append(fns[1]);
+foreach n in nodes:
+    foreach edges in List(n.inEdges, n.outEdges, descendantsAST(n), children(n, "DDG")):
+        if (!edges.empty()):
+            e := edges.pop();
+        edges.append(n);
+fns.pop();
+fns.append(1);
+"""), cpg, bindings)
+        assert snapshot() == before
+        assert bindings == bound
 
 
 def _multiset(findings):
