@@ -19,6 +19,7 @@ from .findings import Finding
 from .pipeline import STAGES, build_cpg
 from .queries import QUERIES, ScanConfig, run_all
 from .wql import eval_wql, parse_wql
+from .wql.interp import DEFAULT_BUDGET
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -54,6 +55,9 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--wql", action="append", default=[])
     s.add_argument("--timing", action="store_true")
     s.add_argument("-o", "--output")
+    for p in (qp, s):
+        p.add_argument("--wql-budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+                       help="fail a query file after N loop and filter steps")
 
     e = sub.add_parser("export", help="convert a graph to another serialization")
     e.add_argument("input", help="graph JSON produced by 'build'")
@@ -120,7 +124,7 @@ def _run_queries(cpg, args) -> list[Finding]:
         findings.extend(run_all(cpg, config, enabled))
     for path in args.wql:
         program = parse_wql(_read_text(path, WqlError))
-        findings.extend(eval_wql(program, cpg, config.to_wql_bindings()))
+        findings.extend(eval_wql(program, cpg, config.to_wql_bindings(), args.wql_budget))
     return findings
 
 

@@ -8,6 +8,10 @@ immutable and safe for concurrent readers.
 Edge property maps may be shared between edges: the DDG bulk path stores one
 map per origin node for all of its edges. Every property map read from the
 graph is read-only.
+
+A frozen graph also answers `instructions(fn, inst_type)` from an index of
+each function's instructions by `instType`. The index is derived data: it is
+built on the first such call, assigned whole, and never serialised.
 """
 
 from __future__ import annotations
@@ -231,6 +235,8 @@ class Cpg:
         self._out: list[dict[str, list[Edge]]] = []   # node -> type -> edges, id order
         self._in: list[dict[str, list[Edge]]] = []
         self._frozen = False
+        # Function id -> instType (None: all) -> instruction ids, ascending
+        self._inst_index: dict[int, dict[str | None, tuple[int, ...]]] | None = None
 
     # -- construction --------------------------------------------------------
     def _writable(self) -> None:
@@ -325,6 +331,8 @@ class Cpg:
         self.node(nid)
         by_type = table[nid]
         if edge_type is not None:
+            if edge_type not in EDGE_TYPES:
+                raise GraphError(f"unknown edge type {edge_type!r}")
             return list(by_type.get(edge_type, ()))
         return sorted((e for lst in by_type.values() for e in lst), key=lambda e: e.id)
 
@@ -356,6 +364,35 @@ class Cpg:
         funcs = self.nodes_of_kind(FUNCTION)
         funcs.sort(key=lambda n: n.properties["index"])
         return funcs
+
+    def instructions(self, fn: int, inst_type: str | None = None) -> tuple[int, ...]:
+        """Instruction ids AST-reachable from Function `fn`, ascending; with
+        `inst_type`, only those of that instType."""
+        if inst_type is not None and inst_type not in INST_TYPES:
+            raise GraphError(f"unknown instType {inst_type!r}")
+        index = self._inst_index
+        if index is None:
+            if not self._frozen:
+                raise GraphError("the instruction index needs a frozen graph")
+            index = self._inst_index = self._index_instructions()
+        if fn not in index:
+            raise GraphError(f"instructions() expects Function nodes, got node {fn}")
+        return index[fn].get(inst_type, ())
+
+    def _index_instructions(self) -> dict[int, dict[str | None, tuple[int, ...]]]:
+        index = {}
+        for fn in self.nodes_of_kind(FUNCTION):
+            seen, stack = {fn.id}, [fn.id]
+            while stack:
+                new = [e.dst for e in self._out[stack.pop()].get(AST, ()) if e.dst not in seen]
+                seen.update(new)
+                stack += new
+            ids = sorted(n for n in seen if self.nodes[n].kind == INSTRUCTION)
+            by_type: dict[str | None, list[int]] = {None: ids}
+            for n in ids:
+                by_type.setdefault(self.nodes[n].properties["instType"], []).append(n)
+            index[fn.id] = {t: tuple(v) for t, v in by_type.items()}
+        return index
 
     def ast_children(self, nid: int) -> list[int]:
         """AST children ordered by childIndex."""

@@ -98,7 +98,8 @@ def _is_call(cpg: g.Cpg, node: int, names) -> bool:
 
 
 def _calls(cpg: g.Cpg, fnode: int, names) -> list[int]:
-    return q.instructions(cpg, [fnode], lambda n: _is_call(cpg, n, names))
+    return q.instructions(cpg, [fnode], lambda n: cpg.node_property(n, "label") in names,
+                          inst_type="Call")
 
 
 def _ddg_labels(cpg: g.Cpg, node: int, ddg_type: str) -> set:
@@ -214,7 +215,7 @@ def q5_tainted_call_indirect(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     if not sources:
         return findings
     for fnode in q.functions(cpg):
-        for node in q.instructions(cpg, [fnode], q.p_inst_type(cpg, "CallIndirect")):
+        for node in q.instructions(cpg, [fnode], inst_type="CallIndirect"):
             if _ddg_labels(cpg, node, "Function") & sources:
                 findings.append(Finding(
                     5, "Tainted CallIndirect", _fname(cpg, fnode),
@@ -264,7 +265,6 @@ def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     sinks = set(config.sinks)
     if not sinks:
         return findings
-    call_pred = q.p_or(q.p_inst_type(cpg, "Call"), q.p_inst_type(cpg, "CallIndirect"))
     reported: set[tuple[str, int]] = set()
     for root in q.functions(cpg):
         if not cpg.node_property(root, "isExport"):
@@ -290,7 +290,8 @@ def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
                             f"reaches a sink", [origin, sink]))
             if depth >= config.taint_depth:
                 continue
-            for call in q.instructions(cpg, [fnode], call_pred):
+            for call in sorted(q.instructions(cpg, [fnode], inst_type="Call") +
+                               q.instructions(cpg, [fnode], inst_type="CallIndirect")):
                 if not q.reaches_ddg(cpg, origin, call, "Local", pname):
                     continue
                 for callee in q.children(cpg, call, g.CG):
@@ -307,9 +308,8 @@ def q7_tainted_local_to_func(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
 def _frame_setup(cpg: g.Cpg, fnode: int) -> tuple[str | None, int]:
     """Detect the stack-frame prologue: global read minus a constant, stored
     into a frame-pointer local. Returns (fp local name, frame size)."""
-    pred = q.p_and(q.p_inst_type(cpg, "Binary"),
-                   q.p_property(cpg, "opcode", "i32.sub"))
-    for sub in q.instructions(cpg, [fnode], pred):
+    for sub in q.instructions(cpg, [fnode], q.p_property(cpg, "opcode", "i32.sub"),
+                              inst_type="Binary"):
         kids = cpg.ast_children(sub)
         if len(kids) != 2:
             continue
@@ -370,9 +370,8 @@ def q8_bo_static_buffer(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
         if fp is None:
             continue
         offsets = {0}
-        add_pred = q.p_and(q.p_inst_type(cpg, "Binary"),
-                           q.p_property(cpg, "opcode", "i32.add"))
-        for add in q.instructions(cpg, [fnode], add_pred):
+        for add in q.instructions(cpg, [fnode], q.p_property(cpg, "opcode", "i32.add"),
+                                  inst_type="Binary"):
             off = _fp_offset(cpg, add, fp)
             if off is not None:
                 offsets.add(off)
@@ -439,7 +438,7 @@ def q10_bo_loops(cpg: g.Cpg, config: ScanConfig) -> list[Finding]:
     """
     findings = []
     for fnode in q.functions(cpg):
-        for loop in q.instructions(cpg, [fnode], q.p_inst_type(cpg, "Loop")):
+        for loop in q.instructions(cpg, [fnode], inst_type="Loop"):
             insts = q.descendants_ast(cpg, loop)
             stored: set[int] = set()
             for st in insts:

@@ -5,11 +5,14 @@ duplicate-free in ascending id order. Predicates are plain callables over a
 node id; the helpers below build the common ones and compose with
 ``p_and``/``p_or``/``p_not``.
 
-Every walk (`bfs`, `reaches`, `instructions`, `descendants_*`,
-`ascendants_ast`) is a filter over one breadth-first generator, `_walk`.
-An edge condition is an `EdgeCond` (from `edge_type_cond` or
-`ddg_edge_cond`), which walks one edge type's adjacency only, or any plain
-callable over an `Edge`, which is asked about the edges of every type.
+`instructions` reads the graph's instruction index (`Cpg.instructions`), so
+`inst_type=` reads one instType's slice instead of testing each instruction.
+Every other walk (`bfs`, `reaches`, `descendants_*`, `ascendants_ast`) is a
+filter over one breadth-first generator, `_walk`. An edge condition is an
+`EdgeCond` (from `edge_type_cond` or `ddg_edge_cond`), which walks one edge
+type's adjacency only, or any plain callable over an `Edge`, which is asked
+about the edges of every type. An edge type or `ddgType` outside the schema
+is a `GraphError`, not an empty answer.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ class EdgeCond:
     type: str
     props: tuple[tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.type not in g.EDGE_TYPES:
+            raise GraphError(f"unknown edge type {self.type!r}")
+
     def __call__(self, e: g.Edge) -> bool:
         return e.type == self.type and \
             all(e.properties.get(k) == v for k, v in self.props)
@@ -51,6 +58,8 @@ def edge_type_cond(edge_type: str) -> EdgeCond:
 
 
 def ddg_edge_cond(ddg_type: str | None = None, label=None) -> EdgeCond:
+    if ddg_type is not None and ddg_type not in g.DDG_TYPES:
+        raise GraphError(f"unknown ddgType {ddg_type!r}")
     return _cond(g.DDG, ddgType=ddg_type, label=label)
 
 
@@ -65,15 +74,14 @@ def functions(cpg: g.Cpg) -> list[int]:
     return [n.id for n in cpg.function_nodes()]
 
 
-def instructions(cpg: g.Cpg, nodes: Iterable[int], pred: Predicate = TRUE) -> list[int]:
-    """Instruction nodes AST-reachable from the given Function nodes."""
+def instructions(cpg: g.Cpg, nodes: Iterable[int], pred: Predicate = TRUE,
+                 inst_type: str | None = None) -> list[int]:
+    """Instruction nodes AST-reachable from the given Function nodes, only
+    those of `inst_type` if it is given; a fresh list."""
     _require_frozen(cpg)
-    fns = list(nodes)
-    for fn in fns:
-        if cpg.node(fn).kind != g.FUNCTION:
-            raise GraphError(f"instructions() expects Function nodes, got node {fn}")
-    return sorted({n for n in _walk(cpg, fns, _AST)
-                   if cpg.nodes[n].kind == g.INSTRUCTION and pred(n)})
+    found = [cpg.instructions(fn, inst_type) for fn in nodes]
+    ids = found[0] if len(found) == 1 else sorted(set().union(*found))
+    return list(ids) if pred is TRUE else [n for n in ids if pred(n)]
 
 
 def _walk(cpg: g.Cpg, starts: Iterable[int], edge_cond: Callable[[g.Edge], bool] | None,

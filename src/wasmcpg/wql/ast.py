@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
+
+from .. import graph as g
 
 
 @dataclass
@@ -107,6 +109,33 @@ class Index(NodeBase):
 
 @dataclass
 class RangeExpr(NodeBase):
+    """`[var in source : pred]`, planned at parse time. When pred's leftmost
+    conjunct is `var.instType = "T"` over `instructions(...)`, or `var.type =
+    "T"` over `x.inEdges`/`x.outEdges`, for a T in the graph schema, `plan` is
+    (T, pred with that conjunct made true): only T's slice of the source is
+    read. Otherwise it is (None, pred)."""
     var: str = ""
     source: Any = None
     pred: Any = None
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.plan = (None, self.pred)
+        src, chain, first = self.source, [], self.pred
+        while isinstance(first, BinOp) and first.op == "&&":
+            chain.append(first)
+            first = first.left
+        if isinstance(src, CallBuiltin) and src.name == "instructions" and len(src.args) == 1:
+            attr, types = "instType", g.INST_TYPES
+        elif isinstance(src, Attr) and src.name in ("inEdges", "outEdges"):
+            attr, types = "type", g.EDGE_TYPES
+        else:
+            return
+        if isinstance(first, BinOp) and first.op == "=" and isinstance(first.left, Attr) \
+                and first.left.name == attr and isinstance(first.left.obj, Var) \
+                and first.left.obj.name == self.var and isinstance(first.right, Literal) \
+                and first.right.value in types:
+            rest = Literal(value=True, line=first.line)
+            for node in reversed(chain):
+                rest = replace(node, left=rest)
+            self.plan = (first.right.value, rest)

@@ -188,7 +188,13 @@ BAD_WQL = {
     "wql-int-too-large-for-float": "x := 1" + "0" * 400 + " * 1.0;",
     "wql-int-literal-too-long": "x := 1" + "0" * 5000 + ";",
     "wql-number-plus-bool": "x := 1 + true;",
+    "wql-bool-and-list-order": "x := true < 2 && List(1) < List(2);",
+    "wql-list-order": "x := List(1) < List(2);",
+    "wql-reaches-unknown-ddg-type":
+        'x := reachesDDG(functions()[0], functions()[0], "Nope", nil);',
 }
+
+FOREVER_WQL = "while true:\n    x := 1;\n"
 
 
 class TestFailClosed:
@@ -216,6 +222,7 @@ class TestFailClosed:
         (tmp_path / "sum.wql").write_text("x := " + " + ".join(["1"] * 5000) + ";")
         for name, source in BAD_WQL.items():
             (tmp_path / f"{name}.wql").write_text(source)
+        (tmp_path / "forever.wql").write_text(FOREVER_WQL)
         assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
         return tmp_path
 
@@ -241,19 +248,26 @@ class TestFailClosed:
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
         *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
         *[(3, ["query", "{t}/g.json", "--wql", f"{{t}}/{name}.wql"]) for name in BAD_WQL],
+        (3, ["query", "{t}/g.json", "--wql", "{t}/forever.wql", "--wql-budget", "1000"]),
+        (3, ["scan", MIXED, "--wql", "{t}/forever.wql", "--wql-budget", "1000"]),
     ], ids=["wat-not-utf8", "graph-not-utf8", "graph-too-deep", "output-is-dir",
             "facts-dir-is-file", "wql-is-dir", "wql-not-utf8", "config-bad-json",
             "config-not-object", "config-too-deep", "multi-result-function",
             "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
             "query-missing-graph", "export-missing-graph", "infinite-alloc-size",
-            *MALFORMED, *BAD_CONFIGS, *BAD_WQL])
+            *MALFORMED, *BAD_CONFIGS, *BAD_WQL, "wql-step-budget", "wql-step-budget-scan"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])
         assert got == code
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_step_budget_names_its_line(self, capsys, t):
+        got = run(capsys, "query", f"{t}/g.json", "--wql", f"{t}/forever.wql",
+                  "--wql-budget", "1000")
+        assert got == (3, "", "error: line 1: step budget of 1000 exceeded\n")
 
     def test_dead_labeled_if_scans_clean(self, capsys, tmp_path):
         path = tmp_path / "dead_if.wat"

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from conftest import build_fixture, fixture_cpg
+from conftest import ALL_FIXTURES, build_fixture, fixture_cpg, fixture_source
 from wasmcpg.errors import GraphError
+from wasmcpg.export import import_json, to_json
 from wasmcpg import graph as g
 from wasmcpg import query as q
+from wasmcpg.pipeline import build_cpg
 
 
 class TestFunctions:
@@ -60,6 +62,87 @@ class TestInstructions:
         cpg = fixture_cpg("fig_ddg")
         with pytest.raises(GraphError, match="Function"):
             q.instructions(cpg, [0])
+
+
+def _reimported(cpg, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(to_json(cpg), encoding="utf-8")
+    return import_json(str(path))
+
+
+class TestInstructionIndex:
+    """The index behind `instructions` answers exactly what a walk does."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_equals_a_fresh_ast_walk(self, name, tmp_path):
+        built = fixture_cpg(name)
+        for cpg in (built, _reimported(built, tmp_path)):
+            fns = q.functions(cpg)
+            for fn in fns:
+                walked = [n for n in q.descendants_ast(cpg, fn)
+                          if cpg.nodes[n].kind == g.INSTRUCTION]
+                assert q.instructions(cpg, [fn]) == walked
+                for t in g.INST_TYPES:
+                    assert q.instructions(cpg, [fn], inst_type=t) == \
+                        [n for n in walked if cpg.node_property(n, "instType") == t]
+            for t in (None, "Call", "Loop"):
+                assert q.instructions(cpg, fns, inst_type=t) == sorted(
+                    {n for fn in fns for n in q.instructions(cpg, [fn], inst_type=t)})
+
+    def test_results_are_fresh_lists(self):
+        cpg = fixture_cpg("mixed")
+        fn = q.functions(cpg)[-1]
+        for kwargs in ({}, {"inst_type": "Call"}, {"pred": lambda n: True}):
+            first = q.instructions(cpg, [fn], **kwargs)
+            first.append(-1)
+            assert -1 not in q.instructions(cpg, [fn], **kwargs)
+        assert isinstance(cpg.instructions(fn), tuple)   # the store's own copy is read-only
+
+    def test_unfrozen_graph_is_refused(self):
+        cpg = g.Cpg()
+        fn = cpg.add_node(g.FUNCTION, {"name": "$f", "index": 0, "nargs": 0, "nlocals": 0,
+                                       "nresults": 0, "isImport": False, "isExport": False})
+        with pytest.raises(GraphError, match="frozen"):
+            q.instructions(cpg, [fn])
+        with pytest.raises(GraphError, match="frozen"):
+            cpg.instructions(fn)
+        cpg.freeze()
+        assert q.instructions(cpg, [fn]) == []
+
+    def test_unknown_inst_type_is_an_error(self):
+        cpg = fixture_cpg("mixed")
+        with pytest.raises(GraphError, match="instType"):
+            q.instructions(cpg, q.functions(cpg), inst_type="Bogus")
+
+    def test_not_serialised(self):
+        cpg, _ = build_cpg(fixture_source("q07_vuln"))   # no index built yet
+        before = to_json(cpg)
+        q.instructions(cpg, q.functions(cpg))
+        assert to_json(cpg) == before
+
+
+class TestTypedLookupsFailClosed:
+    """A type outside the schema is an error, never an empty answer."""
+
+    def test_unknown_types_raise(self):
+        cpg = fixture_cpg("mixed")
+        f = q.functions(cpg)[-1]
+        for lookup in (lambda: cpg.out_edges(f, "XYZ"), lambda: cpg.in_edges(f, "XYZ"),
+                       lambda: cpg.adjacency(f, "XYZ"), lambda: q.children(cpg, f, "XYZ"),
+                       lambda: q.reaches_ddg(cpg, f, f + 1, "Nope", None),
+                       lambda: q.p_in_edge(cpg, "XYZ"), lambda: q.edge_type_cond("ddg"),
+                       lambda: q.p_in_ddg_edge(cpg, "Nope"),
+                       lambda: q.p_out_ddg_edge(cpg, "Nope")):
+            with pytest.raises(GraphError, match="unknown"):
+                lookup()
+
+    def test_schema_types_still_answer(self):
+        cpg = fixture_cpg("mixed")
+        f = q.functions(cpg)[-1]
+        for t in g.EDGE_TYPES:
+            assert cpg.out_edges(f, t) == [e for e in cpg.out_edges(f) if e.type == t]
+        for t in g.DDG_TYPES:
+            assert not q.reaches_ddg(cpg, f, f, t, None)
 
 
 def _plain(cond):

@@ -154,6 +154,13 @@ foreach f in functions():
         with pytest.raises(WqlRuntimeError, match="line 2: instructions.. expects Function"):
             eval_wql(parse_wql("f := functions()[1];\nx := instructions(descendantsAST(f));"),
                      fixture_cpg("mixed"), {})
+        for source in ("x := true < 2 && List(1) < List(2);", "x := List(1) < List(2);",
+                       'x := "a" >= 1;', "x := nil <= nil;", "x := 1 > false;"):
+            with pytest.raises(WqlRuntimeError, match="line 1: cannot compare"):
+                eval_wql(parse_wql(source), cpg, {})
+        with pytest.raises(WqlRuntimeError, match="line 2: unknown ddgType 'Nope'"):
+            eval_wql(parse_wql('f := functions()[1];\nx := reachesDDG(f, f, "Nope", nil);'),
+                     fixture_cpg("mixed"), {})
 
     def test_evaluation_does_not_mutate_the_graph(self, scan_config):
         cpg = fixture_cpg("q06_vuln")
@@ -185,6 +192,129 @@ fns.append(1);
 """), cpg, bindings)
         assert snapshot() == before
         assert bindings == bound
+
+
+# Each pushable range expression, with the same predicate written so that it
+# cannot be pushed down (a leading `true &&`), on the same layout so that
+# error lines agree. `{T}` is an instType or an edge type.
+PUSHDOWN_PAIRS = [
+    ('[n in instructions(f) : n.instType = "{T}"]',
+     '[n in instructions(f) : true && n.instType = "{T}"]'),
+    ('[n in instructions(f) : n.instType = "{T}" && n.id >= 0 && n.id / 2 * 2 = n.id]',
+     '[n in instructions(f) : true && n.instType = "{T}" && n.id >= 0 && n.id / 2 * 2 = n.id]'),
+    ('[n in instructions(functions()) : n.instType = "{T}" && n.id >= 0]',
+     '[n in instructions(functions()) : true && n.instType = "{T}" && n.id >= 0]'),
+    ('[e in n.inEdges : e.type = "{T}" && e.id / 3 * 3 != e.id]',
+     '[e in n.inEdges : true && e.type = "{T}" && e.id / 3 * 3 != e.id]'),
+    ('[e in n.outEdges : e.type = "{T}"]',
+     '[e in n.outEdges : true && e.type = "{T}"]'),
+]
+PUSHDOWN_TYPES = ["Call", "Const", "Loop", "LocalGet", "BrIf", "Bogus",
+                  "AST", "CFG", "CG", "DDG", "XYZ", "ast"]
+
+
+def _range_ids(expr, cpg):
+    """Ids that `expr` selects, for every function f and every node n."""
+    prog = parse_wql(f"""
+foreach f in functions():
+    foreach n in descendantsAST(f):
+        foreach x in {expr}:
+            vulnerability("hit", f.name, n.id, x.id);
+""")
+    return [(f.label, f.description) for f in eval_wql(prog, cpg, {})]
+
+
+def _outcome(source, cpg):
+    try:
+        return eval_wql(parse_wql(source), cpg, {})
+    except WqlRuntimeError as exc:
+        return str(exc)
+
+
+class TestPushdown:
+    def test_plans(self):
+        def planned(expr):
+            return parse_wql(f"x := {expr};").body[0].expr.expr.plan[0]
+
+        pushed, plain = PUSHDOWN_PAIRS[1]
+        for t, want in (("Call", "Call"), ("Bogus", None)):
+            assert planned(pushed.format(T=t)) == want
+            assert planned(plain.format(T=t)) is None
+        assert planned('[e in n.inEdges : e.type = "DDG"]') == "DDG"
+        assert planned('[e in n.outEdges : e.type = "CG" && true]') == "CG"
+        for expr in ('[n in descendantsAST(f) : n.instType = "Call"]',
+                     '[n in instructions(f) : n.label = "Call"]',
+                     '[n in instructions(f) : m.instType = "Call"]',
+                     '[n in instructions(f) : n.instType = x]',
+                     '[n in instructions(f) : n.instType = "Call" || true]',
+                     '[e in n.inEdges : e.ddgType = "Local"]'):
+            assert planned(expr) is None, expr
+
+    @pytest.mark.parametrize("name", ["q03_vuln", "q05_vuln", "q07_vuln", "q10_vuln",
+                                      "mixed", "libpng_get_token", "empty"])
+    def test_same_items_in_the_same_order(self, name):
+        cpg = fixture_cpg(name)
+        for pushed, plain in PUSHDOWN_PAIRS:
+            for t in PUSHDOWN_TYPES:
+                got = _range_ids(pushed.format(T=t), cpg)
+                assert got == _range_ids(plain.format(T=t), cpg), (pushed, t)
+
+    def test_same_errors(self):
+        cpg = fixture_cpg("q03_vuln")
+        programs = [
+            # a non-Function node, a non-node and a nil as the source
+            "f := descendantsAST(functions()[1])[0];\nx := {R};",
+            "f := 5;\nx := {R};",
+            "n := nil;\nx := {R};",
+            "n := functions()[1].outEdges[0];\nx := {R};",   # an edge has no inEdges
+            # a rest that is not a boolean, on a later line than the pushed test
+            "f := functions()[3];\nn := descendantsAST(f)[4];\nx := {R2};",
+        ]
+        seen = set()
+        for pushed, plain in PUSHDOWN_PAIRS:
+            for source in programs:
+                outcomes = [_outcome(source.format(R=r.format(T="Call"),
+                                                   R2=r.format(T="Call").replace("]", "\n && 5]")),
+                                     cpg) for r in (pushed, plain)]
+                assert outcomes[0] == outcomes[1], (pushed, source)
+                seen.add(outcomes[0] if isinstance(outcomes[0], str) else "ok")
+        assert {"line 2: expected a node, got int", "line 2: attribute 'inEdges' on nil",
+                "line 2: range expression expects a list",
+                "line 4: expected a boolean, got int"} <= seen, seen
+        assert any(o.startswith("line 2: instructions() expects Function") for o in seen)
+
+
+class TestBudget:
+    def test_every_step_counts(self):
+        cpg = fixture_cpg("empty")
+        prog = parse_wql("""
+i := 0;
+while (i < 2):
+    i := i + 1;
+foreach x in List(1, 2, 3):
+    y := [z in List(1, 2) : true];
+""")
+        # 2 while iterations, 3 foreach iterations, 3 x 2 range items
+        assert eval_wql(prog, cpg, {}, budget=11) == []
+        with pytest.raises(WqlRuntimeError, match="line 6: step budget of 10 exceeded"):
+            eval_wql(prog, cpg, {}, budget=10)
+
+    def test_an_endless_loop_stops(self):
+        cpg = fixture_cpg("empty")
+        with pytest.raises(WqlRuntimeError, match="line 2: step budget of 1000 exceeded"):
+            eval_wql(parse_wql("x := 0;\nwhile true:\n    x := x + 1;"), cpg, {}, budget=1000)
+
+    def test_the_default_fits_every_twin_on_a_scaling_module(self, scan_config):
+        import gen
+        from wasmcpg.pipeline import build_cpg
+        from wasmcpg.wql.interp import DEFAULT_BUDGET, Interpreter
+        cpg, _ = build_cpg(gen.scaling_module(1000))
+        used = {}
+        for path in sorted(QUERIES_WQL.glob("*.wql")):
+            interp = Interpreter(cpg, scan_config.to_wql_bindings())
+            interp.run(parse_wql(path.read_text(encoding="utf-8")))
+            used[path.stem] = interp.steps
+        assert max(used.values()) * 100 < DEFAULT_BUDGET, used
 
 
 def _multiset(findings):
