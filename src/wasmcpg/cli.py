@@ -153,10 +153,10 @@ def _run(args) -> int:
         return EXIT_FINDINGS if findings else EXIT_CLEAN
 
     if args.command == "export":
-        cpg = import_json(args.input)
         edge_types = tuple(args.edges.split(",")) if args.edges else \
             ("AST", "CFG", "CG", "DDG")
         manifest = ExportManifest(args.format, args.output, edge_types)
+        cpg = import_json(args.input)
         for path in export(cpg, manifest):
             print(path, file=sys.stderr)
         return EXIT_CLEAN

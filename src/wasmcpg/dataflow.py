@@ -363,6 +363,7 @@ def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
     """
     popped = analysis.popped
     props_of: dict[int, dict] = {}
+    ddg = g.DDG
 
     def rows():
         for node in sorted(popped):
@@ -370,9 +371,9 @@ def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
                 props = props_of.get(dep.origin)
                 if props is None:
                     props = props_of[dep.origin] = _ddg_props(dep)
-                yield dep.origin, node, props
+                yield dep.origin, node, ddg, props
 
-    return ctx.cpg.add_ddg_edges(rows())
+    return ctx.cpg.add_edges(rows())
 
 
 def _ddg_props(dep: Dep) -> dict:

@@ -6,19 +6,29 @@ id order and property keys sorted. The lossy formats (DOT/facts/CSV) project
 the graph; JSON round-trips exactly.
 
 JSON is compact, with one node or edge record per line between the lines
-`{"edges":[`, `],"nodes":[` and `],"schema":1}`. Each distinct property map
-is encoded once, so the DDG edges of one origin, which share a map, cost one
-encoding. `import_json` accepts any layout of the same document, including
-files pretty-printed by older versions.
+`{"edges":[`, `],"nodes":[` and `],"schema":1}`.
+
+Every path costs one unit of work per distinct property map plus a cheap
+append per edge. The graph shares one map among edges of one type (see
+`graph.Cpg.add_edges`), so `to_json` encodes each map once, and DOT, Datalog
+and CSV render each edge's attributes once per (type, map). `import_json`
+reads that layout line by line and decodes and validates each distinct
+(type, property text) once, so its edges share one map again; texts that
+differ only in type or sign (`1`, `1.0`, `true`; `0.0`, `-0.0`) stay apart.
+It accepts any other layout of the same document, such as files
+pretty-printed by older versions, through `json.load`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import ExportError
+from .errors import ExportError, WasmCpgError
 from . import graph as g
 
 SCHEMA_VERSION = 1
@@ -39,6 +49,10 @@ class ExportManifest:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ExportError(f"unsupported export format {self.format!r}")
+        unknown = [t for t in self.edge_types if t not in g.EDGE_TYPES]
+        if unknown:
+            raise ExportError(f"unknown edge types {unknown}; expected some of "
+                              f"{', '.join(g.EDGE_TYPES)}")
 
 
 # -- JSON --------------------------------------------------------------------
@@ -64,15 +78,32 @@ def to_json(cpg: g.Cpg) -> str:
     return "\n".join(p for p in parts if p) + "\n"
 
 
+# One record line of the layout `to_json` writes; ids use JSON's integer grammar.
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_EDGE_LINE = re.compile(r'\{"dst":%s,"id":%s,"properties":(\{.*\}),"src":%s,'
+                        r'"type":"([A-Z]+)"\}(,?)\n' % (_INT, _INT, _INT))
+_NODE_LINE = re.compile(r'\{"id":%s,"kind":"([A-Za-z]+)","properties":(\{.*\})\}(,?)\n'
+                        % _INT)
+
+
 def import_json(path: str) -> g.Cpg:
     """Rebuild a frozen graph from a file `to_json` wrote. A file that cannot
-    be opened raises `OSError`; one that is not a graph raises `ExportError`."""
+    be opened raises `OSError`; one that is not a graph raises `ExportError`.
+
+    A file in `to_json`'s layout is read line by line, and each distinct
+    (edge type, property text) is decoded and validated once, its edges
+    sharing one map. Any other file, and any fault on the way, sends the
+    whole file to `json.load`, which reports every error."""
     with g.gc_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                return _read_lines(fh).freeze()
+            except (ValueError, KeyError, TypeError, RecursionError, WasmCpgError):
+                fh.seek(0)
+            try:
                 doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
-            raise ExportError(f"cannot load graph file {path}: {exc}")
+            except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
+                raise ExportError(f"cannot load graph file {path}: {exc}")
         if not isinstance(doc, dict) or "schema" not in doc:
             raise ExportError("not a serialized graph file")
         if doc["schema"] != SCHEMA_VERSION:
@@ -98,6 +129,51 @@ def import_json(path: str) -> g.Cpg:
         return cpg.freeze()
 
 
+def _records(lines: Iterator[str], pattern: re.Pattern, close: str) -> Iterator[tuple]:
+    """The regex groups of each record line up to the line `close`; the last
+    group is the line's trailing comma. A line out of `to_json`'s layout
+    raises ValueError."""
+    comma = line = None     # after a record: "," if another must follow, else ""
+    for line in lines:
+        m = pattern.fullmatch(line)
+        if m is None or comma == "":
+            break
+        groups = m.groups()
+        comma = groups[-1]
+        yield groups
+    if line != close or comma == ",":
+        raise ValueError("not the layout to_json writes")
+
+
+def _read_lines(lines: Iterator[str]) -> g.Cpg:
+    if next(lines, None) != '{"edges":[\n':
+        raise ValueError("not the layout to_json writes")
+    memo: dict[tuple[str, str], tuple[str, dict]] = {}
+
+    def interned(kind: str, text: str) -> tuple[str, dict]:
+        """(edge type or node kind, property text) -> one shared (kind, map)."""
+        found = memo.get((kind, text))
+        if found is None:
+            found = memo[kind, text] = (sys.intern(kind), json.loads(text))
+        return found
+
+    rows: list[tuple] = []
+    for dst, eid, text, src, edge_type, _ in _records(lines, _EDGE_LINE, '],"nodes":[\n'):
+        if int(eid) != len(rows):
+            raise ValueError("edge ids must be dense and ordered")
+        rows.append((int(src), int(dst)) + interned(edge_type, text))
+    cpg = g.Cpg()
+    for nid, kind, text, _ in _records(lines, _NODE_LINE,
+                                       '],"schema":%d}\n' % SCHEMA_VERSION):
+        if int(nid) != len(cpg.nodes):
+            raise ValueError("node ids must be dense and ordered")
+        cpg.add_node(*interned(kind, text))   # add_node copies the map
+    if next(lines, None) is not None:
+        raise ValueError("data after the document")
+    cpg.add_edges(rows)
+    return cpg
+
+
 # -- DOT ----------------------------------------------------------------------
 
 def _dot_label(cpg: g.Cpg, node: g.Node) -> str:
@@ -115,20 +191,26 @@ def _dot_label(cpg: g.Cpg, node: g.Node) -> str:
     return f"{node.id}: {text}"
 
 
+def _dot_text(value) -> str:
+    return str(value).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
     lines = ["digraph cpg {", "  node [shape=box, fontsize=10];"]
     for node in cpg.nodes:
-        label = _dot_label(cpg, node).replace('"', '\\"')
-        lines.append(f'  n{node.id} [label="{label}"];')
+        lines.append(f'  n{node.id} [label="{_dot_text(_dot_label(cpg, node))}"];')
+    attrs: dict[tuple[str, int], str] = {}   # (type, id(map)) -> attributes
     for e in cpg.edges:
         if e.type not in edge_types:
             continue
-        color = EDGE_COLORS[e.type]
-        lab = e.properties.get("label")
-        attr = f'color={color}'
-        if lab is not None:
-            text = str(lab).replace('"', '\\"')
-            attr += f', label="{text}"'
+        key = (e.type, id(e.properties))
+        attr = attrs.get(key)
+        if attr is None:
+            attr = f"color={EDGE_COLORS[e.type]}"
+            lab = e.properties.get("label")
+            if lab is not None:
+                attr += f', label="{_dot_text(lab)}"'
+            attrs[key] = attr
         lines.append(f"  n{e.src} -> n{e.dst} [{attr}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -144,17 +226,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
-    """Predicate name -> rows. Missing optional fields are empty strings."""
+# edge type -> (predicate, the properties of its cells after src and dst); a
+# ddgEdge row ends with its origin, the src again
+_EDGE_FACTS = {g.AST: ("astEdge", ("childIndex",)), g.CFG: ("cfgEdge", ("label",)),
+               g.CG: ("cgEdge", ()),
+               g.DDG: ("ddgEdge", ("label", "ddgType", "valueType", "value"))}
+
+
+def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
+    """Predicate name -> rows, with every edge predicate still empty."""
     facts: dict[str, list[tuple]] = {
         "instruction": [], "function": [], "call": [], "loop": [],
         "brIf": [], "store": [], "binary": [], "compare": [],
-        "astEdge": [], "cfgEdge": [], "cgEdge": [], "ddgEdge": [],
+        **{name: [] for name, _ in _EDGE_FACTS.values()},
     }
-    cg_target: dict[int, int] = {}
-    for e in cpg.edges:
-        if e.type == g.CG and e.src not in cg_target:
-            cg_target[e.src] = e.dst
     for n in cpg.nodes:
         if n.kind == g.FUNCTION:
             p = n.properties
@@ -167,9 +252,9 @@ def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
         facts["instruction"].append((n.id, t))
         if t == "Call":
             nargs = nresults = ""
-            target = cg_target.get(n.id)
-            if target is not None:
-                tp = cpg.node(target).properties
+            targets = cpg.out_edges(n.id, g.CG)
+            if targets:
+                tp = cpg.node(targets[0].dst).properties
                 nargs, nresults = tp["nargs"], tp["nresults"]
             facts["call"].append((n.id, n.properties["label"], nargs, nresults))
         elif t == "Loop":
@@ -183,31 +268,45 @@ def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
             facts["binary"].append((n.id, n.properties["opcode"]))
         elif t == "Compare":
             facts["compare"].append((n.id, n.properties["opcode"]))
+    return facts
+
+
+def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[g.Edge, tuple[str, tuple[str, ...], str]]]:
+    """Each edge with its predicate and its cells between src/dst and the
+    DDG origin, as a tuple and as tab-led text, rendered once per
+    (type, map)."""
+    memo: dict[tuple[str, int], tuple[str, tuple[str, ...], str]] = {}
     for e in cpg.edges:
-        if e.type == g.AST:
-            facts["astEdge"].append((e.src, e.dst,
-                                     _cell(e.properties.get("childIndex"))))
-        elif e.type == g.CFG:
-            facts["cfgEdge"].append((e.src, e.dst,
-                                     _cell(e.properties.get("label"))))
-        elif e.type == g.CG:
-            facts["cgEdge"].append((e.src, e.dst))
-        elif e.type == g.DDG:
-            p = e.properties
-            facts["ddgEdge"].append((
-                e.src, e.dst, _cell(p.get("label")), p["ddgType"],
-                _cell(p.get("valueType")), _cell(p.get("value")), e.src))
+        key = (e.type, id(e.properties))
+        fact = memo.get(key)
+        if fact is None:
+            name, keys = _EDGE_FACTS[e.type]
+            cells = tuple(_cell(e.properties.get(k)) for k in keys)
+            fact = memo[key] = (name, cells, "".join("\t" + c for c in cells))
+        yield e, fact
+
+
+def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
+    """Predicate name -> rows. Missing optional fields are empty strings."""
+    facts = _node_facts(cpg)
+    for e, (name, cells, _) in _edge_facts(cpg):
+        row = (e.src, e.dst, *cells)
+        facts[name].append(row + (e.src,) if e.type == g.DDG else row)
     return facts
 
 
 def write_datalog(cpg: g.Cpg, outdir: str) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
+    lines = {name: ["\t".join(_cell(v) for v in row) for row in rows]
+             for name, rows in _node_facts(cpg).items()}
+    for e, (name, _, text) in _edge_facts(cpg):
+        lines[name].append(f"{e.src}\t{e.dst}{text}\t{e.src}" if e.type == g.DDG
+                           else f"{e.src}\t{e.dst}{text}")
     written = []
-    for name, rows in sorted(datalog_facts(cpg).items()):
+    for name, rows in sorted(lines.items()):
         path = os.path.join(outdir, f"{name}.facts")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write("\t".join(_cell(v) for v in row) + "\n")
+            fh.write("".join(row + "\n" for row in rows))
         written.append(path)
     return written
 
@@ -224,13 +323,17 @@ def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
         lines.append(",".join(row))
     nodes_csv = "\n".join(lines) + "\n"
 
-    edge_keys = sorted({k for e in cpg.edges for k in e.properties})
+    maps = {id(e.properties): e.properties for e in cpg.edges}   # distinct maps
+    edge_keys = sorted({k for p in maps.values() for k in p})
     lines = [",".join([":START_ID", ":END_ID", ":TYPE"] + edge_keys)]
+    tails: dict[tuple[str, int], str] = {}   # (type, id(map)) -> cells after src,dst
     for e in cpg.edges:
-        row = [str(e.src), str(e.dst), e.type]
-        for k in edge_keys:
-            row.append(_csv_cell(e.properties.get(k)))
-        lines.append(",".join(row))
+        key = (e.type, id(e.properties))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = ",".join(
+                [e.type] + [_csv_cell(e.properties.get(k)) for k in edge_keys])
+        lines.append(f"{e.src},{e.dst},{tail}")
     return nodes_csv, "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,10 @@ Properties are schema-checked at insertion; `type` and `id` are virtual keys
 answered by accessors rather than stored. After ``freeze()`` the graph is
 immutable and safe for concurrent readers.
 
-Edge property maps may be shared between edges: the DDG bulk path stores one
-map per origin node for all of its edges. Every property map read from the
+Edge property maps may be shared between edges of one type: `add_edges`, the
+one bulk append path, stores one copy per distinct map it is handed, so the
+DDG emitter's one map per origin node and `import_json`'s one map per
+distinct JSON text are each stored once. Every property map read from the
 graph is read-only.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
@@ -267,27 +269,30 @@ class Cpg:
         self._in[dst].setdefault(edge_type, []).append(edge)
         return eid
 
-    def add_ddg_edges(self, rows: Iterable[tuple[int, int, dict[str, Any]]]) -> int:
-        """Append DDG edges from `(src, dst, properties)` rows, in order. The
+    def add_edges(self, rows: Iterable[tuple[int, int, str, dict[str, Any]]]) -> int:
+        """Append edges from `(src, dst, type, properties)` rows, in order. The
         first row with a given map goes through `add_edge`, which validates
-        and copies it; later rows with that map share the copy. Returns the
-        count added; rows before a failing one stay added."""
+        and copies it; later rows with that map and type share the copy, and
+        a row with that map under another type goes through `add_edge` again.
+        Returns the count added; rows before a failing one stay added."""
         self._writable()
         edges, out, inc = self.edges, self._out, self._in
         n_nodes, first = len(self.nodes), len(edges)
-        shared: dict[int, tuple] = {}   # id(map) -> (map, copy); holding map keeps id unique
-        for src, dst, props in rows:
+        # id(map) -> (map, type, copy); holding the map keeps its id unique
+        shared: dict[int, tuple] = {}
+        for src, dst, edge_type, props in rows:
             seen = shared.get(id(props))
-            if seen is None:
-                eid = self.add_edge(src, dst, DDG, props)
-                shared[id(props)] = (props, edges[eid].properties)
+            if seen is None or seen[1] != edge_type:
+                eid = self.add_edge(src, dst, edge_type, props)
+                if seen is None:
+                    shared[id(props)] = (props, edge_type, edges[eid].properties)
                 continue
             if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
                 raise GraphError(f"dangling edge endpoint {src}->{dst}")
-            edge = Edge(len(edges), src, dst, DDG, seen[1])
+            edge = Edge(len(edges), src, dst, edge_type, seen[2])
             edges.append(edge)
-            out[src].setdefault(DDG, []).append(edge)
-            inc[dst].setdefault(DDG, []).append(edge)
+            out[src].setdefault(edge_type, []).append(edge)
+            inc[dst].setdefault(edge_type, []).append(edge)
         return len(edges) - first
 
     def freeze(self) -> "Cpg":
@@ -352,9 +357,13 @@ class Cpg:
         raise GraphError(f"bad direction {direction!r}")
 
     def nodes_of_kind(self, kind: str) -> list[Node]:
+        if kind not in NODE_KINDS:
+            raise GraphError(f"unknown node kind {kind!r}")
         return [n for n in self.nodes if n.kind == kind]
 
     def edges_of_type(self, edge_type: str) -> list[Edge]:
+        if edge_type not in EDGE_TYPES:
+            raise GraphError(f"unknown edge type {edge_type!r}")
         return [e for e in self.edges if e.type == edge_type]
 
     def module_node(self) -> Optional[Node]:

@@ -244,6 +244,8 @@ class TestFailClosed:
         (3, ["scan", MIXED, "--wql", "{t}/sum.wql"]),
         (2, ["query", "{t}/missing.json"]),
         (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
+        (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "XYZ"]),
+        (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "DDG,ddg"]),
         (3, ["scan", "{t}/inf_malloc.wat", "--config", CONFIG]),
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
         *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
@@ -255,7 +257,8 @@ class TestFailClosed:
             "config-not-object", "config-too-deep", "multi-result-function",
             "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
-            "query-missing-graph", "export-missing-graph", "infinite-alloc-size",
+            "query-missing-graph", "export-missing-graph",
+            "export-unknown-edge-type", "export-misspelled-edge-type", "infinite-alloc-size",
             *MALFORMED, *BAD_CONFIGS, *BAD_WQL, "wql-step-budget", "wql-step-budget-scan"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])

@@ -5,14 +5,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import re
 
 import pytest
 
 from conftest import ALL_FIXTURES, fixture_cpg
-from wasmcpg.errors import ExportError
+from wasmcpg.errors import ExportError, WasmCpgError
 from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
+    _read_lines,
     datalog_facts,
     export,
     import_json,
@@ -40,6 +43,31 @@ def _document(cpg: g.Cpg) -> dict:
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "type": e.type,
                    "properties": dict(e.properties)} for e in cpg.edges],
     }
+
+
+def _line_layout(nodes: list, edges: list) -> str:
+    """Records in the layout `to_json` writes, whatever their content."""
+    enc = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
+    parts = ('{"edges":[', ",\n".join(map(enc, edges)),
+             '],"nodes":[', ",\n".join(map(enc, nodes)), '],"schema":1}')
+    return "\n".join(p for p in parts if p) + "\n"
+
+
+def _read_both(cpg: g.Cpg, tmp_path) -> tuple[g.Cpg, g.Cpg]:
+    """The graphs the line reader makes from `to_json`'s file and `json.load`
+    from a pretty-printed copy."""
+    path, pretty = tmp_path / "g.json", tmp_path / "pretty.json"
+    path.write_text(to_json(cpg), encoding="utf-8")
+    pretty.write_text(json.dumps(_document(cpg), indent=1), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        fast = _read_lines(fh).freeze()
+    with open(pretty, encoding="utf-8") as fh, pytest.raises(ValueError):
+        _read_lines(fh)
+    return fast, import_json(str(pretty))
+
+
+CONSTS = """(module (func $f
+    i32.const 1 drop f32.const 1.0 drop f64.const 0.0 drop f64.const -0.0 drop))"""
 
 
 def _edgeless(n_nodes: int) -> g.Cpg:
@@ -126,6 +154,71 @@ class TestJson:
         again = to_json(import_json(str(path)))
         assert first == again
 
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_line_and_document_readers_agree(self, name, tmp_path):
+        cpg = fixture_cpg(name)
+        fast, slow = _read_both(cpg, tmp_path)
+        assert _document(fast) == _document(slow) == _document(cpg)
+        assert to_json(fast) == to_json(slow) == to_json(cpg)
+
+    @staticmethod
+    def _pretty(doc):
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    @staticmethod
+    def _reordered(doc):
+        dump = lambda r: json.dumps(dict(reversed(r.items())), separators=(",", ":"))
+        return ('{"edges":[\n' + ",\n".join(map(dump, doc["edges"])) + '\n],"nodes":[\n'
+                + ",\n".join(map(dump, doc["nodes"])) + '\n],"schema":1}\n')
+
+    @staticmethod
+    def _extra_key(doc):
+        doc["edges"][-1]["zz"] = 1
+        return _line_layout(doc["nodes"], doc["edges"])
+
+    @staticmethod
+    def _two_on_one_line(doc):
+        lines = _line_layout(doc["nodes"], doc["edges"]).split("\n")
+        return "\n".join(lines[:1] + [lines[1] + lines[2]] + lines[3:])
+
+    @pytest.mark.parametrize("variant", ["_pretty", "_reordered", "_extra_key",
+                                         "_two_on_one_line"])
+    @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "libpng_get_token"])
+    def test_other_layouts_take_the_document_reader(self, name, variant, tmp_path):
+        cpg = fixture_cpg(name)
+        path = tmp_path / "g.json"
+        path.write_text(getattr(self, variant)(_document(cpg)), encoding="utf-8")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError):
+            _read_lines(fh)
+        assert to_json(import_json(str(path))) == to_json(cpg)
+
+    def test_values_equal_in_python_stay_apart(self, tmp_path):
+        cpg, _ = build_cpg(CONSTS)
+        text = to_json(cpg)
+        for value in ('"value":1,', '"value":1.0,', '"value":0.0,', '"value":-0.0,'):
+            assert value in text
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = import_json(str(path))
+        assert to_json(loaded) == text
+        values = [e.properties["value"] for e in loaded.edges_of_type(g.DDG)]
+        assert [(type(v), math.copysign(1, v)) for v in values] == \
+            [(int, 1), (float, 1), (float, 1), (float, -1)]
+        assert len({id(e.properties) for e in loaded.edges_of_type(g.DDG)}) == 4
+
+    @pytest.mark.parametrize("name", ["mixed", "libpng_get_token", "q10_vuln"])
+    def test_import_shares_one_map_per_type_and_text(self, name, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(to_json(fixture_cpg(name)), encoding="utf-8")
+        loaded = import_json(str(path))
+        maps: dict[tuple[str, str], set[int]] = {}
+        for e in loaded.edges:
+            key = (e.type, json.dumps(e.properties, sort_keys=True))
+            maps.setdefault(key, set()).add(id(e.properties))
+        assert all(len(ids) == 1 for ids in maps.values())
+        # `{}` is one map for CFG and another for CG
+        assert maps[g.CFG, "{}"] != maps[g.CG, "{}"]
+
     def test_import_preserves_queries(self, tmp_path, scan_config):
         cpg = fixture_cpg("q03_vuln")
         path = tmp_path / "g.json"
@@ -164,7 +257,7 @@ class TestJson:
     NODE = {"id": 0, "kind": "Else", "properties": {}}
     EDGE = {"id": 0, "src": 0, "dst": 0, "type": "CFG", "properties": {}}
 
-    @pytest.mark.parametrize("nodes, edges", [
+    MALFORMED = [
         (["Else"], []),
         ([{"kind": "Else"}], []),
         ([{"id": 0}], []),
@@ -178,12 +271,36 @@ class TestJson:
         ([NODE], [{k: v for k, v in EDGE.items() if k != "id"}]),
         ([NODE], [{**EDGE, "src": "0"}]),
         ({"0": NODE}, []),
-    ])
+    ]
+
+    @pytest.mark.parametrize("nodes, edges", MALFORMED)
     def test_reject_malformed_elements(self, tmp_path, nodes, edges):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, "nodes": nodes, "edges": edges}))
         with pytest.raises(ExportError):
             import_json(str(path))
+
+    @pytest.mark.parametrize("nodes, edges", [
+        *[case for case in MALFORMED if isinstance(case[0], list)],
+        ([NODE], [{**EDGE, "dst": 5}]),
+        ([NODE], [{**EDGE, "src": -1}]),
+        ([NODE], [{**EDGE, "id": 1}]),
+        ([NODE], [{**EDGE, "type": "XYZ"}]),
+        ([NODE], [{**EDGE, "properties": [1]}]),
+        ([NODE], [{**EDGE, "properties": {"label": "sideways"}}]),
+        ([{**NODE, "kind": "Nope"}], []),
+        ([{**NODE, "id": 1}], []),
+    ])
+    def test_line_layout_fails_as_the_document_does(self, tmp_path, nodes, edges):
+        errors = []
+        for text in (json.dumps({"schema": 1, "nodes": nodes, "edges": edges}),
+                     _line_layout(nodes, edges)):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            with pytest.raises(WasmCpgError) as info:
+                import_json(str(path))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
     def test_well_formed_minimal_graph_loads(self, tmp_path):
         path = tmp_path / "ok.json"
@@ -209,6 +326,19 @@ class TestDot:
     def test_cg_color(self):
         text = to_dot(fixture_cpg("libpng_get_token"))
         assert "color=black" in text
+
+    def test_backslash_escaped_in_labels(self):
+        cpg, _ = build_cpg(r"""(module (func $f (param $a\ i32) (result i32)
+            local.get $a\ i32.const 1 i32.add))""")
+        lines = to_dot(cpg).splitlines()
+        assert '  n2 [label="2: LocalGet $a\\\\"];' in lines
+        assert '  n2 -> n4 [color=blue, label="$a\\\\"];' in lines
+        # every quoted label closes where its attribute list does
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        labelled = [l for l in lines if "label=" in l]
+        assert len(labelled) == len(cpg.nodes) + 3
+        for line in labelled:
+            assert re.fullmatch(rf'  n\d+ (-> n\d+ )?\[(color=\w+, )?label={quoted}\];', line)
 
 
 class TestDatalog:
@@ -268,6 +398,11 @@ class TestManifest:
     def test_unknown_format_rejected(self):
         with pytest.raises(ExportError, match="format"):
             ExportManifest("yaml", "out")
+
+    @pytest.mark.parametrize("edge_types", [("XYZ",), ("DDG", "ddg"), ("AST", "")])
+    def test_unknown_edge_types_rejected(self, edge_types):
+        with pytest.raises(ExportError, match="unknown edge types"):
+            ExportManifest("dot", "out.dot", edge_types)
 
     def test_export_requires_frozen(self, tmp_path):
         with pytest.raises(ExportError, match="frozen"):

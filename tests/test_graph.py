@@ -118,6 +118,8 @@ class TestAddEdge:
 
 
 class TestAddDdgEdges:
+    """`Cpg.add_edges`, the one bulk append path, as the DDG emitter uses it."""
+
     def _three_nodes(self):
         cpg = g.Cpg()
         a = cpg.add_node(g.INSTRUCTION, {"instType": "LocalGet", "label": "$y"})
@@ -128,7 +130,8 @@ class TestAddDdgEdges:
     def test_same_edges_as_add_edge(self):
         props = {"ddgType": "Local", "label": "$y"}
         bulk, a, b, c = self._three_nodes()
-        assert bulk.add_ddg_edges([(a, b, props), (a, c, props), (b, c, props)]) == 3
+        assert bulk.add_edges([(a, b, g.DDG, props), (a, c, g.DDG, props),
+                               (b, c, g.DDG, props)]) == 3
         single, *_ = self._three_nodes()
         for src, dst in ((a, b), (a, c), (b, c)):
             single.add_edge(src, dst, g.DDG, props)
@@ -141,7 +144,7 @@ class TestAddDdgEdges:
     def test_rows_sharing_a_map_share_the_stored_copy(self):
         cpg, a, b, c = self._three_nodes()
         props = {"ddgType": "Local", "label": "$y"}
-        cpg.add_ddg_edges([(a, b, props), (a, c, props)])
+        cpg.add_edges([(a, b, g.DDG, props), (a, c, g.DDG, props)])
         first, second = cpg.edges
         assert first.properties is second.properties
         props["label"] = "$changed"   # the graph holds its own copy
@@ -151,17 +154,17 @@ class TestAddDdgEdges:
         cpg, a, b, _ = self._three_nodes()
         cpg.freeze()
         with pytest.raises(GraphError, match="frozen"):
-            cpg.add_ddg_edges([(a, b, {"ddgType": "Local", "label": "$y"})])
+            cpg.add_edges([(a, b, g.DDG, {"ddgType": "Local", "label": "$y"})])
         with pytest.raises(GraphError, match="frozen"):
-            cpg.add_ddg_edges([])
+            cpg.add_edges([])
 
     def test_dangling_endpoint(self):
         props = {"ddgType": "Local", "label": "$y"}
         cpg, a, b, _ = self._three_nodes()
         with pytest.raises(GraphError, match="dangling"):
-            cpg.add_ddg_edges([(a, 99, props)])
+            cpg.add_edges([(a, 99, g.DDG, props)])
         with pytest.raises(GraphError, match="dangling"):
-            cpg.add_ddg_edges([(a, b, props), (-1, b, props)])
+            cpg.add_edges([(a, b, g.DDG, props), (-1, b, g.DDG, props)])
 
     @pytest.mark.parametrize("props", [
         {"label": "$y"},
@@ -176,7 +179,23 @@ class TestAddDdgEdges:
         with pytest.raises(SchemaError):
             cpg.add_edge(a, b, g.DDG, props)
         with pytest.raises(SchemaError):
-            cpg.add_ddg_edges([(a, b, good), (a, c, props)])
+            cpg.add_edges([(a, b, g.DDG, good), (a, c, g.DDG, props)])
+
+    def test_one_map_under_two_types_is_validated_and_stored_per_type(self):
+        cpg, a, b, c = self._three_nodes()
+        props = {}
+        assert cpg.add_edges([(a, b, g.CFG, props), (a, c, g.CG, props),
+                              (b, c, g.CFG, props), (b, a, g.CG, props)]) == 4
+        cfg1, cg1, cfg2, cg2 = cpg.edges
+        assert [e.type for e in cpg.edges] == [g.CFG, g.CG, g.CFG, g.CG]
+        assert cfg1.properties is cfg2.properties
+        assert cfg1.properties is not cg1.properties
+        assert cpg.out_edges(a, g.CG) == [cg1] and cpg.in_edges(a, g.CG) == [cg2]
+        # a map valid for one type is still checked against the other
+        label = {"label": 0}
+        with pytest.raises(SchemaError, match="CG edges"):
+            cpg.add_edges([(a, b, g.CFG, label), (a, c, g.CG, label)])
+        assert len(cpg.edges) == 5
 
 
 class TestGcPause:

@@ -132,7 +132,8 @@ class TestTypedLookupsFailClosed:
                        lambda: q.reaches_ddg(cpg, f, f + 1, "Nope", None),
                        lambda: q.p_in_edge(cpg, "XYZ"), lambda: q.edge_type_cond("ddg"),
                        lambda: q.p_in_ddg_edge(cpg, "Nope"),
-                       lambda: q.p_out_ddg_edge(cpg, "Nope")):
+                       lambda: q.p_out_ddg_edge(cpg, "Nope"),
+                       lambda: cpg.edges_of_type("XYZ"), lambda: cpg.nodes_of_kind("XYZ")):
             with pytest.raises(GraphError, match="unknown"):
                 lookup()
 
