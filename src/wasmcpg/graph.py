@@ -1,9 +1,15 @@
 """Property-graph store: typed nodes, typed edges, and per-element property maps.
 
-One shared node set carries four edge-typed subgraphs (AST, CFG, CG, DDG).
-Properties are schema-checked at insertion; `type` and `id` are virtual keys
-answered by accessors rather than stored. After ``freeze()`` the graph is
-immutable and safe for concurrent readers.
+One shared node set carries four edge-typed subgraphs (AST, CFG, CG, DDG);
+`type` and `id` are virtual keys answered by accessors rather than stored.
+After ``freeze()`` the graph is immutable and safe for concurrent readers.
+
+The schema is one table: each node kind, instType, edge type and ddgType maps
+each of its properties to a domain, a predicate on the value. Instruction
+nodes are keyed by their `instType`, DDG edges by their `ddgType`. Each
+insertion is checked by one loop: an unknown key, a value outside its domain
+or a missing property raises SchemaError. AST and CFG edge properties are
+optional; every other property is required.
 
 Edge property maps may be shared between edges of one type: `add_edges`, the
 one bulk append path, stores one copy per distinct map it is handed, so the
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import GraphError, SchemaError
+from .opcodes import VALUE_TYPES
 
 # node kinds
 MODULE = "Module"
@@ -38,163 +45,116 @@ START = "Start"
 VAR_NODE = "VarNode"
 INSTRUCTION = "Instruction"
 
-NODE_KINDS = (
-    MODULE, FUNCTION, FUNCTION_SIGNATURE, PARAMETERS, LOCALS, RESULTS,
-    ELSE, TRAP, START, VAR_NODE, INSTRUCTION,
-)
-
 # edge types
 AST = "AST"
 CFG = "CFG"
 CG = "CG"
 DDG = "DDG"
-EDGE_TYPES = (AST, CFG, CG, DDG)
 
-DDG_TYPES = ("Global", "Local", "Const", "Control", "Function")
-VALUE_TYPES = ("i32", "i64", "f32", "f64")
+# Domains: predicates on a property value. Python's bool is an int, so a
+# domain admits True/False only where it names bool.
+_str = lambda v: isinstance(v, str)
+_bool = lambda v: isinstance(v, bool)
+_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+_count = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
+_number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+_value_type = lambda v: isinstance(v, str) and v in VALUE_TYPES
+# a CFG label: an if/br_if arm (a bool, so an int), a br_table slot, or "default"
+_cfg_label = lambda v: isinstance(v, int) and v >= 0 or v == "default"
+_any = lambda v: True
 
-INST_TYPES = (
-    "Nop", "Unreachable", "Return", "BrTable", "Drop", "Select",
-    "MemorySize", "MemoryGrow", "CallIndirect",
-    "Br", "BrIf", "GlobalGet", "GlobalSet", "LocalGet", "LocalSet",
-    "LocalTee", "Call", "BeginBlock",
-    "Block", "Loop", "If", "EndLoop",
-    "Const", "Binary", "Compare", "Unary", "Convert", "Load", "Store",
-)
 
-_BOOL = ("bool",)
-_INT = ("int",)
-_NUM = ("int", "float")
-_STR = ("str",)
+def _keyed(family: dict[str, Any], table: dict[str, dict]) -> dict[str, dict]:
+    """Each entry of `table`, keyed by one property, plus its family's own."""
+    return {name: {**family, **schema} for name, schema in table.items()}
 
-# instType -> {property: allowed python types}; every listed key is required
-_INST_SCHEMAS: dict[str, dict[str, tuple[str, ...]]] = {
-    "Const": {"valueType": _STR, "value": _NUM},
-    "Binary": {"opcode": _STR},
-    "Compare": {"opcode": _STR},
-    "Unary": {"opcode": _STR},
-    "Convert": {"opcode": _STR},
-    "Load": {"offset": _INT},
-    "Store": {"offset": _INT},
-    "Block": {"label": _STR, "nresults": _INT},
-    "Loop": {"label": _STR, "nresults": _INT},
-    "EndLoop": {"label": _STR, "nresults": _INT},
-    "If": {"label": _STR, "hasElse": _BOOL},
-    "Br": {"label": _STR},
-    "BrIf": {"label": _STR},
-    "GlobalGet": {"label": _STR},
-    "GlobalSet": {"label": _STR},
-    "LocalGet": {"label": _STR},
-    "LocalSet": {"label": _STR},
-    "LocalTee": {"label": _STR},
-    "Call": {"label": _STR},
-    "BeginBlock": {"label": _STR},
-    # simple instructions carry no extra properties
-    "Nop": {}, "Unreachable": {}, "Return": {}, "BrTable": {}, "Drop": {},
-    "Select": {}, "MemorySize": {}, "MemoryGrow": {}, "CallIndirect": {},
-}
 
-_NODE_SCHEMAS: dict[str, dict[str, tuple[str, ...]]] = {
-    MODULE: {"name": _STR},
+# node kind -> {property: domain}
+_NODE_SCHEMAS: dict[str, dict[str, Any]] = {
+    MODULE: {"name": _str},
     FUNCTION: {
-        "name": _STR, "index": _INT, "nargs": _INT, "nlocals": _INT,
-        "nresults": _INT, "isImport": _BOOL, "isExport": _BOOL,
+        "name": _str, "index": _int, "nargs": _int, "nlocals": _int,
+        "nresults": _int, "isImport": _bool, "isExport": _bool,
     },
-    FUNCTION_SIGNATURE: {},
-    PARAMETERS: {},
-    LOCALS: {},
-    RESULTS: {},
-    ELSE: {},
-    TRAP: {},
-    START: {},
-    VAR_NODE: {"name": _STR, "varType": _STR},
+    **dict.fromkeys((FUNCTION_SIGNATURE, PARAMETERS, LOCALS, RESULTS, ELSE,
+                     TRAP, START), {}),
+    VAR_NODE: {"name": _str, "varType": _str},
+    INSTRUCTION: {"instType": _str},
 }
 
+# instType -> {property: domain}, for Instruction nodes
+_INST_SCHEMAS = _keyed(_NODE_SCHEMAS[INSTRUCTION], {
+    **dict.fromkeys(("Nop", "Unreachable", "Return", "BrTable", "Drop", "Select",
+                     "MemorySize", "MemoryGrow", "CallIndirect"), {}),
+    **dict.fromkeys(("Br", "BrIf", "GlobalGet", "GlobalSet", "LocalGet", "LocalSet",
+                     "LocalTee", "Call", "BeginBlock"), {"label": _str}),
+    **dict.fromkeys(("Block", "Loop"), {"label": _str, "nresults": _int}),
+    "If": {"label": _str, "hasElse": _bool},
+    "EndLoop": {"label": _str, "nresults": _int},
+    "Const": {"valueType": _value_type, "value": _number},
+    **dict.fromkeys(("Binary", "Compare", "Unary", "Convert"), {"opcode": _str}),
+    **dict.fromkeys(("Load", "Store"), {"offset": _count}),
+})
 
-def _typecheck(value: Any, allowed: tuple[str, ...]) -> bool:
-    if isinstance(value, bool):
-        return "bool" in allowed
-    if isinstance(value, int):
-        return "int" in allowed
-    if isinstance(value, float):
-        return "float" in allowed
-    if isinstance(value, str):
-        return "str" in allowed
-    return False
+# edge type -> {property: domain}; AST and CFG properties are optional
+_EDGE_SCHEMAS: dict[str, dict[str, Any]] = {
+    AST: {"childIndex": _count},
+    CFG: {"label": _cfg_label},
+    CG: {},
+    DDG: {"ddgType": _str, "label": _any},
+}
+
+# ddgType -> {property: domain}, for DDG edges
+_DDG_SCHEMAS = _keyed(_EDGE_SCHEMAS[DDG], {
+    "Global": {}, "Local": {}, "Const": {"valueType": _value_type, "value": _number},
+    "Control": {}, "Function": {},
+})
+
+NODE_KINDS = tuple(_NODE_SCHEMAS)
+INST_TYPES = tuple(_INST_SCHEMAS)
+EDGE_TYPES = tuple(_EDGE_SCHEMAS)
+DDG_TYPES = tuple(_DDG_SCHEMAS)
 
 
-def _check_node_schema(kind: str, props: dict[str, Any]) -> None:
+def _check(what: str, schema: dict[str, Any], props: dict[str, Any],
+           optional: bool) -> None:
+    """Raise SchemaError unless each property of `props` is in `schema` and
+    inside its domain and, unless `optional`, none is missing. Called per
+    node and edge, so error text is built only when raising."""
+    for key, value in props.items():
+        domain = schema.get(key)
+        if domain is None:
+            raise SchemaError(f"{what}: unexpected property {key!r}")
+        if not domain(value):
+            raise SchemaError(f"{what}: property {key}={value!r} outside its domain")
+    if not optional and len(props) != len(schema):
+        raise SchemaError(f"{what}: missing properties {sorted(set(schema) - set(props))}")
+
+
+def _check_node(kind: str, props: dict[str, Any]) -> None:
     if kind == INSTRUCTION:
-        inst_type = props.get("instType")
-        if inst_type not in INST_TYPES:
-            raise SchemaError(f"bad instType {inst_type!r}")
-        schema = _INST_SCHEMAS[inst_type]
-        extra = set(props) - set(schema) - {"instType"}
-        if extra:
-            raise SchemaError(f"{inst_type} node: unexpected properties {sorted(extra)}")
-        missing = set(schema) - set(props)
-        if missing:
-            raise SchemaError(f"{inst_type} node: missing properties {sorted(missing)}")
-        for key, allowed in schema.items():
-            if not _typecheck(props[key], allowed):
-                raise SchemaError(f"{inst_type} node: property {key}={props[key]!r} "
-                                  f"outside domain {allowed}")
-        if inst_type == "Const" and props["valueType"] not in VALUE_TYPES:
-            raise SchemaError(f"Const valueType {props['valueType']!r}")
-        if inst_type in ("Load", "Store") and props["offset"] < 0:
-            raise SchemaError("negative memory offset")
-        return
-    if kind not in _NODE_SCHEMAS:
-        raise SchemaError(f"unknown node kind {kind!r}")
-    schema = _NODE_SCHEMAS[kind]
-    if set(props) != set(schema):
-        raise SchemaError(f"{kind} node: properties {sorted(props)} != schema "
-                          f"{sorted(schema)}")
-    for key, allowed in schema.items():
-        if not _typecheck(props[key], allowed):
-            raise SchemaError(f"{kind} node: property {key}={props[key]!r}")
+        kind = props.get("instType")
+        schema = _INST_SCHEMAS.get(kind) if isinstance(kind, str) else None
+        if schema is None:
+            raise SchemaError(f"bad instType {kind!r}")
+    else:
+        schema = _NODE_SCHEMAS.get(kind)
+        if schema is None:
+            raise SchemaError(f"unknown node kind {kind!r}")
+    _check(kind, schema, props, False)
 
 
-def _check_edge_schema(edge_type: str, props: dict[str, Any]) -> None:
-    if edge_type == AST:
-        if set(props) - {"childIndex"}:
-            raise SchemaError(f"AST edge: unexpected properties {sorted(props)}")
-        if "childIndex" in props and (not isinstance(props["childIndex"], int)
-                                      or props["childIndex"] < 0):
-            raise SchemaError("AST childIndex must be a count")
-        return
-    if edge_type == CG:
-        if props:
-            raise SchemaError("CG edges carry only their type")
-        return
-    if edge_type == CFG:
-        if set(props) - {"label"}:
-            raise SchemaError(f"CFG edge: unexpected properties {sorted(props)}")
-        if "label" in props:
-            lab = props["label"]
-            ok = isinstance(lab, bool) or (isinstance(lab, int) and lab >= 0) \
-                or lab == "default"
-            if not ok:
-                raise SchemaError(f"CFG label {lab!r} outside its alphabet")
-        return
+def _check_edge(edge_type: str, props: dict[str, Any]) -> None:
     if edge_type == DDG:
-        allowed = {"label", "ddgType", "valueType", "value"}
-        if set(props) - allowed:
-            raise SchemaError(f"DDG edge: unexpected properties {sorted(props)}")
-        if props.get("ddgType") not in DDG_TYPES:
-            raise SchemaError(f"DDG ddgType {props.get('ddgType')!r}")
-        if "label" not in props:
-            raise SchemaError("DDG edge requires a label")
-        if props["ddgType"] == "Const":
-            if props.get("valueType") not in VALUE_TYPES:
-                raise SchemaError("Const DDG edge requires a valueType")
-            if not isinstance(props.get("value"), (int, float)) \
-                    or isinstance(props.get("value"), bool):
-                raise SchemaError("Const DDG edge requires a numeric value")
-        elif "valueType" in props or "value" in props:
-            raise SchemaError("value/valueType are Const-only DDG properties")
-        return
-    raise SchemaError(f"unknown edge type {edge_type!r}")
+        ddg_type = props.get("ddgType")
+        schema = _DDG_SCHEMAS.get(ddg_type) if isinstance(ddg_type, str) else None
+        if schema is None:
+            raise SchemaError(f"bad ddgType {ddg_type!r}")
+    else:
+        schema = _EDGE_SCHEMAS.get(edge_type) if isinstance(edge_type, str) else None
+        if schema is None:
+            raise SchemaError(f"unknown edge type {edge_type!r}")
+    _check(edge_type, schema, props, edge_type in (AST, CFG))
 
 
 @contextmanager
@@ -248,7 +208,7 @@ class Cpg:
     def add_node(self, kind: str, properties: dict[str, Any] | None = None) -> int:
         self._writable()
         props = dict(properties or {})
-        _check_node_schema(kind, props)
+        _check_node(kind, props)
         nid = len(self.nodes)
         self.nodes.append(Node(nid, kind, props))
         self._out.append({})
@@ -261,7 +221,7 @@ class Cpg:
         if not (0 <= src < len(self.nodes)) or not (0 <= dst < len(self.nodes)):
             raise GraphError(f"dangling edge endpoint {src}->{dst}")
         props = dict(properties or {})
-        _check_edge_schema(edge_type, props)
+        _check_edge(edge_type, props)
         eid = len(self.edges)
         edge = Edge(eid, src, dst, edge_type, props)
         self.edges.append(edge)

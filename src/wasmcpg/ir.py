@@ -94,9 +94,6 @@ class ModuleIR:
             self._by_name = {f.name: f for f in reversed(self.functions)}
         return self._by_name[name]
 
-    def global_names(self) -> list[str]:
-        return [g.name for g in self.globals]
-
 
 def instruction_arity(
     inst: InstructionIR,

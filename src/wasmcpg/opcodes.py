@@ -42,7 +42,6 @@ LOOP = "Loop"
 IF = "If"
 BEGIN_BLOCK = "BeginBlock"
 END_LOOP = "EndLoop"
-ELSE = "Else"  # meta node kind, kept here for builder convenience
 
 _INT_BINOPS = (
     "add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u",

@@ -1,5 +1,6 @@
 """Tokenizer with an offside rule: INDENT/DEDENT are emitted at bracket depth
-zero only, so bracketed expressions may span lines freely."""
+zero only, so bracketed expressions may span lines freely. `//` starts a
+comment where a token could start, never inside a string."""
 
 from __future__ import annotations
 
@@ -35,11 +36,11 @@ def tokenize(source: str) -> list[Token]:
     indents = [0]
     depth = 0
     lines = source.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("//", 1)[0].rstrip()
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=1):
+        code = line.lstrip(" \t")
+        if not code or code.startswith("//"):   # blank and comment-only lines
             continue
-        indent = len(line) - len(line.lstrip(" \t"))
+        indent = len(line) - len(code)
         if depth == 0:
             if indent > indents[-1]:
                 indents.append(indent)
@@ -54,6 +55,8 @@ def tokenize(source: str) -> list[Token]:
             if line[pos] in " \t":
                 pos += 1
                 continue
+            if line.startswith("//", pos):      # a comment runs to the line's end
+                break
             m = _TOKEN_RE.match(line, pos)
             if not m:
                 raise WqlSyntaxError(f"stray character {line[pos]!r}", lineno, pos + 1)

@@ -13,6 +13,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
+        self.loops = 0      # foreach/while bodies open at this point
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -61,6 +62,12 @@ class _Parser:
         # single statement on the same line
         return [self.statement()]
 
+    def loop_body(self) -> list:
+        self.loops += 1
+        body = self.block()
+        self.loops -= 1
+        return body
+
     def statement(self):
         t = self.peek()
         if t.type == "KEYWORD":
@@ -70,13 +77,13 @@ class _Parser:
                 self.expect("KEYWORD", "in")
                 iterable = self.expression()
                 self.expect("OP", ":")
-                return A.Foreach(var=var, iterable=iterable, body=self.block(),
+                return A.Foreach(var=var, iterable=iterable, body=self.loop_body(),
                                  line=t.line)
             if t.value == "while":
                 self.next()
                 cond = self.expression()
                 self.expect("OP", ":")
-                return A.While(cond=cond, body=self.block(), line=t.line)
+                return A.While(cond=cond, body=self.loop_body(), line=t.line)
             if t.value == "if":
                 self.next()
                 cond = self.expression()
@@ -88,14 +95,12 @@ class _Parser:
                     self.expect("OP", ":")
                     orelse = self.block()
                 return A.IfStmt(cond=cond, then=then, orelse=orelse, line=t.line)
-            if t.value == "break":
+            if t.value in ("break", "continue"):
+                if not self.loops:
+                    raise WqlSyntaxError(f"{t.value!r} outside a loop", t.line, t.col)
                 self.next()
                 self.expect("OP", ";")
-                return A.Break(line=t.line)
-            if t.value == "continue":
-                self.next()
-                self.expect("OP", ";")
-                return A.Continue(line=t.line)
+                return (A.Break if t.value == "break" else A.Continue)(line=t.line)
         expr = self.expression()
         self.expect("OP", ";")
         return A.ExprStmt(expr=expr, line=t.line)

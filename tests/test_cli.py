@@ -192,6 +192,8 @@ BAD_WQL = {
     "wql-list-order": "x := List(1) < List(2);",
     "wql-reaches-unknown-ddg-type":
         'x := reachesDDG(functions()[0], functions()[0], "Nope", nil);',
+    "wql-break-outside-loop": "break;",
+    "wql-continue-outside-loop": "continue;",
 }
 
 FOREVER_WQL = "while true:\n    x := 1;\n"

@@ -288,6 +288,7 @@ class TestJson:
         ([NODE], [{**EDGE, "type": "XYZ"}]),
         ([NODE], [{**EDGE, "properties": [1]}]),
         ([NODE], [{**EDGE, "properties": {"label": "sideways"}}]),
+        ([NODE], [{**EDGE, "type": "AST", "properties": {"childIndex": True}}]),
         ([{**NODE, "kind": "Nope"}], []),
         ([{**NODE, "id": 1}], []),
     ])

@@ -10,6 +10,7 @@ from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.errors import GraphError, ParseError, SchemaError
 from wasmcpg.pipeline import build_cpg
 from wasmcpg import graph as g
+from wasmcpg import opcodes as op
 
 
 def _node_by(cpg, **props):
@@ -100,6 +101,8 @@ class TestAddEdge:
             cpg.add_edge(a, b, g.CFG, {"label": "sideways"})
         with pytest.raises(SchemaError):
             cpg.add_edge(a, b, "XYZ")
+        with pytest.raises(SchemaError):
+            cpg.add_edge(a, b, g.AST, {"childIndex": True})
 
     def test_frozen_graph_rejects_writes(self):
         cpg, a, b = self._two_nodes()
@@ -193,7 +196,7 @@ class TestAddDdgEdges:
         assert cpg.out_edges(a, g.CG) == [cg1] and cpg.in_edges(a, g.CG) == [cg2]
         # a map valid for one type is still checked against the other
         label = {"label": 0}
-        with pytest.raises(SchemaError, match="CG edges"):
+        with pytest.raises(SchemaError, match="CG: unexpected property"):
             cpg.add_edges([(a, b, g.CFG, label), (a, c, g.CG, label)])
         assert len(cpg.edges) == 5
 
@@ -248,6 +251,132 @@ class TestSchemaSweep:
         for n in cpg.nodes_of_kind(g.FUNCTION):
             assert set(n.properties) == {"name", "index", "nargs", "nlocals",
                                          "nresults", "isImport", "isExport"}
+
+
+# The schema stated apart from graph.py: element -> {property: sample values
+# inside its domain}. PROBES hold a value of each JSON type (and a negative
+# int); a probe that equals no sample of a property, type included, must be
+# rejected for it, and every sample and every other probe accepted.
+PROBES = (True, -1, 2, 2.5, "text", None)
+_STR, _BOOL, _INT, _COUNT = ("text",), (True,), (-1, 2), (2,)
+_NUMBER = (-1, 2, 2.5)
+_VALUE_TYPE = ("i32", "i64", "f32", "f64")
+
+NODE_DOMAINS = {
+    "Module": {"name": _STR},
+    "Function": {"name": _STR, "index": _INT, "nargs": _INT, "nlocals": _INT,
+                 "nresults": _INT, "isImport": _BOOL, "isExport": _BOOL},
+    **{kind: {} for kind in ("FunctionSignature", "Parameters", "Locals",
+                             "Results", "Else", "Trap", "Start")},
+    "VarNode": {"name": _STR, "varType": _STR},
+}
+INST_DOMAINS = {    # plus the required instType
+    "Const": {"valueType": _VALUE_TYPE, "value": _NUMBER},
+    **{t: {"opcode": _STR} for t in ("Binary", "Compare", "Unary", "Convert")},
+    "Load": {"offset": _COUNT},
+    "Store": {"offset": _COUNT},
+    **{t: {"label": _STR, "nresults": _INT} for t in ("Block", "Loop", "EndLoop")},
+    "If": {"label": _STR, "hasElse": _BOOL},
+    **{t: {"label": _STR} for t in ("Br", "BrIf", "GlobalGet", "GlobalSet",
+                                    "LocalGet", "LocalSet", "LocalTee", "Call",
+                                    "BeginBlock")},
+    **{t: {} for t in ("Nop", "Unreachable", "Return", "BrTable", "Drop",
+                       "Select", "MemorySize", "MemoryGrow", "CallIndirect")},
+}
+EDGE_DOMAINS = {    # every property optional
+    "AST": {"childIndex": _COUNT},
+    "CFG": {"label": (True, 2, "default")},
+    "CG": {},
+}
+DDG_DOMAINS = {     # plus the required ddgType and label, which takes any value
+    "Const": {"valueType": _VALUE_TYPE, "value": _NUMBER},
+    **{t: {} for t in ("Global", "Local", "Control", "Function")},
+}
+
+
+def _add_edge(edge_type):
+    def add(cpg, props):
+        a = cpg.add_node(g.ELSE)
+        return cpg.add_edge(a, a, edge_type, props)
+    return add
+
+
+def _schema_elements():
+    """(name, {property: samples}, required, add(cpg, props)) per element."""
+    for kind, dom in NODE_DOMAINS.items():
+        yield kind, dom, True, lambda cpg, p, kind=kind: cpg.add_node(kind, p)
+    for t, dom in INST_DOMAINS.items():
+        yield (t, {"instType": (t,), **dom}, True,
+               lambda cpg, p: cpg.add_node(g.INSTRUCTION, p))
+    for t, dom in EDGE_DOMAINS.items():
+        yield t, dom, False, _add_edge(t)
+    for t, dom in DDG_DOMAINS.items():
+        yield (f"DDG-{t}", {"ddgType": (t,), "label": PROBES, **dom}, True,
+               _add_edge(g.DDG))
+
+
+SCHEMA_ELEMENTS = list(_schema_elements())
+SCHEMA_IDS = [e[0] for e in SCHEMA_ELEMENTS]
+
+
+def _valid(dom):
+    return {key: samples[0] for key, samples in dom.items()}
+
+
+def _within(value, samples):
+    return any(type(value) is type(s) and value == s for s in samples)
+
+
+class TestSchemaParity:
+    """Every node kind, instType, edge type and ddgType against the table above."""
+
+    def test_table_covers_the_schema(self):
+        assert set(g.NODE_KINDS) == {*NODE_DOMAINS, g.INSTRUCTION}
+        assert set(g.INST_TYPES) == set(INST_DOMAINS)
+        assert set(g.EDGE_TYPES) == {*EDGE_DOMAINS, g.DDG}
+        assert set(g.DDG_TYPES) == set(DDG_DOMAINS)
+
+    @pytest.mark.parametrize("name, dom, required, add", SCHEMA_ELEMENTS,
+                             ids=SCHEMA_IDS)
+    def test_valid_record_is_accepted(self, name, dom, required, add):
+        cpg = g.Cpg()
+        add(cpg, _valid(dom))
+
+    @pytest.mark.parametrize("name, dom, required, add", SCHEMA_ELEMENTS,
+                             ids=SCHEMA_IDS)
+    def test_unknown_key_is_rejected(self, name, dom, required, add):
+        with pytest.raises(SchemaError):
+            add(g.Cpg(), {**_valid(dom), "bogus": 1})
+
+    @pytest.mark.parametrize("name, dom, key, required, add", [
+        pytest.param(name, dom, key, required, add, id=f"{name}-{key}")
+        for name, dom, required, add in SCHEMA_ELEMENTS for key in dom])
+    def test_dropping_a_property(self, name, dom, key, required, add):
+        props = _valid(dom)
+        del props[key]
+        if required:
+            with pytest.raises(SchemaError):
+                add(g.Cpg(), props)
+        else:
+            add(g.Cpg(), props)
+
+    @pytest.mark.parametrize("name, dom, key, value, add", [
+        pytest.param(name, dom, key, value, add, id=f"{name}-{key}-{value!r}")
+        for name, dom, _, add in SCHEMA_ELEMENTS for key, samples in dom.items()
+        for value in dict.fromkeys((*samples, *PROBES))])
+    def test_property_domain(self, name, dom, key, value, add):
+        props = {**_valid(dom), key: value}
+        if _within(value, dom[key]):
+            add(g.Cpg(), props)
+        else:
+            with pytest.raises(SchemaError):
+                add(g.Cpg(), props)
+
+
+class TestVocabulary:
+    def test_inst_types_are_the_ones_the_builders_emit(self):
+        emitted = {op.opcode_inst_type(o) for o in op.SUPPORTED_OPCODES}
+        assert set(g.INST_TYPES) == emitted | {op.BEGIN_BLOCK, op.END_LOOP}
 
 
 class TestAccessors:

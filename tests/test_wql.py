@@ -57,6 +57,33 @@ class TestParseWql:
         cmp_ = top.left
         assert cmp_.op == "="
 
+    @pytest.mark.parametrize("source, message", [
+        ("break;", "1:1: 'break' outside a loop"),
+        ("continue;", "1:1: 'continue' outside a loop"),
+        ("if true:\n    break;\n", "2:5: 'break' outside a loop"),
+        ("while true:\n    x := 1;\ncontinue;\n", "3:1: 'continue' outside a loop"),
+    ])
+    def test_break_and_continue_outside_a_loop(self, source, message):
+        with pytest.raises(WqlSyntaxError, match=message):
+            parse_wql(source)
+
+    def test_break_in_an_if_in_a_loop(self):
+        prog = parse_wql("foreach x in List(1):\n    if x = 1:\n        break;\n    continue;\n")
+        loop = prog.body[0]
+        assert isinstance(loop.body[0].then[0], A.Break)
+        assert isinstance(loop.body[1], A.Continue)
+
+    def test_comment_marker_inside_a_string(self):
+        assert parse_wql('x := "a//b";').body[0].expr.expr.value == "a//b"
+
+    def test_trailing_comment_after_code(self):
+        prog = parse_wql("x := 1; // one\ny := 2;//two\n")
+        assert [s.expr.name for s in prog.body] == ["x", "y"]
+
+    def test_indented_comment_line_inside_a_block(self):
+        prog = parse_wql("while true:\n    x := 1;\n  // off the block's indent\n    break;\n")
+        assert len(prog.body) == 1 and len(prog.body[0].body) == 2
+
     def test_all_shipped_query_files_parse(self):
         for path in sorted(QUERIES_WQL.glob("*.wql")):
             prog = parse_wql(path.read_text(encoding="utf-8"))
