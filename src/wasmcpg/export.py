@@ -116,6 +116,8 @@ def import_json(path: str) -> g.Cpg:
             for i, node in enumerate(nodes):
                 if node["id"] != i:
                     raise ExportError("node ids must be dense and ordered")
+                if not isinstance(node["kind"], str):
+                    raise TypeError(f"node kind {node['kind']!r} is not a string")
                 cpg.add_node(node["kind"], node.get("properties", {}))
             for i, edge in enumerate(edges):
                 if edge["id"] != i:

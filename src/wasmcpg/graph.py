@@ -138,7 +138,7 @@ def _check_node(kind: str, props: dict[str, Any]) -> None:
         if schema is None:
             raise SchemaError(f"bad instType {kind!r}")
     else:
-        schema = _NODE_SCHEMAS.get(kind)
+        schema = _NODE_SCHEMAS.get(kind) if isinstance(kind, str) else None
         if schema is None:
             raise SchemaError(f"unknown node kind {kind!r}")
     _check(kind, schema, props, False)

@@ -16,6 +16,8 @@ class NodeBase:
 @dataclass
 class Program(NodeBase):
     body: list = field(default_factory=list)
+    # the body compiled to one closure, made on the program's first run
+    code: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

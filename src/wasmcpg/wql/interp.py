@@ -1,21 +1,16 @@
-"""Tree-walking evaluator.
-
-Graph nodes and edges are first-class values: the graph's own `Node` and
-`Edge` records, each equal only to itself. Attribute access reads the
-property map and answers nil for absent keys. The only mutation an
-evaluation performs is appending to its findings list; every list it is
-handed, `inEdges` and `outEdges` included, is a fresh copy.
-
-A range expression follows its parse-time `plan`: a pushed-down type test
-reads the graph's instruction index or typed adjacency. Each iteration of
-`foreach`, `while` or a range filter is a step, and a run has a budget.
-"""
+"""Closure compiler and evaluator. A `Program`'s first run compiles each
+syntax node once into a closure over the run's `Interpreter`, kept on the
+program: node type, operator and attribute name are dispatched on then, not
+per evaluation, and closures hold no run state, so a program runs on many
+graphs. Records compare by identity, absent properties read as nil, every
+list handed out is fresh, and each loop or range iteration is a budgeted
+step. The parser bounds nesting, and with it the recursion here."""
 
 from __future__ import annotations
 
 import copy
 import operator
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import GraphError, WqlRuntimeError
 from ..findings import Finding
@@ -24,229 +19,32 @@ from .. import query as q
 from . import ast as A
 
 _MISSING = object()
+_BREAK, _CONTINUE = object(), object()   # what break and continue statements return
 DEFAULT_BUDGET = 10_000_000   # steps per run: 300x what q10 takes on 1,000 loop instructions
 
 
-class _BreakLoop(Exception):
-    pass
-
-
-class _ContinueLoop(Exception):
-    pass
-
-
 class Interpreter:
-    def __init__(self, cpg: g.Cpg, config: dict | None = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, cpg: g.Cpg, config: dict | None = None, budget: int = DEFAULT_BUDGET):
         self.cpg = cpg
         self.budget, self.steps = budget, 0
         self.config = copy.deepcopy(dict(config or {}))   # the program's own to change
-        self.vars: dict[str, Any] = {
-            "config": self.config,
-            "sources": list(self.config.get("sources", [])),
-            "sinks": list(self.config.get("sinks", [])),
-        }
+        self.vars: dict[str, Any] = {"config": self.config,
+                                     "sources": list(self.config.get("sources", [])),
+                                     "sinks": list(self.config.get("sinks", []))}
         self.findings: list[Finding] = []
 
-    # -- statements -----------------------------------------------------------
     def run(self, program: A.Program) -> list[Finding]:
-        self.exec_block(program.body)
+        if program.code is None:
+            program.code = _block(program.body)
+        program.code(self)
         return self.findings
-
-    def exec_block(self, stmts: list) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
-
-    def exec_stmt(self, stmt) -> None:
-        if isinstance(stmt, A.ExprStmt):
-            self.eval(stmt.expr)
-        elif isinstance(stmt, A.Foreach):
-            items = self.eval(stmt.iterable)
-            if isinstance(items, dict):
-                items = list(items)  # map iteration yields keys
-            if not isinstance(items, list):
-                raise WqlRuntimeError("foreach expects a list or map", stmt.line)
-            saved = self.vars.get(stmt.var, _MISSING)
-            try:
-                for item in list(items):
-                    self._step(stmt.line)
-                    self.vars[stmt.var] = item
-                    try:
-                        self.exec_block(stmt.body)
-                    except _ContinueLoop:
-                        continue
-            except _BreakLoop:
-                pass
-            finally:
-                if saved is _MISSING:
-                    self.vars.pop(stmt.var, None)
-                else:
-                    self.vars[stmt.var] = saved
-        elif isinstance(stmt, A.While):
-            try:
-                while self._bool(self.eval(stmt.cond), stmt.line):
-                    self._step(stmt.line)
-                    try:
-                        self.exec_block(stmt.body)
-                    except _ContinueLoop:
-                        continue
-            except _BreakLoop:
-                pass
-        elif isinstance(stmt, A.IfStmt):
-            if self._bool(self.eval(stmt.cond), stmt.line):
-                self.exec_block(stmt.then)
-            else:
-                self.exec_block(stmt.orelse)
-        elif isinstance(stmt, A.Break):
-            raise _BreakLoop()
-        elif isinstance(stmt, A.Continue):
-            raise _ContinueLoop()
-        else:
-            raise WqlRuntimeError(f"unknown statement {type(stmt).__name__}",
-                                  getattr(stmt, "line", None))
-
-    # -- expressions ------------------------------------------------------------
-    def eval(self, node) -> Any:
-        if isinstance(node, A.Literal):
-            return node.value
-        if isinstance(node, A.Var):
-            if node.name not in self.vars:
-                raise WqlRuntimeError(f"undefined variable {node.name!r}", node.line)
-            return self.vars[node.name]
-        if isinstance(node, A.Assign):
-            value = self.eval(node.expr)
-            self.vars[node.name] = value
-            return value
-        if isinstance(node, A.UnOp):
-            v = self.eval(node.operand)
-            if node.op == "!":
-                return not self._bool(v, node.line)
-            if node.op == "-":
-                if not _is_number(v):
-                    raise WqlRuntimeError("unary '-' needs a number", node.line)
-                return -v
-        if isinstance(node, A.BinOp):
-            return self._binop(node)
-        if isinstance(node, A.Attr):
-            return self._attr(self.eval(node.obj), node.name, node.line)
-        if isinstance(node, A.Index):
-            return self._index(self.eval(node.obj), self.eval(node.index), node.line)
-        if isinstance(node, A.MethodCall):
-            return self._method(self.eval(node.obj), node.name,
-                                [self.eval(a) for a in node.args], node.line)
-        if isinstance(node, A.CallBuiltin):
-            return self._call(node)
-        if isinstance(node, A.RangeExpr):
-            type_, pred = node.plan
-            src = node.source
-            if type_ is None:
-                items = self.eval(src)
-            elif isinstance(src, A.CallBuiltin):
-                items = self._call(src, type_)
-            else:
-                items = self._attr(self.eval(src.obj), src.name, src.line, type_)
-            if not isinstance(items, list):
-                raise WqlRuntimeError("range expression expects a list", node.line)
-            saved = self.vars.get(node.var, _MISSING)
-            out = []
-            try:
-                for item in list(items):
-                    self._step(node.line)
-                    self.vars[node.var] = item
-                    if self._bool(self.eval(pred), node.line):
-                        out.append(item)
-            finally:
-                if saved is _MISSING:
-                    self.vars.pop(node.var, None)
-                else:
-                    self.vars[node.var] = saved
-            return out
-        raise WqlRuntimeError(f"unknown expression {type(node).__name__}",
-                              getattr(node, "line", None))
-
-    def _call(self, node: A.CallBuiltin, type_: str | None = None) -> Any:
-        args = [self.eval(a) for a in node.args]
-        try:
-            return self._builtin(node.name, args, node.line, type_)
-        except GraphError as exc:   # e.g. instructions() of a non-Function node
-            raise WqlRuntimeError(str(exc), node.line) from None
 
     def _step(self, line: int) -> None:
         self.steps += 1
         if self.steps > self.budget:
             raise WqlRuntimeError(f"step budget of {self.budget} exceeded", line)
 
-    def _bool(self, v: Any, line: int) -> bool:
-        if isinstance(v, bool):
-            return v
-        raise WqlRuntimeError(f"expected a boolean, got {type(v).__name__}", line)
-
-    def _binop(self, node: A.BinOp) -> Any:
-        op = node.op
-        if op == "&&":
-            return self._bool(self.eval(node.left), node.line) and \
-                self._bool(self.eval(node.right), node.line)
-        if op == "||":
-            return self._bool(self.eval(node.left), node.line) or \
-                self._bool(self.eval(node.right), node.line)
-        left = self.eval(node.left)
-        right = self.eval(node.right)
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "in":
-            if isinstance(right, list):
-                return left in right
-            if isinstance(right, dict):
-                return _key(left, node.line) in right
-            raise WqlRuntimeError("'in' expects a list or map", node.line)
-        if op in _ORDER:   # numbers with numbers, strings with strings
-            if not (_is_number(left) and _is_number(right)
-                    or isinstance(left, str) and isinstance(right, str)):
-                raise WqlRuntimeError(
-                    f"cannot compare {type(left).__name__} and "
-                    f"{type(right).__name__}", node.line)
-            return _ORDER[op](left, right)
-        if op in ("+", "-", "*", "/"):
-            if isinstance(left, str) and isinstance(right, str) and op == "+":
-                return left + right
-            if not _is_number(left) or not _is_number(right):
-                raise WqlRuntimeError("arithmetic on non-numbers", node.line)
-            try:
-                if op == "+":
-                    return left + right
-                if op == "-":
-                    return left - right
-                if op == "*":
-                    return left * right
-                if right == 0:
-                    raise WqlRuntimeError("division by zero", node.line)
-                return left / right if isinstance(left, float) or isinstance(right, float) \
-                    else left // right
-            except OverflowError:   # an integer too large for a float
-                raise WqlRuntimeError("number too large", node.line) from None
-        raise WqlRuntimeError(f"unknown operator {op!r}", node.line)
-
-    # -- attributes, indexing, methods -------------------------------------------
-    def _attr(self, obj: Any, name: str, line: int, edge_type: str | None = None) -> Any:
-        if isinstance(obj, g.Node):
-            if name == "inEdges":
-                return self.cpg.in_edges(obj.id, edge_type)
-            if name == "outEdges":
-                return self.cpg.out_edges(obj.id, edge_type)
-            return self.cpg.node_property(obj.id, name)
-        if isinstance(obj, g.Edge):
-            if name == "src":
-                return self.cpg.nodes[obj.src]
-            if name == "dst":
-                return self.cpg.nodes[obj.dst]
-            return self.cpg.edge_property(obj.id, name)
-        if obj is None:
-            raise WqlRuntimeError(f"attribute {name!r} on nil", line)
-        raise WqlRuntimeError(
-            f"attribute {name!r} on {type(obj).__name__}", line)
-
+    # -- indexing, methods, builtin functions --------------------------------------
     def _index(self, obj: Any, idx: Any, line: int) -> Any:
         if isinstance(obj, list):
             if not isinstance(idx, int) or isinstance(idx, bool):
@@ -279,7 +77,6 @@ class Interpreter:
         raise WqlRuntimeError(
             f"unknown method {name!r} on {type(obj).__name__}", line)
 
-    # -- builtin functions ---------------------------------------------------------
     def _builtin(self, name: str, args: list, line: int, inst_type: str | None) -> Any:
         cpg = self.cpg
         if name == "functions" and not args:
@@ -313,17 +110,223 @@ class Interpreter:
         raise WqlRuntimeError(f"expected a node, got {type(v).__name__}", line)
 
 
+# -- the compiler: one closure per syntax node --------------------------------------
+def _compile(node) -> Callable:
+    return _COMPILERS[type(node)](node)
+
+
+def _block(stmts: list) -> Callable:
+    code = [_compile(s) for s in stmts]
+
+    def block(st):
+        for stmt in code:
+            signal = stmt(st)
+            if signal is _BREAK or signal is _CONTINUE:
+                return signal
+    return block
+
+
+def _each(st: Interpreter, var: str, items: Any, line: int, visit: Callable, error: str):
+    """`visit()` each item of list `items`, one step each, bound to `var`."""
+    if not isinstance(items, list):
+        raise WqlRuntimeError(error, line)
+    saved = st.vars.get(var, _MISSING)
+    try:
+        for item in list(items):
+            st._step(line)
+            st.vars[var] = item
+            if visit(item) is _BREAK:
+                break
+    finally:
+        if saved is _MISSING:
+            st.vars.pop(var, None)
+        else:
+            st.vars[var] = saved
+
+
+def _foreach(node: A.Foreach) -> Callable:
+    iterable, body, var, line = _compile(node.iterable), _block(node.body), node.var, node.line
+
+    def foreach(st):
+        items = iterable(st)
+        items = list(items) if isinstance(items, dict) else items   # a map's keys
+        _each(st, var, items, line, lambda item: body(st), "foreach expects a list or map")
+    return foreach
+
+
+def _range(node: A.RangeExpr) -> Callable:
+    type_, pred = node.plan   # type_: the one instType or edge type to read, or None
+    source = _compile(node.source) if type_ is None else \
+        (_call if isinstance(node.source, A.CallBuiltin) else _attr)(node.source, type_)
+    test, var, line = _compile(pred), node.var, node.line
+
+    def range_(st):
+        out = []
+        _each(st, var, source(st), line, lambda x: _truth(test(st), line) and out.append(x),
+              "range expression expects a list")
+        return out
+    return range_
+
+
+def _while(node: A.While) -> Callable:
+    cond, body, line = _compile(node.cond), _block(node.body), node.line
+
+    def while_(st):
+        while _truth(cond(st), line):
+            st._step(line)
+            if body(st) is _BREAK:
+                break
+    return while_
+
+
+def _if(node: A.IfStmt) -> Callable:
+    cond, then, orelse = _compile(node.cond), _block(node.then), _block(node.orelse)
+    line = node.line
+    return lambda st: then(st) if _truth(cond(st), line) else orelse(st)
+
+
+def _var(node: A.Var) -> Callable:
+    name, line = node.name, node.line
+
+    def var(st):
+        try:
+            return st.vars[name]
+        except KeyError:
+            raise WqlRuntimeError(f"undefined variable {name!r}", line) from None
+    return var
+
+
+def _assign(node: A.Assign) -> Callable:
+    expr, name = _compile(node.expr), node.name
+
+    def assign(st):
+        value = st.vars[name] = expr(st)
+        return value
+    return assign
+
+
+def _unop(node: A.UnOp) -> Callable:
+    operand, line = _compile(node.operand), node.line
+    if node.op == "!":
+        return lambda st: not _truth(operand(st), line)
+
+    def negate(st):
+        v = operand(st)
+        if not _is_number(v):
+            raise WqlRuntimeError("unary '-' needs a number", line)
+        return -v
+    return negate
+
+
+def _binop(node: A.BinOp) -> Callable:
+    left, right, op, line = _compile(node.left), _compile(node.right), node.op, node.line
+    if op in ("&&", "||"):
+        short = op == "||"   # the left value that decides the result
+        return lambda st: short if _truth(left(st), line) is short else _truth(right(st), line)
+    if op == "=":
+        return lambda st: left(st) == right(st)
+    if op == "!=":
+        return lambda st: left(st) != right(st)
+    if op == "in":
+        def member(st):
+            item, coll = left(st), right(st)
+            if isinstance(coll, list):
+                return item in coll
+            if isinstance(coll, dict):
+                return _key(item, line) in coll
+            raise WqlRuntimeError("'in' expects a list or map", line)
+        return member
+    fn, strings = {**_ORDER, **_ARITH}[op], op in _ORDER or op == "+"
+    error = "cannot compare {} and {}" if op in _ORDER else "arithmetic on non-numbers"
+
+    def strict(st):
+        a, b = left(st), right(st)
+        if not (_is_number(a) and _is_number(b)
+                or strings and isinstance(a, str) and isinstance(b, str)):
+            raise WqlRuntimeError(error.format(type(a).__name__, type(b).__name__), line)
+        try:
+            return fn(a, b)
+        except ZeroDivisionError:
+            raise WqlRuntimeError("division by zero", line) from None
+        except OverflowError:   # an integer too large for a float
+            raise WqlRuntimeError("number too large", line) from None
+    return strict
+
+
+def _attr(node: A.Attr, etype: str | None = None) -> Callable:
+    obj, name, line = _compile(node.obj), node.name, node.line
+    on_node, on_edge = _FIELDS.get(name, (None, None))   # None: a property
+
+    def attr(st):
+        rec = obj(st)
+        if type(rec) is g.Node:
+            return rec.properties.get(name) if on_node is None else on_node(st.cpg, rec, etype)
+        if type(rec) is g.Edge:
+            return rec.properties.get(name) if on_edge is None else on_edge(st.cpg, rec)
+        raise WqlRuntimeError(f"attribute {name!r} on "
+                              f"{'nil' if rec is None else type(rec).__name__}", line)
+    return attr
+
+
+def _call(node: A.CallBuiltin, inst_type: str | None = None) -> Callable:
+    args, name, line = [_compile(a) for a in node.args], node.name, node.line
+
+    def call(st):
+        try:
+            return st._builtin(name, [a(st) for a in args], line, inst_type)
+        except GraphError as exc:   # e.g. instructions() of a non-Function node
+            raise WqlRuntimeError(str(exc), line) from None
+    return call
+
+
+def _method_call(node: A.MethodCall) -> Callable:
+    obj, name, line = _compile(node.obj), node.name, node.line
+    args = [_compile(a) for a in node.args]
+    return lambda st: st._method(obj(st), name, [a(st) for a in args], line)
+
+
+def _index(node: A.Index) -> Callable:
+    obj, index, line = _compile(node.obj), _compile(node.index), node.line
+    return lambda st: st._index(obj(st), index(st), line)
+
+
+def _literal(node: A.Literal) -> Callable:
+    value = node.value
+    return lambda st: value
+
+
+_COMPILERS: dict[type, Callable] = {
+    A.ExprStmt: lambda node: _compile(node.expr), A.Foreach: _foreach, A.While: _while,
+    A.IfStmt: _if, A.Break: lambda node: lambda st: _BREAK,
+    A.Continue: lambda node: lambda st: _CONTINUE, A.RangeExpr: _range, A.Var: _var,
+    A.Assign: _assign, A.UnOp: _unop, A.BinOp: _binop, A.Attr: _attr, A.CallBuiltin: _call,
+    A.MethodCall: _method_call, A.Index: _index, A.Literal: _literal,
+}
+# attribute -> (read on a Node, read on an Edge) where it is no property; None: the property
+_FIELDS = {"id": (lambda cpg, n, t: n.id, lambda cpg, e: e.id),
+           "type": (lambda cpg, n, t: n.kind, lambda cpg, e: e.type),
+           "src": (None, lambda cpg, e: cpg.nodes[e.src]),
+           "dst": (None, lambda cpg, e: cpg.nodes[e.dst]),
+           "inEdges": (lambda cpg, n, t: cpg.in_edges(n.id, t), None),
+           "outEdges": (lambda cpg, n, t: cpg.out_edges(n.id, t), None)}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else a // b}
 _WALKS = {"descendantsCFG": q.descendants_cfg, "descendantsAST": q.descendants_ast,
           "ascendantsAST": q.ascendants_ast}
+
+
+def _truth(v: Any, line: int) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise WqlRuntimeError(f"expected a boolean, got {type(v).__name__}", line)
 
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _key(v: Any, line: int) -> Any:
-    """A map key: any value but a list or a map, which do not hash."""
+def _key(v: Any, line: int) -> Any:   # any value but a list or a map, which do not hash
     if isinstance(v, (list, dict)):
         raise WqlRuntimeError(f"a {type(v).__name__} cannot be a map key", line)
     return v
@@ -331,7 +334,4 @@ def _key(v: Any, line: int) -> Any:
 
 def eval_wql(program: A.Program, cpg: g.Cpg, config: dict | None = None,
              budget: int = DEFAULT_BUDGET) -> list[Finding]:
-    try:
-        return Interpreter(cpg, config, budget).run(program)
-    except RecursionError:   # evaluation recurses once per expression level
-        raise WqlRuntimeError("expression nesting too deep") from None
+    return Interpreter(cpg, config, budget).run(program)

@@ -274,6 +274,12 @@ class TestFailClosed:
                   "--wql-budget", "1000")
         assert got == (3, "", "error: line 1: step budget of 1000 exceeded\n")
 
+    def test_too_deep_wql_names_its_line_and_column(self, capsys, t):
+        # the 46th "+" of a 1,000-term sum crosses the parser's nesting bound
+        (t / "deep.wql").write_text("x := " + " + ".join(["1"] * 1000) + ";\n")
+        got = run(capsys, "query", f"{t}/g.json", "--wql", f"{t}/deep.wql")
+        assert got == (3, "", "error: 1:188: nesting deeper than 48 levels\n")
+
     def test_dead_labeled_if_scans_clean(self, capsys, tmp_path):
         path = tmp_path / "dead_if.wat"
         path.write_text(DEAD_LABELED_IF)

@@ -62,6 +62,11 @@ class TestAddNode:
         with pytest.raises(SchemaError):
             cpg.add_node("Cloud", {})
 
+    @pytest.mark.parametrize("kind", [["Else"], {"Else": 1}, None, 7])
+    def test_a_kind_that_is_not_a_string_is_a_schema_error(self, kind):
+        with pytest.raises(SchemaError, match="unknown node kind"):
+            g.Cpg().add_node(kind, {})
+
 
 class TestAddEdge:
     def _two_nodes(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import copy
 import pathlib
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from wasmcpg.errors import WqlRuntimeError, WqlSyntaxError
 from wasmcpg.queries import QUERIES, run_all
 from wasmcpg.wql import eval_wql, parse_wql
 from wasmcpg.wql import ast as A
+from wasmcpg.wql import parser as P
 
 QUERIES_WQL = pathlib.Path(__file__).parent.parent / "src" / "wasmcpg" / "queries_wql"
 
@@ -342,6 +344,249 @@ foreach x in List(1, 2, 3):
             interp.run(parse_wql(path.read_text(encoding="utf-8")))
             used[path.stem] = interp.steps
         assert max(used.values()) * 100 < DEFAULT_BUDGET, used
+
+
+# Steps each packaged twin takes (q01..q10, in file order), pinned so that a
+# change to the evaluator keeps one step per loop iteration and range item.
+TWIN_STEPS = {
+    "q01_vuln": (9, 5, 8, 8, 3, 5, 11, 3, 8, 3),
+    "q01_clean": (14, 5, 8, 8, 3, 5, 3, 3, 8, 3),
+    "q02_vuln": (3, 4, 5, 5, 2, 3, 2, 2, 5, 2),
+    "q02_clean": (3, 3, 5, 5, 2, 3, 2, 2, 5, 2),
+    "q03_vuln": (7, 7, 23, 22, 4, 7, 4, 4, 15, 4),
+    "q03_clean": (7, 7, 20, 20, 4, 7, 4, 4, 15, 4),
+    "q04_vuln": (6, 6, 22, 22, 3, 6, 3, 3, 13, 3),
+    "q04_clean": (5, 5, 15, 15, 3, 5, 3, 3, 11, 3),
+    "q05_vuln": (5, 5, 9, 9, 8, 5, 4, 5, 9, 4),
+    "q05_clean": (3, 3, 6, 6, 6, 3, 3, 4, 6, 3),
+    "q06_vuln": (5, 5, 8, 8, 3, 8, 3, 3, 8, 3),
+    "q06_clean": (3, 3, 5, 5, 2, 4, 2, 2, 5, 2),
+    "q07_vuln": (5, 5, 8, 8, 3, 9, 80, 3, 8, 3),
+    "q07_clean": (5, 5, 8, 8, 3, 9, 3, 3, 8, 3),
+    "q08_vuln": (3, 3, 5, 5, 2, 10, 2, 23, 5, 2),
+    "q08_clean": (5, 5, 8, 8, 3, 16, 3, 24, 8, 3),
+    "q09_vuln": (6, 6, 18, 18, 4, 11, 4, 4, 17, 4),
+    "q09_clean": (6, 6, 18, 18, 4, 11, 4, 4, 17, 4),
+    "q10_vuln": (3, 3, 5, 5, 2, 3, 2, 3, 5, 56),
+    "q10_clean": (1, 1, 2, 2, 1, 1, 1, 2, 2, 53),
+    "fig_ddg": (3, 3, 5, 5, 2, 3, 2, 5, 5, 2),
+    "libpng_get_token": (3, 3, 5, 5, 2, 3, 2, 4, 5, 237),
+    "empty": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "mixed": (3, 3, 6, 6, 7, 3, 3, 9, 6, 13),
+    "cfg_brtable": (1, 1, 2, 2, 1, 1, 1, 1, 2, 1),
+    "scaling_module(1000)": (3, 3, 6, 6, 3, 3, 3, 213, 6, 32012),
+}
+
+
+def _twin_steps(cpg, bindings):
+    from wasmcpg.wql.interp import Interpreter
+    steps = []
+    for path in sorted(QUERIES_WQL.glob("*.wql")):
+        interp = Interpreter(cpg, bindings)
+        interp.run(parse_wql(path.read_text(encoding="utf-8")))
+        steps.append(interp.steps)
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_STEPS))
+def test_twin_step_counts_are_pinned(name, scan_config):
+    if name == "scaling_module(1000)":
+        import gen
+        from wasmcpg.pipeline import build_cpg
+        cpg, _ = build_cpg(gen.scaling_module(1000))
+    else:
+        cpg = fixture_cpg(name)
+    assert _twin_steps(cpg, scan_config.to_wql_bindings()) == TWIN_STEPS[name]
+
+
+# (source, step budget, the error's full text); each error names its line
+RUNTIME_ERRORS = [
+    ("x := 1;\ny := z;", None, "line 2: undefined variable 'z'"),
+    ("if (1):\n    x := 2;", None, "line 1: expected a boolean, got int"),
+    ("x := 0;\nwhile x:\n    break;", None, "line 2: expected a boolean, got int"),
+    ("x := (true &&\n  1);", None, "line 1: expected a boolean, got int"),
+    ("x := 1 && true;", None, "line 1: expected a boolean, got int"),
+    ("x := (false\n  || nil);", None, "line 2: expected a boolean, got NoneType"),
+    ('x := !"a";', None, "line 1: expected a boolean, got str"),
+    ("x := 1;\ny := [v in List(1, 2) : v];", None, "line 2: expected a boolean, got int"),
+    ("x := nil;\ny := x.name;", None, "line 2: attribute 'name' on nil"),
+    ("x := 5;\ny := x.name;", None, "line 2: attribute 'name' on int"),
+    ("x := functions();\ny := x.inEdges;", None, "line 2: attribute 'inEdges' on list"),
+    ("x := List(1)[1];", None, "line 1: list index 1 out of range"),
+    ("x := List(1)[0 - 1];", None, "line 1: list index -1 out of range"),
+    ('x := List(1)["0"];', None, "line 1: list index must be an integer"),
+    ("x := List(1)[true];", None, "line 1: list index must be an integer"),
+    ("x := 1[0];", None, "line 1: cannot index int"),
+    ("x := List().nope();", None, "line 1: unknown method 'nope' on list"),
+    ("x := List().pop();", None, "line 1: pop from an empty list"),
+    ("x := 1;\ny := teleport(x);", None, "line 2: unknown builtin 'teleport'"),
+    ("x := descendantsAST(1);", None, "line 1: expected a node, got int"),
+    ("x := 1 in 2;", None, "line 1: 'in' expects a list or map"),
+    ("x := List() in config;", None, "line 1: a list cannot be a map key"),
+    ('x := 1 < "a";', None, "line 1: cannot compare int and str"),
+    ("x := true >= false;", None, "line 1: cannot compare bool and bool"),
+    ('x := "a" - "b";', None, "line 1: arithmetic on non-numbers"),
+    ("x := (1\n + nil);", None, "line 2: arithmetic on non-numbers"),
+    ('x := -"a";', None, "line 1: unary '-' needs a number"),
+    ("x := 1 / 0;", None, "line 1: division by zero"),
+    ("x := 1.5 / 0;", None, "line 1: division by zero"),
+    ("x := 1.5 + 1" + "0" * 400 + ";", None, "line 1: number too large"),
+    ("foreach v in 1:\n    x := v;", None, "line 1: foreach expects a list or map"),
+    ("x := [v in 1 : true];", None, "line 1: range expression expects a list"),
+    ("x := 1;\ny := [v in List(1, 2, 3) : true];", 2, "line 2: step budget of 2 exceeded"),
+    ("foreach v in List(1, 2, 3):\n    x := v;", 2, "line 1: step budget of 2 exceeded"),
+    ("foreach v in List(1):\n    x := [w in List(1, 2) : true];", 2,
+     "line 2: step budget of 2 exceeded"),
+]
+
+
+@pytest.mark.parametrize("source, budget, message", RUNTIME_ERRORS)
+def test_runtime_error_text_and_line(source, budget, message):
+    kwargs = {} if budget is None else {"budget": budget}
+    with pytest.raises(WqlRuntimeError) as info:
+        eval_wql(parse_wql(source), fixture_cpg("empty"), {}, **kwargs)
+    assert str(info.value) == message
+    assert info.value.line == int(message.split(":")[0].split()[1])
+
+
+class TestSemantics:
+    def _labels(self, source, name="empty", config=None):
+        return [f.label for f in eval_wql(parse_wql(source), fixture_cpg(name), config)]
+
+    def test_and_or_short_circuit(self):
+        assert self._labels("""
+x := false && nope();
+y := true || nope();
+vulnerability("k", "f", x);
+vulnerability("k", "f", y);
+""") == ["False", "True"]
+
+    # each loop binds v and takes line 2
+    @pytest.mark.parametrize("loop", [
+        "foreach v in List(1, 2): y := v;",
+        "foreach v in List(1, 2): break;",
+        "foreach v in List(1, 2): continue;",
+        "y := [v in List(1, 2) : v = 2];",
+    ])
+    def test_a_shadowed_variable_is_restored(self, loop):
+        assert self._labels(f'v := "outer";\n{loop}\nvulnerability("k", "f", v);') \
+            == ["outer"]
+        with pytest.raises(WqlRuntimeError, match="^line 3: undefined variable 'v'$"):
+            self._labels(f"w := 0;\n{loop}\nz := v;")
+
+    @pytest.mark.parametrize("loop", [
+        "foreach v in List(1, 2): y := nil.x;",
+        "y := [v in List(1, 2) : nil.x];",
+        "y := [v in List(1, 2) : 1];",
+    ])
+    def test_a_shadowed_variable_is_restored_when_the_loop_raises(self, loop):
+        from wasmcpg.wql.interp import Interpreter
+        for outer, after in (('v := "outer";', "outer"), ("w := 0;", "unbound")):
+            interp = Interpreter(fixture_cpg("empty"), {})
+            with pytest.raises(WqlRuntimeError, match="^line 2: "):
+                interp.run(parse_wql(f"{outer}\n{loop}"))
+            assert interp.vars.get("v", "unbound") == after
+
+    def test_foreach_over_a_map_yields_its_keys(self):
+        assert self._labels("""
+foreach k in config:
+    vulnerability("k", "f", k);
+""", config={"b": 1, "a": 2}) == ["b", "a"]
+
+    def test_break_and_continue_in_nested_loops(self):
+        assert self._labels("""
+foreach i in List(1, 2, 3):
+    foreach j in List(1, 2, 3):
+        if (j = 2):
+            continue;
+        if (j = 3):
+            break;
+        vulnerability("k", "f", i * 10 + j);
+    if (i = 2):
+        break;
+k := 0;
+while (true):
+    k := k + 1;
+    if (k < 3):
+        continue;
+    vulnerability("k", "f", k);
+    break;
+""") == ["11", "21", "3"]
+
+    def test_records_compare_by_identity(self):
+        assert self._labels("""
+foreach f in functions():
+    a := f.outEdges;
+    b := f.outEdges;
+    vulnerability("k", f.name, a = b);
+    vulnerability("k", f.name, a[0] = b[0] && a[0].src = f && f != a[0].dst);
+    vulnerability("k", f.name, f in List(f) && !(f in List(a[0].dst)));
+fs := functions();
+vulnerability("k", "f", fs[0] = fs[1] || fs[0] != functions()[0]);
+""", "fig_ddg") == ["True", "True", "True"] * 2 + ["False"]
+
+
+# One statement per shape, nested n levels of that shape deep
+NESTED = {
+    "sum": lambda n: "x := " + " + ".join(["1"] * n) + ";",
+    "parens": lambda n: "x := " + "(" * n + "1" + ")" * n + ";",
+    "minus": lambda n: "x := " + "-" * n + "1;",
+    "not": lambda n: "x := " + "!" * n + "true;",
+    "assign": lambda n: "".join(f"x{i} := " for i in range(n)) + "1;",
+    "calls": lambda n: "x := " + "List(" * n + ")" * n + ";",
+    "ranges": lambda n: "x := " + "[v in " * n + "List(1)" + " : true]" * n + ";",
+    "index": lambda n: "l := List();\nl.append(l);\nx := l" + "[0]" * n + ";",
+    "methods": lambda n: "l := List();\nx := l" + ".append(1)" * n + ".size();",
+    "ifs": lambda n: "".join("    " * i + "if true:\n" for i in range(n))
+                     + "    " * n + "x := 1;",
+    "loops": lambda n: "".join("    " * i + "foreach v in List(1):\n" for i in range(n))
+                       + "    " * n + "x := v;",
+}
+# shape -> (the largest n that parses, line:col of the error at n + 1): the
+# token where nesting crosses the bound, such as the 46th "+" or "-"
+AT_BOUND = {
+    "sum": (46, "1:188"), "parens": (45, "1:52"), "minus": (45, "1:51"),
+    "not": (45, "1:51"), "assign": (46, "1:320"), "calls": (46, "1:236"),
+    "ranges": (44, "1:281"), "index": (45, "3:142"), "methods": (44, "2:457"),
+    "ifs": (45, "47:190"), "loops": (45, "47:190"),
+}
+
+
+def _frames_deep(frames, fn):
+    """`fn()`, called `frames` Python frames below this call."""
+    return fn() if frames == 0 else _frames_deep(frames - 1, fn)
+
+
+class TestDepthBound:
+    def test_shipped_and_listed_queries_need_under_half_the_bound(self, monkeypatch):
+        monkeypatch.setattr(P, "MAX_DEPTH", 24)   # the deepest needs 19 levels
+        paths = [*QUERIES_WQL.glob("*.wql"),
+                 *(pathlib.Path(__file__).parent / "fixtures" / "wql").glob("*.wql")]
+        assert len(paths) == 14
+        for path in paths:
+            parse_wql(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_at_the_bound_parse_compile_and_run_400_frames_deep(self, shape):
+        n, _ = AT_BOUND[shape]
+        cpg, limit = fixture_cpg("empty"), sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)   # Python's default
+        try:
+            prog = _frames_deep(400, lambda: parse_wql(NESTED[shape](n)))
+            assert _frames_deep(400, lambda: eval_wql(prog, cpg, {})) == []
+        finally:
+            sys.setrecursionlimit(limit)
+        assert prog.code is not None   # compiled on that run
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_one_level_past_the_bound_fails_at_the_crossing_token(self, shape):
+        n, where = AT_BOUND[shape]
+        with pytest.raises(WqlSyntaxError) as info:
+            _frames_deep(400, lambda: parse_wql(NESTED[shape](n + 1)))
+        assert str(info.value) == f"{where}: nesting deeper than {P.MAX_DEPTH} levels"
+        # far past the bound, the parser stops as early, wherever the bound is crossed
+        with pytest.raises(WqlSyntaxError, match=f"nesting deeper than {P.MAX_DEPTH} levels$"):
+            _frames_deep(400, lambda: parse_wql(NESTED[shape](3000)))
 
 
 def _multiset(findings):
