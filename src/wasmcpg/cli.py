@@ -112,7 +112,7 @@ def _print_timing(report) -> None:
     total = report.total or 1.0
     for stage in STAGES:
         dt = report.timings.get(stage, 0.0)
-        print(f"  {stage:<6} {dt * 1000:9.2f} ms  {100 * dt / total:5.1f}%",
+        print(f"  {stage:<12} {dt * 1000:9.2f} ms  {100 * dt / total:5.1f}%",
               file=sys.stderr)
 
 

@@ -84,19 +84,32 @@ class State:
 
 
 def join(a: Optional[State], b: State) -> tuple[State, bool]:
-    """Pointwise union; returns (joined, grew-relative-to-a)."""
+    """Pointwise union; returns (joined, grew-relative-to-a). Allocates only
+    on growth and shares what it can: `a` itself if no slot grew, else a
+    state that keeps `a`'s store tuples and sets wherever `b` adds nothing."""
     if a is None:
         return b, True
     if len(a.stack) != len(b.stack):
         raise DataflowError(
             f"join of states with mismatched stack heights "
             f"{len(a.stack)} vs {len(b.stack)}")
-    old = a.globals_ + a.locals_ + a.stack
-    new = tuple(x | y for x, y in zip(old, b.globals_ + b.locals_ + b.stack))
-    if all(len(u) == len(x) for u, x in zip(new, old)):
+    gs, ls, ss = (_join_slots(a.globals_, b.globals_),
+                  _join_slots(a.locals_, b.locals_), _join_slots(a.stack, b.stack))
+    if gs is a.globals_ and ls is a.locals_ and ss is a.stack:
         return a, False
-    ng, nl = len(a.globals_), len(a.globals_) + len(a.locals_)
-    return State(new[:ng], new[ng:nl], new[nl:]), True
+    return State(gs, ls, ss), True
+
+
+def _join_slots(xs: tuple, ys: tuple) -> tuple:
+    """`xs` itself unless some set of `ys` adds to its slot. A slot that
+    does not grow keeps `xs`'s set, one that `ys` covers takes `ys`'s, and
+    only the rest are unions."""
+    if ys is not xs:
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if y is not x and not y <= x:
+                return xs[:i] + tuple(x if y is x or y <= x else y if x <= y else x | y
+                                      for x, y in zip(xs[i:], ys[i:]))
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +368,16 @@ def _run(order: list, dirty: set, fire) -> None:
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
     """Add one DDG edge per (origin, consumer), consumers in id order and
-    origins ascending.
+    origins ascending; returns the count.
 
     An origin node yields the same `Dep` wherever its value flows, so a
     consumer's popped sets name each origin once, and all edges from one
     origin share one property map.
     """
     popped = analysis.popped
-    props_of: dict[int, dict] = {}
-    ddg = g.DDG
-
-    def rows():
-        for node in sorted(popped):
-            for dep in sorted(EMPTY.union(*popped[node]), key=_ORIGIN):
-                props = props_of.get(dep.origin)
-                if props is None:
-                    props = props_of[dep.origin] = _ddg_props(dep)
-                yield dep.origin, node, ddg, props
-
-    return ctx.cpg.add_edges(rows())
+    fan_ins = ((node, sorted(EMPTY.union(*popped[node]), key=_ORIGIN))
+               for node in sorted(popped))
+    return ctx.cpg.add_fan_ins(g.DDG, fan_ins, _ORIGIN, _ddg_props)
 
 
 def _ddg_props(dep: Dep) -> dict:
@@ -381,12 +385,3 @@ def _ddg_props(dep: Dep) -> dict:
         return {"ddgType": dep.kind, "label": dep.value,
                 "valueType": dep.value_type, "value": dep.value}
     return {"ddgType": dep.kind, "label": dep.name}
-
-
-def build_ddg(ctx: BuildContext) -> dict[str, AnalysisStats]:
-    stats: dict[str, AnalysisStats] = {}
-    for func in ctx.module.functions:
-        analysis = analyze_function(ctx, func.name)
-        emit_ddg_edges(ctx, analysis)
-        stats[func.name] = analysis.stats
-    return stats

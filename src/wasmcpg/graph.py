@@ -11,10 +11,11 @@ insertion is checked by one loop: an unknown key, a value outside its domain
 or a missing property raises SchemaError. AST and CFG edge properties are
 optional; every other property is required.
 
-Edge property maps may be shared between edges of one type: `add_edges`, the
-one bulk append path, stores one copy per distinct map it is handed, so the
-DDG emitter's one map per origin node and `import_json`'s one map per
-distinct JSON text are each stored once. Every property map read from the
+Edge property maps may be shared between edges of one type. There are two
+bulk append paths, and each stores one copy per distinct map: `add_fan_ins`
+takes the DDG emitter's fan-ins (each consumer with its origins) and stores
+one map per origin node, and `add_edges` takes `import_json`'s rows and
+stores one map per distinct JSON text. Every property map read from the
 graph is read-only.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
@@ -27,7 +28,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SchemaError
 from .opcodes import VALUE_TYPES
@@ -253,6 +254,48 @@ class Cpg:
             edges.append(edge)
             out[src].setdefault(edge_type, []).append(edge)
             inc[dst].setdefault(edge_type, []).append(edge)
+        return len(edges) - first
+
+    def add_fan_ins(self, edge_type: str, runs: Iterable[tuple[int, Sequence]],
+                    src_of: Callable[[Any], int],
+                    props_of: Callable[[Any], dict[str, Any]]) -> int:
+        """Append the edges `src_of(item) -> dst` of each run `(dst, items)`,
+        in order: one fan-in per consumer. Each source's first edge goes
+        through `add_edge`, which validates and copies `props_of(item)`; its
+        later edges share that copy and skip the per-edge checks. Returns the
+        count added; rows before a failing one stay added."""
+        self._writable()
+        edges, out, inc = self.edges, self._out, self._in
+        n_nodes, first = len(self.nodes), len(edges)
+        seen: dict[int, tuple] = {}   # src -> (stored map, its out-list's append)
+        for dst, items in runs:
+            if not 0 <= dst < n_nodes:
+                raise GraphError(f"dangling edge endpoint {dst}")
+            if not items:
+                continue
+            in_list = inc[dst].setdefault(edge_type, [])
+            batch, eid = [], len(edges)
+            try:
+                for item in items:
+                    src = src_of(item)
+                    known = seen.get(src)
+                    if known is None:
+                        edges.extend(batch)
+                        in_list.extend(batch)
+                        batch = []
+                        stored = edges[self.add_edge(src, dst, edge_type, props_of(item))]
+                        # looked up afresh: a wrapped add_edge may store its edge elsewhere
+                        seen[src] = (stored.properties,
+                                     out[src].setdefault(edge_type, []).append)
+                        eid = len(edges)
+                        continue
+                    edge = Edge(eid, src, dst, edge_type, known[0])
+                    eid += 1
+                    batch.append(edge)
+                    known[1](edge)
+            finally:   # each batched edge is already in its source's out-list
+                edges.extend(batch)
+                in_list.extend(batch)
         return len(edges) - first
 
     def freeze(self) -> "Cpg":

@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 from .ast_builder import BuildContext, build_ast
 from .cfg_builder import build_cfg
 from .cg_builder import build_cg, build_signature_index
-from .dataflow import AnalysisStats, build_ddg
+from .dataflow import AnalysisStats, analyze_function, emit_ddg_edges
 from .ir import ModuleIR
 from .wat_parser import Parser
 from . import graph as g
 
-STAGES = ("parse", "ast", "cfg", "cg", "ddg")
+STAGES = ("parse", "ast", "cfg", "cg", "ddg_fixpoint", "ddg_emit", "freeze")
 
 
 @dataclass
@@ -28,14 +28,19 @@ class BuildReport:
 
 def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
     """The one build path: parse (unless given a module), AST (its walk is
-    the validator), CFG, CG, DDG and freeze, each timed, cyclic GC paused."""
+    the validator), CFG, CG, each function's DDG fixpoint and edge emission,
+    and freeze, each timed, cyclic GC paused."""
     report = BuildReport()
     last = [time.perf_counter()]
 
+    def mark(stage):   # the time since the last mark goes to `stage`
+        now = time.perf_counter()
+        report.timings[stage] = report.timings.get(stage, 0.0) + now - last[0]
+        last[0] = now
+
     def timed(stage, fn, *args):
         result = fn(*args)
-        now = time.perf_counter()
-        report.timings[stage], last[0] = now - last[0], now
+        mark(stage)
         return result
 
     with g.gc_paused():
@@ -44,8 +49,13 @@ def _build(source: str | ModuleIR) -> tuple[BuildContext, BuildReport]:
         ctx = timed("ast", build_ast, module)
         timed("cfg", build_cfg, ctx)
         timed("cg", build_cg, ctx, build_signature_index(module))
-        report.function_stats = timed("ddg", build_ddg, ctx)
-        ctx.cpg.freeze()
+        for func in module.functions:
+            analysis = timed("ddg_fixpoint", analyze_function, ctx, func.name)
+            timed("ddg_emit", emit_ddg_edges, ctx, analysis)
+            report.function_stats[func.name] = analysis.stats
+            del analysis   # freed before the next function's fixpoint
+            mark("ddg_fixpoint")
+        timed("freeze", ctx.cpg.freeze)
     return ctx, report
 
 

@@ -213,13 +213,13 @@ class _Parser:
             t = self.peek()
             if self.at("OP", "."):
                 self.next()
-                name = self.expect("NAME").value
+                name = self.expect("NAME")
                 if self.at("OP", "("):
                     args = self._args()
-                    node = self.made(A.MethodCall(obj=node, name=name, args=args,
-                                                  line=self.peek().line), t)
+                    node = self.made(A.MethodCall(obj=node, name=name.value, args=args,
+                                                  line=name.line), t)
                 else:
-                    node = self.made(A.Attr(obj=node, name=name, line=self.peek().line), t)
+                    node = self.made(A.Attr(obj=node, name=name.value, line=name.line), t)
             elif self.at("OP", "["):
                 self.next()
                 idx = self.expression()

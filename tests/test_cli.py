@@ -77,7 +77,7 @@ class TestScan:
         code, out, err = run(capsys, "scan",
                              str(FIXTURES / "libpng_get_token.wat"),
                              "--config", CONFIG, "--timing")
-        for stage in ("parse", "ast", "cfg", "cg", "ddg"):
+        for stage in ("parse", "ast", "cfg", "cg", "ddg_fixpoint", "ddg_emit", "freeze"):
             assert stage in err
         assert "BO Loops" in out
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
+from conftest import ALL_FIXTURES, build_fixture, fixture_cpg, fixture_source
 from gen import random_module
 from oracle import round_robin_states
 from wasmcpg.ast_builder import build_ast
@@ -158,6 +158,28 @@ class TestTransfer:
                 assert x <= y
 
 
+@st.composite
+def state_pairs(draw):
+    """(a, b) of one shape; b's store tuples and sets are often a's own
+    objects, subsets or supersets of them."""
+    deps = [df.Dep("Const", i, None, i, "i32") for i in range(6)]
+    sets = st.frozensets(st.sampled_from(deps), max_size=4)
+
+    def store(n):
+        xs = tuple(draw(sets) for _ in range(n))
+        if draw(st.booleans()):
+            return xs, xs
+        ys = []
+        for x in xs:
+            how, y = draw(st.sampled_from(("same", "subset", "superset", "any"))), draw(sets)
+            ys.append(x if how == "same" else x & y if how == "subset"
+                      else x | y if how == "superset" else y)
+        return xs, tuple(ys)
+
+    (ga, gb), (la, lb), (sa, sb) = (store(draw(st.integers(0, 3))) for _ in range(3))
+    return df.State(ga, la, sa), df.State(gb, lb, sb)
+
+
 class TestJoin:
     def test_mismatched_heights(self):
         with pytest.raises(DataflowError, match="mismatched stack heights"):
@@ -170,6 +192,24 @@ class TestJoin:
         assert grew and len(joined.stack[0]) == 2
         again, grew2 = df.join(joined, b)
         assert not grew2 and again is joined
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=state_pairs())
+    def test_matches_pointwise_union_and_shares_what_did_not_grow(self, pair):
+        a, b = pair
+        slots = lambda s: s.globals_ + s.locals_ + s.stack
+        reference = df.State(*(tuple(x | y for x, y in zip(p, q)) for p, q in (
+            (a.globals_, b.globals_), (a.locals_, b.locals_), (a.stack, b.stack))))
+        joined, grew = df.join(a, b)
+        assert joined == reference
+        assert grew == any(not y <= x for x, y in zip(slots(a), slots(b)))
+        if not grew:
+            assert joined is a
+        for u, x, y in zip(slots(joined), slots(a), slots(b)):
+            if y <= x:
+                assert u is x   # a slot that did not grow keeps a's set
+            elif x <= y:
+                assert u is y   # one b covers takes b's
 
 
 class TestPrepare:
@@ -344,7 +384,7 @@ class TestAnalyzeFunction:
     def test_ddg_stage_dominates_on_loop_heavy_input(self):
         from gen import scaling_module
         _, report = build_cpg(scaling_module(500))
-        ddg = report.timings["ddg"]
+        ddg = report.timings["ddg_fixpoint"] + report.timings["ddg_emit"]
         assert all(ddg >= report.timings[s] for s in ("parse", "ast", "cfg", "cg"))
 
 
@@ -354,6 +394,24 @@ class TestEmitDdgEdges:
         edge = next(e for e in cpg.edges_of_type(g.DDG)
                     if e.src == 4 and e.dst == 6)
         assert edge.properties == {"ddgType": "Local", "label": "$y"}
+
+    def test_first_edge_from_each_origin_goes_through_add_edge(self, monkeypatch):
+        """A fault injected by wrapping `Cpg.add_edge` reaches the DDG: the
+        emitter hands each origin's first edge to it."""
+        add_edge, firsts = g.Cpg.add_edge, set()
+
+        def recording(self, src, dst, edge_type, properties=None):
+            eid = add_edge(self, src, dst, edge_type, properties)
+            if edge_type == g.DDG:
+                firsts.add(eid)
+            return eid
+
+        monkeypatch.setattr(g.Cpg, "add_edge", recording)
+        cpg, _ = build_cpg(fixture_source("mixed"))
+        first_from: dict[int, int] = {}
+        for e in cpg.edges_of_type(g.DDG):
+            first_from.setdefault(e.src, e.id)
+        assert first_from and firsts == set(first_from.values())
 
     def test_no_value_consumers_no_edges(self):
         ctx = _context("(module (func $f nop nop))")

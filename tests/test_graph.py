@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.errors import GraphError, ParseError, SchemaError
@@ -126,7 +127,7 @@ class TestAddEdge:
 
 
 class TestAddDdgEdges:
-    """`Cpg.add_edges`, the one bulk append path, as the DDG emitter uses it."""
+    """`Cpg.add_edges`, the bulk append path of `import_json`, on DDG rows."""
 
     def _three_nodes(self):
         cpg = g.Cpg()
@@ -204,6 +205,105 @@ class TestAddDdgEdges:
         with pytest.raises(SchemaError, match="CG: unexpected property"):
             cpg.add_edges([(a, b, g.CFG, label), (a, c, g.CG, label)])
         assert len(cpg.edges) == 5
+
+
+def _graph_with_cfg(n: int) -> g.Cpg:
+    """`n` Drop nodes chained by CFG edges, so DDG ids start past them and
+    each node already holds an edge list."""
+    cpg = g.Cpg()
+    for i in range(n):
+        cpg.add_node(g.INSTRUCTION, {"instType": "Drop"})
+        if i:
+            cpg.add_edge(i - 1, i, g.CFG)
+    return cpg
+
+
+def _graph_rows(cpg: g.Cpg) -> tuple:
+    """Every edge's fields, and each node's in- and out-edge ids by type."""
+    adj = [(t, [e.id for e in cpg.in_edges(n, t)], [e.id for e in cpg.out_edges(n, t)])
+           for n in range(len(cpg.nodes)) for t in g.EDGE_TYPES]
+    return [(e.id, e.src, e.dst, e.type, e.properties) for e in cpg.edges], adj
+
+
+@st.composite
+def fan_ins(draw):
+    """(node count, runs): consumers ascending, each with its sources ascending."""
+    n = draw(st.integers(2, 8))
+    dsts = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return n, [(d, sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))))
+               for d in dsts]
+
+
+class TestAddFanIns:
+    """`Cpg.add_fan_ins`, the bulk append path of the DDG emitter."""
+
+    MAPS = {i: {"ddgType": "Local", "label": f"$v{i}"} for i in range(8)}
+
+    def _add(self, cpg, runs):
+        return cpg.add_fan_ins(g.DDG, runs, lambda src: src, self.MAPS.__getitem__)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=fan_ins())
+    def test_same_graph_as_add_edges(self, case):
+        n, runs = case
+        fan, rows = _graph_with_cfg(n), _graph_with_cfg(n)
+        added = self._add(fan, runs)
+        assert added == rows.add_edges([(s, d, g.DDG, self.MAPS[s])
+                                        for d, srcs in runs for s in srcs])
+        assert _graph_rows(fan) == _graph_rows(rows)
+        stored = {}
+        for e in fan.edges_of_type(g.DDG):
+            assert stored.setdefault(e.src, e.properties) is e.properties
+            assert e.properties is not self.MAPS[e.src]
+        assert len(stored) == len({s for _, srcs in runs for s in srcs})
+
+    def test_dangling_src_keeps_earlier_rows(self):
+        cpg = _graph_with_cfg(3)
+        with pytest.raises(GraphError, match="dangling"):
+            self._add(cpg, [(0, [1]), (2, [0, 1, 7])])
+        assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(1, 0), (0, 2), (1, 2)]
+        assert [e.src for e in cpg.in_edges(2, g.DDG)] == [0, 1]
+        assert [e.dst for e in cpg.out_edges(1, g.DDG)] == [0, 2]
+
+    def test_a_failing_item_keeps_earlier_rows(self):
+        cpg = _graph_with_cfg(3)
+
+        def src_of(item):
+            if item == "bad":
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError):   # the second run's first two edges are batched
+            cpg.add_fan_ins(g.DDG, [(0, [1, 2]), (2, [1, 2, "bad"])], src_of,
+                            self.MAPS.__getitem__)
+        assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [
+            (1, 0), (2, 0), (1, 2), (2, 2)]
+        assert [e.src for e in cpg.in_edges(2, g.DDG)] == [1, 2]
+        assert [e.dst for e in cpg.out_edges(2, g.DDG)] == [0, 2]
+
+    def test_dangling_dst_keeps_earlier_runs(self):
+        cpg = _graph_with_cfg(3)
+        with pytest.raises(GraphError, match="dangling"):
+            self._add(cpg, [(1, [0, 2]), (9, [0])])
+        assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(0, 1), (2, 1)]
+        with pytest.raises(GraphError, match="dangling"):
+            self._add(cpg, [(-1, [])])
+
+    def test_out_of_domain_map(self):
+        cpg = _graph_with_cfg(3)
+        with pytest.raises(SchemaError):
+            cpg.add_fan_ins(g.DDG, [(1, [0])], lambda src: src,
+                            lambda src: {"ddgType": "Local", "label": "$x", "value": 3})
+        with pytest.raises(SchemaError):
+            cpg.add_fan_ins(g.DDG, [(1, [0])], lambda src: src, lambda src: {"label": "$x"})
+        assert cpg.edges_of_type(g.DDG) == []
+
+    def test_frozen_graph_rejects_writes(self):
+        cpg = _graph_with_cfg(3).freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            self._add(cpg, [(1, [0])])
+        with pytest.raises(GraphError, match="frozen"):
+            self._add(cpg, [])
 
 
 class TestGcPause:

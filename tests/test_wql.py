@@ -437,6 +437,9 @@ RUNTIME_ERRORS = [
     ("foreach v in List(1, 2, 3):\n    x := v;", 2, "line 1: step budget of 2 exceeded"),
     ("foreach v in List(1):\n    x := [w in List(1, 2) : true];", 2,
      "line 2: step budget of 2 exceeded"),
+    # an attribute or a method call takes the line of its name
+    ("x := (nil.name\n);", None, "line 1: attribute 'name' on nil"),
+    ("x := (List()\n.nope()\n);", None, "line 2: unknown method 'nope' on list"),
 ]
 
 
