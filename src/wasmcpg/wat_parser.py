@@ -1,9 +1,11 @@
 """WAT (WebAssembly text format) frontend.
 
-Parses the MVP subset this package analyzes. `_unfold` rewrites folded
-instructions into the flat sequence they abbreviate, and one flat loop then
-builds the nested block/loop/if bodies, so nothing recurses. Malformed input
-raises `ParseError`; unsupported opcodes are hard errors.
+Parses the MVP subset this package analyzes. One regex-driven loop reads
+the S-expressions, skipping `;;` and nested `(; ;)` comments. `_unfold`
+rewrites folded instructions into the flat sequence they abbreviate, and one
+flat loop then builds the nested block/loop/if bodies, so nothing recurses.
+Malformed input raises `ParseError` at the 1-based line:col of the offending
+token; unsupported opcodes are hard errors.
 
 Accepted module fields: type, import, func, table, elem, global, export,
 memory, data, start (the last three are checked for shape and otherwise
@@ -37,82 +39,71 @@ class Atom:
 class SExpr(list):
     """A parenthesized list; elements are Atom or SExpr."""
 
-    def __init__(self, items, line, col):
-        super().__init__(items)
+    def __init__(self, line, col):   # born empty, filled by the reader
         self.line = line
         self.col = col
 
 
-_TOKEN_RE = re.compile(r'"(?:\\.|[^"\\])*"|[()]|[^\s()";]+')
-
-
-def _tokenize(source: str):
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith(";;", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if source.startswith("(;", i):
-            depth = 1
-            j = i + 2
-            while j < n and depth:
-                if source.startswith("(;", j):
-                    depth += 1
-                    j += 2
-                elif source.startswith(";)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    if source[j] == "\n":
-                        line += 1
-                        col = 0
-                    j += 1
-            if depth:
-                raise ParseError("unterminated block comment", line, col)
-            i = j
-            continue
-        m = _TOKEN_RE.match(source, i)
-        if not m:
-            raise ParseError(f"stray character {c!r}", line, col)
-        text = m.group(0)
-        yield Atom(text, line, col)
-        col += len(text)
-        i = m.end()
+# One alternative per lexical unit, tried in order. `.` takes any other
+# character, so every offset matches and an unknown character is an error.
+_LEX_RE = re.compile(r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<atom>"(?:\\.|[^"\\])*"|[^\s()";]+)
+  | (?P<block_comment>\(;)
+  | (?P<open>\()
+  | (?P<close>\))
+  | (?P<newline>\n)
+  | (?P<line_comment>;;[^\n]*)
+  | (?P<stray>.)
+""", re.X)
+_NESTING_RE = re.compile(r"\(;|;\)")
 
 
 def _read_sexprs(source: str) -> list:
-    stack: list[list] = [[]]
-    meta: list[tuple[int, int]] = [(1, 1)]
-    for tok in _tokenize(source):
-        if tok.text == "(":
-            stack.append([])
-            meta.append((tok.line, tok.col))
-        elif tok.text == ")":
-            if len(stack) == 1:
-                raise ParseError("unbalanced ')'", tok.line, tok.col)
-            items = stack.pop()
-            line, col = meta.pop()
-            stack[-1].append(SExpr(items, line, col))
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
-        line, col = meta[-1]
-        raise ParseError("unbalanced '('", line, col)
-    return stack[0]
+    """The top-level forms of `source`. Atoms and lists carry the 1-based
+    line and column of their first character; comments are skipped."""
+    out = top = []
+    parents: list[list] = []   # the lists enclosing `out`, innermost last
+    line, line_start, pos, n = 1, 0, 0, len(source)
+    match = _LEX_RE.match
+    while pos < n:
+        m = match(source, pos)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ws":   # the commonest unit, so tested first
+            pass
+        elif kind == "atom":
+            out.append(Atom(m.group(), line, pos - line_start + 1))
+        elif kind == "open":
+            sx = SExpr(line, pos - line_start + 1)
+            out.append(sx)
+            parents.append(out)
+            out = sx
+        elif kind == "close":
+            if not parents:
+                raise ParseError("unbalanced ')'", line, pos - line_start + 1)
+            out = parents.pop()
+        elif kind == "newline":
+            line += 1
+            line_start = end
+        elif kind == "block_comment":   # `(; ... ;)`, nested to any depth
+            depth = 1
+            for c in _NESTING_RE.finditer(source, end):
+                depth += 1 if c.group() == "(;" else -1
+                if not depth:
+                    break
+            else:
+                raise ParseError("unterminated block comment", line, pos - line_start + 1)
+            end = c.end()
+            if nl := source.count("\n", pos, end):
+                line += nl
+                line_start = source.rindex("\n", pos, end) + 1
+        elif kind == "stray":
+            raise ParseError(f"stray character {m.group()!r}", line, pos - line_start + 1)
+        pos = end
+    if parents:
+        raise ParseError("unbalanced '('", out.line, out.col)
+    return top
 
 
 def _is_atom(x, text=None) -> bool:
@@ -136,47 +127,44 @@ _INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F_]+|\d[\d_]*)$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d[\d_]*\.?[\d_]*([eE][+-]?\d+)?|\.\d[\d_]*([eE][+-]?\d+)?)$")
 
 
-def _parse_number(text: str, value_type: str, where: Atom) -> int | float:
+# the integers a literal of each kind may denote: a value type's signed and
+# unsigned ranges together, and a memarg's u32
+_INT_RANGES = {"i32": (-1 << 31, (1 << 32) - 1), "i64": (-1 << 63, (1 << 64) - 1),
+               "u32": (0, (1 << 32) - 1)}
+
+
+def _parse_number(text: str, kind: str, where: Atom) -> int | float:
+    """The value of a literal of `kind`, a value type or "u32"."""
     t = text.replace("_", "")
-    is_int = value_type in ("i32", "i64")
+    bounds = _INT_RANGES.get(kind)
     try:
         if _INT_RE.match(text):
             n = int(t, 16 if "x" in t else 10)
-            if is_int:
+            if bounds is None:
+                v = float(n)
+            elif bounds[0] <= n <= bounds[1]:
                 return n
-            v = float(n)
-        elif not is_int and _FLOAT_RE.match(text):
+            else:
+                raise ParseError(f"{kind} literal {text!r} out of range",
+                                 where.line, where.col)
+        elif bounds is None and _FLOAT_RE.match(text):
             v = float(t)
         else:
             raise ValueError(text)
         # a literal that rounds to infinity in its own type is malformed;
         # packing an f32 raises on it
-        if value_type == "f32":
+        if kind == "f32":
             struct.pack("<f", v)
         if not math.isinf(v):
             return v
     except (ValueError, OverflowError):   # "0x_", or too large for its type
         pass
-    raise ParseError(f"bad {'integer' if is_int else 'float'} literal {text!r}",
+    raise ParseError(f"bad {'integer' if bounds else 'float'} literal {text!r}",
                      where.line, where.col)
 
 
 # ---------------------------------------------------------------------------
 # Module parsing
-
-class _FuncDecl:
-    """Pre-scanned function field, body parsed in a second pass."""
-
-    def __init__(self, sx: SExpr):
-        self.sx = sx
-        self.name: str | None = None
-        self.is_import = False
-        self.export_name: str | None = None
-        self.params: list[tuple[str | None, str]] = []
-        self.results: list[str] = []
-        self.locals: list[tuple[str | None, str]] = []
-        self.body_forms: list = []
-
 
 class Parser:
     def __init__(self, source: str):
@@ -201,43 +189,45 @@ class Parser:
         while i < len(forms):
             h = _head(forms[i])
             if h == "param":
-                sx = forms[i]
-                if len(sx) == 3 and _is_atom(sx[1]) and sx[1].text.startswith("$"):
-                    params.append((sx[1].text, self._valtype(sx[2])))
-                else:
-                    for a in sx[1:]:
-                        params.append((None, self._valtype(a)))
-                i += 1
+                self._read_vars(forms[i], params, 0)
             elif h == "result":
-                for a in forms[i][1:]:
-                    results.append(self._valtype(a))
-                i += 1
+                results.extend(self._valtype(a) for a in forms[i][1:])
             else:
                 break
+            i += 1
         return i
+
+    def _read_vars(self, sx: SExpr, out: list, base: int) -> None:
+        """Append the (name, type) pairs of a (param ...) or (local ...) form
+        to `out`. An unnamed one is named `$k` by its index k among the
+        function's params and locals, `base` being the index of out[0]."""
+        if len(sx) == 3 and _is_atom(sx[1]) and sx[1].text.startswith("$"):
+            out.append((sx[1].text, self._valtype(sx[2])))
+        else:
+            for a in sx[1:]:
+                out.append((f"${base + len(out)}", self._valtype(a)))
 
     def _valtype(self, a) -> str:
         if _is_atom(a) and a.text in op.VALUE_TYPES:
             return a.text
-        where = a if isinstance(a, Atom) else Atom("?", a.line, a.col)
         raise ParseError(f"expected a value type, got {getattr(a, 'text', '(...)')!r}",
-                         where.line, where.col)
+                         a.line, a.col)
 
-    def _parse_typeuse(self, forms, i, params=None) -> tuple[int, Signature]:
+    def _parse_typeuse(self, forms, i, params) -> tuple[int, Signature]:
         """A type use at forms[i]; its inline params are appended to `params`."""
-        params = [] if params is None else params
         results: list[str] = []
-        type_ref: str | None = None
+        type_form = None
         if i < len(forms) and _head(forms[i]) == "type":
-            if len(forms[i]) != 2 or not _is_atom(forms[i][1]):
-                raise ParseError("expected (type <ref>)", forms[i].line, forms[i].col)
-            type_ref = forms[i][1].text
+            type_form = forms[i]
+            if len(type_form) != 2 or not _is_atom(type_form[1]):
+                raise ParseError("expected (type <ref>)", type_form.line, type_form.col)
             i += 1
         i = self._parse_params_results(forms, i, params, results)
-        if type_ref is not None:
+        if type_form is not None:
+            type_ref = type_form[1].text
             if type_ref not in self.types:
                 raise NameResolutionError(f"unknown type {type_ref}",
-                                          forms[0].line if forms else 0, 0)
+                                          type_form.line, type_form.col)
             sig = self.types[type_ref]
             if params or results:
                 inline = Signature(tuple(t for _, t in params), tuple(results))
@@ -251,20 +241,20 @@ class Parser:
         top = _read_sexprs(self.source)
         if len(top) != 1 or _head(top[0]) != "module":
             raise ParseError("expected a single (module ...) form", 1, 1)
-        msx = top[0]
         module = ModuleIR()
-        fields = list(msx[1:])
+        fields = top[0][1:]
         if fields and _is_atom(fields[0]) and fields[0].text.startswith("$"):
             module.name = fields[0].text
             fields = fields[1:]
 
-        decls: list[_FuncDecl] = []
+        funcs: list[tuple[SExpr, FunctionIR, list]] = []   # (field, header, body forms)
         table_elems: list[tuple[int, list[str]]] = []
         exports: list[tuple[str, str]] = []
-        global_names: set[str] = set()
 
-        # pass 1: types, names, globals, table, exports
+        # pass 1: types, function headers, globals, table, exports
         for f in fields:
+            if isinstance(f, Atom):
+                raise ParseError(f"expected a module field, found {f.text!r}", f.line, f.col)
             h = _head(f)
             try:
                 if h == "type":
@@ -275,8 +265,7 @@ class Parser:
                         i += 1
                     if _head(f[i]) != "func":
                         raise ParseError("(type ...) must wrap a (func ...)", f.line, f.col)
-                    params: list[tuple[str | None, str]] = []
-                    results: list[str] = []
+                    params, results = [], []
                     self._parse_params_results(list(f[i])[1:], 0, params, results)
                     sig = Signature(tuple(t for _, t in params), tuple(results))
                     self.type_order.append(sig)
@@ -287,19 +276,19 @@ class Parser:
                 elif h == "import":
                     kind = _head(f[3])
                     if kind == "func":
-                        decls.append(self._scan_import_func(f))
+                        funcs.append((f, *self._scan_func(f, f[3][1:], len(funcs), True)))
                     elif kind in ("global", "memory", "table"):
                         pass  # shape accepted, contents irrelevant to the analysis
                     else:
                         raise ParseError(f"unsupported import kind {kind!r}", f.line, f.col)
                 elif h == "func":
-                    decls.append(self._scan_func(f))
+                    funcs.append((f, *self._scan_func(f, f[1:], len(funcs), False)))
                 elif h == "global":
                     gl = self._parse_global(f, len(module.globals))
-                    if gl.name in global_names:
+                    if gl.name in self.global_names:
                         raise NameResolutionError(f"duplicate global name {gl.name}",
                                                   f.line, f.col)
-                    global_names.add(gl.name)
+                    self.global_names.add(gl.name)
                     module.globals.append(gl)
                 elif h in ("memory", "data", "start"):
                     pass
@@ -319,61 +308,35 @@ class Parser:
             except (IndexError, AttributeError, TypeError):   # short, or an atom for a form
                 raise ParseError(f"malformed ({h} ...) field", f.line, f.col) from None
 
-        # assign names and indices
-        for idx, d in enumerate(decls):
-            if d.name is None:
-                d.name = f"${idx}"
-            if d.name in self.func_index:
-                raise ParseError(f"duplicate function name {d.name}", d.sx.line, d.sx.col)
-            self.func_index[d.name] = idx
+        for f, func, _ in funcs:
+            if func.name in self.func_index:
+                raise ParseError(f"duplicate function name {func.name}", f.line, f.col)
+            self.func_index[func.name] = func.index
+            module.functions.append(func)
         self.func_names = list(self.func_index)
-        self.global_names = global_names
 
         for name, ref in exports:
-            target = self._resolve_func_ref(ref)
-            decls[target].export_name = name
+            func = module.functions[self._resolve_func_ref(ref)]
+            func.is_export, func.export_name = True, name
 
-        # pass 2: bodies
-        for idx, d in enumerate(decls):
-            if len(d.results) > 1:
-                raise ParseError("multi-value signatures are not supported",
-                                 d.sx.line, d.sx.col)
-            func = FunctionIR(
-                name=d.name,
-                index=idx,
-                params=self._positional_names(d.params, 0),
-                locals=self._positional_names(d.locals, len(d.params)),
-                results=list(d.results),
-                is_import=d.is_import,
-                is_export=d.export_name is not None,
-                export_name=d.export_name,
-            )
-            seen: set[str] = set()
-            for name, _ in func.params + func.locals:
-                if name in seen:
-                    raise NameResolutionError(
-                        f"duplicate local name {name} in {d.name}", d.sx.line, d.sx.col)
-                seen.add(name)
-            if not d.is_import:
-                func.body = self._parse_body(d.body_forms, func)
-            module.functions.append(func)
+        # pass 2: bodies, once every function and global has its name
+        for f, func, body in funcs:
+            self._locals = [n for n, _ in func.params + func.locals]
+            self._local_set = set(self._locals)
+            if len(self._local_set) < len(self._locals):
+                seen: set[str] = set()
+                dup = next(n for n in self._locals if n in seen or seen.add(n))
+                raise NameResolutionError(
+                    f"duplicate local name {dup} in {func.name}", f.line, f.col)
+            if not func.is_import:
+                func.body = self._parse_body(body)
 
         for offset, names in table_elems:
-            slot = offset
             need = offset + len(names)
-            if len(module.table) < need:
-                module.table.extend([-1] * (need - len(module.table)))
-            for nm in names:
-                module.table[slot] = self._resolve_func_ref(nm)
-                slot += 1
+            module.table.extend([-1] * (need - len(module.table)))
+            module.table[offset:need] = [self._resolve_func_ref(nm) for nm in names]
         module.table = [i for i in module.table if i >= 0]
         return module
-
-    def _positional_names(self, pairs, base):
-        out = []
-        for i, (name, ty) in enumerate(pairs):
-            out.append((name if name is not None else f"${base + i}", ty))
-        return out
 
     def _resolve_func_ref(self, ref: str) -> int:
         if ref.startswith("$"):
@@ -391,47 +354,35 @@ class Parser:
     def _func_name_for_ref(self, ref: str) -> str:
         return self.func_names[self._resolve_func_ref(ref)]
 
-    def _scan_import_func(self, f: SExpr) -> _FuncDecl:
-        d = _FuncDecl(f)
-        d.is_import = True
-        desc = f[3]
-        forms = list(desc)[1:]
+    def _scan_func(self, f: SExpr, forms: list, index: int,
+                   in_import: bool) -> tuple[FunctionIR, list]:
+        """The header of field `f`'s function, bodiless, and its body forms.
+        `forms` follow the `func` keyword, of `f` itself or of its import
+        description; an import's params take positional names, and its
+        forms past the type use are ignored."""
+        func = FunctionIR(name=f"${index}", index=index, is_import=in_import)
         i = 0
         if forms and _is_atom(forms[0]) and forms[0].text.startswith("$"):
-            d.name = forms[0].text
+            func.name = forms[0].text
             i = 1
-        i, sig = self._parse_typeuse(forms, i)
-        d.params = [(None, t) for t in sig.params]
-        d.results = list(sig.results)
-        return d
-
-    def _scan_func(self, f: SExpr) -> _FuncDecl:
-        d = _FuncDecl(f)
-        forms = list(f)[1:]
-        i = 0
-        if forms and _is_atom(forms[i]) and forms[i].text.startswith("$"):
-            d.name = forms[i].text
-            i += 1
-        while i < len(forms) and _head(forms[i]) in ("export", "import"):
+        while not in_import and i < len(forms) and _head(forms[i]) in ("export", "import"):
             if _head(forms[i]) == "export":
-                d.export_name = _unquote(forms[i][1])
+                func.is_export, func.export_name = True, _unquote(forms[i][1])
             else:
-                d.is_import = True
+                func.is_import = True
             i += 1
-        params: list[tuple[str | None, str]] = []   # inline, with their names
-        i, sig = self._parse_typeuse(forms, i, params)
-        d.params = params or [(None, t) for t in sig.params]
-        d.results = list(sig.results)
+        i, sig = self._parse_typeuse(forms, i, func.params)   # inline params, named
+        if in_import or not func.params:
+            func.params = [(f"${k}", t) for k, t in enumerate(sig.params)]
+        func.results = list(sig.results)
+        if len(func.results) > 1:
+            raise ParseError("multi-value signatures are not supported", f.line, f.col)
+        if in_import:
+            return func, []
         while i < len(forms) and _head(forms[i]) == "local":
-            sx = forms[i]
-            if len(sx) == 3 and _is_atom(sx[1]) and sx[1].text.startswith("$"):
-                d.locals.append((sx[1].text, self._valtype(sx[2])))
-            else:
-                for a in sx[1:]:
-                    d.locals.append((None, self._valtype(a)))
+            self._read_vars(forms[i], func.locals, len(func.params))
             i += 1
-        d.body_forms = forms[i:]
-        return d
+        return func, forms[i:]
 
     def _scan_table(self, f: SExpr):
         for item in f:
@@ -450,7 +401,7 @@ class Parser:
                 inner = f[i]
                 if h == "offset":
                     inner = inner[1]
-                offset = _parse_number(inner[1].text, "i32", inner[1])
+                offset = _parse_number(inner[1].text, "u32", inner[1])
                 i += 1
         if i < len(f) and _is_atom(f[i], "func"):
             i += 1
@@ -476,7 +427,7 @@ class Parser:
 
     # -- instruction parsing ---------------------------------------------------
 
-    def _parse_body(self, forms, func: FunctionIR) -> list[InstructionIR]:
+    def _parse_body(self, forms) -> list[InstructionIR]:
         """Unfold a body, then build its nested lists in one flat loop."""
         out = body = []
         # the open constructs' branch labels, innermost last: numeric branch
@@ -514,7 +465,7 @@ class Parser:
                     label = labels.pop()
                     out.append(self._finish_if(inst, label) if inst.opcode == "if" else inst)
             else:
-                out.append(self._plain_instruction(name, head, src, func, labels))
+                out.append(self._plain_instruction(name, head, src, labels))
             if src is not it and not src.done():
                 raise ParseError(f"{name}: unexpected immediate", head.line, head.col)
         if open_:
@@ -549,7 +500,7 @@ class Parser:
             block_params=1)
 
     def _plain_instruction(self, opname: str, where: Atom, it: "_FormCursor",
-                           func, labels) -> InstructionIR:
+                           labels) -> InstructionIR:
         if not op.is_supported(opname):
             raise UnsupportedOpcodeError(f"unsupported opcode {opname!r}",
                                          where.line, where.col)
@@ -566,13 +517,13 @@ class Parser:
             inst.value = _parse_number(a.text, inst.value_type, a)
         elif opname.startswith("local.") or opname.startswith("global."):
             a = take_atom("a variable")
-            inst.var = self._resolve_var(opname, a, func)
+            inst.var = self._resolve_var(opname, a)
         elif opname == "call":
             a = take_atom("a function")
             inst.callee = self._func_name_for_ref(a.text)
         elif opname == "call_indirect":
             forms = it.take_heads(("type", "param", "result"))
-            _, sig = self._parse_typeuse(forms, 0)
+            _, sig = self._parse_typeuse(forms, 0, [])
             inst.type_use = sig
             if len(sig.results) > 1:
                 raise ParseError("multi-value signatures are not supported",
@@ -595,23 +546,27 @@ class Parser:
                     ("=" in it.peek().text):
                 a = it.take()
                 key, _, val = a.text.partition("=")
-                if key == "offset":
-                    inst.offset = _parse_number(val, "i32", a)
-                elif key != "align":
+                if key not in ("offset", "align"):
                     raise ParseError(f"unknown memarg {key!r}", where.line, where.col)
+                n = _parse_number(val, "u32", a)
+                if key == "offset":
+                    inst.offset = n
+                elif n & (n - 1) or not n:
+                    raise ParseError(f"align={val} is not a power of two", a.line, a.col)
         return inst
 
-    def _resolve_var(self, opname: str, a: Atom, func: FunctionIR) -> str:
+    def _resolve_var(self, opname: str, a: Atom) -> str:
+        """A variable reference, against the current function's `_locals`
+        (and `_local_set`) or the module's globals."""
         ref = a.text
         if opname.startswith("local."):
-            names = [n for n, _ in func.params] + [n for n, _ in func.locals]
             if ref.startswith("$"):
-                if ref not in names:
+                if ref not in self._local_set:
                     raise NameResolutionError(f"unknown local {ref}", a.line, a.col)
                 return ref
-            if not ref.isdecimal() or int(ref) >= len(names):
+            if not ref.isdecimal() or int(ref) >= len(self._locals):
                 raise NameResolutionError(f"bad local reference {ref!r}", a.line, a.col)
-            return names[int(ref)]
+            return self._locals[int(ref)]
         if ref.startswith("$"):
             if ref not in self.global_names:
                 raise NameResolutionError(f"unknown global {ref}", a.line, a.col)

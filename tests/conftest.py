@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pathlib
+import re
 import sys
 
 import pytest
@@ -12,6 +13,10 @@ from wasmcpg.ast_builder import BuildContext
 from wasmcpg.queries import ScanConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# a WAT text's strings, parentheses and other atoms, in order; `;` is not
+# part of any, so words in comments come out as tokens too
+TOKEN_RE = re.compile(r'"(?:\\.|[^"\\])*"|[()]|[^\s()";]+')
 
 CORPUS = [f"q{i:02d}_{kind}" for i in range(1, 11) for kind in ("vuln", "clean")]
 EXTRA = ["fig_ddg", "libpng_get_token", "empty", "mixed", "cfg_brtable"]

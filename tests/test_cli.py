@@ -11,12 +11,12 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, FIXTURES, fixture_source
+from conftest import ALL_FIXTURES, FIXTURES, TOKEN_RE, fixture_source
 from test_ast_builder import DEAD_LABELED_IF
 from gen import fold_module, nested_blocks, nested_expression, random_module
 from test_wat_parser import MALFORMED, MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
 from wasmcpg.cli import main
-from wasmcpg.wat_parser import _TOKEN_RE, parse_module
+from wasmcpg.wat_parser import parse_module
 
 CONFIG = str(FIXTURES / "scan_config.json")
 MIXED = str(FIXTURES / "mixed.wat")
@@ -328,7 +328,7 @@ def wat_inputs(draw):
     if kind == "nested":
         shape = draw(st.sampled_from((nested_blocks, nested_expression)))
         return shape(draw(st.integers(0, 300)))
-    tokens = _TOKEN_RE.findall(fixture_source(draw(st.sampled_from(ALL_FIXTURES))))
+    tokens = TOKEN_RE.findall(fixture_source(draw(st.sampled_from(ALL_FIXTURES))))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(tokens) - 1))
         edit = draw(st.sampled_from(("delete", "replace", "insert")))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, fixture_source
+from conftest import ALL_FIXTURES, TOKEN_RE, fixture_source
 from gen import fold_module, nested_blocks, nested_expression, random_module
 from oracle import round_robin_states
 from wasmcpg.errors import (
@@ -29,7 +31,7 @@ from wasmcpg.ir import (
 from wasmcpg.dataflow import analyze_function
 from wasmcpg.export import to_json
 from wasmcpg.pipeline import build_context, build_cpg
-from wasmcpg.wat_parser import _TOKEN_RE, parse_module
+from wasmcpg.wat_parser import Atom, SExpr, _read_sexprs, parse_module
 from wasmcpg import opcodes as op
 
 
@@ -127,6 +129,82 @@ class TestParseModule:
             parse_module("(module (table funcref (elem $nope)))")
 
 
+# inserted between tokens; each is one way a comment can end
+COMMENTS = (";; to the end of the line\n", "(; one line ;)", "(; two\nlines ;)",
+            "(; (; nested\n;) ;)")
+
+
+def _atoms_and_lists(forms):
+    """Every atom and list in `forms`, outermost first."""
+    stack = list(reversed(forms))
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, SExpr):
+            stack.extend(reversed(x))
+
+
+class TestComments:
+    def test_nested_block_comment_is_skipped(self):
+        m = parse_module("(module (; outer (; inner ;) still outer ;) (func $f))")
+        assert [f.name for f in m.functions] == ["$f"]
+
+    def test_column_after_a_block_comment(self):
+        with pytest.raises(ParseError, match="^1:33: bad integer literal 'x'$"):
+            parse_module("(module (; c ;) (func i32.const x drop))")
+
+    def test_line_and_column_after_a_multi_line_block_comment(self):
+        source = "(module (; one\n  two (; three\n;) four\n  ;) (func i32.const x drop))"
+        with pytest.raises(ParseError, match="^4:22: bad integer literal 'x'$"):
+            parse_module(source)
+
+    def test_line_comment_at_the_end_of_input(self):
+        m = parse_module("(module (func $f)) ;; no newline follows")
+        assert [f.name for f in m.functions] == ["$f"]
+
+    @pytest.mark.parametrize("source, message", [
+        ("(module ; (func))", "1:9: stray character ';'"),
+        ('(module\n  (export "f (func 0)))', "2:11: stray character '\"'"),
+    ], ids=["lone-semicolon", "unterminated-string"])
+    def test_stray_character(self, source, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_module(source)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_positions_locate_each_atom_among_comments(self, seed, data):
+        source = random_module(seed, max_insts=30)
+        gaps = [m.end() for m in TOKEN_RE.finditer(source)]
+        inserts = data.draw(st.lists(
+            st.tuples(st.sampled_from(gaps), st.sampled_from(COMMENTS)), max_size=12))
+        text = source
+        for at, comment in sorted(inserts, reverse=True):
+            text = f"{text[:at]} {comment} {text[at:]}"
+        lines = text.split("\n")
+        for x in _atoms_and_lists(_read_sexprs(text)):
+            token = x.text if isinstance(x, Atom) else "("
+            assert lines[x.line - 1].startswith(token, x.col - 1), (token, x.line, x.col)
+        assert parse_module(text) == parse_module(source)
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("source, position", [
+        ("(module\n  (func (type $t)))", "2:9"),
+        ("(module (func i32.const 0 call_indirect (type $t) drop))", "1:41"),
+    ], ids=["func", "call-indirect"])
+    def test_unknown_type_is_reported_at_its_type_form(self, source, position):
+        with pytest.raises(NameResolutionError, match=f"^{position}: unknown type \\$t$"):
+            parse_module(source)
+
+    def test_unterminated_block_comment_is_reported_at_its_start(self):
+        with pytest.raises(ParseError, match="^2:3: unterminated block comment$"):
+            parse_module("(module\n  (; open (; nested ;)\n)")
+
+    def test_bare_atom_among_module_fields(self):
+        with pytest.raises(ParseError, match="^1:9: expected a module field, found 'foo'$"):
+            parse_module("(module foo)")
+
+
 FOLDING_INPUTS = {**{name: fixture_source(name) for name in ALL_FIXTURES},
                   **{f"random-{seed}": random_module(seed) for seed in range(6)}}
 
@@ -139,7 +217,7 @@ class TestFoldedForms:
     def test_folded_module_builds_the_flat_graph(self, source):
         module = parse_module(source)
         folded = fold_module(module)
-        assert "end" not in _TOKEN_RE.findall(folded)   # every construct is folded
+        assert "end" not in TOKEN_RE.findall(folded)   # every construct is folded
         assert parse_module(folded) == module
         assert to_json(build_cpg(folded)[0]) == to_json(build_cpg(source)[0])
 
@@ -303,6 +381,21 @@ MALFORMED = {
     "typeuse-no-ref": "(module (func i32.const 0 call_indirect (type) drop))",
     "folded-end": "(module (func (block (end))))",
     "folded-else": "(module (func i32.const 1 if (else) end))",
+    # integer literals outside the range of their type, offset or alignment
+    "i32-above-range": "(module (func i32.const 4294967296 drop))",
+    "i32-below-range": "(module (func i32.const -2147483649 drop))",
+    "i32-far-above-range": "(module (func i32.const 99999999999999999999999 drop))",
+    "i64-above-range": "(module (func i64.const 18446744073709551616 drop))",
+    "i64-below-range": "(module (func i64.const -9223372036854775809 drop))",
+    "memarg-offset-negative": "(module (memory 1) (func i32.const 0 i32.load offset=-1 drop))",
+    "memarg-offset-above-range":
+        "(module (memory 1) (func i32.const 0 i32.load offset=0xffffffffffffffff drop))",
+    "memarg-align-not-a-number":
+        "(module (memory 1) (func i32.const 0 i32.load align=x drop))",
+    "memarg-align-not-a-power-of-two":
+        "(module (memory 1) (func i32.const 0 i32.load align=3 drop))",
+    "memarg-align-zero": "(module (memory 1) (func i32.const 0 i32.load align=0 drop))",
+    "elem-offset-negative": "(module (func $f) (table 1 funcref) (elem (i32.const -1) $f))",
 }
 
 
@@ -319,6 +412,18 @@ class TestFailClosed:
     def test_malformed_input_is_a_parse_error(self, source):
         with pytest.raises(ParseError):
             parse_module(source)
+
+    def test_integer_literals_at_their_bounds_are_stored_as_written(self):
+        source = ("(module (memory 1) (func "
+                  "i32.const -2147483648 drop i32.const 4294967295 drop "
+                  "i64.const -9223372036854775808 drop i64.const 18446744073709551615 drop "
+                  "i32.const 0 i32.load offset=4294967295 align=1 drop "
+                  "i32.const 0 i64.load offset=0 align=8 drop))")
+        body = parse_module(source).functions[0].body
+        assert [i.value for i in body if i.opcode.endswith(".const")] == \
+            [-2 ** 31, 2 ** 32 - 1, -2 ** 63, 2 ** 64 - 1, 0, 0]
+        assert [i.offset for i in body if "load" in i.opcode] == [2 ** 32 - 1, 0]
+        assert len(build_cpg(source)[0].nodes) > len(body)
 
 
     @pytest.mark.parametrize("shape", [nested_blocks, nested_expression])
