@@ -23,8 +23,9 @@ construct exit, a loop header or the function exit keeps the values below
 the target's base and its top `nresults` sets, dropping values a branch
 abandoned.
 
-Edges come from the sets each node popped on its last visit: one edge per
-(origin, consumer), consumers in id order and origins ascending.
+Edges come from the sets each node popped on its last visit: one row per
+consumer, in id order, of its origins, ascending, written by
+`graph.Cpg.add_ddg_rows`.
 
 Linear memory is deliberately untracked: a load pushes the empty set, so a
 store followed by a load never induces an edge.
@@ -367,17 +368,20 @@ def _run(order: list, dirty: set, fire) -> None:
 
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
-    """Add one DDG edge per (origin, consumer), consumers in id order and
-    origins ascending; returns the count.
+    """Add one DDG edge per (origin, consumer): one row per consumer, in id
+    order, of its origins, ascending; returns the count.
 
     An origin node yields the same `Dep` wherever its value flows, so a
     consumer's popped sets name each origin once, and all edges from one
     origin share one property map.
     """
-    popped = analysis.popped
-    fan_ins = ((node, sorted(EMPTY.union(*popped[node]), key=_ORIGIN))
-               for node in sorted(popped))
-    return ctx.cpg.add_fan_ins(g.DDG, fan_ins, _ORIGIN, _ddg_props)
+    popped, fd = analysis.popped, analysis.fd
+    # an origin's Dep: a parameter's initial one, or its instruction's own
+    params = {dep.origin: dep for deps in initial_state(fd).locals_ for dep in deps}
+    rows = ((node, sorted(map(_ORIGIN, EMPTY.union(*popped[node]))))
+            for node in sorted(popped))
+    return ctx.cpg.add_ddg_rows(rows, lambda origin: _ddg_props(
+        params.get(origin) or next(iter(fd.info[origin].own))))
 
 
 def _ddg_props(dep: Dep) -> dict:

@@ -8,10 +8,14 @@ the graph; JSON round-trips exactly.
 JSON is compact, with one node or edge record per line between the lines
 `{"edges":[`, `],"nodes":[` and `],"schema":1}`.
 
-Every path costs one unit of work per distinct property map plus a cheap
-append per edge. The graph shares one map among edges of one type (see
-`graph.Cpg.add_edges`), so `to_json` encodes each map once, and DOT, Datalog
-and CSV render each edge's attributes once per (type, map). `import_json`
+Edges are read through `graph.Cpg.edge_rows`, straight from the graph's
+columns, so an export builds no edge record. Every path costs one unit of
+work per distinct property map plus a cheap append per edge: the graph
+shares one map among edges of one type, and a map never serves two types,
+so each map's rendering (a JSON record template with the ids left open, DOT
+attributes, Datalog cells, CSV cells) is memoised by its id. The JSON save
+is streamed: `_json_chunks` yields the text in chunks of records, which
+`export` writes to the file as they come and `to_json` joins. `import_json`
 reads that layout line by line and decodes and validates each distinct
 (type, property text) once, so its edges share one map again; texts that
 differ only in type or sign (`1`, `1.0`, `true`; `0.0`, `-0.0`) stay apart.
@@ -26,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .errors import ExportError, WasmCpgError
@@ -59,6 +64,14 @@ class ExportManifest:
 
 def to_json(cpg: g.Cpg) -> str:
     """The graph as compact JSON, one record per line (see the module doc)."""
+    return "".join(_json_chunks(cpg))
+
+
+_CHUNK = 4096   # records per chunk of the JSON text
+
+
+def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
+    """`to_json`'s text, in chunks of up to _CHUNK records each."""
     memo: dict[int, str] = {}   # id(obj) -> encoding; the graph keeps obj alive
 
     def enc(obj) -> str:
@@ -67,15 +80,31 @@ def to_json(cpg: g.Cpg) -> str:
             text = memo[id(obj)] = _encode(obj)
         return text
 
-    edges = ",\n".join(['{"dst":%d,"id":%d,"properties":%s,"src":%d,"type":%s}'
-                        % (e.dst, e.id, enc(e.properties), e.src, enc(e.type))
-                        for e in cpg.edges])
-    nodes = ",\n".join(['{"id":%d,"kind":%s,"properties":%s}'
-                        % (n.id, enc(n.kind), enc(n.properties))
-                        for n in cpg.nodes])
-    parts = ('{"edges":[', edges, '],"nodes":[', nodes,
-             '],"schema":%d}' % SCHEMA_VERSION)
-    return "\n".join(p for p in parts if p) + "\n"
+    def joined(records: Iterator[str]) -> Iterator[str]:
+        """The records joined by ",\n", then "\n" if there was one."""
+        sep = ""
+        for chunk in iter(lambda: ",\n".join(islice(records, _CHUNK)), ""):
+            yield sep + chunk
+            sep = ",\n"
+        if sep:
+            yield "\n"
+
+    def edge_records() -> Iterator[str]:
+        templates: dict[int, str] = {}   # id(map) -> its edges' record, ids left open
+        for eid, (src, dst, edge_type, props) in enumerate(cpg.edge_rows()):
+            text = templates.get(id(props))
+            if text is None:   # a map belongs to the edges of one type
+                text = templates[id(props)] = \
+                    '{"dst":%%d,"id":%%d,"properties":%s,"src":%%d,"type":%s}' % (
+                        _encode(props).replace("%", "%%"), _encode(edge_type))
+            yield text % (dst, eid, src)
+
+    yield '{"edges":[\n'
+    yield from joined(edge_records())
+    yield '],"nodes":[\n'
+    yield from joined('{"id":%d,"kind":%s,"properties":%s}'
+                      % (n.id, enc(n.kind), enc(n.properties)) for n in cpg.nodes)
+    yield '],"schema":%d}\n' % SCHEMA_VERSION
 
 
 # One record line of the layout `to_json` writes; ids use JSON's integer grammar.
@@ -201,19 +230,19 @@ def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
     lines = ["digraph cpg {", "  node [shape=box, fontsize=10];"]
     for node in cpg.nodes:
         lines.append(f'  n{node.id} [label="{_dot_text(_dot_label(cpg, node))}"];')
-    attrs: dict[tuple[str, int], str] = {}   # (type, id(map)) -> attributes
-    for e in cpg.edges:
-        if e.type not in edge_types:
-            continue
-        key = (e.type, id(e.properties))
-        attr = attrs.get(key)
-        if attr is None:
-            attr = f"color={EDGE_COLORS[e.type]}"
-            lab = e.properties.get("label")
-            if lab is not None:
-                attr += f', label="{_dot_text(lab)}"'
-            attrs[key] = attr
-        lines.append(f"  n{e.src} -> n{e.dst} [{attr}];")
+    attrs: dict[int, str] = {}   # id(map) -> attributes, "" for a type left out
+    for src, dst, edge_type, props in cpg.edge_rows():
+        attr = attrs.get(id(props))
+        if attr is None:   # a map belongs to the edges of one type
+            attr = ""
+            if edge_type in edge_types:
+                attr = f"color={EDGE_COLORS[edge_type]}"
+                lab = props.get("label")
+                if lab is not None:
+                    attr += f', label="{_dot_text(lab)}"'
+            attrs[id(props)] = attr
+        if attr:
+            lines.append(f"  n{src} -> n{dst} [{attr}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -273,27 +302,27 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     return facts
 
 
-def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[g.Edge, tuple[str, tuple[str, ...], str]]]:
-    """Each edge with its predicate and its cells between src/dst and the
-    DDG origin, as a tuple and as tab-led text, rendered once per
-    (type, map)."""
-    memo: dict[tuple[str, int], tuple[str, tuple[str, ...], str]] = {}
-    for e in cpg.edges:
-        key = (e.type, id(e.properties))
-        fact = memo.get(key)
+def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[int, int, str,
+                                              tuple[str, tuple[str, ...], str]]]:
+    """Each edge's src, dst and type with its predicate and its cells
+    between src/dst and the DDG origin, as a tuple and as tab-led text,
+    rendered once per map (a map belongs to the edges of one type)."""
+    memo: dict[int, tuple[str, tuple[str, ...], str]] = {}
+    for src, dst, edge_type, props in cpg.edge_rows():
+        fact = memo.get(id(props))
         if fact is None:
-            name, keys = _EDGE_FACTS[e.type]
-            cells = tuple(_cell(e.properties.get(k)) for k in keys)
-            fact = memo[key] = (name, cells, "".join("\t" + c for c in cells))
-        yield e, fact
+            name, keys = _EDGE_FACTS[edge_type]
+            cells = tuple(_cell(props.get(k)) for k in keys)
+            fact = memo[id(props)] = (name, cells, "".join("\t" + c for c in cells))
+        yield src, dst, edge_type, fact
 
 
 def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     """Predicate name -> rows. Missing optional fields are empty strings."""
     facts = _node_facts(cpg)
-    for e, (name, cells, _) in _edge_facts(cpg):
-        row = (e.src, e.dst, *cells)
-        facts[name].append(row + (e.src,) if e.type == g.DDG else row)
+    for src, dst, edge_type, (name, cells, _) in _edge_facts(cpg):
+        row = (src, dst, *cells)
+        facts[name].append(row + (src,) if edge_type == g.DDG else row)
     return facts
 
 
@@ -301,9 +330,9 @@ def write_datalog(cpg: g.Cpg, outdir: str) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
     lines = {name: ["\t".join(_cell(v) for v in row) for row in rows]
              for name, rows in _node_facts(cpg).items()}
-    for e, (name, _, text) in _edge_facts(cpg):
-        lines[name].append(f"{e.src}\t{e.dst}{text}\t{e.src}" if e.type == g.DDG
-                           else f"{e.src}\t{e.dst}{text}")
+    for src, dst, edge_type, (name, _, text) in _edge_facts(cpg):
+        lines[name].append(f"{src}\t{dst}{text}\t{src}" if edge_type == g.DDG
+                           else f"{src}\t{dst}{text}")
     written = []
     for name, rows in sorted(lines.items()):
         path = os.path.join(outdir, f"{name}.facts")
@@ -325,17 +354,15 @@ def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
         lines.append(",".join(row))
     nodes_csv = "\n".join(lines) + "\n"
 
-    maps = {id(e.properties): e.properties for e in cpg.edges}   # distinct maps
-    edge_keys = sorted({k for p in maps.values() for k in p})
+    edge_keys = sorted({k for p in cpg.edge_maps() for k in p})
     lines = [",".join([":START_ID", ":END_ID", ":TYPE"] + edge_keys)]
-    tails: dict[tuple[str, int], str] = {}   # (type, id(map)) -> cells after src,dst
-    for e in cpg.edges:
-        key = (e.type, id(e.properties))
-        tail = tails.get(key)
+    tails: dict[int, str] = {}   # id(map) -> cells after src,dst; a map has one type
+    for src, dst, edge_type, props in cpg.edge_rows():
+        tail = tails.get(id(props))
         if tail is None:
-            tail = tails[key] = ",".join(
-                [e.type] + [_csv_cell(e.properties.get(k)) for k in edge_keys])
-        lines.append(f"{e.src},{e.dst},{tail}")
+            tail = tails[id(props)] = ",".join(
+                [edge_type] + [_csv_cell(props.get(k)) for k in edge_keys])
+        lines.append(f"{src},{dst},{tail}")
     return nodes_csv, "\n".join(lines) + "\n"
 
 
@@ -366,10 +393,10 @@ def export(cpg: g.Cpg, manifest: ExportManifest) -> list[str]:
     if not cpg.frozen:
         raise ExportError("export requires a frozen graph")
     if manifest.format in ("json", "dot"):
-        text = to_json(cpg) if manifest.format == "json" else \
-            to_dot(cpg, manifest.edge_types)
+        chunks = _json_chunks(cpg) if manifest.format == "json" else \
+            (to_dot(cpg, manifest.edge_types),)
         with open(manifest.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return [manifest.path]
     if manifest.format == "datalog":
         return write_datalog(cpg, manifest.path)

@@ -11,24 +11,36 @@ insertion is checked by one loop: an unknown key, a value outside its domain
 or a missing property raises SchemaError. AST and CFG edge properties are
 optional; every other property is required.
 
-Edge property maps may be shared between edges of one type. There are two
-bulk append paths, and each stores one copy per distinct map: `add_fan_ins`
-takes the DDG emitter's fan-ins (each consumer with its origins) and stores
-one map per origin node, and `add_edges` takes `import_json`'s rows and
-stores one map per distinct JSON text. Every property map read from the
-graph is read-only.
+Edges live in columns, in id order: source, destination, a type byte and a
+property map, which edges of one type may share (a map never serves two
+types). Every property map read from the graph is read-only. AST, CFG and
+CG edges get their `Edge` record when added. A DDG edge gets one only when
+first read (through `edge`, `edges`, `in_edges`/`out_edges` or
+`edges_of_type`), and it is cached, so a graph holds one record per id.
+`_put_ddg` writes every DDG edge, one run of ids into one consumer at a
+time, for `add_edge`, `add_edges` (import_json's rows) and `add_ddg_rows`
+(the DDG emitter's: a consumer with its origins); a consumer's DDG
+in-adjacency is its list of runs. Each origin's DDG out-ids, an
+`array('i')`, are built on the first out-read. `edge_rows` reads the columns
+and builds no record, for the exporters.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
 each function's instructions by `instType`. The index is derived data: it is
-built on the first such call, assigned whole, and never serialised.
+built on the first such call, assigned whole, and never serialised; so are
+the DDG out-ids and a frozen graph's per-node DDG record lists.
 """
 
 from __future__ import annotations
 
 import gc
+import re
+from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain, compress, count
+from operator import not_
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GraphError, SchemaError
 from .opcodes import VALUE_TYPES
@@ -115,6 +127,9 @@ NODE_KINDS = tuple(_NODE_SCHEMAS)
 INST_TYPES = tuple(_INST_SCHEMAS)
 EDGE_TYPES = tuple(_EDGE_SCHEMAS)
 DDG_TYPES = tuple(_DDG_SCHEMAS)
+_CODE = {t: i for i, t in enumerate(EDGE_TYPES)}   # an edge type's byte in _types
+_DDG_BYTE = bytes((_CODE[DDG],))
+_DDG_SPAN = re.compile(re.escape(_DDG_BYTE) + b"+")
 
 
 def _check(what: str, schema: dict[str, Any], props: dict[str, Any],
@@ -189,14 +204,38 @@ class Edge:
     properties: dict[str, Any] = field(default_factory=dict)
 
 
+@dataclass(slots=True, eq=False)
+class EdgeView(Sequence):
+    """A graph's edge records in id order, read-only; reading a DDG edge
+    builds its record."""
+    _cpg: "Cpg"
+
+    def __len__(self) -> int:
+        return len(self._cpg._props)
+
+    def __getitem__(self, i):   # an int or a slice, negative ones too
+        ids = range(len(self))[i]
+        return list(map(self._cpg._record, ids)) if isinstance(ids, range) \
+            else self._cpg._record(ids)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return map(self._cpg._record, range(len(self)))
+
+
 class Cpg:
     """The mutable-then-frozen code property graph."""
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self.edges: list[Edge] = []
-        self._out: list[dict[str, list[Edge]]] = []   # node -> type -> edges, id order
+        self._src, self._dst = array("i"), array("i")   # the edge columns, by id
+        self._types = bytearray()                       # each edge's _CODE
+        self._props: list[dict[str, Any]] = []
+        self._recs: dict[int, Edge] = {}   # every AST/CFG/CG record, DDG ones once read
+        # node -> type -> records in id order; DDG ones once read, when frozen
+        self._out: list[dict[str, list[Edge]]] = []
         self._in: list[dict[str, list[Edge]]] = []
+        self._ddg_in: dict[int, list[range]] = {}   # consumer -> runs of DDG ids
+        self._ddg_out: dict[int, array] | None = None   # origin -> its DDG ids
         self._frozen = False
         # Function id -> instType (None: all) -> instruction ids, ascending
         self._inst_index: dict[int, dict[str | None, tuple[int, ...]]] | None = None
@@ -223,80 +262,106 @@ class Cpg:
             raise GraphError(f"dangling edge endpoint {src}->{dst}")
         props = dict(properties or {})
         _check_edge(edge_type, props)
-        eid = len(self.edges)
-        edge = Edge(eid, src, dst, edge_type, props)
-        self.edges.append(edge)
+        if edge_type == DDG:
+            self._put_ddg(dst, [src], (props,))
+        else:
+            self._put(src, dst, edge_type, props)
+        return len(self._props) - 1
+
+    def _put(self, src: int, dst: int, edge_type: str, props: dict[str, Any]) -> None:
+        """Append one checked AST, CFG or CG edge, with its record."""
+        eid = len(self._props)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._types.append(_CODE[edge_type])
+        self._props.append(props)
+        edge = self._recs[eid] = Edge(eid, src, dst, edge_type, props)
         self._out[src].setdefault(edge_type, []).append(edge)
         self._in[dst].setdefault(edge_type, []).append(edge)
-        return eid
+
+    def _put_ddg(self, dst: int, srcs: list[int], maps: Iterable[dict]) -> None:
+        """Append checked DDG edges `src -> dst` of `srcs`, with the stored
+        `maps`, as one run of dst's in-adjacency."""
+        start, k = len(self._props), len(srcs)
+        self._src.fromlist(srcs)
+        if k == 1:   # add_edge's, where a one-id array would cost more
+            self._dst.append(dst)
+        else:
+            self._dst.extend(array("i", (dst,)) * k)
+        self._types += _DDG_BYTE * k
+        self._props.extend(maps)
+        runs = self._ddg_in.get(dst)
+        if runs is None:
+            self._ddg_in[dst] = [range(start, start + k)]
+        elif runs[-1].stop == start:
+            runs[-1] = range(runs[-1].start, start + k)
+        else:
+            runs.append(range(start, start + k))
+        self._ddg_out = None
 
     def add_edges(self, rows: Iterable[tuple[int, int, str, dict[str, Any]]]) -> int:
         """Append edges from `(src, dst, type, properties)` rows, in order. The
         first row with a given map goes through `add_edge`, which validates
         and copies it; later rows with that map and type share the copy, and
         a row with that map under another type goes through `add_edge` again.
-        Returns the count added; rows before a failing one stay added."""
+        Consecutive DDG rows into one node are written as one run. Returns
+        the count added; rows before a failing one stay added."""
         self._writable()
-        edges, out, inc = self.edges, self._out, self._in
-        n_nodes, first = len(self.nodes), len(edges)
-        # id(map) -> (map, type, copy); holding the map keeps its id unique
-        shared: dict[int, tuple] = {}
-        for src, dst, edge_type, props in rows:
-            seen = shared.get(id(props))
-            if seen is None or seen[1] != edge_type:
-                eid = self.add_edge(src, dst, edge_type, props)
-                if seen is None:
-                    shared[id(props)] = (props, edge_type, edges[eid].properties)
-                continue
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise GraphError(f"dangling edge endpoint {src}->{dst}")
-            edge = Edge(len(edges), src, dst, edge_type, seen[2])
-            edges.append(edge)
-            out[src].setdefault(edge_type, []).append(edge)
-            inc[dst].setdefault(edge_type, []).append(edge)
-        return len(edges) - first
+        n_nodes, first = len(self.nodes), len(self._props)
+        shared: dict[int, tuple] = {}   # id(map) -> (map, type, copy), map kept alive
+        run, srcs, maps = -1, [], []   # the DDG run being gathered: dst, srcs, maps
+        try:
+            for src, dst, edge_type, props in rows:
+                seen = shared.get(id(props))
+                if seen is not None and dst == run and seen[1] == edge_type == DDG \
+                        and 0 <= src < n_nodes:
+                    srcs.append(src)
+                    maps.append(seen[2])
+                    continue
+                if srcs:
+                    self._put_ddg(run, srcs, maps)
+                    srcs, maps = [], []
+                run = -1
+                if seen is None or seen[1] != edge_type:
+                    eid = self.add_edge(src, dst, edge_type, props)
+                    shared.setdefault(id(props), (props, edge_type, self._props[eid]))
+                elif not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                    raise GraphError(f"dangling edge endpoint {src}->{dst}")
+                elif edge_type == DDG:
+                    run, srcs, maps = dst, [src], [seen[2]]
+                else:
+                    self._put(src, dst, edge_type, seen[2])
+        finally:
+            if srcs:
+                self._put_ddg(run, srcs, maps)
+        return len(self._props) - first
 
-    def add_fan_ins(self, edge_type: str, runs: Iterable[tuple[int, Sequence]],
-                    src_of: Callable[[Any], int],
-                    props_of: Callable[[Any], dict[str, Any]]) -> int:
-        """Append the edges `src_of(item) -> dst` of each run `(dst, items)`,
-        in order: one fan-in per consumer. Each source's first edge goes
-        through `add_edge`, which validates and copies `props_of(item)`; its
-        later edges share that copy and skip the per-edge checks. Returns the
-        count added; rows before a failing one stay added."""
+    def add_ddg_rows(self, rows: Iterable[tuple[int, list[int]]],
+                     props_of: Callable[[int], dict[str, Any]]) -> int:
+        """Append the DDG edges `src -> dst` of each row `(dst, srcs)`, in
+        order. Each src's first edge goes through `add_edge`, which validates
+        and copies `props_of(src)`; its later edges share the copy. Returns
+        the count added; edges before a failing one stay added."""
         self._writable()
-        edges, out, inc = self.edges, self._out, self._in
-        n_nodes, first = len(self.nodes), len(edges)
-        seen: dict[int, tuple] = {}   # src -> (stored map, its out-list's append)
-        for dst, items in runs:
+        n_nodes, first = len(self.nodes), len(self._props)
+        stored: dict[int, dict] = {}   # src -> the map its edges share
+        for dst, srcs in rows:
             if not 0 <= dst < n_nodes:
                 raise GraphError(f"dangling edge endpoint {dst}")
-            if not items:
-                continue
-            in_list = inc[dst].setdefault(edge_type, [])
-            batch, eid = [], len(edges)
-            try:
-                for item in items:
-                    src = src_of(item)
-                    known = seen.get(src)
-                    if known is None:
-                        edges.extend(batch)
-                        in_list.extend(batch)
-                        batch = []
-                        stored = edges[self.add_edge(src, dst, edge_type, props_of(item))]
-                        # looked up afresh: a wrapped add_edge may store its edge elsewhere
-                        seen[src] = (stored.properties,
-                                     out[src].setdefault(edge_type, []).append)
-                        eid = len(edges)
-                        continue
-                    edge = Edge(eid, src, dst, edge_type, known[0])
-                    eid += 1
-                    batch.append(edge)
-                    known[1](edge)
-            finally:   # each batched edge is already in its source's out-list
-                edges.extend(batch)
-                in_list.extend(batch)
-        return len(edges) - first
+            start = 0
+            # the positions of srcs with no stored map, tested as `stored` grows
+            for i in compress(count(), map(not_, map(stored.__contains__, srcs))):
+                if start < i:
+                    run = srcs[start:i]
+                    self._put_ddg(dst, run, map(stored.__getitem__, run))
+                eid = self.add_edge(srcs[i], dst, DDG, props_of(srcs[i]))
+                # read by id: a wrapped add_edge may store its edge elsewhere
+                stored[srcs[i]] = self._props[eid]
+                start = i + 1
+            if start < len(srcs):
+                run = srcs[start:]
+                self._put_ddg(dst, run, map(stored.__getitem__, run))
+        return len(self._props) - first
 
     def freeze(self) -> "Cpg":
         self._frozen = True
@@ -307,15 +372,36 @@ class Cpg:
         return self._frozen
 
     # -- access ---------------------------------------------------------------
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
+
+    def edge_rows(self) -> Iterator[tuple[int, int, str, dict[str, Any]]]:
+        """(src, dst, type, properties) of each edge, the i-th row edge i's,
+        read from the columns: no record is built."""
+        return zip(self._src, self._dst, map(EDGE_TYPES.__getitem__, self._types),
+                   self._props)
+
+    def edge_maps(self) -> list[dict[str, Any]]:
+        """Each distinct property map the edges hold, in first-use order."""
+        return list({id(p): p for p in self._props}.values())
+
     def node(self, nid: int) -> Node:
         if not 0 <= nid < len(self.nodes):
             raise GraphError(f"unknown node id {nid}")
         return self.nodes[nid]
 
     def edge(self, eid: int) -> Edge:
-        if not 0 <= eid < len(self.edges):
+        if not 0 <= eid < len(self._props):
             raise GraphError(f"unknown edge id {eid}")
-        return self.edges[eid]
+        return self._record(eid)
+
+    def _record(self, eid: int) -> Edge:
+        rec = self._recs.get(eid)
+        if rec is None:   # a DDG edge's first read; setdefault keeps one record
+            rec = self._recs.setdefault(eid, Edge(
+                eid, self._src[eid], self._dst[eid], DDG, self._props[eid]))
+        return rec
 
     def node_property(self, nid: int, key: str) -> Any:
         """The partial property map: absent keys answer None, not an error."""
@@ -334,6 +420,23 @@ class Cpg:
             return e.type
         return e.properties.get(key)
 
+    def _ddg_out_index(self) -> dict[int, array]:
+        """Each origin's DDG edge ids, ascending: built whole on the first
+        out-read, since no build step reads them, and dropped by a DDG
+        write."""
+        index = self._ddg_out
+        if index is None:
+            index = {}
+            for span in _DDG_SPAN.finditer(self._types):   # consecutive DDG ids
+                start, end = span.span()
+                for eid, src in zip(range(start, end), self._src[start:end]):
+                    ids = index.get(src)
+                    if ids is None:
+                        ids = index[src] = array("i")
+                    ids.append(eid)
+            self._ddg_out = index
+        return index
+
     def _edges(self, table: list[dict[str, list[Edge]]], nid: int,
                edge_type: str | None) -> list[Edge]:
         self.node(nid)
@@ -341,7 +444,19 @@ class Cpg:
         if edge_type is not None:
             if edge_type not in EDGE_TYPES:
                 raise GraphError(f"unknown edge type {edge_type!r}")
-            return list(by_type.get(edge_type, ()))
+            found = by_type.get(edge_type)
+            if found is not None:   # an AST/CFG/CG list, or a DDG list once read
+                return list(found)
+            if edge_type != DDG:
+                return []
+        if DDG not in by_type:
+            ids = self._ddg_out_index().get(nid, ()) if table is self._out else \
+                chain.from_iterable(self._ddg_in.get(nid, ()))
+            if not self._frozen:   # a copy: a later write may add to the list
+                by_type = dict(by_type)
+            by_type[DDG] = list(map(self._record, ids))
+        if edge_type is not None:
+            return list(by_type[DDG])
         return sorted((e for lst in by_type.values() for e in lst), key=lambda e: e.id)
 
     def out_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
@@ -367,7 +482,8 @@ class Cpg:
     def edges_of_type(self, edge_type: str) -> list[Edge]:
         if edge_type not in EDGE_TYPES:
             raise GraphError(f"unknown edge type {edge_type!r}")
-        return [e for e in self.edges if e.type == edge_type]
+        return list(map(self._record, compress(count(), map(
+            _CODE[edge_type].__eq__, self._types))))
 
     def module_node(self) -> Optional[Node]:
         return next((n for n in self.nodes if n.kind == MODULE), None)

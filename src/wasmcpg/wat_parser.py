@@ -45,15 +45,17 @@ class SExpr(list):
 
 
 # One alternative per lexical unit, tried in order. `.` takes any other
-# character, so every offset matches and an unknown character is an error.
+# character, so every offset matches and an unknown character is an error. A
+# string holds no raw control character: `cut` is a string up to one.
 _LEX_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
-  | (?P<atom>"(?:\\.|[^"\\])*"|[^\s()";]+)
+  | (?P<atom>"(?:\\[^\x00-\x1f\x7f]|[^"\\\x00-\x1f\x7f])*"|[^\s()";]+)
   | (?P<block_comment>\(;)
   | (?P<open>\()
   | (?P<close>\))
   | (?P<newline>\n)
   | (?P<line_comment>;;[^\n]*)
+  | (?P<cut>"(?:\\[^\x00-\x1f\x7f]|[^"\\\x00-\x1f\x7f])*\\?(?=[\x00-\x1f\x7f]))
   | (?P<stray>.)
 """, re.X)
 _NESTING_RE = re.compile(r"\(;|;\)")
@@ -100,6 +102,8 @@ def _read_sexprs(source: str) -> list:
                 line_start = source.rindex("\n", pos, end) + 1
         elif kind == "stray":
             raise ParseError(f"stray character {m.group()!r}", line, pos - line_start + 1)
+        elif kind == "cut":
+            raise ParseError(f"stray character {source[end]!r}", line, end - line_start + 1)
         pos = end
     if parents:
         raise ParseError("unbalanced '('", out.line, out.col)
@@ -108,6 +112,13 @@ def _read_sexprs(source: str) -> list:
 
 def _is_atom(x, text=None) -> bool:
     return isinstance(x, Atom) and (text is None or x.text == text)
+
+
+def _ref(x) -> Atom:
+    """`x`, a function reference, which must be an atom."""
+    if not isinstance(x, Atom):
+        raise ParseError("expected a function reference", x.line, x.col)
+    return x
 
 
 def _head(sx) -> str | None:
@@ -232,7 +243,8 @@ class Parser:
             if params or results:
                 inline = Signature(tuple(t for _, t in params), tuple(results))
                 if inline != sig:
-                    raise ParseError(f"type use mismatch for {type_ref}", 0, 0)
+                    raise ParseError(f"type use mismatch for {type_ref}",
+                                     type_form.line, type_form.col)
             return i, sig
         return i, Signature(tuple(t for _, t in params), tuple(results))
 
@@ -248,7 +260,7 @@ class Parser:
             fields = fields[1:]
 
         funcs: list[tuple[SExpr, FunctionIR, list]] = []   # (field, header, body forms)
-        table_elems: list[tuple[int, list[str]]] = []
+        table_elems: list[tuple[int, list[Atom]]] = []
         exports: list[tuple[str, str]] = []
 
         # pass 1: types, function headers, globals, table, exports
@@ -302,7 +314,7 @@ class Parser:
                     name = _unquote(f[1])
                     desc = f[2]
                     if _head(desc) == "func":
-                        exports.append((name, desc[1].text))
+                        exports.append((name, _ref(desc[1])))
                 else:
                     raise ParseError(f"unsupported module field {h!r}", f.line, f.col)
             except (IndexError, AttributeError, TypeError):   # short, or an atom for a form
@@ -331,28 +343,27 @@ class Parser:
             if not func.is_import:
                 func.body = self._parse_body(body)
 
-        for offset, names in table_elems:
-            need = offset + len(names)
-            module.table.extend([-1] * (need - len(module.table)))
-            module.table[offset:need] = [self._resolve_func_ref(nm) for nm in names]
-        module.table = [i for i in module.table if i >= 0]
+        slots: dict[int, int] = {}   # table slot -> function index; later elems win
+        for offset, refs in table_elems:
+            for slot, ref in enumerate(refs, offset):
+                slots[slot] = self._resolve_func_ref(ref)
+        module.table = [slots[k] for k in sorted(slots)]
         return module
 
-    def _resolve_func_ref(self, ref: str) -> int:
+    def _resolve_func_ref(self, atom: Atom) -> int:
+        ref = atom.text
         if ref.startswith("$"):
             if ref not in self.func_index:
-                raise NameResolutionError(f"unknown function {ref}")
+                raise NameResolutionError(f"unknown function {ref}", atom.line, atom.col)
             return self.func_index[ref]
         try:
             idx = int(ref)
         except ValueError:
-            raise NameResolutionError(f"bad function reference {ref!r}")
+            raise NameResolutionError(f"bad function reference {ref!r}", atom.line, atom.col)
         if not 0 <= idx < len(self.func_index):
-            raise NameResolutionError(f"function index {idx} out of range")
+            raise NameResolutionError(f"function index {idx} out of range",
+                                      atom.line, atom.col)
         return idx
-
-    def _func_name_for_ref(self, ref: str) -> str:
-        return self.func_names[self._resolve_func_ref(ref)]
 
     def _scan_func(self, f: SExpr, forms: list, index: int,
                    in_import: bool) -> tuple[FunctionIR, list]:
@@ -387,10 +398,10 @@ class Parser:
     def _scan_table(self, f: SExpr):
         for item in f:
             if isinstance(item, SExpr) and _head(item) == "elem":
-                return [a.text for a in item[1:]]
+                return [_ref(a) for a in item[1:]]
         return None
 
-    def _scan_elem(self, f: SExpr) -> tuple[int, list[str]]:
+    def _scan_elem(self, f: SExpr) -> tuple[int, list[Atom]]:
         i = 1
         offset = 0
         if i < len(f) and _is_atom(f[i]) and f[i].text.startswith("$"):
@@ -405,7 +416,7 @@ class Parser:
                 i += 1
         if i < len(f) and _is_atom(f[i], "func"):
             i += 1
-        return offset, [a.text for a in f[i:]]
+        return offset, [_ref(a) for a in f[i:]]
 
     def _parse_global(self, f: SExpr, index: int) -> GlobalIR:
         """A global field; an unnamed one is named by its index among all
@@ -449,7 +460,7 @@ class Parser:
                 labels.append(inst.label)
                 if name == "if":
                     inst.label = self._fresh_label("if")
-                open_.append((inst, out))
+                open_.append((inst, out, head))
                 out = inst.body
             elif name in ("else", "end"):
                 inst = open_[-1][0] if open_ else None
@@ -469,7 +480,8 @@ class Parser:
             if src is not it and not src.done():
                 raise ParseError(f"{name}: unexpected immediate", head.line, head.col)
         if open_:
-            raise ParseError("missing 'end' for structured instruction", 0, 0)
+            head = open_[-1][2]
+            raise ParseError("missing 'end' for structured instruction", head.line, head.col)
         return body
 
     def _begin_structured(self, opname: str, it: "_FormCursor", where: Atom) -> InstructionIR:
@@ -520,7 +532,7 @@ class Parser:
             inst.var = self._resolve_var(opname, a)
         elif opname == "call":
             a = take_atom("a function")
-            inst.callee = self._func_name_for_ref(a.text)
+            inst.callee = self.func_names[self._resolve_func_ref(a)]
         elif opname == "call_indirect":
             forms = it.take_heads(("type", "param", "result"))
             _, sig = self._parse_typeuse(forms, 0, [])

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -141,6 +142,33 @@ class TestJson:
         text = to_json(cpg)
         assert json.loads(text) == _document(cpg)
         assert text.count("\n") == n_nodes + 3
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        assert to_json(import_json(str(path))) == text
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_saved_file_is_to_json(self, name, tmp_path):
+        cpg = fixture_cpg(name)
+        path = tmp_path / "g.json"
+        assert export(cpg, ExportManifest("json", str(path))) == [str(path)]
+        assert path.read_bytes() == to_json(cpg).encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunk_size_keeps_the_text(self, chunk, monkeypatch):
+        cpgs = [fixture_cpg("mixed"), fixture_cpg("empty"), _edgeless(0), _edgeless(3)]
+        texts = [to_json(cpg) for cpg in cpgs]
+        monkeypatch.setattr(sys.modules["wasmcpg.export"], "_CHUNK", chunk)
+        assert [to_json(cpg) for cpg in cpgs] == texts
+
+    def test_percent_signs_in_labels(self, tmp_path):
+        # record texts are %-format templates; a label's own % stays literal
+        cpg, _ = build_cpg("(module (func $f%d (param $a%s i32) (result i32) "
+                           "local.get $a%s call $f%d i32.eqz))")
+        text = to_json(cpg)
+        assert json.loads(text) == _document(cpg)
+        labels = {e["properties"]["label"] for e in json.loads(text)["edges"]
+                  if e["type"] == "DDG"}
+        assert labels == {"$a%s", "$f%d"}
         path = tmp_path / "g.json"
         path.write_text(text, encoding="utf-8")
         assert to_json(import_json(str(path))) == text

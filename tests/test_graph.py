@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.errors import GraphError, ParseError, SchemaError
+from wasmcpg.export import import_json, to_json
 from wasmcpg.pipeline import build_cpg
 from wasmcpg import graph as g
 from wasmcpg import opcodes as op
@@ -235,12 +238,13 @@ def fan_ins(draw):
 
 
 class TestAddFanIns:
-    """`Cpg.add_fan_ins`, the bulk append path of the DDG emitter."""
+    """`Cpg.add_ddg_rows`, the DDG emitter's write path: one fan-in (a
+    consumer with its origins) per row."""
 
     MAPS = {i: {"ddgType": "Local", "label": f"$v{i}"} for i in range(8)}
 
     def _add(self, cpg, runs):
-        return cpg.add_fan_ins(g.DDG, runs, lambda src: src, self.MAPS.__getitem__)
+        return cpg.add_ddg_rows(runs, self.MAPS.__getitem__)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=fan_ins())
@@ -268,14 +272,13 @@ class TestAddFanIns:
     def test_a_failing_item_keeps_earlier_rows(self):
         cpg = _graph_with_cfg(3)
 
-        def src_of(item):
-            if item == "bad":
-                raise ValueError(item)
-            return item
+        def props_of(src):
+            if src == 0:
+                raise ValueError(src)
+            return self.MAPS[src]
 
-        with pytest.raises(ValueError):   # the second run's first two edges are batched
-            cpg.add_fan_ins(g.DDG, [(0, [1, 2]), (2, [1, 2, "bad"])], src_of,
-                            self.MAPS.__getitem__)
+        with pytest.raises(ValueError):   # the second row's first two edges are written
+            cpg.add_ddg_rows([(0, [1, 2]), (2, [1, 2, 0])], props_of)
         assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [
             (1, 0), (2, 0), (1, 2), (2, 2)]
         assert [e.src for e in cpg.in_edges(2, g.DDG)] == [1, 2]
@@ -292,10 +295,10 @@ class TestAddFanIns:
     def test_out_of_domain_map(self):
         cpg = _graph_with_cfg(3)
         with pytest.raises(SchemaError):
-            cpg.add_fan_ins(g.DDG, [(1, [0])], lambda src: src,
-                            lambda src: {"ddgType": "Local", "label": "$x", "value": 3})
+            cpg.add_ddg_rows([(1, [0])],
+                             lambda src: {"ddgType": "Local", "label": "$x", "value": 3})
         with pytest.raises(SchemaError):
-            cpg.add_fan_ins(g.DDG, [(1, [0])], lambda src: src, lambda src: {"label": "$x"})
+            cpg.add_ddg_rows([(1, [0])], lambda src: {"label": "$x"})
         assert cpg.edges_of_type(g.DDG) == []
 
     def test_frozen_graph_rejects_writes(self):
@@ -304,6 +307,125 @@ class TestAddFanIns:
             self._add(cpg, [(1, [0])])
         with pytest.raises(GraphError, match="frozen"):
             self._add(cpg, [])
+
+
+# Maps the store property test draws from: several per DDG origin, and maps
+# that are valid under more than one edge type.
+DDG_MAPS = [{"ddgType": "Local", "label": "$a"}, {"ddgType": "Local", "label": "$b"},
+            {"ddgType": "Const", "label": 1, "valueType": "i32", "value": 1},
+            {"ddgType": "Function", "label": "$f"}]
+OTHER_MAPS = {g.AST: [{}, {"childIndex": 0}, {"childIndex": 1}],
+              g.CFG: [{}, {"label": 0}, {"label": "default"}], g.CG: [{}]}
+
+
+def _store_map(edge_type: str, i: int) -> dict:
+    maps = DDG_MAPS if edge_type == g.DDG else OTHER_MAPS[edge_type]
+    return maps[i % len(maps)]
+
+
+@st.composite
+def store_ops(draw):
+    """(node count, writes): single edges in any order, bulk rows and DDG
+    fan-in rows, of every edge type, interleaved."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node, st.sampled_from(g.EDGE_TYPES), st.integers(0, 3))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("edge"), edge),
+        st.tuples(st.just("edges"), st.lists(edge, max_size=8)),
+        st.tuples(st.just("rows"), st.tuples(
+            st.lists(st.tuples(node, st.lists(node, max_size=5)), max_size=4),
+            st.integers(0, 3)))), max_size=8))
+    return n, ops
+
+
+class TestStoreModel:
+    """The column store against a plain list of records: every read path
+    gives each edge's (id, src, dst, type, map), one record per id."""
+
+    @staticmethod
+    def _build(n, ops):
+        """The graph, and the model: (src, dst, type, map, sharing group) per
+        edge, where edges share one stored map exactly when their group is
+        the same."""
+        cpg, model = g.Cpg(), []
+        for _ in range(n):
+            cpg.add_node(g.ELSE)
+        for call, (kind, arg) in enumerate(ops):
+            if kind == "edge":
+                src, dst, t, i = arg
+                cpg.add_edge(src, dst, t, _store_map(t, i))
+                model.append((src, dst, t, _store_map(t, i), ("edge", len(model))))
+            elif kind == "edges":
+                rows = [(s, d, t, _store_map(t, i)) for s, d, t, i in arg]
+                assert cpg.add_edges(rows) == len(rows)
+                first_type: dict[int, str] = {}   # a map is shared under its first type
+                for s, d, t, props in rows:
+                    shared = first_type.setdefault(id(props), t) == t
+                    model.append((s, d, t, props, (call, id(props)) if shared
+                                  else ("edge", len(model))))
+            else:
+                rows, shift = arg
+                props_of = lambda src: DDG_MAPS[(src + shift) % len(DDG_MAPS)]
+                assert cpg.add_ddg_rows(rows, props_of) == sum(len(s) for _, s in rows)
+                model += [(s, d, g.DDG, props_of(s), (call, s)) for d, srcs in rows for s in srcs]
+            for v in range(n):   # reads between writes must not go stale
+                assert len(cpg.in_edges(v)) == sum(m[1] == v for m in model)
+                assert len(cpg.out_edges(v)) == sum(m[0] == v for m in model)
+        return cpg, model
+
+    @staticmethod
+    def _check(cpg, n, model, records):
+        """Every read path against the model; `records` collects each id's
+        record, which must come back the same object from every path."""
+        def same(edges, ids):
+            assert [e.id for e in edges] == ids
+            for e in edges:
+                assert records.setdefault(e.id, e) is e
+                src, dst, t, props, _ = model[e.id]
+                assert (e.src, e.dst, e.type, e.properties) == (src, dst, t, props)
+
+        assert len(cpg.edges) == len(model)
+        same(list(cpg.edges), list(range(len(model))))
+        same([cpg.edge(i) for i in range(len(model))], list(range(len(model))))
+        same(cpg.edges[::-1], list(range(len(model)))[::-1])
+        for t in (*g.EDGE_TYPES, None):
+            if t is not None:
+                same(cpg.edges_of_type(t), [i for i, m in enumerate(model) if m[2] == t])
+            for v in range(n):
+                same(cpg.in_edges(v, t), [i for i, m in enumerate(model)
+                                          if m[1] == v and t in (None, m[2])])
+                same(cpg.out_edges(v, t), [i for i, m in enumerate(model)
+                                           if m[0] == v and t in (None, m[2])])
+        assert [tuple(r) for r in cpg.edge_rows()] == [m[:4] for m in model]
+        maps: dict[int, object] = {}   # sharing group -> its stored map
+        types: dict[int, str] = {}     # id(stored map) -> the one type it serves
+        for e, (*_, group) in zip(cpg.edges, model):
+            assert maps.setdefault(group, e.properties) is e.properties
+            assert types.setdefault(id(e.properties), e.type) == e.type
+        assert len({id(p) for p in maps.values()}) == len(maps)
+        assert sorted(map(id, cpg.edge_maps())) == sorted(map(id, maps.values()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=store_ops())
+    def test_reads_match_a_list_of_records(self, case):
+        n, ops = case
+        cpg, model = self._build(n, ops)
+        records: dict[int, g.Edge] = {}
+        self._check(cpg, n, model, records)
+        self._check(cpg.freeze(), n, model, records)   # frozen: lists are cached
+        self._check(cpg, n, model, records)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=store_ops())
+    def test_json_round_trip(self, case):
+        cpg = self._build(*case)[0].freeze()
+        text = to_json(cpg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.json")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            assert to_json(import_json(path)) == text
 
 
 class TestGcPause:

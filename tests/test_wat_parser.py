@@ -128,6 +128,34 @@ class TestParseModule:
         with pytest.raises(NameResolutionError):
             parse_module("(module (table funcref (elem $nope)))")
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(segments=st.lists(st.tuples(st.integers(0, 12),
+                                       st.lists(st.integers(0, 2), max_size=5)),
+                             max_size=4))
+    def test_table_is_the_filled_slots_in_order(self, segments):
+        # later elem segments overwrite earlier ones slot by slot; slots no
+        # segment fills are dropped
+        elems = "".join(f"(elem (i32.const {off}) {' '.join(f'$f{i}' for i in names)})"
+                        for off, names in segments)
+        table = parse_module(f"(module (func $f0) (func $f1) (func $f2) {elems})").table
+        slots = [-1] * max([off + len(names) for off, names in segments] + [0])
+        for off, names in segments:
+            slots[off:off + len(names)] = names
+        assert table == [i for i in slots if i >= 0]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+    def test_far_elem_offset_parses_in_bounded_memory(self):
+        # the table holds the filled slots only, not one per offset below them
+        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "from wasmcpg.wat_parser import parse_module\n"
+                "print(parse_module('(module (func $f) (table 1 funcref) "
+                "(elem (i32.const 2000000000) $f))').table)")
+        src = pathlib.Path(__file__).parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert run.stdout == "[0]\n"
+
 
 # inserted between tokens; each is one way a comment can end
 COMMENTS = (";; to the end of the line\n", "(; one line ;)", "(; two\nlines ;)",
@@ -165,7 +193,10 @@ class TestComments:
     @pytest.mark.parametrize("source, message", [
         ("(module ; (func))", "1:9: stray character ';'"),
         ('(module\n  (export "f (func 0)))', "2:11: stray character '\"'"),
-    ], ids=["lone-semicolon", "unterminated-string"])
+        ('(module (func $f) (export "f\ng" (func $f)))', "1:29: stray character '\\n'"),
+        ('(module (export "f\\\tg"))', "1:20: stray character '\\t'"),
+    ], ids=["lone-semicolon", "unterminated-string", "newline-in-string",
+            "tab-after-escape"])
     def test_stray_character(self, source, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_module(source)
@@ -203,6 +234,26 @@ class TestErrorPositions:
     def test_bare_atom_among_module_fields(self):
         with pytest.raises(ParseError, match="^1:9: expected a module field, found 'foo'$"):
             parse_module("(module foo)")
+
+    @pytest.mark.parametrize("source, message", [
+        ("(module (type $t (func (param i32)))\n  (func (type $t) (param i64)))",
+         "2:9: type use mismatch for $t"),
+        ("(module (func\n  block\n    loop nop end))",
+         "2:3: missing 'end' for structured instruction"),
+        ("(module (func\n  call $nobody))", "2:8: unknown function $nobody"),
+        ('(module\n (export "x" (func $nobody)))', "2:20: unknown function $nobody"),
+        ("(module (func $f) (table 1 funcref)\n (elem (i32.const 0) $f $nobody))",
+         "2:25: unknown function $nobody"),
+        ('(module (func $f)\n (export "x" (func 7)))', "2:20: function index 7 out of range"),
+        ("(module (func $f\n  call 9))", "2:8: function index 9 out of range"),
+        # an escaped newline in a string is no line break
+        ('(module (export "a\\nb" (func 0))\n (func i32.const x drop))',
+         "2:18: bad integer literal 'x'"),
+    ], ids=["type-use-mismatch", "missing-end", "unknown-call", "unknown-export",
+            "unknown-elem", "export-index", "call-index", "line-after-an-escaped-newline"])
+    def test_position_of(self, source, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_module(source)
 
 
 FOLDING_INPUTS = {**{name: fixture_source(name) for name in ALL_FIXTURES},
@@ -396,6 +447,7 @@ MALFORMED = {
         "(module (memory 1) (func i32.const 0 i32.load align=3 drop))",
     "memarg-align-zero": "(module (memory 1) (func i32.const 0 i32.load align=0 drop))",
     "elem-offset-negative": "(module (func $f) (table 1 funcref) (elem (i32.const -1) $f))",
+    "raw-newline-in-string": '(module (func $f) (export "f\ng" (func $f)))',
 }
 
 
