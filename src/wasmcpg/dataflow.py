@@ -5,7 +5,7 @@ abstract state (global store, local store, value stack). A store holds one
 dependency set per slot: a local's slot is its index among params then
 locals, a global's its index in the module. `_prepare` resolves each
 `local.*`/`global.*` node's slot once, so a read is a tuple index, and builds
-each origin node's own dependency once.
+each origin's dependency once (`deps`, read by the transfer and the emitter).
 The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
 order, which structured control flow gives for free: program order, with each
 loop a nested component (header, then body) iterated while its header's input
@@ -145,6 +145,8 @@ class FunctionDataflow:
     phi_static: int = 0
     n_locals: int = 0
     n_globals: int = 0
+    # origin -> its Dep: a parameter's initial one, or an instruction's own
+    deps: dict[int, Dep] = field(default_factory=dict)
 
 
 _ORIGINS = {op.CONST: CONST_DEP, op.LOCAL_GET: LOCAL_DEP, op.GLOBAL_GET: GLOBAL_DEP,
@@ -154,6 +156,9 @@ _ORIGINS = {op.CONST: CONST_DEP, op.LOCAL_GET: LOCAL_DEP, op.GLOBAL_GET: GLOBAL_
 def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd = FunctionDataflow(layout=layout)
     func = layout.func
+    for name, _ty in func.params:
+        var = layout.param_var_node[name]
+        fd.deps[var] = Dep(LOCAL_DEP, var, name=name)
     if func.is_import:
         return fd
     module = ctx.module
@@ -207,7 +212,8 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
             if kind and nresults:   # a call without results is no origin
                 name = inst.callee if o == "call" else \
                     inst.type_use.text() if o == "call_indirect" else inst.var
-                own = frozenset((Dep(kind, node, name, inst.value, inst.value_type),))
+                fd.deps[node] = Dep(kind, node, name, inst.value, inst.value_type)
+                own = frozenset((fd.deps[node],))
                 fd.phi_static += 1
             order.append(_add(fd, node, NodeInfo(tag, nargs, nresults, slot, own)))
     fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults, base=0)))
@@ -297,7 +303,7 @@ class FunctionAnalysis:
 
 def initial_state(fd: FunctionDataflow) -> State:
     layout = fd.layout
-    params = tuple(frozenset((Dep(LOCAL_DEP, layout.param_var_node[name], name=name),))
+    params = tuple(frozenset((fd.deps[layout.param_var_node[name]],))
                    for name, _ty in layout.func.params)
     return State((EMPTY,) * fd.n_globals,
                  params + (EMPTY,) * (fd.n_locals - len(params)))
@@ -375,13 +381,10 @@ def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
     consumer's popped sets name each origin once, and all edges from one
     origin share one property map.
     """
-    popped, fd = analysis.popped, analysis.fd
-    # an origin's Dep: a parameter's initial one, or its instruction's own
-    params = {dep.origin: dep for deps in initial_state(fd).locals_ for dep in deps}
+    popped, deps = analysis.popped, analysis.fd.deps
     rows = ((node, sorted(map(_ORIGIN, EMPTY.union(*popped[node]))))
             for node in sorted(popped))
-    return ctx.cpg.add_ddg_rows(rows, lambda origin: _ddg_props(
-        params.get(origin) or next(iter(fd.info[origin].own))))
+    return ctx.cpg.add_ddg_rows(rows, lambda origin: _ddg_props(deps[origin]))
 
 
 def _ddg_props(dep: Dep) -> dict:

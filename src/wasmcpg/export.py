@@ -15,10 +15,11 @@ shares one map among edges of one type, and a map never serves two types,
 so each map's rendering (a JSON record template with the ids left open, DOT
 attributes, Datalog cells, CSV cells) is memoised by its id. The JSON save
 is streamed: `_json_chunks` yields the text in chunks of records, which
-`export` writes to the file as they come and `to_json` joins. `import_json`
-reads that layout line by line and decodes and validates each distinct
-(type, property text) once, so its edges share one map again; texts that
-differ only in type or sign (`1`, `1.0`, `true`; `0.0`, `-0.0`) stay apart.
+`to_json` joins and `export` writes as they come to a file beside the
+target, moved over it once whole. `import_json` reads that layout line by
+line and decodes and validates each distinct (type, property text) once,
+so its edges share one map again; texts that differ only in type or sign
+(`1`, `1.0`, `true`; `0.0`, `-0.0`) stay apart.
 It accepts any other layout of the same document, such as files
 pretty-printed by older versions, through `json.load`.
 """
@@ -28,10 +29,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ExportError, WasmCpgError
 from . import graph as g
@@ -354,7 +357,8 @@ def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
         lines.append(",".join(row))
     nodes_csv = "\n".join(lines) + "\n"
 
-    edge_keys = sorted({k for p in cpg.edge_maps() for k in p})
+    maps = {id(p): p for _, _, _, p in cpg.edge_rows()}   # each distinct map once
+    edge_keys = sorted({k for p in maps.values() for k in p})
     lines = [",".join([":START_ID", ":END_ID", ":TYPE"] + edge_keys)]
     tails: dict[int, str] = {}   # id(map) -> cells after src,dst; a map has one type
     for src, dst, edge_type, props in cpg.edge_rows():
@@ -389,14 +393,34 @@ def write_neo4j(cpg: g.Cpg, outdir: str) -> list[str]:
 
 # -- entry point ---------------------------------------------------------------------
 
+def _write_whole(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to `path`. A regular file, or a new one, is written
+    beside it and moved over it once whole, so a save that fails partway
+    leaves the old file; a pipe or a device is written in place."""
+    real = os.path.realpath(path)
+    regular = os.path.isfile(real)
+    part = real + ".part" if regular or not os.path.exists(real) else real
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        if part != real:
+            if regular:
+                shutil.copymode(real, part)
+            os.replace(part, real)
+    except BaseException:
+        if part != real:
+            with suppress(OSError):
+                os.unlink(part)
+        raise
+
+
 def export(cpg: g.Cpg, manifest: ExportManifest) -> list[str]:
     if not cpg.frozen:
         raise ExportError("export requires a frozen graph")
     if manifest.format in ("json", "dot"):
         chunks = _json_chunks(cpg) if manifest.format == "json" else \
             (to_dot(cpg, manifest.edge_types),)
-        with open(manifest.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        _write_whole(manifest.path, chunks)
         return [manifest.path]
     if manifest.format == "datalog":
         return write_datalog(cpg, manifest.path)

@@ -13,16 +13,13 @@ optional; every other property is required.
 
 Edges live in columns, in id order: source, destination, a type byte and a
 property map, which edges of one type may share (a map never serves two
-types). Every property map read from the graph is read-only. AST, CFG and
-CG edges get their `Edge` record when added. A DDG edge gets one only when
-first read (through `edge`, `edges`, `in_edges`/`out_edges` or
-`edges_of_type`), and it is cached, so a graph holds one record per id.
-`_put_ddg` writes every DDG edge, one run of ids into one consumer at a
-time, for `add_edge`, `add_edges` (import_json's rows) and `add_ddg_rows`
-(the DDG emitter's: a consumer with its origins); a consumer's DDG
-in-adjacency is its list of runs. Each origin's DDG out-ids, an
-`array('i')`, are built on the first out-read. `edge_rows` reads the columns
-and builds no record, for the exporters.
+types); every property map read from the graph is read-only. AST, CFG and
+CG edges get their `Edge` record when added, a DDG edge on its first read,
+cached so that a graph holds one record per id. `_put_ddg` writes every DDG
+edge (for `add_edge`, `add_edges` and the emitter's `add_ddg_rows`) as a run
+of ids into one consumer, whose DDG in-adjacency is its list of runs; each
+origin's DDG out-ids are built on the first out-read. `edge_rows` reads the
+columns, building no record, for the exporters.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
 each function's instructions by `instType`. The index is derived data: it is
@@ -35,9 +32,11 @@ from __future__ import annotations
 import gc
 import re
 from array import array
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, count
 from operator import not_
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -215,8 +214,7 @@ class EdgeView(Sequence):
 
     def __getitem__(self, i):   # an int or a slice, negative ones too
         ids = range(len(self))[i]
-        return list(map(self._cpg._record, ids)) if isinstance(ids, range) \
-            else self._cpg._record(ids)
+        return self._cpg._records(ids) if isinstance(ids, range) else self._cpg._record(ids)
 
     def __iter__(self) -> Iterator[Edge]:
         return map(self._cpg._record, range(len(self)))
@@ -382,10 +380,6 @@ class Cpg:
         return zip(self._src, self._dst, map(EDGE_TYPES.__getitem__, self._types),
                    self._props)
 
-    def edge_maps(self) -> list[dict[str, Any]]:
-        """Each distinct property map the edges hold, in first-use order."""
-        return list({id(p): p for p in self._props}.values())
-
     def node(self, nid: int) -> Node:
         if not 0 <= nid < len(self.nodes):
             raise GraphError(f"unknown node id {nid}")
@@ -402,6 +396,13 @@ class Cpg:
             rec = self._recs.setdefault(eid, Edge(
                 eid, self._src[eid], self._dst[eid], DDG, self._props[eid]))
         return rec
+
+    def _records(self, ids: Sequence[int]) -> list[Edge]:
+        """The records of `ids`: a C-level lookup once every one is built."""
+        try:
+            return list(map(self._recs.__getitem__, ids))
+        except KeyError:
+            return list(map(self._record, ids))
 
     def node_property(self, nid: int, key: str) -> Any:
         """The partial property map: absent keys answer None, not an error."""
@@ -426,14 +427,12 @@ class Cpg:
         write."""
         index = self._ddg_out
         if index is None:
-            index = {}
+            index = defaultdict(partial(array, "i"))
             for span in _DDG_SPAN.finditer(self._types):   # consecutive DDG ids
                 start, end = span.span()
-                for eid, src in zip(range(start, end), self._src[start:end]):
-                    ids = index.get(src)
-                    if ids is None:
-                        ids = index[src] = array("i")
-                    ids.append(eid)
+                # each id onto its origin's array, with no Python-level call per id
+                deque(map(array.append, map(index.__getitem__, self._src[start:end]),
+                          range(start, end)), maxlen=0)
             self._ddg_out = index
         return index
 
@@ -451,10 +450,10 @@ class Cpg:
                 return []
         if DDG not in by_type:
             ids = self._ddg_out_index().get(nid, ()) if table is self._out else \
-                chain.from_iterable(self._ddg_in.get(nid, ()))
+                list(chain.from_iterable(self._ddg_in.get(nid, ())))
             if not self._frozen:   # a copy: a later write may add to the list
                 by_type = dict(by_type)
-            by_type[DDG] = list(map(self._record, ids))
+            by_type[DDG] = self._records(ids)
         if edge_type is not None:
             return list(by_type[DDG])
         return sorted((e for lst in by_type.values() for e in lst), key=lambda e: e.id)
@@ -482,7 +481,7 @@ class Cpg:
     def edges_of_type(self, edge_type: str) -> list[Edge]:
         if edge_type not in EDGE_TYPES:
             raise GraphError(f"unknown edge type {edge_type!r}")
-        return list(map(self._record, compress(count(), map(
+        return self._records(list(compress(count(), map(
             _CODE[edge_type].__eq__, self._types))))
 
     def module_node(self) -> Optional[Node]:

@@ -153,6 +153,27 @@ class TestJson:
         assert export(cpg, ExportManifest("json", str(path))) == [str(path)]
         assert path.read_bytes() == to_json(cpg).encode("utf-8")
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        def failing(cpg):
+            yield '{"edges":[\n'
+            raise MemoryError
+        path = tmp_path / "g.json"
+        path.write_text("old", encoding="utf-8")
+        monkeypatch.setattr(sys.modules["wasmcpg.export"], "_json_chunks", failing)
+        with pytest.raises(MemoryError):
+            export(fixture_cpg("mixed"), ExportManifest("json", str(path)))
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_save_writes_through_a_link(self, tmp_path):
+        cpg = fixture_cpg("mixed")
+        (tmp_path / "real.json").write_text("old", encoding="utf-8")
+        (tmp_path / "link.json").symlink_to(tmp_path / "real.json")
+        export(cpg, ExportManifest("json", str(tmp_path / "link.json")))
+        assert (tmp_path / "link.json").is_symlink()
+        assert (tmp_path / "real.json").read_bytes() == to_json(cpg).encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunk_size_keeps_the_text(self, chunk, monkeypatch):
         cpgs = [fixture_cpg("mixed"), fixture_cpg("empty"), _edgeless(0), _edgeless(3)]

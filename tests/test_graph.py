@@ -404,7 +404,7 @@ class TestStoreModel:
             assert maps.setdefault(group, e.properties) is e.properties
             assert types.setdefault(id(e.properties), e.type) == e.type
         assert len({id(p) for p in maps.values()}) == len(maps)
-        assert sorted(map(id, cpg.edge_maps())) == sorted(map(id, maps.values()))
+        assert {id(p) for *_, p in cpg.edge_rows()} == {id(p) for p in maps.values()}
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=store_ops())
