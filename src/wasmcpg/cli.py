@@ -10,11 +10,12 @@ Findings go to stdout as JSON lines; diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 
 from .errors import ParseError, WasmCpgError, WqlError
-from .export import ExportManifest, export, import_json, to_json
+from .export import FORMATS, ExportManifest, _json_chunks, _write_whole, export, import_json
 from .findings import Finding
 from .pipeline import STAGES, build_cpg
 from .queries import QUERIES, ScanConfig, run_all
@@ -42,31 +43,25 @@ def _parser() -> argparse.ArgumentParser:
 
     qp = sub.add_parser("query", help="run queries over a previously built graph")
     qp.add_argument("input", help="graph JSON produced by 'build'")
-    qp.add_argument("--config", help="scan configuration JSON")
-    qp.add_argument("--builtin", help="comma-separated built-in query ids (e.g. 1,6,10)")
-    qp.add_argument("--wql", action="append", default=[],
-                    help="query file to interpret (repeatable)")
-    qp.add_argument("-o", "--output", help="findings file (default: stdout)")
-
     s = sub.add_parser("scan", help="build the graph and run queries in one pass")
     s.add_argument("input", help=".wat module")
-    s.add_argument("--config", help="scan configuration JSON")
-    s.add_argument("--builtin", help="comma-separated built-in query ids")
-    s.add_argument("--wql", action="append", default=[])
     s.add_argument("--timing", action="store_true")
-    s.add_argument("-o", "--output")
     for p in (qp, s):
+        p.add_argument("--config", help="scan configuration JSON")
+        p.add_argument("--builtin", help="comma-separated built-in query ids (e.g. 1,6,10)")
+        p.add_argument("--wql", action="append", default=[],
+                       help="query file to interpret (repeatable)")
+        p.add_argument("-o", "--output", help="findings file (default: stdout)")
         p.add_argument("--wql-budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                        help="fail a query file after N loop and filter steps")
 
     e = sub.add_parser("export", help="convert a graph to another serialization")
     e.add_argument("input", help="graph JSON produced by 'build'")
-    e.add_argument("--format", required=True,
-                   choices=("json", "dot", "datalog", "neo4j-csv"))
+    e.add_argument("--format", required=True, choices=FORMATS)
     e.add_argument("-o", "--output", required=True,
                    help="output file (json/dot) or directory (datalog/neo4j-csv)")
     e.add_argument("--edges", help="comma-separated edge types for dot "
-                                   "(default AST,CFG,CG,DDG)")
+                                   f"(default {','.join(ExportManifest.edge_types)})")
     return ap
 
 
@@ -83,12 +78,6 @@ def _parse_builtin(arg: str | None) -> set[int] | None:
     return ids
 
 
-def _load_config(path: str | None) -> ScanConfig:
-    if path is None:
-        return ScanConfig()
-    return ScanConfig.from_file(path)
-
-
 def _read_text(path: str, error: type[WasmCpgError]) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,14 +87,11 @@ def _read_text(path: str, error: type[WasmCpgError]) -> str:
 
 
 def _emit_findings(findings: list[Finding], output: str | None) -> None:
-    import json
-    text = "".join(json.dumps(f.to_json_dict(), sort_keys=True) + "\n"
-                   for f in findings)
+    lines = (json.dumps(f.to_json_dict(), sort_keys=True) + "\n" for f in findings)
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_whole([(output, lines)])
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _print_timing(report) -> None:
@@ -117,7 +103,7 @@ def _print_timing(report) -> None:
 
 
 def _run_queries(cpg, args) -> list[Finding]:
-    config = _load_config(args.config)
+    config = ScanConfig() if args.config is None else ScanConfig.from_file(args.config)
     enabled = _parse_builtin(args.builtin)
     findings: list[Finding] = []
     if enabled is not None or not args.wql:
@@ -137,24 +123,20 @@ def _run(args) -> int:
     if args.command == "build":
         if args.output:
             export(cpg, ExportManifest("json", args.output))
-        else:
-            sys.stdout.write(to_json(cpg))
+        else:   # the chunks as they come, as `export` writes a file
+            sys.stdout.writelines(_json_chunks(cpg))
         return EXIT_CLEAN
 
     if args.command == "query":
         cpg = import_json(args.input)
-        findings = _run_queries(cpg, args)
-        _emit_findings(findings, args.output)
-        return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-    if args.command == "scan":
+    if args.command in ("query", "scan"):
         findings = _run_queries(cpg, args)
         _emit_findings(findings, args.output)
         return EXIT_FINDINGS if findings else EXIT_CLEAN
 
     if args.command == "export":
         edge_types = tuple(args.edges.split(",")) if args.edges else \
-            ("AST", "CFG", "CG", "DDG")
+            ExportManifest.edge_types
         manifest = ExportManifest(args.format, args.output, edge_types)
         cpg = import_json(args.input)
         for path in export(cpg, manifest):

@@ -3,25 +3,27 @@ DOT, Datalog fact files, and Neo4j bulk-import CSV.
 
 All outputs are byte-deterministic for a given graph: elements are written in
 id order and property keys sorted. The lossy formats (DOT/facts/CSV) project
-the graph; JSON round-trips exactly.
+the graph; JSON round-trips exactly. JSON is compact, with one node or edge
+record per line between the lines `{"edges":[`, `],"nodes":[` and
+`],"schema":1}`.
 
-JSON is compact, with one node or edge record per line between the lines
-`{"edges":[`, `],"nodes":[` and `],"schema":1}`.
+Edges are read through `graph.Cpg.edge_rows`, so an export builds no edge
+record, and each distinct property map is rendered once, memoised by its id
+(the graph shares one map among edges of one type, and a map never serves
+two types).
 
-Edges are read through `graph.Cpg.edge_rows`, straight from the graph's
-columns, so an export builds no edge record. Every path costs one unit of
-work per distinct property map plus a cheap append per edge: the graph
-shares one map among edges of one type, and a map never serves two types,
-so each map's rendering (a JSON record template with the ids left open, DOT
-attributes, Datalog cells, CSV cells) is memoised by its id. The JSON save
-is streamed: `_json_chunks` yields the text in chunks of records, which
-`to_json` joins and `export` writes as they come to a file beside the
-target, moved over it once whole. `import_json` reads that layout line by
-line and decodes and validates each distinct (type, property text) once,
-so its edges share one map again; texts that differ only in type or sign
-(`1`, `1.0`, `true`; `0.0`, `-0.0`) stay apart.
-It accepts any other layout of the same document, such as files
-pretty-printed by older versions, through `json.load`.
+Each format renders its files' text, JSON in chunks of records
+(`_json_chunks`), and `_write_whole` writes every output file, the CLI's
+findings too, beside its target and moves each into place once all are
+whole, so a write that fails partway leaves every old file; a pipe or a
+device is written in place.
+
+`import_json` reads `to_json`'s layout line by line, decoding and validating
+each distinct (type, property text) once, so its edges share one map again;
+texts that differ only in type or sign (`1`, `1.0`, `true`; `0.0`, `-0.0`)
+stay apart. Any other layout of the same document, such as a file
+pretty-printed by an older version, loads through `json.load`. Both readers
+hand the same nodes and edge rows, ids checked, to one rebuild.
 """
 
 from __future__ import annotations
@@ -75,13 +77,6 @@ _CHUNK = 4096   # records per chunk of the JSON text
 
 def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
     """`to_json`'s text, in chunks of up to _CHUNK records each."""
-    memo: dict[int, str] = {}   # id(obj) -> encoding; the graph keeps obj alive
-
-    def enc(obj) -> str:
-        text = memo.get(id(obj))
-        if text is None:
-            text = memo[id(obj)] = _encode(obj)
-        return text
 
     def joined(records: Iterator[str]) -> Iterator[str]:
         """The records joined by ",\n", then "\n" if there was one."""
@@ -102,20 +97,22 @@ def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
                         _encode(props).replace("%", "%%"), _encode(edge_type))
             yield text % (dst, eid, src)
 
+    # every node owns its map, so only the kinds repeat
+    kinds = {kind: _encode(kind) for kind in {n.kind for n in cpg.nodes}}
     yield '{"edges":[\n'
     yield from joined(edge_records())
     yield '],"nodes":[\n'
     yield from joined('{"id":%d,"kind":%s,"properties":%s}'
-                      % (n.id, enc(n.kind), enc(n.properties)) for n in cpg.nodes)
+                      % (n.id, kinds[n.kind], _encode(n.properties)) for n in cpg.nodes)
     yield '],"schema":%d}\n' % SCHEMA_VERSION
 
 
 # One record line of the layout `to_json` writes; ids use JSON's integer grammar.
-_INT = r"(-?(?:0|[1-9][0-9]*))"
-_EDGE_LINE = re.compile(r'\{"dst":%s,"id":%s,"properties":(\{.*\}),"src":%s,'
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_EDGE_LINE = re.compile(r'\{"dst":(%s),"id":(?P<id>%s),"properties":(\{.*\}),"src":(%s),'
                         r'"type":"([A-Z]+)"\}(,?)\n' % (_INT, _INT, _INT))
-_NODE_LINE = re.compile(r'\{"id":%s,"kind":"([A-Za-z]+)","properties":(\{.*\})\}(,?)\n'
-                        % _INT)
+_NODE_LINE = re.compile(r'\{"id":(?P<id>%s),"kind":"([A-Za-z]+)","properties":(\{.*\})\}'
+                        r'(,?)\n' % _INT)
 
 
 def import_json(path: str) -> g.Cpg:
@@ -129,7 +126,7 @@ def import_json(path: str) -> g.Cpg:
     with g.gc_paused():
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return _read_lines(fh).freeze()
+                return _rebuild(*_read_lines(fh))
             except (ValueError, KeyError, TypeError, RecursionError, WasmCpgError):
                 fh.seek(0)
             try:
@@ -143,43 +140,57 @@ def import_json(path: str) -> g.Cpg:
         nodes, edges = doc.get("nodes", []), doc.get("edges", [])
         if not isinstance(nodes, list) or not isinstance(edges, list):
             raise ExportError("nodes and edges must be lists")
-        cpg = g.Cpg()
         try:
-            for i, node in enumerate(nodes):
-                if node["id"] != i:
-                    raise ExportError("node ids must be dense and ordered")
-                if not isinstance(node["kind"], str):
-                    raise TypeError(f"node kind {node['kind']!r} is not a string")
-                cpg.add_node(node["kind"], node.get("properties", {}))
-            for i, edge in enumerate(edges):
-                if edge["id"] != i:
-                    raise ExportError("edge ids must be dense and ordered")
-                cpg.add_edge(edge["src"], edge["dst"], edge["type"],
-                             edge.get("properties", {}))
+            return _rebuild(((n["kind"], n.get("properties", {}))
+                             for n in _checked(nodes, "node")),
+                            ((e["src"], e["dst"], e["type"], e.get("properties", {}))
+                             for e in _checked(edges, "edge")))
         except (KeyError, TypeError, ValueError) as exc:
             # a record that is not an object, lacks a field or has ill-typed values
             raise ExportError(f"malformed node or edge record: "
                               f"{type(exc).__name__}: {exc}") from exc
-        return cpg.freeze()
+
+
+def _checked(records: list, what: str) -> Iterator[dict]:
+    """A loaded document's records, each checked as the rebuild reaches it,
+    so the first fault in the file is the one reported."""
+    for i, record in enumerate(records):
+        if record["id"] != i:
+            raise ExportError(f"{what} ids must be dense and ordered")
+        if what == "node" and not isinstance(record["kind"], str):
+            raise TypeError(f"node kind {record['kind']!r} is not a string")
+        yield record
+
+
+def _rebuild(nodes: Iterable[tuple[str, dict]], rows: Iterable[tuple]) -> g.Cpg:
+    """The frozen graph of `(kind, properties)` nodes and `(src, dst, type,
+    properties)` edge rows, each in id order."""
+    cpg = g.Cpg()
+    for kind, props in nodes:
+        cpg.add_node(kind, props)   # add_node copies the map
+    cpg.add_edges(rows)
+    return cpg.freeze()
 
 
 def _records(lines: Iterator[str], pattern: re.Pattern, close: str) -> Iterator[tuple]:
     """The regex groups of each record line up to the line `close`; the last
-    group is the line's trailing comma. A line out of `to_json`'s layout
-    raises ValueError."""
+    group is the line's trailing comma. A line out of `to_json`'s layout, or
+    a record whose id is not its index, raises ValueError."""
+    at = pattern.groupindex["id"] - 1   # the id's place among the groups
     comma = line = None     # after a record: "," if another must follow, else ""
-    for line in lines:
+    for i, line in enumerate(lines):
         m = pattern.fullmatch(line)
-        if m is None or comma == "":
+        groups = m and m.groups()
+        if m is None or comma == "" or int(groups[at]) != i:
             break
-        groups = m.groups()
         comma = groups[-1]
         yield groups
     if line != close or comma == ",":
         raise ValueError("not the layout to_json writes")
 
 
-def _read_lines(lines: Iterator[str]) -> g.Cpg:
+def _read_lines(lines: Iterator[str]) -> tuple[list, list]:
+    """`_rebuild`'s nodes and edge rows from `to_json`'s layout."""
     if next(lines, None) != '{"edges":[\n':
         raise ValueError("not the layout to_json writes")
     memo: dict[tuple[str, str], tuple[str, dict]] = {}
@@ -191,26 +202,18 @@ def _read_lines(lines: Iterator[str]) -> g.Cpg:
             found = memo[kind, text] = (sys.intern(kind), json.loads(text))
         return found
 
-    rows: list[tuple] = []
-    for dst, eid, text, src, edge_type, _ in _records(lines, _EDGE_LINE, '],"nodes":[\n'):
-        if int(eid) != len(rows):
-            raise ValueError("edge ids must be dense and ordered")
-        rows.append((int(src), int(dst)) + interned(edge_type, text))
-    cpg = g.Cpg()
-    for nid, kind, text, _ in _records(lines, _NODE_LINE,
-                                       '],"schema":%d}\n' % SCHEMA_VERSION):
-        if int(nid) != len(cpg.nodes):
-            raise ValueError("node ids must be dense and ordered")
-        cpg.add_node(*interned(kind, text))   # add_node copies the map
+    rows = [(int(src), int(dst)) + interned(edge_type, text) for dst, _, text, src, edge_type, _
+            in _records(lines, _EDGE_LINE, '],"nodes":[\n')]
+    nodes = [interned(kind, text) for _, kind, text, _
+             in _records(lines, _NODE_LINE, '],"schema":%d}\n' % SCHEMA_VERSION)]
     if next(lines, None) is not None:
         raise ValueError("data after the document")
-    cpg.add_edges(rows)
-    return cpg
+    return nodes, rows
 
 
 # -- DOT ----------------------------------------------------------------------
 
-def _dot_label(cpg: g.Cpg, node: g.Node) -> str:
+def _dot_label(node: g.Node) -> str:
     if node.kind == g.INSTRUCTION:
         text = node.properties.get("instType", "")
         extra = node.properties.get("label")
@@ -232,7 +235,7 @@ def _dot_text(value) -> str:
 def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
     lines = ["digraph cpg {", "  node [shape=box, fontsize=10];"]
     for node in cpg.nodes:
-        lines.append(f'  n{node.id} [label="{_dot_text(_dot_label(cpg, node))}"];')
+        lines.append(f'  n{node.id} [label="{_dot_text(_dot_label(node))}"];')
     attrs: dict[int, str] = {}   # id(map) -> attributes, "" for a type left out
     for src, dst, edge_type, props in cpg.edge_rows():
         attr = attrs.get(id(props))
@@ -260,6 +263,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+# instType -> (predicate, the properties of its cells after the node id)
+_INST_FACTS = {"Loop": ("loop", ("label", "nresults")), "BrIf": ("brIf", ("label",)),
+               "Store": ("store", ("offset",)), "Binary": ("binary", ("opcode",)),
+               "Compare": ("compare", ("opcode",))}
+
 # edge type -> (predicate, the properties of its cells after src and dst); a
 # ddgEdge row ends with its origin, the src again
 _EDGE_FACTS = {g.AST: ("astEdge", ("childIndex",)), g.CFG: ("cfgEdge", ("label",)),
@@ -269,11 +277,9 @@ _EDGE_FACTS = {g.AST: ("astEdge", ("childIndex",)), g.CFG: ("cfgEdge", ("label",
 
 def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     """Predicate name -> rows, with every edge predicate still empty."""
-    facts: dict[str, list[tuple]] = {
-        "instruction": [], "function": [], "call": [], "loop": [],
-        "brIf": [], "store": [], "binary": [], "compare": [],
-        **{name: [] for name, _ in _EDGE_FACTS.values()},
-    }
+    facts: dict[str, list[tuple]] = {name: [] for name in (
+        "instruction", "function", "call",
+        *(name for name, _ in (*_INST_FACTS.values(), *_EDGE_FACTS.values())))}
     for n in cpg.nodes:
         if n.kind == g.FUNCTION:
             p = n.properties
@@ -291,22 +297,13 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
                 tp = cpg.node(targets[0].dst).properties
                 nargs, nresults = tp["nargs"], tp["nresults"]
             facts["call"].append((n.id, n.properties["label"], nargs, nresults))
-        elif t == "Loop":
-            facts["loop"].append((n.id, n.properties["label"],
-                                  n.properties["nresults"]))
-        elif t == "BrIf":
-            facts["brIf"].append((n.id, n.properties["label"]))
-        elif t == "Store":
-            facts["store"].append((n.id, n.properties["offset"]))
-        elif t == "Binary":
-            facts["binary"].append((n.id, n.properties["opcode"]))
-        elif t == "Compare":
-            facts["compare"].append((n.id, n.properties["opcode"]))
+        elif t in _INST_FACTS:
+            name, keys = _INST_FACTS[t]
+            facts[name].append((n.id, *(n.properties[k] for k in keys)))
     return facts
 
 
-def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[int, int, str,
-                                              tuple[str, tuple[str, ...], str]]]:
+def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[int, int, str, tuple]]:
     """Each edge's src, dst and type with its predicate and its cells
     between src/dst and the DDG origin, as a tuple and as tab-led text,
     rendered once per map (a map belongs to the edges of one type)."""
@@ -329,20 +326,15 @@ def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     return facts
 
 
-def write_datalog(cpg: g.Cpg, outdir: str) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
+def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
+    """`<predicate>.facts` -> its text, tab-separated, in name order."""
     lines = {name: ["\t".join(_cell(v) for v in row) for row in rows]
              for name, rows in _node_facts(cpg).items()}
     for src, dst, edge_type, (name, _, text) in _edge_facts(cpg):
         lines[name].append(f"{src}\t{dst}{text}\t{src}" if edge_type == g.DDG
                            else f"{src}\t{dst}{text}")
-    written = []
-    for name, rows in sorted(lines.items()):
-        path = os.path.join(outdir, f"{name}.facts")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(row + "\n" for row in rows))
-        written.append(path)
-    return written
+    return {f"{name}.facts": "".join(row + "\n" for row in lines.pop(name))
+            for name in sorted(lines)}
 
 
 # -- Neo4j CSV ---------------------------------------------------------------------
@@ -381,47 +373,46 @@ def _csv_cell(value) -> str:
     return text
 
 
-def write_neo4j(cpg: g.Cpg, outdir: str) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
-    nodes_csv, edges_csv = neo4j_csv(cpg)
-    paths = [os.path.join(outdir, "nodes.csv"), os.path.join(outdir, "edges.csv")]
-    for path, text in zip(paths, (nodes_csv, edges_csv)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return paths
-
-
 # -- entry point ---------------------------------------------------------------------
 
-def _write_whole(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to `path`. A regular file, or a new one, is written
-    beside it and moved over it once whole, so a save that fails partway
-    leaves the old file; a pipe or a device is written in place."""
-    real = os.path.realpath(path)
-    regular = os.path.isfile(real)
-    part = real + ".part" if regular or not os.path.exists(real) else real
+def _write_whole(files: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, chunks) file. A regular file, or a new one, is
+    written beside its target, and all are moved over their targets once
+    every one is whole, so a write that fails partway leaves every old
+    file; a pipe or a device is written in place."""
+    moves = []   # (part, target, whether the target is a regular file)
     try:
-        with open(part, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        if part != real:
+        for path, chunks in files:
+            real = os.path.realpath(path)
+            regular = os.path.isfile(real)
+            part = real + ".part" if regular or not os.path.exists(real) else real
+            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+                if part != real:
+                    moves.append((part, real, regular))
+                fh.writelines(chunks)
+        for part, real, regular in moves:
             if regular:
                 shutil.copymode(real, part)
             os.replace(part, real)
     except BaseException:
-        if part != real:
+        for part, _, _ in moves:
             with suppress(OSError):
                 os.unlink(part)
         raise
 
 
 def export(cpg: g.Cpg, manifest: ExportManifest) -> list[str]:
+    """Write the graph's files in `manifest.format`; returns their paths."""
     if not cpg.frozen:
         raise ExportError("export requires a frozen graph")
-    if manifest.format in ("json", "dot"):
-        chunks = _json_chunks(cpg) if manifest.format == "json" else \
-            (to_dot(cpg, manifest.edge_types),)
-        _write_whole(manifest.path, chunks)
-        return [manifest.path]
-    if manifest.format == "datalog":
-        return write_datalog(cpg, manifest.path)
-    return write_neo4j(cpg, manifest.path)
+    fmt, path = manifest.format, manifest.path
+    if fmt in ("json", "dot"):
+        files = [(path, _json_chunks(cpg) if fmt == "json" else
+                  (to_dot(cpg, manifest.edge_types),))]
+    else:
+        os.makedirs(path, exist_ok=True)
+        texts = _datalog_files(cpg) if fmt == "datalog" else \
+            dict(zip(("nodes.csv", "edges.csv"), neo4j_csv(cpg)))
+        files = [(os.path.join(path, name), (text,)) for name, text in texts.items()]
+    _write_whole(files)
+    return [written for written, _ in files]

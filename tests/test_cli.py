@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -119,6 +120,61 @@ class TestBuildQueryExport:
         run(capsys, "build", str(FIXTURES / "mixed.wat"), "-o", str(a))
         run(capsys, "build", str(FIXTURES / "mixed.wat"), "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class _DiskFull:
+    """A text file on a disk that fills up: each write stores its chunk,
+    then raises as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text: str) -> int:
+        self._fh.write(text)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
+class TestOutputFiles:
+    def test_build_stdout_is_the_saved_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        assert run(capsys, "build", MIXED, "-o", str(path)) == (0, "", "")
+        code, out, _ = run(capsys, "build", MIXED)
+        assert code == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
+    @pytest.mark.parametrize("output", ["datalog", "neo4j-csv", "findings"])
+    def test_failed_write_keeps_every_old_file(self, output, capsys, tmp_path,
+                                               monkeypatch):
+        graph, target = tmp_path / "g.json", tmp_path / "out"
+        assert run(capsys, "build", str(FIXTURES / "q03_vuln.wat"), "-o", str(graph))[0] == 0
+        argv = ["query", str(graph), "--config", CONFIG, "-o", str(target)] \
+            if output == "findings" else \
+            ["export", str(graph), "--format", output, "-o", str(target)]
+        assert run(capsys, *argv)[0] in (0, 1)
+        files = [target] if target.is_file() else sorted(target.iterdir())
+        for f in files:
+            f.write_text(f"old {f.name}\n")
+        real_open = open
+
+        def disk_full_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _DiskFull(fh) if "w" in mode else fh
+        for module in ("wasmcpg.export", "wasmcpg.cli"):   # each module that could write
+            monkeypatch.setattr(sys.modules[module], "open", disk_full_open, raising=False)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "No space left on device" in err
+        assert [f.read_text() for f in files] == [f"old {f.name}\n" for f in files]
+        assert sorted(tmp_path.rglob("*")) == sorted({graph, target, *files})
 
 
 class TestErrors:

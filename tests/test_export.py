@@ -17,6 +17,7 @@ from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
     _read_lines,
+    _rebuild,
     datalog_facts,
     export,
     import_json,
@@ -61,7 +62,7 @@ def _read_both(cpg: g.Cpg, tmp_path) -> tuple[g.Cpg, g.Cpg]:
     path.write_text(to_json(cpg), encoding="utf-8")
     pretty.write_text(json.dumps(_document(cpg), indent=1), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
-        fast = _read_lines(fh).freeze()
+        fast = _rebuild(*_read_lines(fh))
     with open(pretty, encoding="utf-8") as fh, pytest.raises(ValueError):
         _read_lines(fh)
     return fast, import_json(str(pretty))
