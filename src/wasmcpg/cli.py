@@ -135,7 +135,7 @@ def _run(args) -> int:
         return EXIT_FINDINGS if findings else EXIT_CLEAN
 
     if args.command == "export":
-        edge_types = tuple(args.edges.split(",")) if args.edges else \
+        edge_types = tuple(args.edges.split(",")) if args.edges is not None else \
             ExportManifest.edge_types
         manifest = ExportManifest(args.format, args.output, edge_types)
         cpg = import_json(args.input)

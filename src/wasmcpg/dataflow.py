@@ -1,41 +1,40 @@
 """Dependency dataflow over the CFG and DDG edge materialization.
 
 Tracks four dependency kinds (constant, function result, global, local) per
-abstract state (global store, local store, value stack). A store holds one
-dependency set per slot: a local's slot is its index among params then
-locals, a global's its index in the module. `_prepare` resolves each
-`local.*`/`global.*` node's slot once, so a read is a tuple index, and builds
-each origin's dependency once (`deps`, read by the transfer and the emitter).
+abstract state (global store, local store, value stack). A dependency set is
+an `int` bitset over the function's origins, the instructions a dependency
+starts at and the parameters, which `_prepare` numbers in node-id order:
+bit k is the k-th origin, and `fd.deps` maps the origins to their `Dep`s in
+bit order. So a join is `|` and growth is `!=` (Kildall's bit-vector
+framework). A store holds one set per slot, a local's index among params
+then locals or a global's in the module, resolved once per node.
+
 The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
 order, which structured control flow gives for free: program order, with each
 loop a nested component (header, then body) iterated while its header's input
 grows. An inner loop whose input is unchanged is not re-swept by outer loops.
 
-The transfer pops each node's operands and pushes by its instType. Operand
-counts come from `ir.instruction_arity`, the arity the validating walk uses,
-taken without label or function context, so a branch or `return` pops only
-its own operands (the br_if/br_table index). The values it carries stay on
-the abstract stack for the edge fixups below.
+The transfer pops each node's operands, by `ir.instruction_arity` without
+label or function context, and pushes by its instType: a branch or `return`
+pops only its own operands, and the values it carries stay on the stack.
+Stack heights are static in validated code, so `_prepare` records each
+frame's base once; an edge into a construct exit, a loop header or the
+function exit keeps the values below the target's base and its top
+`nresults` sets, dropping values a branch abandoned.
 
-Frame bases are static: in validated code the stack height at each point is
-fixed, so `_prepare` records each frame's base height once. An edge into a
-construct exit, a loop header or the function exit keeps the values below
-the target's base and its top `nresults` sets, dropping values a branch
-abandoned.
-
-Edges come from the sets each node popped on its last visit: one row per
-consumer, in id order, of its origins, ascending, written by
-`graph.Cpg.add_ddg_rows`.
-
-Linear memory is deliberately untracked: a load pushes the empty set, so a
-store followed by a load never induces an edge.
+Edges come from the bits each node popped on its last visit: their union,
+decoded at C level, is one row per consumer, in id order, of its origins,
+ascending, written by `graph.Cpg.add_ddg_rows`. Linear memory is deliberately
+untracked: a load pushes the empty set, so a store then a load makes no edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import NamedTuple
 
 from .ast_builder import BuildContext, FunctionLayout
 from .errors import DataflowError
@@ -58,42 +57,37 @@ class Dep(NamedTuple):
     value_type: str | None = None
 
 
-EMPTY: frozenset = frozenset()
-_ORIGIN = itemgetter(1)   # Dep.origin: an origin fixes its Dep, so it sorts them
+EMPTY = 0   # the empty dependency set
+_FLAGS = bytes.maketrans(b"01", b"\0\1")   # `bin` digits as false and true bytes
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """(global store, local store, abstract stack); a store is one
-    dependency set per slot."""
-    globals_: tuple[frozenset, ...] = ()
-    locals_: tuple[frozenset, ...] = ()
-    stack: tuple[frozenset, ...] = ()
+    dependency bitset per slot."""
+    globals_: tuple[int, ...] = ()
+    locals_: tuple[int, ...] = ()
+    stack: tuple[int, ...] = ()
 
-    def push(self, deps: frozenset) -> "State":
+    def push(self, deps: int) -> "State":
         return State(self.globals_, self.locals_, self.stack + (deps,))
 
-    def pop(self, n: int) -> tuple[list[frozenset], "State"]:
+    def pop(self, n: int) -> tuple[list[int], "State"]:
+        if len(self.stack) < n:
+            raise DataflowError(f"abstract stack underflow: need {n}, have {len(self.stack)}")
         if n == 0:
             return [], self
-        if len(self.stack) < n:
-            raise DataflowError(
-                f"abstract stack underflow: need {n}, have {len(self.stack)}")
-        popped = list(self.stack[len(self.stack) - n:])
-        return popped, State(self.globals_, self.locals_,
-                             self.stack[:len(self.stack) - n])
+        return list(self.stack[-n:]), State(self.globals_, self.locals_, self.stack[:-n])
 
 
-def join(a: Optional[State], b: State) -> tuple[State, bool]:
+def join(a: State | None, b: State) -> tuple[State, bool]:
     """Pointwise union; returns (joined, grew-relative-to-a). Allocates only
     on growth and shares what it can: `a` itself if no slot grew, else a
     state that keeps `a`'s store tuples and sets wherever `b` adds nothing."""
     if a is None:
         return b, True
     if len(a.stack) != len(b.stack):
-        raise DataflowError(
-            f"join of states with mismatched stack heights "
-            f"{len(a.stack)} vs {len(b.stack)}")
+        raise DataflowError(f"join of states with mismatched stack heights "
+                            f"{len(a.stack)} vs {len(b.stack)}")
     gs, ls, ss = (_join_slots(a.globals_, b.globals_),
                   _join_slots(a.locals_, b.locals_), _join_slots(a.stack, b.stack))
     if gs is a.globals_ and ls is a.locals_ and ss is a.stack:
@@ -107,31 +101,40 @@ def _join_slots(xs: tuple, ys: tuple) -> tuple:
     only the rest are unions."""
     if ys is not xs:
         for i, (x, y) in enumerate(zip(xs, ys)):
-            if y is not x and not y <= x:
-                return xs[:i] + tuple(x if y is x or y <= x else y if x <= y else x | y
+            if x | y != x:
+                return xs[:i] + tuple(x if (u := x | y) == x else y if u == y else u
                                       for x, y in zip(xs[i:], ys[i:]))
     return xs
 
 
-# ---------------------------------------------------------------------------
-# Per-node transfer information
+def _flags(bits: int) -> bytes:
+    """One byte per bit of `bits`, lowest first: 1 if the bit is set, else 0."""
+    return bin(bits)[:1:-1].encode().translate(_FLAGS)
+
+
+def deps_of(fd, bits: int) -> list[Dep]:
+    """The `Dep`s of a bitset, ascending by origin. `fd` is a
+    `FunctionDataflow` or one of its `NodeInfo`s: both hold `deps`."""
+    return list(compress(fd.deps.values(), _flags(bits)))
+
 
 EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeInfo:
     """What the transfer needs about one CFG node. `tag` is the node's
     instType (or EXIT, Else); `nargs` is how many values it pops; `slot`
     is a `local.*`/`global.*` variable's index in its store; `own` is an
-    origin's own dependency; `base` is the static stack height below the
-    frame a construct exit, loop header or the function exit closes."""
+    origin's own bit; `base` is the static stack height below the frame a
+    construct exit, loop header or the function exit closes."""
     tag: str
     nargs: int = 0
     nresults: int = 0
     slot: int | None = None
-    own: frozenset = EMPTY
+    own: int = EMPTY
     base: int | None = None
+    deps: dict | None = field(default=None, repr=False, compare=False)   # fd.deps
 
 
 @dataclass
@@ -140,13 +143,11 @@ class FunctionDataflow:
     layout: FunctionLayout
     info: dict[int, NodeInfo] = field(default_factory=dict)
     nodes: list[int] = field(default_factory=list)
-    # weak topological order: node ids and (loop header, body order) pairs
-    order: list = field(default_factory=list)
-    phi_static: int = 0
+    order: list = field(default_factory=list)   # ids and (loop header, body) pairs
     n_locals: int = 0
     n_globals: int = 0
-    # origin -> its Dep: a parameter's initial one, or an instruction's own
-    deps: dict[int, Dep] = field(default_factory=dict)
+    max_height: int = 0   # the highest static stack height
+    deps: dict[int, Dep] = field(default_factory=dict)   # origin -> Dep, in bit order
 
 
 _ORIGINS = {op.CONST: CONST_DEP, op.LOCAL_GET: LOCAL_DEP, op.GLOBAL_GET: GLOBAL_DEP,
@@ -156,15 +157,10 @@ _ORIGINS = {op.CONST: CONST_DEP, op.LOCAL_GET: LOCAL_DEP, op.GLOBAL_GET: GLOBAL_
 def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     fd = FunctionDataflow(layout=layout)
     func = layout.func
-    for name, _ty in func.params:
-        var = layout.param_var_node[name]
-        fd.deps[var] = Dep(LOCAL_DEP, var, name=name)
     if func.is_import:
         return fd
-    module = ctx.module
-    fd.n_locals = len(func.params) + len(func.locals)
-    fd.n_globals = len(module.globals)
-    fd.phi_static = len(func.params)
+    module, deps = ctx.module, fd.deps
+    fd.n_locals, fd.n_globals = len(func.params) + len(func.locals), len(module.globals)
     # locals and globals are separate namespaces: one name->slot map each
     slots = {"local": {name: i for i, (name, _) in enumerate(func.params + func.locals)},
              "global": {gl.name: i for i, gl in enumerate(module.globals)}}
@@ -212,55 +208,55 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
             if kind and nresults:   # a call without results is no origin
                 name = inst.callee if o == "call" else \
                     inst.type_use.text() if o == "call_indirect" else inst.var
-                fd.deps[node] = Dep(kind, node, name, inst.value, inst.value_type)
-                own = frozenset((fd.deps[node],))
-                fd.phi_static += 1
+                own = 1 << len(deps)
+                deps[node] = Dep(kind, node, name, inst.value, inst.value_type)
             order.append(_add(fd, node, NodeInfo(tag, nargs, nresults, slot, own)))
+        fd.max_height = max(fd.max_height, height)
     fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults, base=0)))
+    for name, _ty in func.params:   # their var nodes follow the body's
+        var = layout.param_var_node[name]
+        deps[var] = Dep(LOCAL_DEP, var, name=name)
     return fd
 
 
 def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
+    info.deps = fd.deps
     fd.info[node] = info
     fd.nodes.append(node)
     return node
 
 
-# ---------------------------------------------------------------------------
-# Transfer function
-
 _UNIONS = frozenset((op.BINARY, op.COMPARE, op.UNARY, op.CONVERT, op.SELECT))
 _UNTRACKED = frozenset((op.LOAD, op.MEMORY_SIZE, op.MEMORY_GROW))
 
 
-def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset]]:
-    """One instruction's effect; returns (out state, popped dependency sets).
-
-    Every node pops its `nargs` operands; what it pushes follows its tag.
-    Values a branch carries to its target are not popped: they stay on the
-    stack until `adjust_for_edge` applies the target's frame.
-    """
+def _step(info: NodeInfo, s: State) -> tuple[State, list[int]]:
+    """`transfer` on bitsets: (out state, popped bitsets)."""
     popped, s = s.pop(info.nargs)
     t = info.tag
-    if t in _UNIONS:
-        # a select's third operand is its condition
+    if t in _UNIONS:   # a select's third operand is its condition
         return s.push(popped[0] | popped[1] if len(popped) > 1 else popped[0]), popped
     if t == op.LOCAL_GET:
         return s.push(s.locals_[info.slot] | info.own), popped
     if t == op.GLOBAL_GET:
         return s.push(s.globals_[info.slot] | info.own), popped
+    i = info.slot
     if t == op.LOCAL_SET or t == op.LOCAL_TEE:
-        i, deps = info.slot, popped[0]
-        s = State(s.globals_, s.locals_[:i] + (deps,) + s.locals_[i + 1:],
-                  s.stack + (deps,) if t == op.LOCAL_TEE else s.stack)
-        return s, popped
+        return State(s.globals_, s.locals_[:i] + (popped[0],) + s.locals_[i + 1:],
+                     s.stack + (popped[0],) if t == op.LOCAL_TEE else s.stack), popped
     if t == op.GLOBAL_SET:
-        i = info.slot
         return State(s.globals_[:i] + (popped[0],) + s.globals_[i + 1:], s.locals_,
                      s.stack), popped
     if info.own or t in _UNTRACKED:   # a constant or a call result; memory is untracked
         return s.push(info.own), popped
     return s, popped
+
+
+def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset]]:
+    """One instruction's effect: `_step`, with the popped sets decoded into
+    frozensets of `Dep`s."""
+    out, popped = _step(info, s)
+    return out, [frozenset(deps_of(info, bits)) for bits in popped]
 
 
 def adjust_for_edge(s: State, target_info: NodeInfo) -> State:
@@ -272,9 +268,6 @@ def adjust_for_edge(s: State, target_info: NodeInfo) -> State:
         return s
     return State(s.globals_, s.locals_, s.stack[:base] + s.stack[len(s.stack) - r:])
 
-
-# ---------------------------------------------------------------------------
-# Fixpoint engine
 
 @dataclass
 class AnalysisStats:
@@ -297,57 +290,67 @@ class FunctionAnalysis:
     res: dict[int, State]
     stats: AnalysisStats
     fd: FunctionDataflow
-    # the dependency sets each node popped on its last visit, from res[node]
-    popped: dict[int, list[frozenset]] = field(default_factory=dict)
+    # the dependency bitsets each node popped on its last visit, from res[node]
+    popped: dict[int, list[int]] = field(default_factory=dict)
 
 
 def initial_state(fd: FunctionDataflow) -> State:
-    layout = fd.layout
-    params = tuple(frozenset((fd.deps[layout.param_var_node[name]],))
-                   for name, _ty in layout.func.params)
-    return State((EMPTY,) * fd.n_globals,
-                 params + (EMPTY,) * (fd.n_locals - len(params)))
+    n, nparams = len(fd.deps), len(fd.layout.func.params)   # the params' bits are last
+    params = tuple(1 << k for k in range(n - nparams, n))
+    return State((EMPTY,) * fd.n_globals, params + (EMPTY,) * (fd.n_locals - nparams))
 
 
 def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
-    """Recursive iteration over `fd.order`; res maps nodes to joined inputs.
+    """Recursive iteration over `fd.order`; res holds each node's inbox.
 
     A node's inbox joins the adjusted states sent to it; the node is dirty
     when its inbox grew. Firing it transfers the inbox and sends the result
     along its CFG out-edges. A pass fires dirty nodes in order and repeats a
     loop component while its header is dirty. Every CFG edge goes forward in
     the order or back to an enclosing loop header, so no node stays dirty.
-    """
+    An inbox grows at most once per bit of its slots: more growth re-visits
+    than that, summed over the nodes, is a `DataflowError`."""
     layout = ctx.layouts[func_name]
     fd = _prepare(ctx, layout)
     cpg, info = ctx.cpg, fd.info
-    stats = AnalysisStats(phi_static=fd.phi_static, n_locals=fd.n_locals,
+    stats = AnalysisStats(phi_static=len(fd.deps), n_locals=fd.n_locals,
                           n_globals=fd.n_globals, cfg_nodes=len(fd.nodes))
     analysis = FunctionAnalysis({}, stats, fd)
-    res, popped = analysis.res, analysis.popped
+    inbox, popped, counts = analysis.res, analysis.popped, stats.transfer_counts
     entry_edges = cpg.out_edges(layout.func_node, g.CFG)
     if not entry_edges:
         return analysis
-    inbox = {entry_edges[0].dst: initial_state(fd)}
+    inbox[entry_edges[0].dst] = initial_state(fd)
     dirty = set(inbox)
+    succs: dict[int, tuple] = {}   # node -> its (successor, frame or None) pairs
+    bound = len(fd.nodes) * (fd.n_globals + fd.n_locals + fd.max_height) * len(fd.deps)
 
     def fire(node: int) -> None:
         dirty.discard(node)
-        if node in res:
+        s = inbox[node]
+        out, popped[node] = _step(info[node], s)
+        counts[node] = counts.get(node, 0) + 1
+        out_of = succs.get(node)
+        if out_of is None:   # a first visit: heights are static, and so is which
+            h = len(out.stack)   # edges need a frame fixup (the rest get None)
+            out_of = succs[node] = tuple(
+                (e.dst, None if (t := info[e.dst]).base in (None, h - t.nresults) else t)
+                for e in cpg.out_edges(node, g.CFG))
+            stats.max_stack = max(stats.max_stack, len(s.stack), h)
+        else:
             stats.growth_revisits += 1
-        s = res[node] = inbox[node]
-        out, popped[node] = transfer(node, info[node], s)
-        stats.pops += 1
-        stats.max_stack = max(stats.max_stack, len(s.stack), len(out.stack))
-        stats.transfer_counts[node] = stats.transfer_counts.get(node, 0) + 1
-        for edge in cpg.out_edges(node, g.CFG):
-            succ = edge.dst
-            joined, grew = join(inbox.get(succ), adjust_for_edge(out, info[succ]))
+            if stats.growth_revisits > bound:
+                raise DataflowError(f"{func_name}: {stats.growth_revisits} growth "
+                                    f"re-visits pass the lattice bound of {bound}")
+        for succ, frame in out_of:
+            joined, grew = join(inbox.get(succ),
+                                out if frame is None else adjust_for_edge(out, frame))
             if grew:
                 inbox[succ] = joined
                 dirty.add(succ)
 
-    _run(fd.order, dirty, fire)
+    _run(fd.order, dirty, fire)   # leaves no node dirty: each inbox is its last input
+    stats.pops = len(counts) + stats.growth_revisits
     return analysis
 
 
@@ -375,15 +378,12 @@ def _run(order: list, dirty: set, fire) -> None:
 
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
     """Add one DDG edge per (origin, consumer): one row per consumer, in id
-    order, of its origins, ascending; returns the count.
-
-    An origin node yields the same `Dep` wherever its value flows, so a
-    consumer's popped sets name each origin once, and all edges from one
-    origin share one property map.
-    """
+    order, of its origins, ascending; returns the count. A row is the union
+    of the bitsets the consumer popped, decoded through `fd.deps`, whose keys
+    are the origins in bit order; an origin's edges share one property map."""
     popped, deps = analysis.popped, analysis.fd.deps
-    rows = ((node, sorted(map(_ORIGIN, EMPTY.union(*popped[node]))))
-            for node in sorted(popped))
+    rows = ((node, list(compress(deps, _flags(bits)))) for node, bits in (
+        (node, reduce(or_, popped[node], 0)) for node in sorted(popped)) if bits)
     return ctx.cpg.add_ddg_rows(rows, lambda origin: _ddg_props(deps[origin]))
 
 

@@ -386,7 +386,12 @@ def _write_whole(files: Iterable[tuple[str, Iterable[str]]]) -> None:
             real = os.path.realpath(path)
             regular = os.path.isfile(real)
             part = real + ".part" if regular or not os.path.exists(real) else real
-            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                fh = open(part, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                exc.filename = path   # the name the caller gave, not the part file's
+                raise
+            with fh:
                 if part != real:
                     moves.append((part, real, regular))
                 fh.writelines(chunks)

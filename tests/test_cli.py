@@ -152,6 +152,14 @@ class TestOutputFiles:
         assert code == 0
         assert out.encode("utf-8") == path.read_bytes()
 
+    @pytest.mark.parametrize("command", ["build", "scan"])
+    def test_an_output_that_cannot_be_created_is_named_as_given(self, command, capsys,
+                                                                tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, command, MIXED, "-o", "nodir/f.out") == (
+            2, "", "error: [Errno 2] No such file or directory: 'nodir/f.out'\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("output", ["datalog", "neo4j-csv", "findings"])
     def test_failed_write_keeps_every_old_file(self, output, capsys, tmp_path,
                                                monkeypatch):
@@ -347,12 +355,29 @@ class TestFailClosed:
         path.write_text(shape(1000))
         assert run(capsys, "scan", str(path)) == (0, "", "")
 
+    @pytest.mark.parametrize("edges", ["", "AST,"])
+    def test_an_empty_edge_type_is_unknown(self, capsys, t, edges):
+        got = run(capsys, "export", f"{t}/g.json", "--format", "dot", "-o", f"{t}/e.dot",
+                  "--edges", edges)
+        assert got == (3, "", "error: unknown edge types ['']; expected some of "
+                              "AST, CFG, CG, DDG\n")
+        assert not (t / "e.dot").exists()
+
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
-    def test_out_of_memory_is_an_analysis_error(self, tmp_path):
-        # the DDG of a 3,000-deep expression does not fit in 300 MiB; the
-        # child caps its own address space
+    def test_3000_deep_expression_scans_in_300_mib(self, tmp_path):
+        # its dependency sets are bitsets: the DDG fits where the next test's does not
         path = tmp_path / "deep.wat"
         path.write_text(nested_expression(3000))
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+                "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
+        assert run_child(["-c", code, "scan", str(path)]) == (0, "", "")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+    def test_out_of_memory_is_an_analysis_error(self, tmp_path):
+        # the DDG of a 6,000-deep expression does not fit in 300 MiB; the
+        # child caps its own address space
+        path = tmp_path / "deep.wat"
+        path.write_text(nested_expression(6000))
         code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
                 "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
         assert run_child(["-c", code, "scan", str(path)]) == (3, "", "error: out of memory\n")

@@ -80,57 +80,63 @@ def _info(opcode: str, **props) -> df.NodeInfo:
     return df.NodeInfo(tag, nargs, nresults, **props)
 
 
-def _own(*dep) -> frozenset:
-    return frozenset({df.Dep(*dep)})
+# an origin table as `_prepare` builds one: bit k is the k-th origin's
+C1, C2, C3 = (df.Dep("Const", n, None, n, "i32") for n in (1, 2, 3))
+Y4, C5, Q6 = df.Dep("Local", 4, "$y"), df.Dep("Const", 5, None, 2, "i32"), \
+    df.Dep("Local", 6, "$q")
+F7, Y16 = df.Dep("Function", 7, "$fgetc"), df.Dep("Local", 16, "$y")
+DEPS = {dep.origin: dep for dep in (C1, C2, C3, Y4, C5, Q6, F7, Y16)}
+FD = df.FunctionDataflow(layout=None, deps=DEPS)
+
+
+def _bits(*deps: df.Dep) -> int:
+    return sum(1 << list(DEPS).index(dep.origin) for dep in set(deps))
 
 
 class TestTransfer:
     def test_const_pushes_anchored_dependency(self):
         s = df.State()
-        out, popped = df.transfer(
-            5, _info("i32.const", own=_own("Const", 5, None, 2, "i32")), s)
+        out, popped = df.transfer(5, _info("i32.const", own=_bits(C5), deps=DEPS), s)
         assert popped == []
-        assert out.stack == (frozenset({df.Dep("Const", 5, None, 2, "i32")}),)
+        assert out.stack == (_bits(C5),)
+        assert df.deps_of(FD, out.stack[0]) == [C5]
 
     def test_local_get_anchors_itself_and_forwards_the_store(self):
         # slot 0 is $y, slot 1 is $q
-        seeded = df.State(locals_=(frozenset({df.Dep("Local", 16, "$y")}), df.EMPTY))
-        out, _ = df.transfer(4, _info("local.get", slot=0, own=_own("Local", 4, "$y")),
+        seeded = df.State(locals_=(_bits(Y16), df.EMPTY))
+        out, _ = df.transfer(4, _info("local.get", slot=0, own=_bits(Y4), deps=DEPS),
                              seeded)
-        assert out.stack[-1] == {df.Dep("Local", 4, "$y"),
-                                 df.Dep("Local", 16, "$y")}
+        assert df.deps_of(FD, out.stack[-1]) == [Y4, Y16]
         # an untouched local still records the use site
-        out2, _ = df.transfer(4, _info("local.get", slot=1, own=_own("Local", 4, "$q")),
+        out2, _ = df.transfer(6, _info("local.get", slot=1, own=_bits(Q6), deps=DEPS),
                               seeded)
-        assert out2.stack[-1] == {df.Dep("Local", 4, "$q")}
+        assert df.deps_of(FD, out2.stack[-1]) == [Q6]
 
     def test_binop_unions_operands(self):
-        lv = frozenset({df.Dep("Local", 4, "$y")})
-        cv = frozenset({df.Dep("Const", 5, None, 2, "i32")})
-        s = df.State(stack=(frozenset(), lv, cv))
-        out, popped = df.transfer(6, _info("i32.add"), s)
-        assert out.stack == (frozenset(), lv | cv)
-        assert popped == [lv, cv]
+        lv, cv = _bits(Y4), _bits(C5)
+        s, info = df.State(stack=(df.EMPTY, lv, cv)), _info("i32.add", deps=DEPS)
+        out, popped = df.transfer(6, info, s)
+        assert out.stack == (df.EMPTY, lv | cv)
+        assert popped == [{Y4}, {C5}]
+        assert df._step(info, s) == (out, [lv, cv])
 
     def test_select_discards_condition_set(self):
-        a, b, c = (frozenset({df.Dep("Const", i, None, i, "i32")}) for i in (1, 2, 3))
-        out, popped = df.transfer(9, _info("select"), df.State(stack=(a, b, c)))
+        a, b, c = _bits(C1), _bits(C2), _bits(C3)
+        out, popped = df.transfer(9, _info("select", deps=DEPS), df.State(stack=(a, b, c)))
         assert out.stack == (a | b,)
-        assert popped == [a, b, c]
+        assert popped == [{C1}, {C2}, {C3}]
 
     def test_load_pushes_empty_set(self):
-        addr = frozenset({df.Dep("Local", 4, "$p")})
-        out, popped = df.transfer(7, _info("i32.load"), df.State(stack=(addr,)))
-        assert out.stack == (frozenset(),)
-        assert popped == [addr]
+        addr = _bits(Y4)
+        out, popped = df.transfer(7, _info("i32.load", deps=DEPS), df.State(stack=(addr,)))
+        assert out.stack == (df.EMPTY,)
+        assert popped == [{Y4}]
 
     def test_call_pushes_function_dependency(self):
-        arg = frozenset({df.Dep("Const", 1, None, 0, "i32")})
-        info = df.NodeInfo(op.CALL, nargs=1, nresults=1,
-                           own=_own("Function", 3, "$fgetc"))
-        out, popped = df.transfer(3, info, df.State(stack=(arg,)))
-        assert out.stack == (frozenset({df.Dep("Function", 3, "$fgetc")}),)
-        assert popped == [arg]
+        info = df.NodeInfo(op.CALL, nargs=1, nresults=1, own=_bits(F7), deps=DEPS)
+        out, popped = df.transfer(7, info, df.State(stack=(_bits(C1),)))
+        assert out.stack == (_bits(F7),)
+        assert popped == [{C1}]
 
     def test_stack_underflow(self):
         with pytest.raises(DataflowError, match="underflow"):
@@ -138,32 +144,38 @@ class TestTransfer:
 
     def test_monotone_on_random_states(self):
         rng = random.Random(7)
-        deps = [df.Dep("Const", i, None, i, "i32") for i in range(6)]
+        bits = [1 << k for k in range(6)]
         opcodes = ["i32.add", "i32.eqz", "drop", "local.set", "local.tee",
                    "global.set", "i32.load", "i32.store"]
         for _ in range(200):
-            small = frozenset(rng.sample(deps, rng.randrange(0, 4)))
-            big = small | frozenset(rng.sample(deps, rng.randrange(0, 3)))
-            info = _info(rng.choice(opcodes), slot=1)
-            extra = frozenset(rng.sample(deps, 2))
-            store = (extra, frozenset())   # $x is slot 1 of each store
+            small = sum(rng.sample(bits, rng.randrange(0, 4)))
+            big = small | sum(rng.sample(bits, rng.randrange(0, 3)))
+            info = _info(rng.choice(opcodes), slot=1, deps=DEPS)
+            extra = sum(rng.sample(bits, 2))
+            store = (extra, df.EMPTY)   # $x is slot 1 of each store
             s1 = df.State(store, store, stack=(extra, small))
             s2 = df.State(store, store, stack=(extra, big))
             o1, p1 = df.transfer(0, info, s1)
             o2, p2 = df.transfer(0, info, s2)
             assert len(p1) == info.nargs > 0
-            for x, y in zip(o1.stack + tuple(p1), o2.stack + tuple(p2)):
+            for x, y in zip(p1, p2):
                 assert x <= y
-            for x, y in zip(o1.locals_ + o1.globals_, o2.locals_ + o2.globals_):
-                assert x <= y
+            for x, y in zip(o1.stack + o1.locals_ + o1.globals_,
+                            o2.stack + o2.locals_ + o2.globals_):
+                assert x | y == y
+
+
+# a table wide enough that the drawn sets are not Python's cached small ints
+WIDE = df.FunctionDataflow(layout=None, deps={n: df.Dep("Const", n, None, n, "i32")
+                                              for n in range(70)})
 
 
 @st.composite
 def state_pairs(draw):
     """(a, b) of one shape; b's store tuples and sets are often a's own
     objects, subsets or supersets of them."""
-    deps = [df.Dep("Const", i, None, i, "i32") for i in range(6)]
-    sets = st.frozensets(st.sampled_from(deps), max_size=4)
+    sets = st.builds(lambda ks: sum(1 << k for k in ks),
+                     st.sets(st.integers(64, 69), max_size=4))
 
     def store(n):
         xs = tuple(draw(sets) for _ in range(n))
@@ -183,13 +195,13 @@ def state_pairs(draw):
 class TestJoin:
     def test_mismatched_heights(self):
         with pytest.raises(DataflowError, match="mismatched stack heights"):
-            df.join(df.State(stack=(frozenset(),)), df.State())
+            df.join(df.State(stack=(df.EMPTY,)), df.State())
 
     def test_pointwise_union_and_growth_flag(self):
-        a = df.State(stack=(frozenset({df.Dep("Const", 1, None, 1, "i32")}),))
-        b = df.State(stack=(frozenset({df.Dep("Const", 2, None, 2, "i32")}),))
+        a = df.State(stack=(_bits(C1),))
+        b = df.State(stack=(_bits(C2),))
         joined, grew = df.join(a, b)
-        assert grew and len(joined.stack[0]) == 2
+        assert grew and df.deps_of(FD, joined.stack[0]) == [C1, C2]
         again, grew2 = df.join(joined, b)
         assert not grew2 and again is joined
 
@@ -197,18 +209,23 @@ class TestJoin:
     @given(pair=state_pairs())
     def test_matches_pointwise_union_and_shares_what_did_not_grow(self, pair):
         a, b = pair
-        slots = lambda s: s.globals_ + s.locals_ + s.stack
-        reference = df.State(*(tuple(x | y for x, y in zip(p, q)) for p, q in (
-            (a.globals_, b.globals_), (a.locals_, b.locals_), (a.stack, b.stack))))
+        decoded = lambda s: tuple(tuple(set(df.deps_of(WIDE, x)) for x in store)
+                                  for store in s)
+        slots = lambda s: [x for store in decoded(s) for x in store]
+        reference = tuple(tuple(x | y for x, y in zip(p, q))
+                          for p, q in zip(decoded(a), decoded(b)))
         joined, grew = df.join(a, b)
-        assert joined == reference
+        assert decoded(joined) == reference
         assert grew == any(not y <= x for x, y in zip(slots(a), slots(b)))
         if not grew:
             assert joined is a
-        for u, x, y in zip(slots(joined), slots(a), slots(b)):
-            if y <= x:
+        for u, x, y, (dx, dy) in zip(joined.globals_ + joined.locals_ + joined.stack,
+                                     a.globals_ + a.locals_ + a.stack,
+                                     b.globals_ + b.locals_ + b.stack,
+                                     zip(slots(a), slots(b))):
+            if dy <= dx:
                 assert u is x   # a slot that did not grow keeps a's set
-            elif x <= y:
+            elif dx <= dy:
                 assert u is y   # one b covers takes b's
 
 
@@ -226,16 +243,20 @@ class TestPrepare:
               i32.add i32.add i32.add
               call $v))""")
         fd = df._prepare(ctx, ctx.layouts["$f"])
-        owns = {i.tag: i.own for i in fd.info.values() if i.own}
+        owns = {i.tag: df.deps_of(fd, i.own) for i in fd.info.values() if i.own}
         node = {i.tag: n for n, i in fd.info.items()}
         assert owns == {
-            op.CONST: {df.Dep("Const", node[op.CONST], None, 2, "i32")},
-            op.LOCAL_GET: {df.Dep("Local", node[op.LOCAL_GET], "$p")},
-            op.GLOBAL_GET: {df.Dep("Global", node[op.GLOBAL_GET], "$g")},
-            op.CALL: {df.Dep("Function", node[op.CALL] - 4, "$r")},
+            op.CONST: [df.Dep("Const", node[op.CONST], None, 2, "i32")],
+            op.LOCAL_GET: [df.Dep("Local", node[op.LOCAL_GET], "$p")],
+            op.GLOBAL_GET: [df.Dep("Global", node[op.GLOBAL_GET], "$g")],
+            op.CALL: [df.Dep("Function", node[op.CALL] - 4, "$r")],
         }
         # the param and the four origins; a call without results is none
-        assert fd.phi_static == 5
+        assert len(fd.deps) == 5
+        # bits number the origins in node-id order: the param's var node is last
+        param = ctx.layouts["$f"].param_var_node["$p"]
+        assert list(fd.deps.items())[-1] == (param, df.Dep("Local", param, "$p"))
+        assert list(fd.deps) == sorted(fd.deps) == [d.origin for d in fd.deps.values()]
 
     def test_frame_bases_are_static(self):
         ctx = _context("""(module (func $f (result i32)
@@ -252,7 +273,7 @@ class TestPrepare:
         assert frames == {op.BLOCK: (1, 1), op.LOOP: (2, 0),
                           op.END_LOOP: (2, 0), df.EXIT: (0, 1)}
         block = next(i for i in fd.info.values() if i.tag == op.BLOCK)
-        a, b, c = (_own("Const", n, None, n, "i32") for n in (1, 2, 3))
+        a, b, c = _bits(C1), _bits(C2), _bits(C3)
         s = df.State(stack=(a, b, c))
         assert df.adjust_for_edge(s, block).stack == (a, c)
         fits = df.State(stack=(a, c))
@@ -270,7 +291,8 @@ class TestPrepare:
         df.emit_ddg_edges(ctx, analysis)
         ctx.cpg.freeze()
         info = analysis.fd.info
-        const = next(n for n, i in info.items() if i.own == _own("Const", n, None, 1, "i32"))
+        const = next(n for n, i in info.items()
+                     if df.deps_of(analysis.fd, i.own) == [df.Dep("Const", n, None, 1, "i32")])
         eqz = next(n for n, i in info.items() if i.tag == op.COMPARE)
         assert [e.src for e in ctx.cpg.in_edges(eqz, g.DDG)] == [const]
 
@@ -291,7 +313,7 @@ class TestAnalyzeFunction:
         analysis = df.analyze_function(ctx, "$test")
         # node 12 is the final add; its input stack carries both branch results
         state = analysis.res[12]
-        labels = {(d.kind, d.name or d.value) for d in state.stack[0]}
+        labels = {(d.kind, d.name or d.value) for d in df.deps_of(analysis.fd, state.stack[0])}
         assert {("Local", "$y"), ("Local", "$z"),
                 ("Const", 2), ("Const", 3)} <= labels
 
@@ -338,6 +360,31 @@ class TestAnalyzeFunction:
                          if p.get("instType") == "Binary")
         assert counts[outer_add] == 2      # outer body re-swept once
         assert counts[inner_get] == 1      # inner body swept exactly once
+
+    def test_a_join_that_always_grows_trips_the_lattice_bound(self, monkeypatch):
+        join = df.join
+        monkeypatch.setattr(df, "join", lambda a, b: (join(a, b)[0], True))
+        ctx = _context("""(module (func $f (param $p i32)
+            (loop $L (br_if $L (local.get $p)))))""")
+        with pytest.raises(DataflowError, match=r"^\$f: \d+ growth re-visits pass "
+                                                r"the lattice bound of \d+$"):
+            df.analyze_function(ctx, "$f")
+
+    def test_a_reverse_copy_chain_converges_inside_the_engine_bound(self):
+        # each pass moves $l0's dependency one local down the chain, so every
+        # body node is re-visited once per local: more growth re-visits than
+        # `stats.height_bound`, though each node's inbox stays inside its own
+        k = 10
+        ctx = _context(
+            f"(module (func $f (param $p i32) "
+            + " ".join(f"(local $l{i} i32)" for i in range(k + 1))
+            + " (loop $L "
+            + " ".join(f"local.get $l{i - 1} local.set $l{i}" for i in range(k, 0, -1))
+            + " local.get $p br_if $L)))")
+        analysis = _checked_analysis(ctx, "$f")
+        assert analysis.res == round_robin_states(ctx, "$f")
+        stats = analysis.stats
+        assert stats.height_bound < stats.growth_revisits <= stats.height_bound * stats.cfg_nodes
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_height_bound_on_fixtures(self, name):
@@ -413,6 +460,33 @@ class TestEmitDdgEdges:
             first_from.setdefault(e.src, e.id)
         assert first_from and firsts == set(first_from.values())
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_rows_are_the_popped_bits_decoded_ascending(self, seed):
+        ctx = _context(random_module(seed, max_insts=40))
+        rows, add_ddg_rows = [], g.Cpg.add_ddg_rows
+
+        def recording(self, given, props_of):
+            given = list(given)
+            rows.extend(given)
+            return add_ddg_rows(self, given, props_of)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(g.Cpg, "add_ddg_rows", recording)
+            for fn in ctx.module.functions:
+                analysis = df.analyze_function(ctx, fn.name)
+                rows.clear()
+                df.emit_ddg_edges(ctx, analysis)
+                expected = []
+                for node in sorted(analysis.popped):
+                    deps = set().union(*(df.deps_of(analysis.fd, bits)
+                                         for bits in analysis.popped[node]))
+                    if deps:   # a consumer that popped nothing has no row
+                        expected.append((node, sorted(d.origin for d in deps)))
+                assert rows == expected
+                for _, row in rows:
+                    assert all(a < b for a, b in zip(row, row[1:]))
+
     def test_no_value_consumers_no_edges(self):
         ctx = _context("(module (func $f nop nop))")
         ctx.cpg.freeze()
@@ -435,7 +509,7 @@ class TestEmitDdgEdges:
         # the loaded value carries nothing: the exit expression has no deps
         analysis = df.analyze_function(ctx, "$f")
         exit_state = analysis.res[ctx.layouts["$f"].exit_node]
-        assert exit_state.stack[-1] == frozenset()
+        assert exit_state.stack[-1] == df.EMPTY
 
     def test_libpng_store_dependencies(self):
         # frozen from a hand-simulated transfer trace over the token loop:

@@ -166,6 +166,19 @@ class TestJson:
         assert path.read_text(encoding="utf-8") == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
 
+    @pytest.mark.parametrize("fmt", ["json", "dot", "datalog"])
+    def test_an_output_that_cannot_be_created_is_named_as_given(self, fmt, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "facts").mkdir()
+        (tmp_path / "facts" / "astEdge.facts").mkdir()   # a datalog file's place is taken
+        path = "facts" if fmt == "datalog" else "nodir/g." + fmt
+        with pytest.raises(OSError) as caught:
+            export(fixture_cpg("mixed"), ExportManifest(fmt, path))
+        given = "facts/astEdge.facts" if fmt == "datalog" else path
+        assert caught.value.filename == given and repr(given) in str(caught.value)
+        assert [p.name for p in tmp_path.rglob("*")] == ["facts", "astEdge.facts"]
+
     def test_save_writes_through_a_link(self, tmp_path):
         cpg = fixture_cpg("mixed")
         (tmp_path / "real.json").write_text("old", encoding="utf-8")
