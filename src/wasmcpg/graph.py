@@ -22,9 +22,11 @@ origin's DDG out-ids are built on the first out-read. `edge_rows` reads the
 columns, building no record, for the exporters.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
-each function's instructions by `instType`. The index is derived data: it is
-built on the first such call, assigned whole, and never serialised; so are
-the DDG out-ids and a frozen graph's per-node DDG record lists.
+each function's instructions by `instType`, built whole on the first such
+call, and `ddg_edges(n, ddg_type, direction)` from a split of n's DDG records
+by `ddgType`, made in one pass on n's first such read and kept apart from
+the typed lists. Both are derived data and never serialised; so are the DDG
+out-ids and a frozen graph's per-node DDG record lists.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count
-from operator import not_
+from operator import attrgetter, not_
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GraphError, SchemaError
@@ -234,6 +236,8 @@ class Cpg:
         self._in: list[dict[str, list[Edge]]] = []
         self._ddg_in: dict[int, list[range]] = {}   # consumer -> runs of DDG ids
         self._ddg_out: dict[int, array] | None = None   # origin -> its DDG ids
+        # direction -> node -> ddgType -> DDG records in id order, when frozen
+        self._splits: dict[str, dict[int, dict[str, list[Edge]]]] = {"in": {}, "out": {}}
         self._frozen = False
         # Function id -> instType (None: all) -> instruction ids, ascending
         self._inst_index: dict[int, dict[str | None, tuple[int, ...]]] | None = None
@@ -436,27 +440,34 @@ class Cpg:
             self._ddg_out = index
         return index
 
+    def _ddg_list(self, table: list[dict[str, list[Edge]]], nid: int) -> list[Edge]:
+        """nid's DDG records in `table`, in id order, built on the first read;
+        a frozen graph keeps the list, which callers copy."""
+        found = table[nid].get(DDG)
+        if found is None:
+            ids = self._ddg_out_index().get(nid, ()) if table is self._out else \
+                list(chain.from_iterable(self._ddg_in.get(nid, ())))
+            found = self._records(ids)
+            if self._frozen:
+                table[nid][DDG] = found
+        return found
+
     def _edges(self, table: list[dict[str, list[Edge]]], nid: int,
                edge_type: str | None) -> list[Edge]:
         self.node(nid)
         by_type = table[nid]
-        if edge_type is not None:
-            if edge_type not in EDGE_TYPES:
-                raise GraphError(f"unknown edge type {edge_type!r}")
-            found = by_type.get(edge_type)
-            if found is not None:   # an AST/CFG/CG list, or a DDG list once read
-                return list(found)
+        if edge_type is None:
+            if DDG not in by_type:
+                by_type = {**by_type, DDG: self._ddg_list(table, nid)}
+            return sorted(chain.from_iterable(by_type.values()), key=attrgetter("id"))
+        if edge_type not in EDGE_TYPES:
+            raise GraphError(f"unknown edge type {edge_type!r}")
+        found = by_type.get(edge_type)
+        if found is None:   # no AST/CFG/CG edge, or a DDG list not yet read
             if edge_type != DDG:
                 return []
-        if DDG not in by_type:
-            ids = self._ddg_out_index().get(nid, ()) if table is self._out else \
-                list(chain.from_iterable(self._ddg_in.get(nid, ())))
-            if not self._frozen:   # a copy: a later write may add to the list
-                by_type = dict(by_type)
-            by_type[DDG] = self._records(ids)
-        if edge_type is not None:
-            return list(by_type[DDG])
-        return sorted((e for lst in by_type.values() for e in lst), key=lambda e: e.id)
+            found = self._ddg_list(table, nid)
+        return list(found)
 
     def out_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
         """A fresh list: one type's edges, or every type's merged in id order."""
@@ -464,6 +475,26 @@ class Cpg:
 
     def in_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
         return self._edges(self._in, nid, edge_type)
+
+    def ddg_edges(self, nid: int, ddg_type: str, direction: str) -> list[Edge]:
+        """A fresh list of nid's DDG in- or out-edges of one `ddgType`, in id
+        order. A frozen graph splits a node's DDG records by ddgType in one
+        pass on the first such read and keeps the split apart from the typed
+        lists, so the untyped merge never sees it."""
+        if ddg_type not in DDG_TYPES:
+            raise GraphError(f"unknown ddgType {ddg_type!r}")
+        splits = self._splits.get(direction)
+        if splits is None:
+            raise GraphError(f"bad direction {direction!r}")
+        self.node(nid)
+        split = splits.get(nid)
+        if split is None:
+            split = {}
+            for e in self._ddg_list(self._in if direction == "in" else self._out, nid):
+                split.setdefault(e.properties["ddgType"], []).append(e)
+            if self._frozen:
+                splits[nid] = split
+        return list(split.get(ddg_type, ()))
 
     def adjacency(self, nid: int, edge_type: str, direction: str = "out") -> list[int]:
         """Neighbor ids in edge insertion order (AST child order matters)."""

@@ -104,8 +104,7 @@ def _calls(cpg: g.Cpg, fnode: int, names) -> list[int]:
 
 def _ddg_labels(cpg: g.Cpg, node: int, ddg_type: str) -> set:
     """Labels of the node's incoming DDG edges of one `ddgType`."""
-    return {e.properties.get("label") for e in cpg.in_edges(node, g.DDG)
-            if e.properties.get("ddgType") == ddg_type}
+    return {e.properties.get("label") for e in cpg.ddg_edges(node, ddg_type, "in")}
 
 
 # -- 1. format strings ---------------------------------------------------------

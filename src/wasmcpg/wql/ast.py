@@ -1,4 +1,7 @@
-"""Query-language syntax tree."""
+"""Query-language syntax tree. A range expression is planned when it is
+parsed: a leading type test on its variable is pushed down into the graph
+(an instType over `instructions(...)`; an edge type, then a `ddgType` after
+`DDG`, over `inEdges`/`outEdges`), so only that slice of the source is read."""
 
 from __future__ import annotations
 
@@ -115,7 +118,9 @@ class RangeExpr(NodeBase):
     conjunct is `var.instType = "T"` over `instructions(...)`, or `var.type =
     "T"` over `x.inEdges`/`x.outEdges`, for a T in the graph schema, `plan` is
     (T, pred with that conjunct made true): only T's slice of the source is
-    read. Otherwise it is (None, pred)."""
+    read. A `var.ddgType = "D"` right after `var.type = "DDG"`, for a D in the
+    schema, is pushed down too: the plan is ((DDG, D), the rest), and only
+    the DDG edges of ddgType D are read. Otherwise it is (None, pred)."""
     var: str = ""
     source: Any = None
     pred: Any = None
@@ -128,16 +133,27 @@ class RangeExpr(NodeBase):
             chain.append(first)
             first = first.left
         if isinstance(src, CallBuiltin) and src.name == "instructions" and len(src.args) == 1:
-            attr, types = "instType", g.INST_TYPES
+            type_ = self._tested(first, "instType", g.INST_TYPES)
         elif isinstance(src, Attr) and src.name in ("inEdges", "outEdges"):
-            attr, types = "type", g.EDGE_TYPES
+            type_ = self._tested(first, "type", g.EDGE_TYPES)
+            if type_ == g.DDG and chain:
+                ddg_type = self._tested(chain[-1].right, "ddgType", g.DDG_TYPES)
+                if ddg_type is not None:
+                    type_ = (g.DDG, ddg_type)
+                    chain.pop()
         else:
             return
-        if isinstance(first, BinOp) and first.op == "=" and isinstance(first.left, Attr) \
-                and first.left.name == attr and isinstance(first.left.obj, Var) \
-                and first.left.obj.name == self.var and isinstance(first.right, Literal) \
-                and first.right.value in types:
+        if type_ is not None:
             rest = Literal(value=True, line=first.line)
             for node in reversed(chain):
                 rest = replace(node, left=rest)
-            self.plan = (first.right.value, rest)
+            self.plan = (type_, rest)
+
+    def _tested(self, conjunct: Any, attr: str, types: tuple[str, ...]) -> str | None:
+        """T when `conjunct` is `var.attr = "T"` for a T in `types`, else None."""
+        if isinstance(conjunct, BinOp) and conjunct.op == "=" \
+                and isinstance(conjunct.left, Attr) and conjunct.left.name == attr \
+                and isinstance(conjunct.left.obj, Var) and conjunct.left.obj.name == self.var \
+                and isinstance(conjunct.right, Literal) and conjunct.right.value in types:
+            return conjunct.right.value
+        return None

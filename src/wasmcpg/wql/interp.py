@@ -39,8 +39,8 @@ class Interpreter:
         program.code(self)
         return self.findings
 
-    def _step(self, line: int) -> None:
-        self.steps += 1
+    def _step(self, line: int, n: int = 1) -> None:
+        self.steps += n
         if self.steps > self.budget:
             raise WqlRuntimeError(f"step budget of {self.budget} exceeded", line)
 
@@ -155,10 +155,19 @@ def _foreach(node: A.Foreach) -> Callable:
 
 
 def _range(node: A.RangeExpr) -> Callable:
-    type_, pred = node.plan   # type_: the one instType or edge type to read, or None
+    # type_: the one instType, edge type or (DDG, ddgType) slice to read, or None
+    type_, pred = node.plan
     source = _compile(node.source) if type_ is None else \
         (_call if isinstance(node.source, A.CallBuiltin) else _attr)(node.source, type_)
     test, var, line = _compile(pred), node.var, node.line
+    if _always(pred):   # every item passes: one copy, its steps taken at once
+        def copy_all(st):
+            items = source(st)
+            if not isinstance(items, list):
+                raise WqlRuntimeError("range expression expects a list", line)
+            st._step(line, len(items))
+            return list(items)
+        return copy_all
 
     def range_(st):
         out = []
@@ -166,6 +175,13 @@ def _range(node: A.RangeExpr) -> Callable:
               "range expression expects a list")
         return out
     return range_
+
+
+def _always(pred) -> bool:
+    """Whether `pred` is `true` literals joined by `&&`."""
+    if isinstance(pred, A.BinOp):
+        return pred.op == "&&" and _always(pred.left) and _always(pred.right)
+    return isinstance(pred, A.Literal) and pred.value is True
 
 
 def _while(node: A.While) -> Callable:
@@ -253,9 +269,12 @@ def _binop(node: A.BinOp) -> Callable:
     return strict
 
 
-def _attr(node: A.Attr, etype: str | None = None) -> Callable:
+def _attr(node: A.Attr, etype: str | tuple | None = None) -> Callable:
     obj, name, line = _compile(node.obj), node.name, node.line
     on_node, on_edge = _FIELDS.get(name, (None, None))   # None: a property
+    if isinstance(etype, tuple):   # (DDG, ddgType): read that slice of the DDG edges
+        direction, ddg_type = "in" if name == "inEdges" else "out", etype[1]
+        on_node = lambda cpg, n, t: cpg.ddg_edges(n.id, ddg_type, direction)
 
     def attr(st):
         rec = obj(st)

@@ -372,6 +372,8 @@ class TestStoreModel:
             for v in range(n):   # reads between writes must not go stale
                 assert len(cpg.in_edges(v)) == sum(m[1] == v for m in model)
                 assert len(cpg.out_edges(v)) == sum(m[0] == v for m in model)
+                assert len(cpg.ddg_edges(v, "Local", "in")) == sum(
+                    m[1] == v and m[2] == g.DDG and m[3]["ddgType"] == "Local" for m in model)
         return cpg, model
 
     @staticmethod
@@ -397,6 +399,12 @@ class TestStoreModel:
                                           if m[1] == v and t in (None, m[2])])
                 same(cpg.out_edges(v, t), [i for i, m in enumerate(model)
                                            if m[0] == v and t in (None, m[2])])
+        for d in g.DDG_TYPES:
+            for v in range(n):
+                for direction, end in (("in", 1), ("out", 0)):
+                    same(cpg.ddg_edges(v, d, direction), [
+                        i for i, m in enumerate(model)
+                        if m[end] == v and m[2] == g.DDG and m[3]["ddgType"] == d])
         assert [tuple(r) for r in cpg.edge_rows()] == [m[:4] for m in model]
         maps: dict[int, object] = {}   # sharing group -> its stored map
         types: dict[int, str] = {}     # id(stored map) -> the one type it serves
@@ -426,6 +434,71 @@ class TestStoreModel:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             assert to_json(import_json(path)) == text
+
+
+class TestDdgSlices:
+    """`ddg_edges`: one ddgType's share of a node's DDG edges, read from a
+    split kept apart from the typed lists."""
+
+    @staticmethod
+    def _check(cpg):
+        for n in cpg.nodes:
+            for direction, read in (("in", cpg.in_edges), ("out", cpg.out_edges)):
+                merged, ddg = read(n.id), read(n.id, g.DDG)
+                for d in g.DDG_TYPES:
+                    # the same records, in id order
+                    assert cpg.ddg_edges(n.id, d, direction) == \
+                        [e for e in ddg if e.properties["ddgType"] == d]
+                assert read(n.id) == merged   # the untyped merge never sees the split
+                assert read(n.id, g.DDG) == ddg
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_each_slice_filters_the_ddg_edges_on_fixtures(self, name):
+        self._check(fixture_cpg(name))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_each_slice_filters_the_ddg_edges_on_random_modules(self, seed):
+        from gen import random_module
+        self._check(build_cpg(random_module(seed, max_insts=40))[0])
+
+    def test_each_read_is_a_fresh_list(self):
+        cpg = fixture_cpg("libpng_get_token")
+        node = max(cpg.nodes, key=lambda n: len(cpg.ddg_edges(n.id, "Local", "in"))).id
+        first = cpg.ddg_edges(node, "Local", "in")
+        want = list(first)
+        assert len(want) >= 2
+        first.reverse()
+        first.append(first[0])
+        second = cpg.ddg_edges(node, "Local", "in")
+        assert second is not first and second == want
+        second.clear()
+        assert cpg.ddg_edges(node, "Local", "in") == want
+
+    def test_an_unfrozen_graph_sees_later_writes(self):
+        cpg = g.Cpg()
+        for _ in range(3):
+            cpg.add_node(g.ELSE)
+        cpg.add_edge(0, 2, g.DDG, DDG_MAPS[0])
+        assert [e.src for e in cpg.ddg_edges(2, "Local", "in")] == [0]
+        cpg.add_edge(1, 2, g.DDG, DDG_MAPS[1])
+        cpg.add_edge(1, 2, g.DDG, DDG_MAPS[3])
+        assert [e.src for e in cpg.ddg_edges(2, "Local", "in")] == [0, 1]
+        assert [e.dst for e in cpg.ddg_edges(1, "Function", "out")] == [2]
+
+    @pytest.mark.parametrize("ddg_type", ["Bogus", "local", "DDG", "", None, 1])
+    def test_an_unknown_ddg_type_is_an_error(self, ddg_type):
+        cpg = fixture_cpg("fig_ddg")
+        for direction in ("in", "out"):
+            with pytest.raises(GraphError, match="unknown ddgType"):
+                cpg.ddg_edges(0, ddg_type, direction)
+
+    def test_a_bad_direction_or_node_is_an_error(self):
+        cpg = fixture_cpg("fig_ddg")
+        with pytest.raises(GraphError, match="bad direction"):
+            cpg.ddg_edges(0, "Local", "both")
+        with pytest.raises(GraphError, match="unknown node id"):
+            cpg.ddg_edges(len(cpg.nodes), "Local", "in")
 
 
 class TestGcPause:

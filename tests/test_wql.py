@@ -14,6 +14,7 @@ from wasmcpg.errors import WqlRuntimeError, WqlSyntaxError
 from wasmcpg.queries import QUERIES, run_all
 from wasmcpg.wql import eval_wql, parse_wql
 from wasmcpg.wql import ast as A
+from wasmcpg import graph as g
 from wasmcpg.wql import parser as P
 
 QUERIES_WQL = pathlib.Path(__file__).parent.parent / "src" / "wasmcpg" / "queries_wql"
@@ -240,6 +241,23 @@ PUSHDOWN_PAIRS = [
 ]
 PUSHDOWN_TYPES = ["Call", "Const", "Loop", "LocalGet", "BrIf", "Bogus",
                   "AST", "CFG", "CG", "DDG", "XYZ", "ast"]
+PUSHDOWN_FIXTURES = ["q03_vuln", "q05_vuln", "q07_vuln", "q10_vuln", "mixed",
+                     "libpng_get_token", "empty"]
+
+# Each range that pushes `e.ddgType = "{D}"` down after `e.type = "DDG"`, with
+# the two tests swapped so that neither is pushed, on the same layout so that
+# error lines agree. `{E}` is inEdges or outEdges.
+DDG_TYPE_PAIRS = [
+    ('[e in n.{E} : e.type = "DDG" && e.ddgType = "{D}"]',
+     '[e in n.{E} : e.ddgType = "{D}" && e.type = "DDG"]'),
+    ('[e in n.{E} : e.type = "DDG" && e.ddgType = "{D}" && true && true]',
+     '[e in n.{E} : e.ddgType = "{D}" && e.type = "DDG" && true && true]'),
+    ('[e in n.{E} : e.type = "DDG" && e.ddgType = "{D}" && e.id / 3 * 3 != e.id]',
+     '[e in n.{E} : e.ddgType = "{D}" && e.type = "DDG" && e.id / 3 * 3 != e.id]'),
+    ('[e in n.{E} : e.type = "DDG" && e.ddgType = "{D}" && e.label != nil && e.src.id >= 0]',
+     '[e in n.{E} : e.ddgType = "{D}" && e.type = "DDG" && e.label != nil && e.src.id >= 0]'),
+]
+DDG_TYPE_PROBES = [*g.DDG_TYPES, "Bogus"]
 
 
 def _range_ids(expr, cpg):
@@ -279,14 +297,56 @@ class TestPushdown:
                      '[e in n.inEdges : e.ddgType = "Local"]'):
             assert planned(expr) is None, expr
 
-    @pytest.mark.parametrize("name", ["q03_vuln", "q05_vuln", "q07_vuln", "q10_vuln",
-                                      "mixed", "libpng_get_token", "empty"])
+    def test_ddg_type_plans(self):
+        def plan(expr):
+            return parse_wql(f"x := {expr};").body[0].expr.expr.plan
+
+        for d in g.DDG_TYPES:
+            for edges in ("inEdges", "outEdges"):
+                pushed, plain = (p.format(E=edges, D=d) for p in DDG_TYPE_PAIRS[2])
+                assert plan(pushed)[0] == (g.DDG, d)
+                rest = plan(pushed)[1]   # `true && <the third test>`
+                assert rest.left == A.Literal(value=True, line=1) and rest.right.op == "!="
+                assert plan(plain)[0] is None
+            assert plan(f'[e in n.inEdges : e.type = "DDG" && e.ddgType = "{d}"]') == \
+                ((g.DDG, d), A.Literal(value=True, line=1))
+        # only the edge-type test is pushed when the ddgType test is not the
+        # second conjunct, is not a literal, or names no schema type
+        for expr in ('[e in n.inEdges : e.type = "DDG" && true && e.ddgType = "Local"]',
+                     '[e in n.inEdges : e.type = "DDG" && (e.ddgType = "Local" && true)]',
+                     '[e in n.inEdges : e.type = "DDG" && e.ddgType = x]',
+                     '[e in n.inEdges : e.type = "DDG" && e.ddgType = ("Lo" + "cal")]',
+                     '[e in n.inEdges : e.type = "DDG" && e.ddgType = "Bogus"]',
+                     '[e in n.inEdges : e.type = "DDG" && e.ddgType = "local"]',
+                     '[e in n.inEdges : e.type = "DDG" && e.ddgType = 1]',
+                     '[e in n.inEdges : e.type = "DDG" && m.ddgType = "Local"]',
+                     '[e in n.inEdges : e.type = "DDG" && e.label = "Local"]',
+                     '[e in n.outEdges : e.type = "DDG" && e.ddgType != "Local"]'):
+            assert plan(expr)[0] == g.DDG, expr
+        for expr in ('[e in n.inEdges : e.type = "CG" && e.ddgType = "Local"]',
+                     '[e in n.inEdges : e.type = "AST" && e.ddgType = "Local"]'):
+            assert plan(expr)[0] == expr.split('"')[1], expr
+        for expr in ('[e in n.inEdges : (e.type = "DDG" || false) && e.ddgType = "Local"]',
+                     '[e in descendantsAST(n) : e.type = "DDG" && e.ddgType = "Local"]',
+                     '[n in instructions(f) : n.type = "DDG" && n.ddgType = "Local"]'):
+            assert plan(expr)[0] is None, expr
+
+    @pytest.mark.parametrize("name", PUSHDOWN_FIXTURES)
     def test_same_items_in_the_same_order(self, name):
         cpg = fixture_cpg(name)
         for pushed, plain in PUSHDOWN_PAIRS:
             for t in PUSHDOWN_TYPES:
                 got = _range_ids(pushed.format(T=t), cpg)
                 assert got == _range_ids(plain.format(T=t), cpg), (pushed, t)
+
+    @pytest.mark.parametrize("name", PUSHDOWN_FIXTURES)
+    def test_ddg_type_slices_give_the_same_items_in_the_same_order(self, name):
+        cpg = fixture_cpg(name)
+        for pushed, plain in DDG_TYPE_PAIRS:
+            for edges in ("inEdges", "outEdges"):
+                for d in DDG_TYPE_PROBES:
+                    got = _range_ids(pushed.format(E=edges, D=d), cpg)
+                    assert got == _range_ids(plain.format(E=edges, D=d), cpg), (pushed, edges, d)
 
     def test_same_errors(self):
         cpg = fixture_cpg("q03_vuln")
@@ -312,6 +372,30 @@ class TestPushdown:
                 "line 4: expected a boolean, got int"} <= seen, seen
         assert any(o.startswith("line 2: instructions() expects Function") for o in seen)
 
+    def test_ddg_type_slices_give_the_same_errors(self):
+        cpg = fixture_cpg("libpng_get_token")
+        programs = [
+            "n := nil;\nx := {R};",
+            "n := 5;\nx := {R};",
+            "n := functions()[1].outEdges[0];\nx := {R};",   # an edge has no inEdges
+            # a rest that is not a boolean, on a later line than the pushed tests
+            "foreach n in descendantsAST(functions()[1]):\n    x := {R2};",
+        ]
+        seen = set()
+        for pushed, plain in DDG_TYPE_PAIRS:
+            for edges in ("inEdges", "outEdges"):
+                for d in DDG_TYPE_PROBES:
+                    for source in programs:
+                        outcomes = [_outcome(source.format(
+                            R=r.format(E=edges, D=d),
+                            R2=r.format(E=edges, D=d).replace("]", "\n && 5]")), cpg)
+                            for r in (pushed, plain)]
+                        assert outcomes[0] == outcomes[1], (pushed, edges, d, source)
+                        seen.add(outcomes[0] if isinstance(outcomes[0], str) else "ok")
+        assert {"line 2: attribute 'inEdges' on nil", "line 2: attribute 'outEdges' on int",
+                "line 2: range expression expects a list",
+                "line 3: expected a boolean, got int", "ok"} <= seen, seen
+
 
 class TestBudget:
     def test_every_step_counts(self):
@@ -327,6 +411,53 @@ foreach x in List(1, 2, 3):
         assert eval_wql(prog, cpg, {}, budget=11) == []
         with pytest.raises(WqlRuntimeError, match="line 6: step budget of 10 exceeded"):
             eval_wql(prog, cpg, {}, budget=10)
+
+    def test_a_slice_copy_runs_out_of_budget_where_item_by_item_would(self):
+        from wasmcpg.wql.interp import Interpreter
+        cpg = fixture_cpg("libpng_get_token")
+        assert max(len(cpg.ddg_edges(n.id, "Local", "in")) for n in cpg.nodes) >= 2
+        source = """
+foreach f in functions():
+    foreach n in descendantsAST(f):
+        x := [e in n.inEdges : e.type = "DDG" && e.ddgType = "Local"{rest}];
+"""
+        # the same slice, copied at once (a constant-true rest) and tested item by item
+        copied, tested = (parse_wql(source.format(rest=r)) for r in ("", " && e.id >= 0"))
+        steps = []
+        for prog in (copied, tested):
+            interp = Interpreter(cpg, {})
+            interp.run(prog)
+            steps.append(interp.steps)
+        assert steps[0] == steps[1]
+
+        def outcome(prog, budget):
+            try:
+                return eval_wql(prog, cpg, {}, budget=budget)
+            except WqlRuntimeError as exc:
+                return str(exc), exc.line
+
+        seen = set()
+        for budget in range(steps[0] + 1):
+            got = outcome(copied, budget)
+            assert got == outcome(tested, budget), budget
+            seen.add(got[1] if isinstance(got, tuple) else "ok")
+        assert seen == {2, 3, 4, "ok"}
+
+    @pytest.mark.parametrize("pred, want", [
+        ("true", [1, 2]), ("true && true && (true && true)", [1, 2]), ("true || 1", [1, 2]),
+        ("false", []), ("true && false", []), ("!false", [1, 2]),
+        ("1", "line 1: expected a boolean, got int"),
+        ("true && 1", "line 1: expected a boolean, got int"),
+        ('"true"', "line 1: expected a boolean, got str"),
+        ("nil && true", "line 1: expected a boolean, got NoneType")])
+    def test_only_true_literals_make_a_constant_range(self, pred, want):
+        cpg = fixture_cpg("empty")
+        prog = parse_wql(f"x := [v in List(1, 2) : {pred}];\nvulnerability(x, 0, 0);")
+        try:
+            got = eval_wql(prog, cpg, {})[0].kind
+        except WqlRuntimeError as exc:
+            got = str(exc)
+        assert got == str(want)
 
     def test_an_endless_loop_stops(self):
         cpg = fixture_cpg("empty")
@@ -357,24 +488,24 @@ TWIN_STEPS = {
     "q03_clean": (7, 7, 20, 20, 4, 7, 4, 4, 15, 4),
     "q04_vuln": (6, 6, 22, 22, 3, 6, 3, 3, 13, 3),
     "q04_clean": (5, 5, 15, 15, 3, 5, 3, 3, 11, 3),
-    "q05_vuln": (5, 5, 9, 9, 8, 5, 4, 5, 9, 4),
-    "q05_clean": (3, 3, 6, 6, 6, 3, 3, 4, 6, 3),
-    "q06_vuln": (5, 5, 8, 8, 3, 8, 3, 3, 8, 3),
-    "q06_clean": (3, 3, 5, 5, 2, 4, 2, 2, 5, 2),
-    "q07_vuln": (5, 5, 8, 8, 3, 9, 80, 3, 8, 3),
-    "q07_clean": (5, 5, 8, 8, 3, 9, 3, 3, 8, 3),
-    "q08_vuln": (3, 3, 5, 5, 2, 10, 2, 23, 5, 2),
-    "q08_clean": (5, 5, 8, 8, 3, 16, 3, 24, 8, 3),
-    "q09_vuln": (6, 6, 18, 18, 4, 11, 4, 4, 17, 4),
-    "q09_clean": (6, 6, 18, 18, 4, 11, 4, 4, 17, 4),
-    "q10_vuln": (3, 3, 5, 5, 2, 3, 2, 3, 5, 56),
-    "q10_clean": (1, 1, 2, 2, 1, 1, 1, 2, 2, 53),
+    "q05_vuln": (5, 5, 9, 9, 7, 5, 4, 5, 9, 4),
+    "q05_clean": (3, 3, 6, 6, 4, 3, 3, 4, 6, 3),
+    "q06_vuln": (5, 5, 8, 8, 3, 7, 3, 3, 8, 3),
+    "q06_clean": (3, 3, 5, 5, 2, 3, 2, 2, 5, 2),
+    "q07_vuln": (5, 5, 8, 8, 3, 5, 80, 3, 8, 3),
+    "q07_clean": (5, 5, 8, 8, 3, 5, 3, 3, 8, 3),
+    "q08_vuln": (3, 3, 5, 5, 2, 3, 2, 23, 5, 2),
+    "q08_clean": (5, 5, 8, 8, 3, 5, 3, 24, 8, 3),
+    "q09_vuln": (6, 6, 18, 18, 4, 7, 4, 4, 17, 4),
+    "q09_clean": (6, 6, 18, 18, 4, 7, 4, 4, 17, 4),
+    "q10_vuln": (3, 3, 5, 5, 2, 3, 2, 3, 5, 52),
+    "q10_clean": (1, 1, 2, 2, 1, 1, 1, 2, 2, 49),
     "fig_ddg": (3, 3, 5, 5, 2, 3, 2, 5, 5, 2),
-    "libpng_get_token": (3, 3, 5, 5, 2, 3, 2, 4, 5, 237),
+    "libpng_get_token": (3, 3, 5, 5, 2, 3, 2, 4, 5, 215),
     "empty": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "mixed": (3, 3, 6, 6, 7, 3, 3, 9, 6, 13),
+    "mixed": (3, 3, 6, 6, 4, 3, 3, 9, 6, 13),
     "cfg_brtable": (1, 1, 2, 2, 1, 1, 1, 1, 2, 1),
-    "scaling_module(1000)": (3, 3, 6, 6, 3, 3, 3, 213, 6, 32012),
+    "scaling_module(1000)": (3, 3, 6, 6, 3, 3, 3, 213, 6, 19700),
 }
 
 
