@@ -3,45 +3,42 @@ DOT, Datalog fact files, and Neo4j bulk-import CSV.
 
 All outputs are byte-deterministic for a given graph: elements are written in
 id order and property keys sorted. The lossy formats (DOT/facts/CSV) project
-the graph; JSON round-trips exactly. JSON is compact, with one node or edge
-record per line between the lines `{"edges":[`, `],"nodes":[` and
-`],"schema":1}`.
+the graph; JSON round-trips exactly. Edges are read from `Cpg.edge_rows` or
+`edge_runs`, building no record, each distinct map rendered once by its id.
 
-Edges are read through `graph.Cpg.edge_rows`, so an export builds no edge
-record, and each distinct property map is rendered once, memoised by its id
-(the graph shares one map among edges of one type, and a map never serves
-two types).
+JSON (schema 2) is compact, a record per line, ids implied by order, in four
+lists: `edges`, a `{"dst","map","src","type"}` per AST, CFG or CG edge and a
+`{"dst":d,"src":[...]}` per run of DDG edges into one consumer; `maps`, each
+distinct edge map's text once (indexes follow from texts, so a reload writes
+the same bytes); `nodes`, `{"kind","properties"}`; `origins`, `[origin, map
+index]` per DDG origin, its first edge's map. A run lists `"maps"`, an index
+per edge, only where an edge's map is not its origin's. `import_json` reads
+it with one `json.load`, checks each (edge type, map) once and writes each
+run with one `Cpg.add_ddg_run`; texts that differ only in type or sign (`1`,
+`1.0`, `true`; `0.0`, `-0.0`) stay apart. Schema-1 files (a record per node
+and per edge, any layout) still load, more slowly and in more memory.
 
-Each format renders its files' text, JSON in chunks of records
-(`_json_chunks`), and `_write_whole` writes every output file, the CLI's
-findings too, beside its target and moves each into place once all are
-whole, so a write that fails partway leaves every old file; a pipe or a
-device is written in place.
-
-`import_json` reads `to_json`'s layout line by line, decoding and validating
-each distinct (type, property text) once, so its edges share one map again;
-texts that differ only in type or sign (`1`, `1.0`, `true`; `0.0`, `-0.0`)
-stay apart. Any other layout of the same document, such as a file
-pretty-printed by an older version, loads through `json.load`. Both readers
-hand the same nodes and edge rows, ids checked, to one rebuild.
+Each format renders its files' text, JSON in chunks of records, and
+`_write_whole` writes every output file, the CLI's findings too, beside its
+target and moves each into place once all are whole, so a write that fails
+partway leaves every old file; a pipe or a device is written in place.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
-import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
+from operator import is_, not_
 from typing import Iterable, Iterator
 
-from .errors import ExportError, WasmCpgError
+from .errors import ExportError, GraphError
 from . import graph as g
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -73,6 +70,9 @@ def to_json(cpg: g.Cpg) -> str:
 
 
 _CHUNK = 4096   # records per chunk of the JSON text
+_PARTS = ("edges", "maps", "nodes", "origins")   # a schema-2 document's lists, in text order
+_SINGLE = {t: '{"dst":%%d,"map":%%d,"src":%%d,"type":%s}' % _encode(t)
+           for t in g.EDGE_TYPES if t != g.DDG}   # one AST, CFG or CG edge's record
 
 
 def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
@@ -87,128 +87,131 @@ def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
         if sep:
             yield "\n"
 
-    def edge_records() -> Iterator[str]:
-        templates: dict[int, str] = {}   # id(map) -> its edges' record, ids left open
-        for eid, (src, dst, edge_type, props) in enumerate(cpg.edge_rows()):
-            text = templates.get(id(props))
-            if text is None:   # a map belongs to the edges of one type
-                text = templates[id(props)] = \
-                    '{"dst":%%d,"id":%%d,"properties":%s,"src":%%d,"type":%s}' % (
-                        _encode(props).replace("%", "%%"), _encode(edge_type))
-            yield text % (dst, eid, src)
+    texts: dict[str, int] = {}     # a map's text -> its place in the table
+    places: dict[int, int] = {}    # id(map) -> its text's place
+    by_repr: dict[str, str] = {}   # repr(map) -> its text: repr tells 1, 1.0, True apart
+    firsts: dict[int, dict] = {}   # DDG origin -> the map of its first edge
+    names = list(map(str, range(len(cpg.nodes))))   # each node id's text
 
-    # every node owns its map, so only the kinds repeat
+    text = lambda p: by_repr.get(repr(p)) or by_repr.setdefault(repr(p), _encode(p))
+    place = lambda p: places[id(p)] if id(p) in places else \
+        places.setdefault(id(p), texts.setdefault(text(p), len(texts)))
+
+    def edge_records() -> Iterator[str]:
+        # each edge's map enters the table in id order on either branch
+        for dst, srcs, edge_type, maps in cpg.edge_runs():
+            if edge_type != g.DDG:
+                yield _SINGLE[edge_type] % (dst, place(maps[0]), srcs[0])
+                continue
+            srcs, known = srcs.tolist(), len(firsts)
+            origin = list(map(firsts.setdefault, srcs, maps))   # their first edges' maps
+            uniform = all(map(is_, origin, maps))
+            if len(firsts) != known or not uniform:   # enter the maps not yet seen
+                unseen = map(not_, map(places.__contains__, map(id, maps)))
+                list(map(place, compress(maps, unseen)))
+            own = None if uniform else list(map(places.__getitem__, map(id, maps)))
+            src = ",".join(map(names.__getitem__, srcs))
+            if own is None or own == list(map(places.__getitem__, map(id, origin))):
+                yield '{"dst":%d,"src":[%s]}' % (dst, src)
+            else:   # an edge whose map's text is not its origin's
+                yield '{"dst":%d,"maps":%s,"src":[%s]}' % (dst, str(own).replace(" ", ""), src)
+
     kinds = {kind: _encode(kind) for kind in {n.kind for n in cpg.nodes}}
     yield '{"edges":[\n'
     yield from joined(edge_records())
+    yield '],"maps":[\n'
+    yield from joined(iter(texts))
     yield '],"nodes":[\n'
-    yield from joined('{"id":%d,"kind":%s,"properties":%s}'
-                      % (n.id, kinds[n.kind], _encode(n.properties)) for n in cpg.nodes)
+    yield from joined('{"kind":%s,"properties":%s}' % (kinds[n.kind], text(n.properties))
+                      for n in cpg.nodes)
+    yield '],"origins":[\n'
+    yield from joined("[%d,%d]" % (n, places[id(props)]) for n, props in sorted(firsts.items()))
     yield '],"schema":%d}\n' % SCHEMA_VERSION
 
 
-# One record line of the layout `to_json` writes; ids use JSON's integer grammar.
-_INT = r"-?(?:0|[1-9][0-9]*)"
-_EDGE_LINE = re.compile(r'\{"dst":(%s),"id":(?P<id>%s),"properties":(\{.*\}),"src":(%s),'
-                        r'"type":"([A-Z]+)"\}(,?)\n' % (_INT, _INT, _INT))
-_NODE_LINE = re.compile(r'\{"id":(?P<id>%s),"kind":"([A-Za-z]+)","properties":(\{.*\})\}'
-                        r'(,?)\n' % _INT)
-
-
 def import_json(path: str) -> g.Cpg:
-    """Rebuild a frozen graph from a file `to_json` wrote. A file that cannot
-    be opened raises `OSError`; one that is not a graph raises `ExportError`.
-
-    A file in `to_json`'s layout is read line by line, and each distinct
-    (edge type, property text) is decoded and validated once, its edges
-    sharing one map. Any other file, and any fault on the way, sends the
-    whole file to `json.load`, which reports every error."""
+    """Rebuild a frozen graph from a file `to_json` wrote, or a schema-1
+    file. A file that cannot be opened raises `OSError`; one that is not a
+    graph, `ExportError`."""
     with g.gc_paused():
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return _rebuild(*_read_lines(fh))
-            except (ValueError, KeyError, TypeError, RecursionError, WasmCpgError):
-                fh.seek(0)
             try:
                 doc = json.load(fh)
             except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON or nesting
                 raise ExportError(f"cannot load graph file {path}: {exc}")
         if not isinstance(doc, dict) or "schema" not in doc:
             raise ExportError("not a serialized graph file")
-        if doc["schema"] != SCHEMA_VERSION:
-            raise ExportError(f"unsupported schema version {doc['schema']}")
-        nodes, edges = doc.get("nodes", []), doc.get("edges", [])
-        if not isinstance(nodes, list) or not isinstance(edges, list):
-            raise ExportError("nodes and edges must be lists")
+        if type(doc["schema"]) is not int or doc["schema"] not in (1, SCHEMA_VERSION):
+            raise ExportError(f"unsupported schema version {doc['schema']!r}")
         try:
-            return _rebuild(((n["kind"], n.get("properties", {}))
-                             for n in _checked(nodes, "node")),
-                            ((e["src"], e["dst"], e["type"], e.get("properties", {}))
-                             for e in _checked(edges, "edge")))
+            return _load_runs(doc if doc["schema"] == SCHEMA_VERSION else _upgraded(doc)).freeze()
         except (KeyError, TypeError, ValueError) as exc:
             # a record that is not an object, lacks a field or has ill-typed values
-            raise ExportError(f"malformed node or edge record: "
-                              f"{type(exc).__name__}: {exc}") from exc
+            raise ExportError(f"malformed graph record: {type(exc).__name__}: {exc}") from exc
+        except GraphError as exc:   # outside the schema, or an endpoint out of range
+            raise ExportError(f"malformed graph file: {exc}") from exc
 
 
-def _checked(records: list, what: str) -> Iterator[dict]:
-    """A loaded document's records, each checked as the rebuild reaches it,
-    so the first fault in the file is the one reported."""
-    for i, record in enumerate(records):
-        if record["id"] != i:
-            raise ExportError(f"{what} ids must be dense and ordered")
-        if what == "node" and not isinstance(record["kind"], str):
-            raise TypeError(f"node kind {record['kind']!r} is not a string")
-        yield record
-
-
-def _rebuild(nodes: Iterable[tuple[str, dict]], rows: Iterable[tuple]) -> g.Cpg:
-    """The frozen graph of `(kind, properties)` nodes and `(src, dst, type,
-    properties)` edge rows, each in id order."""
+def _load_runs(doc: dict) -> g.Cpg:
+    """The graph of a schema-2 document: single edges through `add_edges`,
+    which checks and copies each (edge type, map) once, as DDG maps are
+    here, and each DDG run through one `add_ddg_run`."""
+    edges, maps, nodes, origins = parts = [doc.get(k) for k in _PARTS]
+    if not all(type(part) is list for part in parts):
+        raise ExportError(f"a schema-2 file needs the lists {', '.join(_PARTS)}")
     cpg = g.Cpg()
-    for kind, props in nodes:
-        cpg.add_node(kind, props)   # add_node copies the map
-    cpg.add_edges(rows)
-    return cpg.freeze()
+    for node in nodes:
+        if len(node) != 2 or not isinstance(node["kind"], str):
+            raise ExportError(f"node record {node!r} is not a kind and properties")
+        cpg.add_node(node["kind"], node["properties"])   # add_node copies the map
+
+    def entry(i: int) -> dict:
+        if type(i) is not int or not 0 <= i < len(maps) or type(maps[i]) is not dict:
+            raise ExportError(f"map index {i!r} names no map of the {len(maps)}")
+        return maps[i]
+
+    copies: dict[int, dict] = {}   # map index (an int) -> its checked copy as a DDG map
+    ddg = lambda i: copies.get(i) or copies.setdefault(i, g.checked_map(g.DDG, entry(i)))
+    own: dict[int, dict] = {}   # DDG origin -> its map
+    for origin, i in origins:
+        if type(origin) is not int or not 0 <= origin < len(nodes) or origin in own \
+                or type(i) is not int:
+            raise ExportError(f"origin entry {[origin, i]!r} names no node, or a node twice")
+        own[origin] = ddg(i)
+    singles: list[tuple] = []   # the AST, CFG and CG rows since the last run
+    for record in edges:
+        if len(record) == 4:   # one AST, CFG or CG edge
+            if record["type"] not in _SINGLE:
+                raise ExportError(f"a single-edge record of type {record['type']!r}")
+            singles.append((record["src"], record["dst"], record["type"], entry(record["map"])))
+            continue
+        cpg.add_edges(singles)
+        singles.clear()
+        srcs, places = record["src"], record["maps"] if len(record) == 3 else None
+        if type(srcs) is not list or places is None and not own.keys() >= set(srcs):
+            raise ExportError(f"a run's src {srcs!r} is not a list of DDG origins")
+        if places is not None:
+            if type(places) is not list or set(map(type, places)) != {int}:
+                raise ExportError(f"a run's maps {places!r} are not map indexes")
+            for i in set(places):
+                ddg(i)
+        cpg.add_ddg_run(record["dst"], srcs, map(own.__getitem__, srcs) if places is None
+                        else map(copies.__getitem__, places))
+    cpg.add_edges(singles)
+    return cpg
 
 
-def _records(lines: Iterator[str], pattern: re.Pattern, close: str) -> Iterator[tuple]:
-    """The regex groups of each record line up to the line `close`; the last
-    group is the line's trailing comma. A line out of `to_json`'s layout, or
-    a record whose id is not its index, raises ValueError."""
-    at = pattern.groupindex["id"] - 1   # the id's place among the groups
-    comma = line = None     # after a record: "," if another must follow, else ""
-    for i, line in enumerate(lines):
-        m = pattern.fullmatch(line)
-        groups = m and m.groups()
-        if m is None or comma == "" or int(groups[at]) != i:
-            break
-        comma = groups[-1]
-        yield groups
-    if line != close or comma == ",":
-        raise ValueError("not the layout to_json writes")
-
-
-def _read_lines(lines: Iterator[str]) -> tuple[list, list]:
-    """`_rebuild`'s nodes and edge rows from `to_json`'s layout."""
-    if next(lines, None) != '{"edges":[\n':
-        raise ValueError("not the layout to_json writes")
-    memo: dict[tuple[str, str], tuple[str, dict]] = {}
-
-    def interned(kind: str, text: str) -> tuple[str, dict]:
-        """(edge type or node kind, property text) -> one shared (kind, map)."""
-        found = memo.get((kind, text))
-        if found is None:
-            found = memo[kind, text] = (sys.intern(kind), json.loads(text))
-        return found
-
-    rows = [(int(src), int(dst)) + interned(edge_type, text) for dst, _, text, src, edge_type, _
-            in _records(lines, _EDGE_LINE, '],"nodes":[\n')]
-    nodes = [interned(kind, text) for _, kind, text, _
-             in _records(lines, _NODE_LINE, '],"schema":%d}\n' % SCHEMA_VERSION)]
-    if next(lines, None) is not None:
-        raise ValueError("data after the document")
-    return nodes, rows
+def _upgraded(doc: dict) -> dict:
+    """A schema-1 document as schema 2: a map per edge, a run per DDG edge."""
+    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
+    for what, rs in (("node", nodes), ("edge", edges)):
+        if not isinstance(rs, list) or [r["id"] for r in rs] != list(range(len(rs))):
+            raise ExportError(f"{what}s must be a list, its ids dense and ordered")
+    return {"nodes": [{"kind": n["kind"], "properties": n.get("properties", {})} for n in nodes],
+            "maps": [e.get("properties", {}) for e in edges], "origins": [],
+            "edges": [{"dst": e["dst"], "maps": [i], "src": [e["src"]]} if e["type"] == g.DDG
+                      else {"dst": e["dst"], "map": i, "src": e["src"], "type": e["type"]}
+                      for i, e in enumerate(edges)]}
 
 
 # -- DOT ----------------------------------------------------------------------
@@ -233,9 +236,8 @@ def _dot_text(value) -> str:
 
 
 def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
-    lines = ["digraph cpg {", "  node [shape=box, fontsize=10];"]
-    for node in cpg.nodes:
-        lines.append(f'  n{node.id} [label="{_dot_text(_dot_label(node))}"];')
+    lines = ["digraph cpg {", "  node [shape=box, fontsize=10];",
+             *(f'  n{node.id} [label="{_dot_text(_dot_label(node))}"];' for node in cpg.nodes)]
     attrs: dict[int, str] = {}   # id(map) -> attributes, "" for a type left out
     for src, dst, edge_type, props in cpg.edge_rows():
         attr = attrs.get(id(props))
@@ -342,11 +344,8 @@ def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
 def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
     node_keys = sorted({k for n in cpg.nodes for k in n.properties})
     lines = [",".join([":ID", ":LABEL"] + node_keys)]
-    for n in cpg.nodes:
-        row = [str(n.id), n.kind]
-        for k in node_keys:
-            row.append(_csv_cell(n.properties.get(k)))
-        lines.append(",".join(row))
+    lines += [",".join([str(n.id), n.kind, *(_csv_cell(n.properties.get(k)) for k in node_keys)])
+              for n in cpg.nodes]
     nodes_csv = "\n".join(lines) + "\n"
 
     maps = {id(p): p for _, _, _, p in cpg.edge_rows()}   # each distinct map once

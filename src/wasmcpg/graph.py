@@ -16,10 +16,12 @@ property map, which edges of one type may share (a map never serves two
 types); every property map read from the graph is read-only. AST, CFG and
 CG edges get their `Edge` record when added, a DDG edge on its first read,
 cached so that a graph holds one record per id. `_put_ddg` writes every DDG
-edge (for `add_edge`, `add_edges` and the emitter's `add_ddg_rows`) as a run
-of ids into one consumer, whose DDG in-adjacency is its list of runs; each
-origin's DDG out-ids are built on the first out-read. `edge_rows` reads the
-columns, building no record, for the exporters.
+edge (for `add_edge`, `add_edges`, the emitter's `add_ddg_rows` and
+`add_ddg_run`) as a run of ids into one consumer, whose DDG in-adjacency is
+its list of runs; each origin's DDG out-ids are built on the first out-read.
+`add_ddg_run` writes a run whose maps `checked_map` has checked, with no
+Python-level step per edge, for `import_json`. `edge_rows` and `edge_runs`
+read the columns, building no record, for the exporters.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
 each function's instructions by `instType`, built whole on the first such
@@ -131,6 +133,7 @@ DDG_TYPES = tuple(_DDG_SCHEMAS)
 _CODE = {t: i for i, t in enumerate(EDGE_TYPES)}   # an edge type's byte in _types
 _DDG_BYTE = bytes((_CODE[DDG],))
 _DDG_SPAN = re.compile(re.escape(_DDG_BYTE) + b"+")
+_INT_TYPE = {int}   # the types of a list of node ids, none of them a bool
 
 
 def _check(what: str, schema: dict[str, Any], props: dict[str, Any],
@@ -172,6 +175,14 @@ def _check_edge(edge_type: str, props: dict[str, Any]) -> None:
         if schema is None:
             raise SchemaError(f"unknown edge type {edge_type!r}")
     _check(edge_type, schema, props, edge_type in (AST, CFG))
+
+
+def checked_map(edge_type: str, props: dict[str, Any]) -> dict[str, Any]:
+    """A copy of `props`, checked as the map of an edge of `edge_type`: what
+    the graph stores, and what `Cpg.add_ddg_run` takes for DDG."""
+    props = dict(props)
+    _check_edge(edge_type, props)
+    return props
 
 
 @contextmanager
@@ -262,8 +273,7 @@ class Cpg:
         self._writable()
         if not (0 <= src < len(self.nodes)) or not (0 <= dst < len(self.nodes)):
             raise GraphError(f"dangling edge endpoint {src}->{dst}")
-        props = dict(properties or {})
-        _check_edge(edge_type, props)
+        props = checked_map(edge_type, properties or {})
         if edge_type == DDG:
             self._put_ddg(dst, [src], (props,))
         else:
@@ -303,40 +313,40 @@ class Cpg:
 
     def add_edges(self, rows: Iterable[tuple[int, int, str, dict[str, Any]]]) -> int:
         """Append edges from `(src, dst, type, properties)` rows, in order. The
-        first row with a given map goes through `add_edge`, which validates
-        and copies it; later rows with that map and type share the copy, and
-        a row with that map under another type goes through `add_edge` again.
-        Consecutive DDG rows into one node are written as one run. Returns
-        the count added; rows before a failing one stay added."""
+        first row with a given map and type goes through `add_edge`, which
+        validates and copies the map; later rows with that map and type
+        share the copy. Returns the count added; rows before a failing one
+        stay added."""
         self._writable()
         n_nodes, first = len(self.nodes), len(self._props)
-        shared: dict[int, tuple] = {}   # id(map) -> (map, type, copy), map kept alive
-        run, srcs, maps = -1, [], []   # the DDG run being gathered: dst, srcs, maps
-        try:
-            for src, dst, edge_type, props in rows:
-                seen = shared.get(id(props))
-                if seen is not None and dst == run and seen[1] == edge_type == DDG \
-                        and 0 <= src < n_nodes:
-                    srcs.append(src)
-                    maps.append(seen[2])
-                    continue
-                if srcs:
-                    self._put_ddg(run, srcs, maps)
-                    srcs, maps = [], []
-                run = -1
-                if seen is None or seen[1] != edge_type:
-                    eid = self.add_edge(src, dst, edge_type, props)
-                    shared.setdefault(id(props), (props, edge_type, self._props[eid]))
-                elif not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                    raise GraphError(f"dangling edge endpoint {src}->{dst}")
-                elif edge_type == DDG:
-                    run, srcs, maps = dst, [src], [seen[2]]
-                else:
-                    self._put(src, dst, edge_type, seen[2])
-        finally:
-            if srcs:
-                self._put_ddg(run, srcs, maps)
+        shared: dict[tuple, tuple] = {}   # (id(map), type) -> (map, copy), map kept alive
+        for src, dst, edge_type, props in rows:
+            seen = shared.get((id(props), edge_type)) if isinstance(edge_type, str) else None
+            if seen is None:
+                eid = self.add_edge(src, dst, edge_type, props)
+                shared[id(props), edge_type] = (props, self._props[eid])
+            elif not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                raise GraphError(f"dangling edge endpoint {src}->{dst}")
+            elif edge_type == DDG:
+                self._put_ddg(dst, [src], (seen[1],))
+            else:
+                self._put(src, dst, edge_type, seen[1])
         return len(self._props) - first
+
+    def add_ddg_run(self, dst: int, srcs: list[int], maps: Iterable[dict[str, Any]]) -> None:
+        """Append the DDG edges `src -> dst` of `srcs`, in order, as one run of
+        dst's in-adjacency, the i-th storing the i-th of `maps` as given: each
+        a `checked_map` of DDG, not checked again. The endpoints are checked
+        with no Python-level step per edge."""
+        self._writable()
+        maps = list(maps)
+        if not srcs or len(maps) != len(srcs):
+            raise GraphError(f"a run of {len(srcs)} DDG edges with {len(maps)} maps")
+        n_nodes = len(self.nodes)
+        if type(dst) is not int or not 0 <= dst < n_nodes or \
+                set(map(type, srcs)) != _INT_TYPE or min(srcs) < 0 or max(srcs) >= n_nodes:
+            raise GraphError(f"dangling edge endpoint in a run into {dst!r}")
+        self._put_ddg(dst, srcs, maps)
 
     def add_ddg_rows(self, rows: Iterable[tuple[int, list[int]]],
                      props_of: Callable[[int], dict[str, Any]]) -> int:
@@ -383,6 +393,25 @@ class Cpg:
         read from the columns: no record is built."""
         return zip(self._src, self._dst, map(EDGE_TYPES.__getitem__, self._types),
                    self._props)
+
+    def edge_runs(self) -> Iterator[tuple[int, Sequence[int], str, Sequence[dict]]]:
+        """(dst, srcs, type, maps) of each run of edges, in id order: the DDG
+        edges into one consumer between two edges that are not are one run,
+        and every other edge is a run of its own. A DDG run's srcs and maps
+        are slices of the columns, so no Python-level step runs per edge."""
+        at = 0
+        for run in sorted(chain.from_iterable(self._ddg_in.values()), key=attrgetter("start")):
+            yield from self._singles(at, run.start)
+            yield self._dst[run.start], self._src[run.start:run.stop], DDG, \
+                self._props[run.start:run.stop]
+            at = run.stop
+        yield from self._singles(at, len(self._props))
+
+    def _singles(self, start: int, stop: int) -> Iterator[tuple]:
+        """`edge_runs`' run of each edge from `start` to `stop`, none a DDG one."""
+        return zip(self._dst[start:stop], zip(self._src[start:stop]),
+                   map(EDGE_TYPES.__getitem__, self._types[start:stop]),
+                   zip(self._props[start:stop]))
 
     def node(self, nid: int) -> Node:
         if not 0 <= nid < len(self.nodes):

@@ -89,7 +89,7 @@ class TestBuildQueryExport:
         code, out, _ = run(capsys, "build", str(FIXTURES / "q06_vuln.wat"),
                            "-o", str(graph))
         assert code == 0
-        assert json.loads(graph.read_text())["schema"] == 1
+        assert json.loads(graph.read_text())["schema"] == 2
 
         code, out, _ = run(capsys, "query", str(graph), "--config", CONFIG)
         assert code == 1
@@ -114,6 +114,14 @@ class TestBuildQueryExport:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert len(doc["nodes"]) == 1 and doc["edges"] == []
+
+    def test_schema_1_file_exports_as_the_build(self, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        code, _, err = run(capsys, "export", str(FIXTURES / "mixed.schema1.json"),
+                           "--format", "json", "-o", str(out))
+        assert code == 0 and "Traceback" not in err
+        code, built, _ = run(capsys, "build", MIXED)
+        assert code == 0 and out.read_text(encoding="utf-8") == built
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -209,6 +217,28 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edges, origins", [
+        ([{"dst": 1, "src": [0]}], [[0, 9]]),                 # a map index past the table
+        ([{"dst": 1, "map": True, "src": 0, "type": "CFG"}], []),
+        ([{"dst": 1, "src": [1]}], [[0, 0]]),                 # a source with no origin entry
+        ([{"dst": 5, "src": [0]}], [[0, 0]]),                 # a consumer out of range
+        ([{"dst": 1, "map": 1, "src": 0, "type": "DDG"}], []),
+    ])
+    def test_malformed_schema_2_graph_file(self, tmp_path, edges, origins):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "edges": edges, "maps": [{"ddgType": "Local", "label": "$x"}, {}],
+            "nodes": [{"kind": "Else", "properties": {}}] * 2, "origins": origins,
+            "schema": 2}))
+        for command in ("query", "export"):
+            code, out, err = run_child(["-m", "wasmcpg.cli", command, str(bad),
+                                        *(["--format", "dot", "-o", str(tmp_path / "g.dot")]
+                                          if command == "export" else [])])
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert not (tmp_path / "g.dot").exists()
 
     def test_bad_query_ids(self, capsys):
         code, _, err = run(capsys, "scan", str(FIXTURES / "empty.wat"),

@@ -6,18 +6,19 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, fixture_cpg
-from wasmcpg.errors import ExportError, WasmCpgError
+from conftest import ALL_FIXTURES, FIXTURES, fixture_cpg
+from wasmcpg.errors import ExportError, SchemaError
 from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
-    _read_lines,
-    _rebuild,
     datalog_facts,
     export,
     import_json,
@@ -37,9 +38,9 @@ FACT_ARITIES = {
 
 
 def _document(cpg: g.Cpg) -> dict:
-    """The serialized document, built field by field from the graph."""
+    """The graph as a schema-1 document, built field by field."""
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": 1,
         "nodes": [{"id": n.id, "kind": n.kind, "properties": dict(n.properties)}
                   for n in cpg.nodes],
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "type": e.type,
@@ -47,25 +48,59 @@ def _document(cpg: g.Cpg) -> dict:
     }
 
 
+def _decoded(text: str) -> dict:
+    """A schema-2 text read back into the schema-1 document of its graph:
+    each run's edges take their own map indexes, or their origins'."""
+    doc = json.loads(text)
+    assert doc["schema"] == SCHEMA_VERSION == 2
+    maps, origin = doc["maps"], dict(doc["origins"])
+    edges = []
+    for record in doc["edges"]:
+        if "type" in record:
+            edges.append((record["src"], record["dst"], record["type"], maps[record["map"]]))
+            continue
+        places = record.get("maps") or [origin[src] for src in record["src"]]
+        edges += [(src, record["dst"], g.DDG, maps[i]) for src, i in zip(record["src"], places)]
+    return {
+        "schema": 1,
+        "nodes": [{"id": i, **n} for i, n in enumerate(doc["nodes"])],
+        "edges": [{"id": i, "src": s, "dst": d, "type": t, "properties": p}
+                  for i, (s, d, t, p) in enumerate(edges)],
+    }
+
+
+def _exact(doc: dict) -> str:
+    """A document as text, which tells `1`, `1.0` and `true` apart as `==` does not."""
+    return json.dumps(doc, sort_keys=True)
+
+
 def _line_layout(nodes: list, edges: list) -> str:
-    """Records in the layout `to_json` writes, whatever their content."""
+    """Schema-1 records in the layout the previous version wrote, whatever
+    their content."""
     enc = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
     parts = ('{"edges":[', ",\n".join(map(enc, edges)),
              '],"nodes":[', ",\n".join(map(enc, nodes)), '],"schema":1}')
     return "\n".join(p for p in parts if p) + "\n"
 
 
+def _rows_layout(doc: dict) -> str:
+    """A schema-2 document in the layout `to_json` writes, whatever its content."""
+    enc = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
+    text = ""
+    for i, key in enumerate(("edges", "maps", "nodes", "origins")):
+        text += ("{" if i == 0 else "],") + f'"{key}":[\n'
+        if doc[key]:
+            text += ",\n".join(map(enc, doc[key])) + "\n"
+    return text + '],"schema":%s}\n' % enc(doc["schema"])
+
+
 def _read_both(cpg: g.Cpg, tmp_path) -> tuple[g.Cpg, g.Cpg]:
-    """The graphs the line reader makes from `to_json`'s file and `json.load`
-    from a pretty-printed copy."""
+    """The graphs read from `to_json`'s file and from a pretty-printed
+    schema-1 document of the same graph."""
     path, pretty = tmp_path / "g.json", tmp_path / "pretty.json"
     path.write_text(to_json(cpg), encoding="utf-8")
     pretty.write_text(json.dumps(_document(cpg), indent=1), encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        fast = _rebuild(*_read_lines(fh))
-    with open(pretty, encoding="utf-8") as fh, pytest.raises(ValueError):
-        _read_lines(fh)
-    return fast, import_json(str(pretty))
+    return import_json(str(path)), import_json(str(pretty))
 
 
 CONSTS = """(module (func $f
@@ -82,36 +117,38 @@ def _edgeless(n_nodes: int) -> g.Cpg:
 class TestJson:
     def test_empty_module(self):
         doc = json.loads(to_json(fixture_cpg("empty")))
-        assert doc["schema"] == 1
-        assert len(doc["nodes"]) == 1
-        assert doc["nodes"][0]["kind"] == "Module"
-        assert doc["edges"] == []
+        assert doc["schema"] == 2
+        assert doc["nodes"] == [{"kind": "Module", "properties": {"name": ""}}]
+        assert doc["edges"] == doc["maps"] == doc["origins"] == []
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_document_matches_graph(self, name):
         cpg = fixture_cpg(name)
-        assert json.loads(to_json(cpg)) == _document(cpg)
+        assert _exact(_decoded(to_json(cpg))) == _exact(_document(cpg))
 
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "libpng_get_token"])
     def test_one_compact_record_per_line(self, name):
-        cpg = fixture_cpg(name)
-        doc = _document(cpg)
-        lines = to_json(cpg).split("\n")
+        text = to_json(fixture_cpg(name))
+        doc = json.loads(text)
+        lines = text.split("\n")
         assert lines[-1] == ""      # newline-terminated
         lines = lines[:-1]
-        assert len(lines) == len(cpg.nodes) + len(cpg.edges) + 3
-        n_edges = len(cpg.edges)
-        assert lines[0] == '{"edges":['
-        assert lines[n_edges + 1] == '],"nodes":['
-        assert lines[-1] == '],"schema":1}'
-        records = lines[1:n_edges + 1] + lines[n_edges + 2:-1]
-        for line, record in zip(records, doc["edges"] + doc["nodes"]):
-            alone = line.removesuffix(",")
-            assert json.loads(alone) == record
-            assert alone == json.dumps(record, sort_keys=True,
-                                       separators=(",", ":"))
-        # every record but the last of each list ends with a comma
-        assert [l.endswith(",") for l in records].count(False) == 2
+        heads = ['{"edges":[', '],"maps":[', '],"nodes":[', '],"origins":[', '],"schema":2}']
+        assert [l for l in lines if l in heads] == heads
+        at = [lines.index(h) for h in heads]
+        for key, start, stop in zip(("edges", "maps", "nodes", "origins"), at, at[1:]):
+            records = lines[start + 1:stop]
+            assert len(records) == len(doc[key]) > 0
+            for line, record in zip(records, doc[key]):
+                alone = line.removesuffix(",")
+                assert alone == json.dumps(record, sort_keys=True, separators=(",", ":"))
+            # every record but the last of each list ends with a comma
+            assert [l.endswith(",") for l in records].count(False) == 1
+        # each DDG run into one consumer is one record, and each origin's map is listed once
+        runs = [r for r in doc["edges"] if "type" not in r]
+        assert sum(len(r["src"]) for r in runs) == len(fixture_cpg(name).edges_of_type(g.DDG))
+        assert len(runs) < sum(len(r["src"]) for r in runs)
+        assert len({json.dumps(m, sort_keys=True) for m in doc["maps"]}) == len(doc["maps"])
 
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "empty"])
     def test_pretty_printed_file_imports(self, name, tmp_path):
@@ -129,7 +166,7 @@ class TestJson:
         assert '"value":1.0,' in text and '"value":7,' in text
         path = tmp_path / "g.json"
         path.write_text(text, encoding="utf-8")
-        for graph in (json.loads(text), _document(import_json(str(path)))):
+        for graph in (_decoded(text), _document(import_json(str(path)))):
             values = {(e["properties"]["value"], type(e["properties"]["value"]))
                       for e in graph["edges"] if e["type"] == "DDG"}
             assert values == {(7, int), (1.0, float), (2.5, float)}
@@ -141,8 +178,8 @@ class TestJson:
     def test_graph_without_edges(self, n_nodes, tmp_path):
         cpg = _edgeless(n_nodes)
         text = to_json(cpg)
-        assert json.loads(text) == _document(cpg)
-        assert text.count("\n") == n_nodes + 3
+        assert _decoded(text) == _document(cpg)
+        assert text.count("\n") == n_nodes + 5
         path = tmp_path / "g.json"
         path.write_text(text, encoding="utf-8")
         assert to_json(import_json(str(path))) == text
@@ -200,8 +237,8 @@ class TestJson:
         cpg, _ = build_cpg("(module (func $f%d (param $a%s i32) (result i32) "
                            "local.get $a%s call $f%d i32.eqz))")
         text = to_json(cpg)
-        assert json.loads(text) == _document(cpg)
-        labels = {e["properties"]["label"] for e in json.loads(text)["edges"]
+        assert _decoded(text) == _document(cpg)
+        labels = {e["properties"]["label"] for e in _decoded(text)["edges"]
                   if e["type"] == "DDG"}
         assert labels == {"$a%s", "$f%d"}
         path = tmp_path / "g.json"
@@ -220,9 +257,10 @@ class TestJson:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_line_and_document_readers_agree(self, name, tmp_path):
         cpg = fixture_cpg(name)
-        fast, slow = _read_both(cpg, tmp_path)
-        assert _document(fast) == _document(slow) == _document(cpg)
-        assert to_json(fast) == to_json(slow) == to_json(cpg)
+        rows, records = _read_both(cpg, tmp_path)
+        assert _exact(_document(rows)) == _exact(_document(records)) == _exact(_document(cpg))
+        assert list(rows.edge_rows()) == list(records.edge_rows()) == list(cpg.edge_rows())
+        assert to_json(rows) == to_json(records) == to_json(cpg)
 
     @staticmethod
     def _pretty(doc):
@@ -251,8 +289,6 @@ class TestJson:
         cpg = fixture_cpg(name)
         path = tmp_path / "g.json"
         path.write_text(getattr(self, variant)(_document(cpg)), encoding="utf-8")
-        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError):
-            _read_lines(fh)
         assert to_json(import_json(str(path))) == to_json(cpg)
 
     def test_values_equal_in_python_stay_apart(self, tmp_path):
@@ -343,28 +379,86 @@ class TestJson:
         with pytest.raises(ExportError):
             import_json(str(path))
 
+    # a schema-2 document's maps, nodes and origins, around the faulty records below
+    MAPS = [{}, {"ddgType": "Local", "label": "$x"}]
+    NODES = [{"kind": "Else", "properties": {}}] * 2
+    ONE = {"dst": 1, "map": 0, "src": 0, "type": "CFG"}   # one CFG edge
+    RUN = {"dst": 1, "src": [0]}                         # a DDG run from origin 0
+
     @pytest.mark.parametrize("nodes, edges", [
-        *[case for case in MALFORMED if isinstance(case[0], list)],
-        ([NODE], [{**EDGE, "dst": 5}]),
-        ([NODE], [{**EDGE, "src": -1}]),
-        ([NODE], [{**EDGE, "id": 1}]),
-        ([NODE], [{**EDGE, "type": "XYZ"}]),
-        ([NODE], [{**EDGE, "properties": [1]}]),
-        ([NODE], [{**EDGE, "properties": {"label": "sideways"}}]),
-        ([NODE], [{**EDGE, "type": "AST", "properties": {"childIndex": True}}]),
-        ([{**NODE, "kind": "Nope"}], []),
-        ([{**NODE, "id": 1}], []),
+        (NODES, [{**ONE, "src": 2}]),
+        (NODES, [{**ONE, "dst": -1}]),
+        (NODES, [{**ONE, "src": "0"}]),
+        (NODES, [{**ONE, "map": -1}]),
+        (NODES, [{**ONE, "map": True}]),
+        (NODES, [{**ONE, "map": 2}]),
+        (NODES, [{**ONE, "map": "0"}]),
+        (NODES, [{**ONE, "type": "XYZ"}]),
+        (NODES, [{**ONE, "type": "DDG", "map": 1}]),
+        (NODES, [{k: v for k, v in ONE.items() if k != "map"}]),
+        (NODES, [{**RUN, "src": 0}]),
+        (NODES, [{**RUN, "src": []}]),
+        (NODES, [{**RUN, "src": [1]}]),      # 1 has no origin entry
+        (NODES, [{**RUN, "dst": 2}]),
+        (NODES, [{**RUN, "dst": True}]),
+        (NODES, [{**RUN, "src": [False]}]),
+        (NODES, [{**RUN, "maps": [-1]}]),
+        (NODES, [{**RUN, "maps": [True]}]),
+        (NODES, [{**RUN, "maps": [2]}]),
+        (NODES, [{**RUN, "maps": [1, 1]}]),
+        ([{"kind": "Else"}], []),
     ])
     def test_line_layout_fails_as_the_document_does(self, tmp_path, nodes, edges):
+        """A faulty schema-2 record fails the same way in `to_json`'s layout
+        and pretty-printed: an `ExportError`."""
+        doc = {"edges": edges, "maps": self.MAPS, "nodes": nodes, "origins": [[0, 1]],
+               "schema": 2}
         errors = []
-        for text in (json.dumps({"schema": 1, "nodes": nodes, "edges": edges}),
-                     _line_layout(nodes, edges)):
+        for text in (_rows_layout(doc), json.dumps(doc, indent=1)):
             path = tmp_path / "bad.json"
             path.write_text(text)
-            with pytest.raises(WasmCpgError) as info:
+            with pytest.raises(ExportError) as info:
                 import_json(str(path))
-            errors.append((type(info.value), str(info.value)))
+            errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("change", [
+        {"schema": 3}, {"schema": True}, {"schema": "2"},
+        {"maps": None}, {"origins": {"0": 1}},
+        {"origins": [[2, 1]]}, {"origins": [[-1, 1]]}, {"origins": [[True, 1]]},
+        {"origins": [[0, 1], [0, 1]]}, {"origins": [[0, 5]]}, {"origins": [[0, False]]},
+        {"origins": [[0, 1], [1, True]]},
+        {"origins": [[0]]}, {"origins": [0]},
+    ], ids=repr)
+    def test_malformed_schema_2_document(self, tmp_path, change):
+        doc = {"edges": [self.ONE, self.RUN], "maps": self.MAPS, "nodes": self.NODES,
+               "origins": [[0, 1]], "schema": 2, **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ExportError):
+            import_json(str(path))
+
+    @pytest.mark.parametrize("key", ["edges", "maps", "nodes", "origins"])
+    def test_schema_2_needs_every_key(self, tmp_path, key):
+        doc = {"edges": [], "maps": [], "nodes": [], "origins": [], "schema": 2}
+        del doc[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ExportError, match=key):
+            import_json(str(path))
+
+    def test_well_formed_schema_2_graph_loads(self, tmp_path):
+        doc = {"edges": [self.ONE, self.RUN, {**self.RUN, "maps": [1]}], "maps": self.MAPS,
+               "nodes": self.NODES, "origins": [[0, 1]], "schema": 2}
+        path = tmp_path / "ok.json"
+        path.write_text(_rows_layout(doc))
+        cpg = import_json(str(path))
+        assert [(e.src, e.dst, e.type) for e in cpg.edges] == [(0, 1, "CFG"), (0, 1, "DDG"),
+                                                                (0, 1, "DDG")]
+        assert cpg.edge(1).properties is cpg.edge(2).properties
+        # both edges carry origin 0's map, in one run into node 1
+        merged = {**doc, "edges": [self.ONE, {**self.RUN, "src": [0, 0]}]}
+        assert to_json(cpg) == _rows_layout(merged)
 
     def test_well_formed_minimal_graph_loads(self, tmp_path):
         path = tmp_path / "ok.json"
@@ -372,6 +466,106 @@ class TestJson:
                                     "edges": [self.EDGE]}))
         cpg = import_json(str(path))
         assert cpg.frozen and len(cpg.edges) == 1
+
+
+class TestSchema1:
+    """A file the schema-1 writer made: `tests/fixtures/mixed.schema1.json`,
+    `to_json` of `mixed.wat` before schema 2."""
+
+    PATH = str(FIXTURES / "mixed.schema1.json")
+
+    def test_fixture_is_schema_1(self):
+        with open(self.PATH, encoding="utf-8") as fh:
+            assert json.load(fh)["schema"] == 1
+
+    def test_loads_as_the_build(self):
+        loaded, built = import_json(self.PATH), fixture_cpg("mixed")
+        assert _exact(_document(loaded)) == _exact(_document(built))
+        assert list(loaded.edge_rows()) == list(built.edge_rows())
+
+    def test_reexport_is_the_builds_schema_2_text(self):
+        assert to_json(import_json(self.PATH)) == to_json(fixture_cpg("mixed"))
+
+
+# Maps the round-trip property draws from: texts that differ only in type or
+# sign, and one `{}` object under AST, CFG and CG alike.
+EMPTY: dict = {}
+EDGE_MAPS = {
+    g.AST: [EMPTY, {"childIndex": 0}, {"childIndex": 1}],
+    g.CFG: [EMPTY, {"label": True}, {"label": 1}, {"label": "default"}],
+    g.CG: [EMPTY],
+    g.DDG: [{"ddgType": "Local", "label": "$x"},
+            {"ddgType": "Const", "label": 1, "value": 1, "valueType": "i32"},
+            {"ddgType": "Const", "label": 1, "value": 1.0, "valueType": "f64"},
+            {"ddgType": "Const", "label": 0, "value": 0.0, "valueType": "f64"},
+            {"ddgType": "Const", "label": 0, "value": -0.0, "valueType": "f64"}],
+}
+NODE_MAPS = [(g.ELSE, {}), (g.VAR_NODE, {"name": "$x", "varType": "i32"}),
+             (g.INSTRUCTION, {"instType": "Nop"})]
+
+
+@st.composite
+def graphs(draw) -> g.Cpg:
+    """A frozen graph of up to 6 nodes, some maybe without edges, and batches
+    of edges of every type, interleaved: single `add_edge`s (a map copy per
+    edge, so origins carry text-equal maps), `add_edges` rows (one copy per
+    map and type), and `add_ddg_rows` rows (one map per origin)."""
+    cpg = g.Cpg()
+    for kind, props in draw(st.lists(st.sampled_from(NODE_MAPS), max_size=6)):
+        cpg.add_node(kind, props)
+    if not cpg.nodes:
+        return cpg.freeze()
+    node = st.integers(0, len(cpg.nodes) - 1)
+    edge = st.tuples(node, node, st.sampled_from(g.EDGE_TYPES)).flatmap(
+        lambda e: st.tuples(*map(st.just, e), st.sampled_from(EDGE_MAPS[e[2]])))
+    for kind, batch in draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(["edge", "edges"]), st.lists(edge, max_size=6)),
+            st.tuples(st.just("rows"), st.tuples(
+                st.lists(st.tuples(node, st.lists(node, unique=True, max_size=4)), max_size=3),
+                st.integers(0, 4)))), max_size=5)):
+        if kind == "edge":
+            for row in batch:
+                cpg.add_edge(*row)
+        elif kind == "edges":
+            cpg.add_edges(batch)
+        else:
+            rows, shift = batch
+            cpg.add_ddg_rows(rows, lambda src: EDGE_MAPS[g.DDG][(src + shift) % 5])
+    return cpg.freeze()
+
+
+def _reloaded(text: str) -> g.Cpg:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return import_json(path)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cpg=graphs())
+    def test_reload_keeps_the_bytes_the_nodes_and_the_edge_rows(self, cpg):
+        text = to_json(cpg)
+        loaded = _reloaded(text)
+        assert to_json(loaded) == text
+        assert _exact(_document(loaded)) == _exact(_document(cpg)) == _exact(_decoded(text))
+        assert [row[:3] for row in loaded.edge_rows()] == [row[:3] for row in cpg.edge_rows()]
+
+    def test_an_origin_with_two_maps_lists_its_run_maps(self):
+        cpg = g.Cpg()
+        for _ in range(3):
+            cpg.add_node(g.ELSE)
+        cpg.add_edge(0, 1, g.DDG, EDGE_MAPS[g.DDG][3])
+        cpg.add_edge(0, 2, g.DDG, EDGE_MAPS[g.DDG][4])   # -0.0, equal to 0.0 in Python
+        cpg.add_edge(1, 2, g.DDG, EDGE_MAPS[g.DDG][0])
+        text = to_json(cpg.freeze())
+        doc = json.loads(text)
+        assert doc["edges"] == [{"dst": 1, "src": [0]}, {"dst": 2, "maps": [1, 2], "src": [0, 1]}]
+        assert doc["origins"] == [[0, 0], [1, 2]]
+        loaded = _reloaded(text)
+        assert [math.copysign(1, e.properties["value"]) for e in loaded.edges[:2]] == [1, -1]
+        assert to_json(loaded) == text
 
 
 class TestDot:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import os
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,7 +201,7 @@ class TestAddDdgEdges:
                               (b, c, g.CFG, props), (b, a, g.CG, props)]) == 4
         cfg1, cg1, cfg2, cg2 = cpg.edges
         assert [e.type for e in cpg.edges] == [g.CFG, g.CG, g.CFG, g.CG]
-        assert cfg1.properties is cfg2.properties
+        assert cfg1.properties is cfg2.properties and cg1.properties is cg2.properties
         assert cfg1.properties is not cg1.properties
         assert cpg.out_edges(a, g.CG) == [cg1] and cpg.in_edges(a, g.CG) == [cg2]
         # a map valid for one type is still checked against the other
@@ -326,7 +327,8 @@ def _store_map(edge_type: str, i: int) -> dict:
 @st.composite
 def store_ops(draw):
     """(node count, writes): single edges in any order, bulk rows and DDG
-    fan-in rows, of every edge type, interleaved."""
+    fan-in rows, of every edge type, and DDG runs of one checked map,
+    interleaved."""
     n = draw(st.integers(1, 6))
     node = st.integers(0, n - 1)
     edge = st.tuples(node, node, st.sampled_from(g.EDGE_TYPES), st.integers(0, 3))
@@ -335,7 +337,9 @@ def store_ops(draw):
         st.tuples(st.just("edges"), st.lists(edge, max_size=8)),
         st.tuples(st.just("rows"), st.tuples(
             st.lists(st.tuples(node, st.lists(node, max_size=5)), max_size=4),
-            st.integers(0, 3)))), max_size=8))
+            st.integers(0, 3))),
+        st.tuples(st.just("run"), st.tuples(
+            node, st.lists(node, min_size=1, max_size=5), st.integers(0, 3)))), max_size=8))
     return n, ops
 
 
@@ -359,11 +363,13 @@ class TestStoreModel:
             elif kind == "edges":
                 rows = [(s, d, t, _store_map(t, i)) for s, d, t, i in arg]
                 assert cpg.add_edges(rows) == len(rows)
-                first_type: dict[int, str] = {}   # a map is shared under its first type
-                for s, d, t, props in rows:
-                    shared = first_type.setdefault(id(props), t) == t
-                    model.append((s, d, t, props, (call, id(props)) if shared
-                                  else ("edge", len(model))))
+                # a map is copied once per type it serves in the call
+                model += [(s, d, t, props, (call, id(props), t)) for s, d, t, props in rows]
+            elif kind == "run":
+                dst, srcs, i = arg
+                props = g.checked_map(g.DDG, _store_map(g.DDG, i))
+                cpg.add_ddg_run(dst, srcs, [props] * len(srcs))
+                model += [(s, dst, g.DDG, props, (call, "run")) for s in srcs]
             else:
                 rows, shift = arg
                 props_of = lambda src: DDG_MAPS[(src + shift) % len(DDG_MAPS)]
@@ -406,6 +412,12 @@ class TestStoreModel:
                         i for i, m in enumerate(model)
                         if m[end] == v and m[2] == g.DDG and m[3]["ddgType"] == d])
         assert [tuple(r) for r in cpg.edge_rows()] == [m[:4] for m in model]
+        runs = list(cpg.edge_runs())   # the same rows, DDG ones in maximal runs
+        assert [(s, d, t, p) for d, srcs, t, maps in runs for s, p in zip(srcs, maps)] == \
+            [m[:4] for m in model]
+        assert [id(p) for *_, maps in runs for p in maps] == [id(p) for *_, p in cpg.edge_rows()]
+        assert all(len(srcs) == 1 for _, srcs, t, _ in runs if t != g.DDG)
+        assert all(not (a[2] == b[2] == g.DDG and a[0] == b[0]) for a, b in zip(runs, runs[1:]))
         maps: dict[int, object] = {}   # sharing group -> its stored map
         types: dict[int, str] = {}     # id(stored map) -> the one type it serves
         for e, (*_, group) in zip(cpg.edges, model):
@@ -434,6 +446,42 @@ class TestStoreModel:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             assert to_json(import_json(path)) == text
+
+
+class TestAddDdgRun:
+    """`Cpg.add_ddg_run`: DDG edges into one node with maps `checked_map` made."""
+
+    LOCAL = {"ddgType": "Local", "label": "$x"}
+
+    def test_a_run_is_one_run_of_the_consumer(self):
+        cpg = _graph_with_cfg(3)
+        props = g.checked_map(g.DDG, self.LOCAL)
+        cpg.add_ddg_run(2, [0, 1, 0], [props] * 3)
+        assert [(e.src, e.dst) for e in cpg.in_edges(2, g.DDG)] == [(0, 2), (1, 2), (0, 2)]
+        assert all(e.properties is props for e in cpg.edges_of_type(g.DDG))
+        assert list(cpg.edge_runs())[-1] == (2, array("i", [0, 1, 0]), g.DDG, [props] * 3)
+
+    @pytest.mark.parametrize("dst, srcs, n_maps", [
+        (3, [0], 1), (-1, [0], 1), (True, [0], 1), (1, [3], 1), (1, [-1], 1),
+        (1, [False], 1), (1, [0.0], 1), (1, [0, 1], 1), (1, [], 0),
+    ])
+    def test_faults_write_nothing(self, dst, srcs, n_maps):
+        cpg = _graph_with_cfg(3)
+        before = len(cpg.edges)
+        with pytest.raises(GraphError):
+            cpg.add_ddg_run(dst, srcs, [g.checked_map(g.DDG, self.LOCAL)] * n_maps)
+        assert len(cpg.edges) == before
+
+    def test_checked_map_is_a_checked_copy(self):
+        props = g.checked_map(g.DDG, self.LOCAL)
+        assert props == self.LOCAL and props is not self.LOCAL
+        with pytest.raises(SchemaError):
+            g.checked_map(g.CFG, {"label": "sideways"})
+
+    def test_frozen_graph_rejects_runs(self):
+        cpg = _graph_with_cfg(3).freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            cpg.add_ddg_run(1, [0], [g.checked_map(g.DDG, self.LOCAL)])
 
 
 class TestDdgSlices:
