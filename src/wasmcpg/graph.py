@@ -273,7 +273,8 @@ class Cpg:
         self._writable()
         if not (0 <= src < len(self.nodes)) or not (0 <= dst < len(self.nodes)):
             raise GraphError(f"dangling edge endpoint {src}->{dst}")
-        props = checked_map(edge_type, properties or {})
+        props = dict(properties or {})
+        _check_edge(edge_type, props)
         if edge_type == DDG:
             self._put_ddg(dst, [src], (props,))
         else:
