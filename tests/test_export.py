@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_FIXTURES, FIXTURES, fixture_cpg
-from wasmcpg.errors import ExportError, SchemaError
+from wasmcpg.errors import ExportError
 from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
@@ -370,6 +370,16 @@ class TestJson:
         ([NODE], [{k: v for k, v in EDGE.items() if k != "id"}]),
         ([NODE], [{**EDGE, "src": "0"}]),
         ({"0": NODE}, []),
+        ([NODE], [{**EDGE, "dst": 5}]),
+        ([NODE], [{**EDGE, "src": -1}]),
+        ([NODE], [{**EDGE, "id": 1}]),
+        ([NODE], [{**EDGE, "type": "XYZ"}]),
+        ([NODE], [{**EDGE, "properties": [1]}]),
+        ([NODE], [{**EDGE, "properties": {"label": "sideways"}}]),
+        ([NODE], [{**EDGE, "type": "AST", "properties": {"childIndex": True}}]),
+        ([NODE], [{**EDGE, "type": "DDG", "properties": {"ddgType": "Nope", "label": 1}}]),
+        ([{**NODE, "kind": "Nope"}], []),
+        ([{**NODE, "id": 1}], []),
     ]
 
     @pytest.mark.parametrize("nodes, edges", MALFORMED)
@@ -427,7 +437,8 @@ class TestJson:
         {"maps": None}, {"origins": {"0": 1}},
         {"origins": [[2, 1]]}, {"origins": [[-1, 1]]}, {"origins": [[True, 1]]},
         {"origins": [[0, 1], [0, 1]]}, {"origins": [[0, 5]]}, {"origins": [[0, False]]},
-        {"origins": [[0, 1], [1, True]]},
+        {"origins": [[0, 1], [1, True]]}, {"origins": [[0, 0]]},
+        {"maps": [{"label": "sideways"}, MAPS[1]]}, {"nodes": [{**NODES[0], "kind": "Nope"}] * 2},
         {"origins": [[0]]}, {"origins": [0]},
     ], ids=repr)
     def test_malformed_schema_2_document(self, tmp_path, change):
