@@ -75,7 +75,7 @@ def _exact(doc: dict) -> str:
 
 
 def _line_layout(nodes: list, edges: list) -> str:
-    """Schema-1 records in the layout the previous version wrote, whatever
+    """Schema-1 records, one per line between the lists' heads, whatever
     their content."""
     enc = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
     parts = ('{"edges":[', ",\n".join(map(enc, edges)),
