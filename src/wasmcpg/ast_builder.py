@@ -87,20 +87,35 @@ def _create_nodes(ctx: BuildContext, layout: FunctionLayout,
                 {"instType": "EndLoop", "label": inst.label, "nresults": inst.nresults})
 
 
-def _ast_hook(cpg: g.Cpg, layout: FunctionLayout):
-    """The hook that turns the validating walk's folds into AST edges.
+class _AstRows(list):
+    """A build's AST edge rows, in order, for one `Cpg.add_edges`: each
+    `{"childIndex": k}` map is made once and shared by the rows with that k."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._maps: dict[int, dict] = {}
+
+    def add(self, parent: int, child: int, index: int) -> None:
+        props = self._maps.get(index)
+        if props is None:
+            props = self._maps[index] = {"childIndex": index}
+        self.append((parent, child, g.AST, props))
+
+
+def _ast_hook(rows: _AstRows, layout: FunctionLayout):
+    """The hook that turns the validating walk's folds into AST edge rows.
 
     Children are numbered by `childIndex` in walk order; `None` producers
     (entry values of a dead construct) get no edge.
     """
     inst_node = layout.inst_node
-    add_edge = cpg.add_edge
+    add = rows.add
     then_count: dict[int, int] = {}   # if node -> condition + then children
 
     def wire(parent: int, kids, start: int = 0) -> int:
         for kid in kids:
             if kid is not None:
-                add_edge(parent, inst_node[id(kid)], g.AST, {"childIndex": start})
+                add(parent, inst_node[id(kid)], start)
                 start += 1
         return start
 
@@ -113,27 +128,27 @@ def _ast_hook(cpg: g.Cpg, layout: FunctionLayout):
             # return expression, under the exit node
             idx = wire(layout.func_node, rooted, 1)
             wire(layout.exit_node, values)
-            add_edge(layout.func_node, layout.exit_node, g.AST, {"childIndex": idx})
+            add(layout.func_node, layout.exit_node, idx)
             return
         node = inst_node[id(owner)]
         o = owner.opcode
         if o == "block":
-            add_edge(node, layout.begin_node[id(owner)], g.AST, {"childIndex": 0})
+            add(node, layout.begin_node[id(owner)], 0)
             wire(node, rooted + values, 1)
         elif o == "loop":
             idx = wire(node, rooted + values)
-            add_edge(node, layout.end_node[id(owner)], g.AST, {"childIndex": idx})
+            add(node, layout.end_node[id(owner)], idx)
         elif body is owner.body:
             then_count[node] = wire(node, rooted + values)
         else:
             enode = layout.else_node[id(owner)]
             wire(enode, rooted + values)
-            add_edge(node, enode, g.AST, {"childIndex": then_count[node]})
+            add(node, enode, then_count[node])
 
     return hook
 
 
-def _build_signature(ctx: BuildContext, layout: FunctionLayout) -> int:
+def _build_signature(ctx: BuildContext, layout: FunctionLayout, rows: _AstRows) -> int:
     cpg = ctx.cpg
     func = layout.func
     sig = cpg.add_node(g.FUNCTION_SIGNATURE)
@@ -142,20 +157,22 @@ def _build_signature(ctx: BuildContext, layout: FunctionLayout) -> int:
                                            (g.LOCALS, func.locals),
                                            (g.RESULTS, results))):
         group = cpg.add_node(kind)
-        cpg.add_edge(sig, group, g.AST, {"childIndex": index})
+        rows.add(sig, group, index)
         for i, (name, ty) in enumerate(pairs):
             var = cpg.add_node(g.VAR_NODE, {"name": name, "varType": ty})
             if kind == g.PARAMETERS:
                 layout.param_var_node[name] = var
-            cpg.add_edge(group, var, g.AST, {"childIndex": i})
+            rows.add(group, var, i)
     return sig
 
 
 def build_ast(module: ModuleIR) -> BuildContext:
-    """Create all nodes and the AST edge set for a parsed module."""
+    """Create all nodes and the AST edge set for a parsed module: the edges
+    are collected in order and written with one `Cpg.add_edges`."""
     cpg = g.Cpg()
     ctx = BuildContext(module=module, cpg=cpg)
     ctx.module_node = cpg.add_node(g.MODULE, {"name": module.name})
+    rows = _AstRows()
 
     for func in module.functions:
         fn_node = cpg.add_node(g.FUNCTION, {
@@ -167,8 +184,7 @@ def build_ast(module: ModuleIR) -> BuildContext:
             "isImport": func.is_import,
             "isExport": func.is_export,
         })
-        cpg.add_edge(ctx.module_node, fn_node, g.AST,
-                     {"childIndex": func.index})
+        rows.add(ctx.module_node, fn_node, func.index)
         layout = FunctionLayout(func=func, func_node=fn_node)
         ctx.layouts[func.name] = layout
 
@@ -176,9 +192,10 @@ def build_ast(module: ModuleIR) -> BuildContext:
             _create_nodes(ctx, layout, func.body)
             layout.exit_node = cpg.add_node(g.INSTRUCTION, {"instType": "Return"})
 
-        sig = _build_signature(ctx, layout)
-        cpg.add_edge(fn_node, sig, g.AST, {"childIndex": 0})
+        sig = _build_signature(ctx, layout, rows)
+        rows.add(fn_node, sig, 0)
 
         if not func.is_import:
-            validate_function(func, module, _ast_hook(cpg, layout))
+            validate_function(func, module, _ast_hook(rows, layout))
+    cpg.add_edges(rows)
     return ctx

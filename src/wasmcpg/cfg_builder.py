@@ -20,14 +20,29 @@ from . import graph as g
 Pending = list[tuple[int, object]]
 
 
-def _connect(cpg: g.Cpg, pending: Pending, target: int) -> None:
-    for node, label in pending:
-        props = {} if label is None else {"label": label}
-        cpg.add_edge(node, target, g.CFG, props)
+class _CfgRows(list):
+    """A build's CFG edge rows, in order, for one `Cpg.add_edges`: one map
+    per label, made once and shared: `{}` for None, one per bool arm, one
+    per br_table slot and one for "default". A label is keyed with its type,
+    since `True == 1` would give an if arm a br_table slot's map."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._maps: dict[tuple[type, object], dict] = {}
+
+    def add(self, node: int, target: int, label: object = None) -> None:
+        props = self._maps.get((type(label), label))
+        if props is None:
+            props = self._maps[type(label), label] = {} if label is None else {"label": label}
+        self.append((node, target, g.CFG, props))
+
+    def connect(self, pending: Pending, target: int) -> None:
+        for node, label in pending:
+            self.add(node, target, label)
 
 
-def _func_cfg(cpg: g.Cpg, layout: FunctionLayout) -> Pending:
-    """Add one function's CFG edges; returns what flows into its exit node."""
+def _func_cfg(rows: _CfgRows, layout: FunctionLayout) -> Pending:
+    """Add one function's CFG edge rows; returns what flows into its exit node."""
     # innermost last: [label, branch target node, targeted by a branch,
     # then-body exits]; an if is no branch target, so its label is None
     frames: list[list] = []
@@ -58,46 +73,49 @@ def _func_cfg(cpg: g.Cpg, layout: FunctionLayout) -> Pending:
         if ev == ENTER:
             # a block is entered at its BeginBlock, a loop or an if at itself
             entry = layout.begin_node[id(inst)] if o == "block" else node
-            _connect(cpg, cur, entry)
+            rows.connect(cur, entry)
             frames.append([None if o == "if" else inst.label, node, False, None])
             cur = [(entry, True if o == "if" else None)]
         elif ev == ELSE:
             frames[-1][3] = cur
             enode = layout.else_node[id(inst)]
-            cpg.add_edge(node, enode, g.CFG, {"label": False})
+            rows.add(node, enode, False)
             cur = [(enode, None)]
         elif ev == EXIT:
             frame = frames.pop()
             if o == "block":
-                _connect(cpg, cur, node)
+                rows.connect(cur, node)
                 cur = [(node, None)] if cur or frame[2] else []
             elif o == "loop":
                 end = layout.end_node[id(inst)]
-                _connect(cpg, cur, end)
+                rows.connect(cur, end)
                 cur = [(end, None)] if cur else []
             else:
                 cur = frame[3] + cur if inst.has_else else cur + [(node, False)]
         else:
-            _connect(cpg, cur, node)
+            rows.connect(cur, node)
             cur = [(node, None)]
             if o == "br_if":
-                cpg.add_edge(node, resolve(inst.label), g.CFG, {"label": True})
+                rows.add(node, resolve(inst.label), True)
                 cur = [(node, False)]
             elif o == "br":
-                cpg.add_edge(node, resolve(inst.label), g.CFG)
+                rows.add(node, resolve(inst.label))
             elif o == "br_table":
                 last = len(inst.br_targets) - 1
                 for i, target in enumerate(inst.br_targets):
-                    cpg.add_edge(node, resolve(target), g.CFG,
-                                 {"label": "default" if i == last else i})
+                    rows.add(node, resolve(target), "default" if i == last else i)
             elif o == "return":
-                cpg.add_edge(node, layout.exit_node, g.CFG)
+                rows.add(node, layout.exit_node)
             if o in ("br", "br_table", "return", "unreachable"):
                 cur = []
     return cur
 
 
 def build_cfg(ctx: BuildContext) -> None:
+    """Add every function's CFG edges, collected in order and written with
+    one `Cpg.add_edges`."""
+    rows = _CfgRows()
     for layout in ctx.layouts.values():
         if not layout.func.is_import:
-            _connect(ctx.cpg, _func_cfg(ctx.cpg, layout), layout.exit_node)
+            rows.connect(_func_cfg(rows, layout), layout.exit_node)
+    ctx.cpg.add_edges(rows)

@@ -35,10 +35,13 @@ def build_signature_index(module: ModuleIR) -> SignatureIndex:
 
 
 def build_cg(ctx: BuildContext, index: SignatureIndex | None = None) -> None:
+    """Add every CG edge, collected in order and written with one
+    `Cpg.add_edges`; the rows share one `{}` map."""
     if index is None:
         index = build_signature_index(ctx.module)
-    cpg = ctx.cpg
     fn_node = {name: layout.func_node for name, layout in ctx.layouts.items()}
+    props: dict = {}
+    rows: list[tuple[int, int, str, dict]] = []
 
     for layout in ctx.layouts.values():
         if layout.func.is_import:
@@ -48,11 +51,11 @@ def build_cg(ctx: BuildContext, index: SignatureIndex | None = None) -> None:
             if inst.opcode == "call":
                 if inst.callee not in fn_node:
                     raise GraphError(f"call to undefined function {inst.callee}")
-                cpg.add_edge(node, fn_node[inst.callee], g.CG)
+                rows.append((node, fn_node[inst.callee], g.CG, props))
             elif inst.opcode == "call_indirect":
                 targets = index.get(inst.type_use, [])
                 if not targets:
                     log.warning("call_indirect with signature %s matches no "
                                 "table entry (node %d)", inst.type_use.text(), node)
-                for name in targets:
-                    cpg.add_edge(node, fn_node[name], g.CG)
+                rows += ((node, fn_node[name], g.CG, props) for name in targets)
+    ctx.cpg.add_edges(rows)

@@ -31,7 +31,7 @@ import os
 import shutil
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import is_, not_
 from typing import Iterable, Iterator
 
@@ -202,16 +202,32 @@ def _load_runs(doc: dict) -> g.Cpg:
 
 
 def _upgraded(doc: dict) -> dict:
-    """A schema-1 document as schema 2: a map per edge, a run per DDG edge."""
+    """A schema-1 document as schema 2. Each edge names the map of the first
+    edge whose map has the same `repr` (which keeps `1`, `1.0`, `True` and
+    `-0.0` apart), so each distinct map is checked and copied once; each
+    stretch of consecutive DDG edges into one consumer is one run."""
     nodes, edges = doc.get("nodes", []), doc.get("edges", [])
     for what, rs in (("node", nodes), ("edge", edges)):
         if not isinstance(rs, list) or [r["id"] for r in rs] != list(range(len(rs))):
             raise ExportError(f"{what}s must be a list, its ids dense and ordered")
+    maps = [e.get("properties", {}) for e in edges]
+    places: dict[str, int] = {}   # repr(map) -> the first edge with that text
+    firsts = map(places.setdefault, map(repr, maps), count())   # each edge's map index
+    records: list[dict] = []
+    run = None   # the last record, if it is a DDG run
+    for e, i in zip(edges, firsts):
+        dst = e["dst"]
+        if e["type"] != g.DDG:
+            records.append({"dst": dst, "map": i, "src": e["src"], "type": e["type"]})
+            run = None
+        elif run is not None and type(dst) is int and dst == run["dst"]:
+            run["maps"].append(i)
+            run["src"].append(e["src"])
+        else:
+            run = {"dst": dst, "maps": [i], "src": [e["src"]]}
+            records.append(run)
     return {"nodes": [{"kind": n["kind"], "properties": n.get("properties", {})} for n in nodes],
-            "maps": [e.get("properties", {}) for e in edges], "origins": [],
-            "edges": [{"dst": e["dst"], "maps": [i], "src": [e["src"]]} if e["type"] == g.DDG
-                      else {"dst": e["dst"], "map": i, "src": e["src"], "type": e["type"]}
-                      for i, e in enumerate(edges)]}
+            "maps": maps, "origins": [], "edges": records}
 
 
 # -- DOT ----------------------------------------------------------------------

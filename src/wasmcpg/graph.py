@@ -13,12 +13,16 @@ optional; every other property is required.
 
 Edges live in columns, in id order: source, destination, a type byte and a
 property map, which edges of one type may share (a map never serves two
-types); every property map read from the graph is read-only. AST, CFG and
-CG edges get their `Edge` record when added, a DDG edge on its first read,
-cached so that a graph holds one record per id. `_put_ddg` writes every DDG
-edge (for `add_edge`, `add_edges`, the emitter's `add_ddg_rows` and
-`add_ddg_run`) as a run of ids into one consumer, whose DDG in-adjacency is
-its list of runs; each origin's DDG out-ids are built on the first out-read.
+types); every property map read from the graph is read-only. The AST, CFG
+and CG builders, and `import_json`, write their edges in order with
+`add_edges`, which checks and copies each distinct (map, type) once; the
+builders hand it one map per distinct value, so a built graph stores one
+map per edge type and map text. AST, CFG and CG edges get their `Edge`
+record when added, a DDG edge on its first read, cached so that a graph
+holds one record per id. `_put_ddg` writes every DDG edge (for
+`add_edge`, `add_edges`, the emitter's `add_ddg_rows` and `add_ddg_run`)
+as a run of ids into one consumer, whose DDG in-adjacency is its list of
+runs; each origin's DDG out-ids are built on the first out-read.
 `add_ddg_run` writes a run whose maps `checked_map` has checked, with no
 Python-level step per edge, for `import_json`. `edge_rows` and `edge_runs`
 read the columns, building no record, for the exporters.
@@ -189,11 +193,23 @@ def checked_map(edge_type: str, props: dict[str, Any]) -> dict[str, Any]:
 def gc_paused() -> Iterator[None]:
     """Pause cyclic GC while a graph is built: a build frees almost nothing,
     so collections would only rescan a growing heap. On exit, also on error,
-    GC is switched back on if it was on at entry."""
+    GC is switched back on if it was on at entry.
+
+    On a normal exit with GC on at entry, every tracked object, the caller's
+    young ones too, is first promoted to the oldest generation by
+    `gc.freeze()` and `gc.unfreeze()`, which make no pass over them: else
+    the first collection after the build would scan the whole new graph as
+    young. Only a full collection (`gc.collect()`) visits them, and still
+    frees any cycle among them. A caller whose heap is frozen
+    (`gc.get_freeze_count()` not 0) gets no promotion, so its frozen
+    objects are never thawed."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        if enabled and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -317,7 +333,9 @@ class Cpg:
         first row with a given map and type goes through `add_edge`, which
         validates and copies the map; later rows with that map and type
         share the copy. Returns the count added; rows before a failing one
-        stay added."""
+        stay added. `build_ast`, `build_cfg` and `build_cg` each write their
+        edges with one call, handing one map object per distinct map, as
+        `import_json` does with the AST, CFG and CG edges of a file."""
         self._writable()
         n_nodes, first = len(self.nodes), len(self._props)
         shared: dict[tuple, tuple] = {}   # (id(map), type) -> (map, copy), map kept alive

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import tempfile
+import weakref
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gen
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.errors import GraphError, ParseError, SchemaError
 from wasmcpg.export import import_json, to_json
@@ -549,6 +552,38 @@ class TestDdgSlices:
             cpg.ddg_edges(len(cpg.nodes), "Local", "in")
 
 
+class TestBuilderMaps:
+    """The AST, CFG and CG builders hand `Cpg.add_edges` one map per distinct
+    value, on `mixed.wat`: if/else and br_if arms, a br_table with slots 0
+    and 1 and a default, and an indirect call."""
+
+    @staticmethod
+    def _stored(cpg: g.Cpg) -> dict[tuple[str, str], set[int]]:
+        """(edge type, map text) -> the ids of the stored map objects."""
+        stored: dict[tuple[str, str], set[int]] = {}
+        for _, _, edge_type, props in cpg.edge_rows():
+            if edge_type != g.DDG:
+                key = (edge_type, json.dumps(props, sort_keys=True))
+                stored.setdefault(key, set()).add(id(props))
+        return stored
+
+    def test_one_stored_map_per_type_and_text(self):
+        stored = self._stored(fixture_cpg("mixed"))
+        assert {edge_type for edge_type, _ in stored} == {g.AST, g.CFG, g.CG}
+        assert {key: len(ids) for key, ids in stored.items() if len(ids) != 1} == {}
+
+    def test_slots_and_arms_stay_apart(self):
+        """`True == 1`, yet an if arm and br_table slot 1 keep their own maps
+        and their JSON texts."""
+        cpg = fixture_cpg("mixed")
+        stored = self._stored(cpg)
+        texts = ['{"label": 0}', '{"label": 1}', '{"label": false}', '{"label": true}']
+        ids = [stored[g.CFG, text] for text in texts]
+        assert len(set().union(*ids)) == 4
+        maps = json.loads(to_json(cpg))["maps"]
+        assert {json.dumps(m) for m in maps} >= set(texts)
+
+
 class TestGcPause:
     def test_enabled_after_build(self):
         assert gc.isenabled()
@@ -570,6 +605,52 @@ class TestGcPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    @staticmethod
+    def _young() -> int:
+        return len(gc.get_objects(0)) + len(gc.get_objects(1))
+
+    def test_build_and_load_leave_the_young_generations_nearly_empty(self, tmp_path):
+        """A paused build's objects go straight to the oldest generation, so
+        the first collection after it does not scan the new graph."""
+        gc.collect()
+        tracked = len(gc.get_objects())
+        cpg, _ = build_cpg(gen.scaling_module(300))
+        assert len(gc.get_objects()) - tracked > 2000   # the graph's own objects
+        assert self._young() < 500
+        path = tmp_path / "g.json"
+        path.write_text(to_json(cpg), encoding="utf-8")
+        del cpg
+        gc.collect()
+        tracked = len(gc.get_objects())
+        loaded = import_json(str(path))
+        assert len(gc.get_objects()) - tracked > 2000
+        assert self._young() < 500
+        assert len(loaded.nodes) > 300
+
+    def test_a_frozen_heap_stays_frozen(self):
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            build_cpg(gen.scaling_module(100))
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_a_cycle_dropped_before_a_build_is_still_collected(self):
+        class Cycle:
+            pass
+
+        cycle = Cycle()
+        cycle.me = cycle
+        dropped = weakref.ref(cycle)
+        del cycle
+        build_cpg(gen.scaling_module(100))   # promotes every young object
+        gc.collect()
+        assert dropped() is None
 
 
 EDGE_PROPERTY_DOMAINS = {
