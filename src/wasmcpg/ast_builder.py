@@ -6,7 +6,8 @@ pops (childIndex 0 is the deepest operand); instructions producing no value
 are rooted statements. Each construct's children are its condition (an
 `if`), then its body's statements and leftover values, bracketed by the
 BeginBlock/EndLoop/Else nodes. A function's statements hang off its node and
-its leftover values off the synthetic exit node.
+its leftover values off the synthetic exit node. The edge rows go through one
+`graph.EdgeRows`; each node's instType comes from `opcodes.INST_TYPE`.
 
 Node ids follow source order inside each function (Module, then per function:
 Function node, body instructions, synthetic exit, signature subtree), which
@@ -44,8 +45,9 @@ class BuildContext:
     layouts: dict[str, FunctionLayout] = field(default_factory=dict)
 
 
-def _instruction_props(inst: InstructionIR) -> dict:
-    t = op.opcode_inst_type(inst.opcode)
+def _instruction_props(inst: InstructionIR, inst_type: str | None = None) -> dict:
+    """The map of `inst`'s node, or of the BeginBlock/EndLoop `inst_type` it brings."""
+    t = inst_type or op.INST_TYPE[inst.opcode]
     props: dict = {"instType": t}
     if t == op.CONST:
         props["valueType"] = inst.value_type
@@ -58,9 +60,9 @@ def _instruction_props(inst: InstructionIR) -> dict:
         props["label"] = inst.var
     elif t == op.CALL:
         props["label"] = inst.callee
-    elif t in (op.BR, op.BR_IF):
+    elif t in (op.BR, op.BR_IF, op.BEGIN_BLOCK):
         props["label"] = inst.label
-    elif t == op.BLOCK or t == op.LOOP:
+    elif t in (op.BLOCK, op.LOOP, op.END_LOOP):
         props["label"] = inst.label
         props["nresults"] = inst.nresults
     elif t == op.IF:
@@ -78,31 +80,15 @@ def _create_nodes(ctx: BuildContext, layout: FunctionLayout,
                 g.INSTRUCTION, _instruction_props(inst))
             if inst.opcode == "block":
                 layout.begin_node[id(inst)] = cpg.add_node(
-                    g.INSTRUCTION, {"instType": "BeginBlock", "label": inst.label})
+                    g.INSTRUCTION, _instruction_props(inst, op.BEGIN_BLOCK))
         elif ev == ELSE:
             layout.else_node[id(inst)] = cpg.add_node(g.ELSE)
         elif inst.opcode == "loop":
             layout.end_node[id(inst)] = cpg.add_node(
-                g.INSTRUCTION,
-                {"instType": "EndLoop", "label": inst.label, "nresults": inst.nresults})
+                g.INSTRUCTION, _instruction_props(inst, op.END_LOOP))
 
 
-class _AstRows(list):
-    """A build's AST edge rows, in order, for one `Cpg.add_edges`: each
-    `{"childIndex": k}` map is made once and shared by the rows with that k."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._maps: dict[int, dict] = {}
-
-    def add(self, parent: int, child: int, index: int) -> None:
-        props = self._maps.get(index)
-        if props is None:
-            props = self._maps[index] = {"childIndex": index}
-        self.append((parent, child, g.AST, props))
-
-
-def _ast_hook(rows: _AstRows, layout: FunctionLayout):
+def _ast_hook(rows: g.EdgeRows, layout: FunctionLayout):
     """The hook that turns the validating walk's folds into AST edge rows.
 
     Children are numbered by `childIndex` in walk order; `None` producers
@@ -148,7 +134,7 @@ def _ast_hook(rows: _AstRows, layout: FunctionLayout):
     return hook
 
 
-def _build_signature(ctx: BuildContext, layout: FunctionLayout, rows: _AstRows) -> int:
+def _build_signature(ctx: BuildContext, layout: FunctionLayout, rows: g.EdgeRows) -> int:
     cpg = ctx.cpg
     func = layout.func
     sig = cpg.add_node(g.FUNCTION_SIGNATURE)
@@ -168,11 +154,12 @@ def _build_signature(ctx: BuildContext, layout: FunctionLayout, rows: _AstRows) 
 
 def build_ast(module: ModuleIR) -> BuildContext:
     """Create all nodes and the AST edge set for a parsed module: the edges
-    are collected in order and written with one `Cpg.add_edges`."""
+    are collected in order in an `EdgeRows`, one `{"childIndex": k}` map
+    per k, and written with one `Cpg.add_edges`."""
     cpg = g.Cpg()
     ctx = BuildContext(module=module, cpg=cpg)
     ctx.module_node = cpg.add_node(g.MODULE, {"name": module.name})
-    rows = _AstRows()
+    rows = g.EdgeRows(g.AST, "childIndex")
 
     for func in module.functions:
         fn_node = cpg.add_node(g.FUNCTION, {

@@ -5,8 +5,10 @@ targets: a block's label jumps forward to its exit node, a loop's label jumps
 back to the loop header. `if`/`br_if` fan out with true/false labels and
 `br_table` with one labeled edge per case plus a default. Dead code keeps its
 nodes but gets no CFG edges, in or out: the walk skips from an instruction no
-edge reaches to the end of its body, and a block or loop continues only if its
-end is reachable.
+edge reaches (one after an `opcodes.ENDS_REACH` opcode) to the end of its
+body, and a block or loop continues only if its end is reachable. Edge maps
+come from one `graph.EdgeRows`: `{}` for an unlabeled edge, one map per bool
+arm, per br_table slot and for "default".
 """
 
 from __future__ import annotations
@@ -15,33 +17,18 @@ from .ast_builder import BuildContext, FunctionLayout
 from .errors import GraphError
 from .ir import ELSE, ENTER, EXIT, walk
 from . import graph as g
+from . import opcodes as op
 
 # (node, branch label or None) pairs waiting for their successor
 Pending = list[tuple[int, object]]
 
 
-class _CfgRows(list):
-    """A build's CFG edge rows, in order, for one `Cpg.add_edges`: one map
-    per label, made once and shared: `{}` for None, one per bool arm, one
-    per br_table slot and one for "default". A label is keyed with its type,
-    since `True == 1` would give an if arm a br_table slot's map."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._maps: dict[tuple[type, object], dict] = {}
-
-    def add(self, node: int, target: int, label: object = None) -> None:
-        props = self._maps.get((type(label), label))
-        if props is None:
-            props = self._maps[type(label), label] = {} if label is None else {"label": label}
-        self.append((node, target, g.CFG, props))
-
-    def connect(self, pending: Pending, target: int) -> None:
-        for node, label in pending:
-            self.add(node, target, label)
+def _connect(rows: g.EdgeRows, pending: Pending, target: int) -> None:
+    for node, label in pending:
+        rows.add(node, target, label)
 
 
-def _func_cfg(rows: _CfgRows, layout: FunctionLayout) -> Pending:
+def _func_cfg(rows: g.EdgeRows, layout: FunctionLayout) -> Pending:
     """Add one function's CFG edge rows; returns what flows into its exit node."""
     # innermost last: [label, branch target node, targeted by a branch,
     # then-body exits]; an if is no branch target, so its label is None
@@ -73,7 +60,7 @@ def _func_cfg(rows: _CfgRows, layout: FunctionLayout) -> Pending:
         if ev == ENTER:
             # a block is entered at its BeginBlock, a loop or an if at itself
             entry = layout.begin_node[id(inst)] if o == "block" else node
-            rows.connect(cur, entry)
+            _connect(rows, cur, entry)
             frames.append([None if o == "if" else inst.label, node, False, None])
             cur = [(entry, True if o == "if" else None)]
         elif ev == ELSE:
@@ -84,16 +71,16 @@ def _func_cfg(rows: _CfgRows, layout: FunctionLayout) -> Pending:
         elif ev == EXIT:
             frame = frames.pop()
             if o == "block":
-                rows.connect(cur, node)
+                _connect(rows, cur, node)
                 cur = [(node, None)] if cur or frame[2] else []
             elif o == "loop":
                 end = layout.end_node[id(inst)]
-                rows.connect(cur, end)
+                _connect(rows, cur, end)
                 cur = [(end, None)] if cur else []
             else:
                 cur = frame[3] + cur if inst.has_else else cur + [(node, False)]
         else:
-            rows.connect(cur, node)
+            _connect(rows, cur, node)
             cur = [(node, None)]
             if o == "br_if":
                 rows.add(node, resolve(inst.label), True)
@@ -106,16 +93,16 @@ def _func_cfg(rows: _CfgRows, layout: FunctionLayout) -> Pending:
                     rows.add(node, resolve(target), "default" if i == last else i)
             elif o == "return":
                 rows.add(node, layout.exit_node)
-            if o in ("br", "br_table", "return", "unreachable"):
+            if o in op.ENDS_REACH:
                 cur = []
     return cur
 
 
 def build_cfg(ctx: BuildContext) -> None:
-    """Add every function's CFG edges, collected in order and written with
-    one `Cpg.add_edges`."""
-    rows = _CfgRows()
+    """Add every function's CFG edges, collected in order in an `EdgeRows`
+    and written with one `Cpg.add_edges`."""
+    rows = g.EdgeRows(g.CFG, "label")
     for layout in ctx.layouts.values():
         if not layout.func.is_import:
-            rows.connect(_func_cfg(rows, layout), layout.exit_node)
+            _connect(rows, _func_cfg(rows, layout), layout.exit_node)
     ctx.cpg.add_edges(rows)

@@ -1,5 +1,6 @@
 """Call graph: direct calls to their callees, indirect calls to every
-type-compatible function resident in the module's function table."""
+type-compatible function resident in the module's function table. The edges
+carry no property: their rows, from one `graph.EdgeRows`, share one `{}`."""
 
 from __future__ import annotations
 
@@ -35,13 +36,12 @@ def build_signature_index(module: ModuleIR) -> SignatureIndex:
 
 
 def build_cg(ctx: BuildContext, index: SignatureIndex | None = None) -> None:
-    """Add every CG edge, collected in order and written with one
-    `Cpg.add_edges`; the rows share one `{}` map."""
+    """Add every CG edge, collected in order in an `EdgeRows`, whose rows
+    share one `{}` map, and written with one `Cpg.add_edges`."""
     if index is None:
         index = build_signature_index(ctx.module)
     fn_node = {name: layout.func_node for name, layout in ctx.layouts.items()}
-    props: dict = {}
-    rows: list[tuple[int, int, str, dict]] = []
+    rows = g.EdgeRows(g.CG)
 
     for layout in ctx.layouts.values():
         if layout.func.is_import:
@@ -51,11 +51,12 @@ def build_cg(ctx: BuildContext, index: SignatureIndex | None = None) -> None:
             if inst.opcode == "call":
                 if inst.callee not in fn_node:
                     raise GraphError(f"call to undefined function {inst.callee}")
-                rows.append((node, fn_node[inst.callee], g.CG, props))
+                rows.add(node, fn_node[inst.callee])
             elif inst.opcode == "call_indirect":
                 targets = index.get(inst.type_use, [])
                 if not targets:
                     log.warning("call_indirect with signature %s matches no "
                                 "table entry (node %d)", inst.type_use.text(), node)
-                rows += ((node, fn_node[name], g.CG, props) for name in targets)
+                for name in targets:
+                    rows.add(node, fn_node[name])
     ctx.cpg.add_edges(rows)

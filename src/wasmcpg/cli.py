@@ -28,6 +28,17 @@ EXIT_USAGE = 2
 EXIT_ANALYSIS = 3
 
 
+def _step_budget(text: str) -> int:
+    """`--wql-budget`'s value: a step count, 0 or more."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = -1
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"expected a step count of 0 or more, got {text!r}")
+    return steps
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wasmcpg",
@@ -52,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--wql", action="append", default=[],
                        help="query file to interpret (repeatable)")
         p.add_argument("-o", "--output", help="findings file (default: stdout)")
-        p.add_argument("--wql-budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+        p.add_argument("--wql-budget", type=_step_budget, default=DEFAULT_BUDGET, metavar="N",
                        help="fail a query file after N loop and filter steps")
 
     e = sub.add_parser("export", help="convert a graph to another serialization")

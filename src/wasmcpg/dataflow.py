@@ -199,7 +199,7 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
         elif ev == ELSE_EV:
             order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
         elif ev != EXIT_EV:   # a plain instruction or an if
-            tag = op.opcode_inst_type(o)
+            tag = op.INST_TYPE[o]
             nargs, nresults = instruction_arity(inst, module)
             if ev != ENTER_EV:
                 height += nresults - nargs

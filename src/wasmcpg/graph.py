@@ -16,13 +16,14 @@ property map, which edges of one type may share (a map never serves two
 types); every property map read from the graph is read-only. The AST, CFG
 and CG builders, and `import_json`, write their edges in order with
 `add_edges`, which checks and copies each distinct (map, type) once; the
-builders hand it one map per distinct value, so a built graph stores one
-map per edge type and map text. AST, CFG and CG edges get their `Edge`
-record when added, a DDG edge on its first read, cached so that a graph
-holds one record per id. `_put_ddg` writes every DDG edge (for
-`add_edge`, `add_edges`, the emitter's `add_ddg_rows` and `add_ddg_run`)
-as a run of ids into one consumer, whose DDG in-adjacency is its list of
-runs; each origin's DDG out-ids are built on the first out-read.
+builders collect their rows in an `EdgeRows`, which hands out one map per
+distinct value, so a built graph stores one map per edge type and map text.
+AST, CFG and CG edges get their `Edge` record when added, a DDG edge on its
+first read, cached so that a graph holds one record per id. `_put_ddg`
+writes every DDG edge (for `add_edge`, `add_edges`, the emitter's
+`add_ddg_rows` and `add_ddg_run`) as a run of ids into one consumer, whose
+DDG in-adjacency is its list of runs; each origin's DDG out-ids are built
+on the first out-read.
 `add_ddg_run` writes a run whose maps `checked_map` has checked, with no
 Python-level step per edge, for `import_json`. `edge_rows` and `edge_runs`
 read the columns, building no record, for the exporters.
@@ -249,6 +250,24 @@ class EdgeView(Sequence):
         return map(self._cpg._record, range(len(self)))
 
 
+class EdgeRows(list):
+    """One edge type's `(src, dst, type, map)` rows, in order, for one
+    `Cpg.add_edges`: `add` hands out one shared map per distinct value,
+    `{key: value}`, or `{}` for None. A value is keyed with its type, since
+    `True == 1` would give a bool arm a br_table slot's map."""
+
+    def __init__(self, edge_type: str, key: str | None = None) -> None:
+        super().__init__()
+        self.edge_type, self.key = edge_type, key
+        self._maps: dict[tuple[type, object], dict[str, Any]] = {}
+
+    def add(self, src: int, dst: int, value: object = None) -> None:
+        props = self._maps.get((type(value), value))
+        if props is None:
+            props = self._maps[type(value), value] = {} if value is None else {self.key: value}
+        self.append((src, dst, self.edge_type, props))
+
+
 class Cpg:
     """The mutable-then-frozen code property graph."""
 
@@ -286,9 +305,11 @@ class Cpg:
 
     def add_edge(self, src: int, dst: int, edge_type: str,
                  properties: dict[str, Any] | None = None) -> int:
+        """Append one edge between two int node ids (a bool is none)."""
         self._writable()
-        if not (0 <= src < len(self.nodes)) or not (0 <= dst < len(self.nodes)):
-            raise GraphError(f"dangling edge endpoint {src}->{dst}")
+        if type(src) is not int or type(dst) is not int or \
+                not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
+            raise GraphError(f"dangling edge endpoint {src!r}->{dst!r}")
         props = dict(properties or {})
         _check_edge(edge_type, props)
         if edge_type == DDG:
@@ -332,10 +353,12 @@ class Cpg:
         """Append edges from `(src, dst, type, properties)` rows, in order. The
         first row with a given map and type goes through `add_edge`, which
         validates and copies the map; later rows with that map and type
-        share the copy. Returns the count added; rows before a failing one
-        stay added. `build_ast`, `build_cfg` and `build_cg` each write their
-        edges with one call, handing one map object per distinct map, as
-        `import_json` does with the AST, CFG and CG edges of a file."""
+        share the copy. An endpoint must be an int node id, as for
+        `add_edge`. Returns the count added; rows before a failing one stay
+        added. `build_ast`, `build_cfg` and `build_cg` each write their
+        edges with one call, from an `EdgeRows`, which hands out one map
+        object per distinct map, as `import_json` does with the AST, CFG
+        and CG edges of a file."""
         self._writable()
         n_nodes, first = len(self.nodes), len(self._props)
         shared: dict[tuple, tuple] = {}   # (id(map), type) -> (map, copy), map kept alive
@@ -344,8 +367,9 @@ class Cpg:
             if seen is None:
                 eid = self.add_edge(src, dst, edge_type, props)
                 shared[id(props), edge_type] = (props, self._props[eid])
-            elif not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise GraphError(f"dangling edge endpoint {src}->{dst}")
+            elif type(src) is not int or type(dst) is not int or \
+                    not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                raise GraphError(f"dangling edge endpoint {src!r}->{dst!r}")
             elif edge_type == DDG:
                 self._put_ddg(dst, [src], (seen[1],))
             else:

@@ -139,7 +139,6 @@ def instruction_arity(
 PLAIN, ENTER, ELSE, EXIT = "plain", "enter", "else", "exit"
 
 _STRUCTURED = frozenset(("block", "loop", "if"))
-_ENDS_REACH = frozenset(("br", "br_table", "return", "unreachable"))
 
 
 def walk(seq: Iterable[InstructionIR]) -> Iterator[tuple[InstructionIR, str]]:
@@ -222,7 +221,7 @@ def validate_function(func: FunctionIR, module: ModuleIR,
                 stack.append(inst)
             else:
                 rooted.append(inst)
-            if o in _ENDS_REACH:
+            if o in op.ENDS_REACH:
                 dead = True
         elif ev == ENTER:
             if dead:
@@ -298,7 +297,7 @@ def _fmt_plain(inst: InstructionIR) -> str:
         parts.append(inst.label)
     elif o == "br_table":
         parts.extend(inst.br_targets)
-    if inst.opcode in op.SIMPLE_OPCODES and op.SIMPLE_OPCODES[o][0] in ("Load", "Store"):
+    if op.INST_TYPE.get(o) in (op.LOAD, op.STORE):
         if inst.offset:
             parts.append(f"offset={inst.offset}")
     return " ".join(parts)

@@ -1,8 +1,9 @@
 """Supported WebAssembly MVP opcode set with stack arities and node categories.
 
-The set is closed: anything not listed here is rejected by the parser.
-Structured instructions (block/loop/if) and calls are handled by name in the
-parser and builders; everything else is table-driven.
+The set is closed: the parser rejects any opcode `INST_TYPE` does not map to
+an instType. Structured instructions (block/loop/if), calls, branches and
+`return` are handled by name in the parser and builders; every other opcode
+has its arity in `SIMPLE_OPCODES`. `ENDS_REACH` ends reachability.
 """
 
 from __future__ import annotations
@@ -119,32 +120,15 @@ def _simple_table() -> dict[str, tuple[str, int, int]]:
 
 SIMPLE_OPCODES = _simple_table()
 
-# Opcodes whose arity depends on context (callee signature / branch target / function results).
-CONTEXTUAL_OPCODES = {
-    "call": CALL,
-    "call_indirect": CALL_INDIRECT,
-    "br": BR,
-    "br_if": BR_IF,
-    "br_table": BR_TABLE,
-    "return": RETURN,
+# opcode -> instType for every supported opcode: the parser rejects the rest
+INST_TYPE: dict[str, str] = {
+    **{opcode: spec[0] for opcode, spec in SIMPLE_OPCODES.items()},
+    # arity from context: callee signature, branch target, function results
+    "call": CALL, "call_indirect": CALL_INDIRECT, "br": BR, "br_if": BR_IF,
+    "br_table": BR_TABLE, "return": RETURN,
+    "block": BLOCK, "loop": LOOP, "if": IF,
 }
 
-STRUCTURED_OPCODES = {"block": BLOCK, "loop": LOOP, "if": IF}
-
-SUPPORTED_OPCODES = (
-    set(SIMPLE_OPCODES) | set(CONTEXTUAL_OPCODES) | set(STRUCTURED_OPCODES)
-)
-
-
-def opcode_inst_type(opcode: str) -> str:
-    if opcode in SIMPLE_OPCODES:
-        return SIMPLE_OPCODES[opcode][0]
-    if opcode in CONTEXTUAL_OPCODES:
-        return CONTEXTUAL_OPCODES[opcode]
-    if opcode in STRUCTURED_OPCODES:
-        return STRUCTURED_OPCODES[opcode]
-    raise KeyError(opcode)
-
-
-def is_supported(opcode: str) -> bool:
-    return opcode in SUPPORTED_OPCODES
+# opcodes after which the next instruction is unreachable: dead code to the
+# validator, and without CFG edges
+ENDS_REACH = frozenset(("br", "br_table", "return", "unreachable"))

@@ -513,7 +513,7 @@ class Parser:
 
     def _plain_instruction(self, opname: str, where: Atom, it: "_FormCursor",
                            labels) -> InstructionIR:
-        if not op.is_supported(opname):
+        if opname not in op.INST_TYPE:
             raise UnsupportedOpcodeError(f"unsupported opcode {opname!r}",
                                          where.line, where.col)
         inst = InstructionIR(opcode=opname, source_order=next(self._orders))
@@ -552,8 +552,7 @@ class Parser:
                 raise ParseError("br_table needs at least a default target",
                                  where.line, where.col)
             inst.br_targets = targets
-        elif opname in op.SIMPLE_OPCODES and \
-                op.SIMPLE_OPCODES[opname][0] in (op.LOAD, op.STORE):
+        elif op.INST_TYPE[opname] in (op.LOAD, op.STORE):
             while not it.done() and _is_atom(it.peek()) and \
                     ("=" in it.peek().text):
                 a = it.take()

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
+from wasmcpg.errors import ValidationError
 from wasmcpg.pipeline import build_context
 from wasmcpg import graph as g
+from wasmcpg import opcodes as op
 
 
 def _nodes(cpg, **props):
@@ -165,6 +167,26 @@ class TestInvariants:
         (dead_br,) = _nodes(cpg, instType="Br")
         assert [e.src for e in cpg.in_edges(block.id, g.CFG)] == [br_if.id]
         assert _cfg_edges(cpg, dead_br.id) == []
+
+    # each opcode with the operands it pops, inside `block $b` of a function
+    # with no results
+    WITH_OPERANDS = {"br": "br $b", "br_if": "i32.const 0 br_if $b",
+                     "br_table": "i32.const 0 br_table $b $b", "return": "return",
+                     "unreachable": "unreachable", "nop": "nop"}
+
+    @pytest.mark.parametrize("opcode", [*sorted(op.ENDS_REACH), "br_if", "nop"])
+    def test_ends_reach_makes_the_next_instruction_dead(self, opcode):
+        ends = opcode in op.ENDS_REACH
+        source = f"(module (func $f block $b {self.WITH_OPERANDS[opcode]} {{}} end))"
+        # the validator checks no dead instruction: a live i32.add underflows
+        if ends:
+            build_context(source.format("i32.add drop"))
+        else:
+            with pytest.raises(ValidationError, match="underflow"):
+                build_context(source.format("i32.add drop"))
+        cpg = build_context(source.format("i32.const 7 drop")).cpg
+        (after,) = _nodes(cpg, instType="Const", value=7)
+        assert (_cfg_edges(cpg, after.id) == []) == ends
 
     def test_code_after_an_infinite_loop_is_dead(self):
         ctx = build_context("""(module (func $f

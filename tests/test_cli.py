@@ -363,6 +363,22 @@ class TestFailClosed:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["query", "scan"])
+    @pytest.mark.parametrize("budget", ["-5", "-1", "x"])
+    def test_a_bad_step_budget_is_a_usage_error(self, capsys, t, command, budget):
+        graph = f"{t}/g.json" if command == "query" else MIXED
+        got, out, err = run(capsys, command, graph, "--wql", f"{t}/forever.wql",
+                            "--wql-budget", budget)
+        assert (got, out) == (2, "")
+        assert err.splitlines()[-1] == (f"wasmcpg {command}: error: argument --wql-budget: "
+                                        f"expected a step count of 0 or more, got {budget!r}")
+        assert "Traceback" not in err
+
+    def test_a_step_budget_of_zero_is_valid(self, capsys, t):
+        got = run(capsys, "query", f"{t}/g.json", "--wql", f"{t}/forever.wql",
+                  "--wql-budget", "0")
+        assert got == (3, "", "error: line 1: step budget of 0 exceeded\n")
+
     def test_step_budget_names_its_line(self, capsys, t):
         got = run(capsys, "query", f"{t}/g.json", "--wql", f"{t}/forever.wql",
                   "--wql-budget", "1000")

@@ -432,6 +432,17 @@ class TestJson:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    @pytest.mark.parametrize("value", [True, False, 1.0], ids=repr)
+    def test_a_single_edge_endpoint_must_be_an_int(self, tmp_path, end, value):
+        doc = {"edges": [{**self.ONE, end: value}], "maps": self.MAPS, "nodes": self.NODES,
+               "origins": [[0, 1]], "schema": 2}
+        for text in (_rows_layout(doc), json.dumps(doc, indent=1)):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            with pytest.raises(ExportError, match="dangling edge endpoint"):
+                import_json(str(path))
+
     @pytest.mark.parametrize("change", [
         {"schema": 3}, {"schema": True}, {"schema": "2"},
         {"maps": None}, {"origins": {"0": 1}},

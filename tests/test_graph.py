@@ -117,6 +117,15 @@ class TestAddEdge:
         with pytest.raises(SchemaError):
             cpg.add_edge(a, b, g.AST, {"childIndex": True})
 
+    @pytest.mark.parametrize("edge_type, props", [
+        (g.CFG, {}), (g.DDG, {"ddgType": "Local", "label": "$y"})])
+    @pytest.mark.parametrize("src, dst", [(True, 1), (0, False), (1.0, 1), (0, 1.0), ("0", 1)])
+    def test_endpoints_must_be_ints(self, src, dst, edge_type, props):
+        cpg, *_ = self._two_nodes()
+        with pytest.raises(GraphError, match="dangling"):
+            cpg.add_edge(src, dst, edge_type, props)
+        assert len(cpg.edges) == 0
+
     def test_frozen_graph_rejects_writes(self):
         cpg, a, b = self._two_nodes()
         cpg.freeze()
@@ -181,6 +190,18 @@ class TestAddDdgEdges:
             cpg.add_edges([(a, 99, g.DDG, props)])
         with pytest.raises(GraphError, match="dangling"):
             cpg.add_edges([(a, b, g.DDG, props), (-1, b, g.DDG, props)])
+
+    @pytest.mark.parametrize("edge_type, props", [
+        (g.CFG, {}), (g.DDG, {"ddgType": "Local", "label": "$y"})])
+    @pytest.mark.parametrize("src, dst", [(True, 1), (0, False), (1.0, 1), (0, 1.0)])
+    def test_endpoints_must_be_ints(self, src, dst, edge_type, props):
+        cpg, a, b, _ = self._three_nodes()
+        # the row that checks and copies a map, and a later row sharing it
+        for rows in ([(src, dst, edge_type, props)],
+                     [(a, b, edge_type, props), (src, dst, edge_type, props)]):
+            with pytest.raises(GraphError, match="dangling"):
+                cpg.add_edges(rows)
+        assert [(e.src, e.dst) for e in cpg.edges] == [(a, b)]
 
     @pytest.mark.parametrize("props", [
         {"label": "$y"},
@@ -802,9 +823,35 @@ class TestSchemaParity:
                 add(g.Cpg(), props)
 
 
+class TestEdgeRows:
+    def test_one_map_per_value_and_type_in_call_order(self):
+        rows = g.EdgeRows(g.CFG, "label")
+        values = [True, 1, None, False, 0, "default", 1, True, None, 0, False]
+        for i, value in enumerate(values):
+            rows.add(i, i + 1, value)
+        assert [(src, dst, t) for src, dst, t, _ in rows] == \
+            [(i, i + 1, g.CFG) for i in range(len(values))]
+        maps = [props for *_, props in rows]
+        # `True == 1`, so compare each label with its type
+        assert [[(k, type(v), v) for k, v in m.items()] for m in maps] == \
+            [[] if v is None else [("label", type(v), v)] for v in values]
+        # each value's rows share the map of its first row, and only those
+        first = {}
+        for value, props in zip(values, maps):
+            assert props is first.setdefault((type(value), value), props)
+        assert len({id(m) for m in maps}) == len(first) == 6
+
+    def test_no_key_gives_every_row_one_empty_map(self):
+        rows = g.EdgeRows(g.CG)
+        rows.add(0, 1)
+        rows.add(2, 3)
+        assert rows == [(0, 1, g.CG, {}), (2, 3, g.CG, {})]
+        assert rows[0][3] is rows[1][3]
+
+
 class TestVocabulary:
     def test_inst_types_are_the_ones_the_builders_emit(self):
-        emitted = {op.opcode_inst_type(o) for o in op.SUPPORTED_OPCODES}
+        emitted = set(op.INST_TYPE.values())
         assert set(g.INST_TYPES) == emitted | {op.BEGIN_BLOCK, op.END_LOOP}
 
 
