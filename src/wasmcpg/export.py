@@ -3,8 +3,10 @@ DOT, Datalog fact files, and Neo4j bulk-import CSV.
 
 All outputs are byte-deterministic for a given graph: elements are written in
 id order and property keys sorted. The lossy formats (DOT/facts/CSV) project
-the graph; JSON round-trips exactly. Edges are read from `Cpg.edge_rows` or
-`edge_runs`, building no record, each distinct map rendered once by its id.
+the graph; JSON round-trips exactly. Edges are read from `Cpg.edge_columns`
+or `edge_runs`, building no record, and each distinct map is rendered once:
+the DOT, fact and CSV line of an edge is joined at C level from a text per
+node and a text per map, so no Python-level step runs per edge.
 
 JSON (schema 2) is compact, a record per line, ids implied by order, in four
 lists: `edges`, a `{"dst","map","src","type"}` per AST, CFG or CG edge and a
@@ -19,21 +21,20 @@ run with one `Cpg.add_ddg_run`; texts that differ only in type or sign (`1`,
 and per edge, any layout) still load, more slowly and in more memory.
 
 Each format renders its files' text, JSON in chunks of records, and
-`_write_whole` writes every output file, the CLI's findings too, beside its
-target and moves each into place once all are whole, so a write that fails
-partway leaves every old file; a pipe or a device is written in place.
+`_write_whole` writes them all or none (the CLI's findings too).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import is_, not_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ExportError, GraphError
 from . import graph as g
@@ -230,20 +231,45 @@ def _upgraded(doc: dict) -> dict:
             "maps": maps, "origins": [], "edges": records}
 
 
+# -- edge columns -------------------------------------------------------------------
+
+def _edges(cpg: g.Cpg, kept: Iterable[str] = g.EDGE_TYPES
+           ) -> tuple[Sequence[int], Sequence[int], list[int], dict[int, tuple[str, dict]]]:
+    """The src and dst columns of the edges of the `kept` types, each one's
+    map named by the first of them that holds it (one C-level pass), and the
+    type and map of each such first edge, so each distinct map is rendered once."""
+    src, dst, types, maps = cpg.edge_columns()
+    mask = types.translate(bytes(t in kept for t in g.EDGE_TYPES).ljust(256, b"\0"))
+    start, stop = mask.find(1), mask.rfind(1) + 1
+    if mask.count(1) == stop - start:   # consecutive, as each type's edges are in a built graph
+        src, dst, types, maps = (column[start:stop] for column in (src, dst, types, maps))
+    else:
+        src, dst, types, maps = (list(compress(column, mask)) for column in (src, dst, types, maps))
+    first: dict[int, int] = {}   # id(map) -> the first edge that holds it
+    at = list(map(first.setdefault, map(id, maps), count()))
+    return src, dst, at, {i: (g.EDGE_TYPES[types[i]], maps[i]) for i in first.values()}
+
+
+def _lines(texts: Iterable[str], src: Iterable[int], dst: Iterable[int], heads: list[str],
+           ends: list[str] | None = None) -> str:
+    """Every edge's line, `heads[src]`, dst, its text (and `ends[src]`), in one
+    C-level join of texts made once per node and per map, none per line."""
+    ids = list(map(str, range(len(heads))))
+    columns = [map(heads.__getitem__, src), map(ids.__getitem__, dst), texts]
+    if ends is not None:
+        columns.append(map(ends.__getitem__, src))
+    return "".join(chain.from_iterable(zip(*columns)))
+
+
 # -- DOT ----------------------------------------------------------------------
 
 def _dot_label(node: g.Node) -> str:
+    p = node.properties
     if node.kind == g.INSTRUCTION:
-        text = node.properties.get("instType", "")
-        extra = node.properties.get("label")
-        if extra is None and "value" in node.properties:
-            extra = node.properties["value"]
-        if extra is not None:
-            text = f"{text} {extra}"
-    elif node.kind == g.FUNCTION:
-        text = f"Function {node.properties.get('name', '')}"
+        extra = p.get("value") if p.get("label") is None else p["label"]
+        text = p.get("instType", "") + ("" if extra is None else f" {extra}")
     else:
-        text = node.kind
+        text = f"Function {p.get('name', '')}" if node.kind == g.FUNCTION else node.kind
     return f"{node.id}: {text}"
 
 
@@ -252,33 +278,21 @@ def _dot_text(value) -> str:
 
 
 def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
-    lines = ["digraph cpg {", "  node [shape=box, fontsize=10];",
-             *(f'  n{node.id} [label="{_dot_text(_dot_label(node))}"];' for node in cpg.nodes)]
-    attrs: dict[int, str] = {}   # id(map) -> attributes, "" for a type left out
-    for src, dst, edge_type, props in cpg.edge_rows():
-        attr = attrs.get(id(props))
-        if attr is None:   # a map belongs to the edges of one type
-            attr = ""
-            if edge_type in edge_types:
-                attr = f"color={EDGE_COLORS[edge_type]}"
-                lab = props.get("label")
-                if lab is not None:
-                    attr += f', label="{_dot_text(lab)}"'
-            attrs[id(props)] = attr
-        if attr:
-            lines.append(f"  n{src} -> n{dst} [{attr}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    src, dst, at, maps = _edges(cpg, edge_types)
+    label = lambda p: "" if p.get("label") is None else f', label="{_dot_text(p["label"])}"'
+    attrs = {i: f" [color={EDGE_COLORS[t]}{label(p)}];\n" for i, (t, p) in maps.items()}
+    heads = [f"  n{i} -> n" for i in range(len(cpg.nodes))]
+    nodes = (f'  n{n.id} [label="{_dot_text(_dot_label(n))}"];\n' for n in cpg.nodes)
+    return "".join(["digraph cpg {\n  node [shape=box, fontsize=10];\n", *nodes,
+                    _lines(map(attrs.__getitem__, at), src, dst, heads), "}\n"])
 
 
 # -- Datalog facts ---------------------------------------------------------------
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 # instType -> (predicate, the properties of its cells after the node id)
@@ -289,103 +303,89 @@ _INST_FACTS = {"Loop": ("loop", ("label", "nresults")), "BrIf": ("brIf", ("label
 # edge type -> (predicate, the properties of its cells after src and dst); a
 # ddgEdge row ends with its origin, the src again
 _EDGE_FACTS = {g.AST: ("astEdge", ("childIndex",)), g.CFG: ("cfgEdge", ("label",)),
-               g.CG: ("cgEdge", ()),
-               g.DDG: ("ddgEdge", ("label", "ddgType", "valueType", "value"))}
+               g.CG: ("cgEdge", ()), g.DDG: ("ddgEdge", ("label", "ddgType", "valueType", "value"))}
 
 
 def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     """Predicate name -> rows, with every edge predicate still empty."""
-    facts: dict[str, list[tuple]] = {name: [] for name in (
-        "instruction", "function", "call",
-        *(name for name, _ in (*_INST_FACTS.values(), *_EDGE_FACTS.values())))}
+    facts: dict[str, list[tuple]] = {name: [] for name in ("instruction", "function", "call", *(
+        name for name, _ in (*_INST_FACTS.values(), *_EDGE_FACTS.values())))}
     for n in cpg.nodes:
+        p = n.properties
         if n.kind == g.FUNCTION:
-            p = n.properties
-            facts["function"].append((
-                n.id, p["name"], p["index"], p["nargs"], p["nlocals"],
-                p["nresults"], _cell(p["isImport"]), _cell(p["isExport"])))
-        if n.kind != g.INSTRUCTION:
-            continue
-        t = n.properties["instType"]
-        facts["instruction"].append((n.id, t))
-        if t == "Call":
-            nargs = nresults = ""
-            targets = cpg.out_edges(n.id, g.CG)
-            if targets:
-                tp = cpg.node(targets[0].dst).properties
-                nargs, nresults = tp["nargs"], tp["nresults"]
-            facts["call"].append((n.id, n.properties["label"], nargs, nresults))
-        elif t in _INST_FACTS:
-            name, keys = _INST_FACTS[t]
-            facts[name].append((n.id, *(n.properties[k] for k in keys)))
+            facts["function"].append((n.id, p["name"], p["index"], p["nargs"], p["nlocals"],
+                                      p["nresults"], _cell(p["isImport"]), _cell(p["isExport"])))
+        elif n.kind == g.INSTRUCTION:
+            t = p["instType"]
+            facts["instruction"].append((n.id, t))
+            if t == "Call":
+                targets = cpg.out_edges(n.id, g.CG)
+                tp = cpg.node(targets[0].dst).properties if targets else dict.fromkeys(
+                    ("nargs", "nresults"), "")
+                facts["call"].append((n.id, p["label"], tp["nargs"], tp["nresults"]))
+            elif t in _INST_FACTS:
+                name, keys = _INST_FACTS[t]
+                facts[name].append((n.id, *(p[k] for k in keys)))
     return facts
-
-
-def _edge_facts(cpg: g.Cpg) -> Iterator[tuple[int, int, str, tuple]]:
-    """Each edge's src, dst and type with its predicate and its cells
-    between src/dst and the DDG origin, as a tuple and as tab-led text,
-    rendered once per map (a map belongs to the edges of one type)."""
-    memo: dict[int, tuple[str, tuple[str, ...], str]] = {}
-    for src, dst, edge_type, props in cpg.edge_rows():
-        fact = memo.get(id(props))
-        if fact is None:
-            name, keys = _EDGE_FACTS[edge_type]
-            cells = tuple(_cell(props.get(k)) for k in keys)
-            fact = memo[id(props)] = (name, cells, "".join("\t" + c for c in cells))
-        yield src, dst, edge_type, fact
 
 
 def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     """Predicate name -> rows. Missing optional fields are empty strings."""
     facts = _node_facts(cpg)
-    for src, dst, edge_type, (name, cells, _) in _edge_facts(cpg):
-        row = (src, dst, *cells)
-        facts[name].append(row + (src,) if edge_type == g.DDG else row)
+    for t, (name, keys) in _EDGE_FACTS.items():
+        src, dst, at, maps = _edges(cpg, (t,))
+        cells = {i: tuple(_cell(p.get(k)) for k in keys) for i, (_, p) in maps.items()}
+        rows = map(tuple.__add__, zip(src, dst), map(cells.__getitem__, at))
+        facts[name] = list(map(tuple.__add__, rows, zip(src)) if t == g.DDG else rows)
     return facts
 
 
 def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
     """`<predicate>.facts` -> its text, tab-separated, in name order."""
-    lines = {name: ["\t".join(_cell(v) for v in row) for row in rows]
+    files = {name: "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
              for name, rows in _node_facts(cpg).items()}
-    for src, dst, edge_type, (name, _, text) in _edge_facts(cpg):
-        lines[name].append(f"{src}\t{dst}{text}\t{src}" if edge_type == g.DDG
-                           else f"{src}\t{dst}{text}")
-    return {f"{name}.facts": "".join(row + "\n" for row in lines.pop(name))
-            for name in sorted(lines)}
+    heads = [f"{i}\t" for i in range(len(cpg.nodes))]
+    origins = [f"\t{i}\n" for i in range(len(cpg.nodes))]   # a ddgEdge row ends with its origin
+    for t, (name, keys) in _EDGE_FACTS.items():
+        src, dst, at, maps = _edges(cpg, (t,))
+        tails = {i: "".join("\t" + _cell(p.get(k)) for k in keys) + ("" if t == g.DDG else "\n")
+                 for i, (_, p) in maps.items()}
+        files[name] = _lines(map(tails.__getitem__, at), src, dst, heads,
+                             origins if t == g.DDG else None)
+    return {f"{name}.facts": files[name] for name in sorted(files)}
 
 
 # -- Neo4j CSV ---------------------------------------------------------------------
 
 def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
-    node_keys = sorted({k for n in cpg.nodes for k in n.properties})
-    lines = [",".join([":ID", ":LABEL"] + node_keys)]
-    lines += [",".join([str(n.id), n.kind, *(_csv_cell(n.properties.get(k)) for k in node_keys)])
-              for n in cpg.nodes]
-    nodes_csv = "\n".join(lines) + "\n"
+    """The nodes' and the edges' CSV: a row template per node key shape."""
+    shapes: dict[tuple, tuple] = dict.fromkeys(tuple(n.properties) for n in cpg.nodes)
+    node_keys = sorted({k for shape in shapes for k in shape})
+    for shape in shapes:   # -> its row template, and its keys in column order
+        shapes[shape] = (",".join(["%d", "%s", *("%s" if k in shape else "" for k in node_keys)]),
+                         [k for k in node_keys if k in shape])
 
-    maps = {id(p): p for _, _, _, p in cpg.edge_rows()}   # each distinct map once
-    edge_keys = sorted({k for p in maps.values() for k in p})
-    lines = [",".join([":START_ID", ":END_ID", ":TYPE"] + edge_keys)]
-    tails: dict[int, str] = {}   # id(map) -> cells after src,dst; a map has one type
-    for src, dst, edge_type, props in cpg.edge_rows():
-        tail = tails.get(id(props))
-        if tail is None:
-            tail = tails[id(props)] = ",".join(
-                [edge_type] + [_csv_cell(props.get(k)) for k in edge_keys])
-        lines.append(f"{src},{dst},{tail}")
-    return nodes_csv, "\n".join(lines) + "\n"
+    def row(n: g.Node) -> str:
+        template, keys = shapes[tuple(n.properties)]
+        return template % (n.id, n.kind, *map(_csv_cell, map(n.properties.__getitem__, keys)))
+    nodes_csv = "\n".join([",".join([":ID", ":LABEL", *node_keys]), *map(row, cpg.nodes)]) + "\n"
+    src, dst, at, maps = _edges(cpg)
+    edge_keys = sorted({k for _, p in maps.values() for k in p})
+    tails = {i: ",".join(["", t, *(_csv_cell(p.get(k)) for k in edge_keys)]) + "\n"
+             for i, (t, p) in maps.items()}
+    heads = [f"{i}," for i in range(len(cpg.nodes))]
+    return nodes_csv, ",".join([":START_ID", ":END_ID", ":TYPE", *edge_keys]) + "\n" + \
+        _lines(map(tails.__getitem__, at), src, dst, heads)
+
+
+_CSV_QUOTED = re.compile(r'[,"\n\r]')   # a cell holding one of these is quoted
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    text = str(value)
-    if any(c in text for c in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
 # -- entry point ---------------------------------------------------------------------

@@ -25,8 +25,9 @@ writes every DDG edge (for `add_edge`, `add_edges`, the emitter's
 DDG in-adjacency is its list of runs; each origin's DDG out-ids are built
 on the first out-read.
 `add_ddg_run` writes a run whose maps `checked_map` has checked, with no
-Python-level step per edge, for `import_json`. `edge_rows` and `edge_runs`
-read the columns, building no record, for the exporters.
+Python-level step per edge, for `import_json`. `edge_columns` (a read-only
+copy of the columns, which `edge_rows` zips) and `edge_runs` read the
+columns, building no record, for the exporters.
 
 A frozen graph also answers `instructions(fn, inst_type)` from an index of
 each function's instructions by `instType`, built whole on the first such
@@ -431,11 +432,17 @@ class Cpg:
     def edges(self) -> EdgeView:
         return EdgeView(self)
 
+    def edge_columns(self) -> tuple[array, array, bytes, tuple[dict[str, Any], ...]]:
+        """The edge columns, edge i's at place i of each: its src and dst
+        ids, its type as an index into EDGE_TYPES, and its stored map.
+        Copies, so no reader can change the store; no record is built."""
+        return self._src[:], self._dst[:], bytes(self._types), tuple(self._props)
+
     def edge_rows(self) -> Iterator[tuple[int, int, str, dict[str, Any]]]:
-        """(src, dst, type, properties) of each edge, the i-th row edge i's,
-        read from the columns: no record is built."""
-        return zip(self._src, self._dst, map(EDGE_TYPES.__getitem__, self._types),
-                   self._props)
+        """(src, dst, type, properties) of each edge, the i-th row edge i's:
+        `edge_columns` zipped."""
+        src, dst, types, maps = self.edge_columns()
+        return zip(src, dst, map(EDGE_TYPES.__getitem__, types), maps)
 
     def edge_runs(self) -> Iterator[tuple[int, Sequence[int], str, Sequence[dict]]]:
         """(dst, srcs, type, maps) of each run of edges, in id order: the DDG

@@ -14,11 +14,14 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import export_reference as reference
+import gen
 from conftest import ALL_FIXTURES, FIXTURES, fixture_cpg
 from wasmcpg.errors import ExportError
 from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
+    _datalog_files,
     datalog_facts,
     export,
     import_json,
@@ -527,19 +530,19 @@ NODE_MAPS = [(g.ELSE, {}), (g.VAR_NODE, {"name": "$x", "varType": "i32"}),
 
 
 @st.composite
-def graphs(draw) -> g.Cpg:
+def graphs(draw, edge_maps=EDGE_MAPS, node_maps=NODE_MAPS) -> g.Cpg:
     """A frozen graph of up to 6 nodes, some maybe without edges, and batches
     of edges of every type, interleaved: single `add_edge`s (a map copy per
     edge, so origins carry text-equal maps), `add_edges` rows (one copy per
     map and type), and `add_ddg_rows` rows (one map per origin)."""
     cpg = g.Cpg()
-    for kind, props in draw(st.lists(st.sampled_from(NODE_MAPS), max_size=6)):
+    for kind, props in draw(st.lists(st.sampled_from(node_maps), max_size=6)):
         cpg.add_node(kind, props)
     if not cpg.nodes:
         return cpg.freeze()
     node = st.integers(0, len(cpg.nodes) - 1)
     edge = st.tuples(node, node, st.sampled_from(g.EDGE_TYPES)).flatmap(
-        lambda e: st.tuples(*map(st.just, e), st.sampled_from(EDGE_MAPS[e[2]])))
+        lambda e: st.tuples(*map(st.just, e), st.sampled_from(edge_maps[e[2]])))
     for kind, batch in draw(st.lists(st.one_of(
             st.tuples(st.sampled_from(["edge", "edges"]), st.lists(edge, max_size=6)),
             st.tuples(st.just("rows"), st.tuples(
@@ -552,7 +555,8 @@ def graphs(draw) -> g.Cpg:
             cpg.add_edges(batch)
         else:
             rows, shift = batch
-            cpg.add_ddg_rows(rows, lambda src: EDGE_MAPS[g.DDG][(src + shift) % 5])
+            ddg = edge_maps[g.DDG]
+            cpg.add_ddg_rows(rows, lambda src: ddg[(src + shift) % len(ddg)])
     return cpg.freeze()
 
 
@@ -672,6 +676,70 @@ class TestNeo4j:
         fn = next(r for r in rows if r.get("name") == "$test")
         assert fn[":LABEL"] == "Function"
         assert fn["nargs"] == "2"
+
+    def test_carriage_return_is_quoted(self):
+        """A value holding `\r` is quoted, as one holding `\n` is, so each row
+        of an imported graph's CSV reads back as one row."""
+        cpg = g.Cpg()
+        cpg.add_node(g.VAR_NODE, {"name": "$a\rb", "varType": "i32"})
+        cpg.add_node(g.INSTRUCTION, {"instType": "LocalGet", "label": "$a\rb"})
+        cpg.add_edge(1, 0, g.DDG, {"ddgType": "Local", "label": "$a\rb"})
+        nodes_csv, edges_csv = neo4j_csv(_reloaded(to_json(cpg.freeze())))
+        nodes = list(csv.reader(io.StringIO(nodes_csv, newline="")))
+        edges = list(csv.reader(io.StringIO(edges_csv, newline="")))
+        assert len(nodes) == 3 and len(edges) == 2
+        assert nodes[1][nodes[0].index("name")] == nodes[2][nodes[0].index("label")] == "$a\rb"
+        assert edges[1][edges[0].index("label")] == "$a\rb"
+
+
+# Labels that text formats quote or escape, or that a template could misread
+TEXTS = ["{$x}", "100%d%%", "a\\b\\", 'say "hi"', "x,y", "\u00e9\u2192\u03bb", "cr\r", "lf\n"]
+TEXT_EDGE_MAPS = {**EDGE_MAPS, g.DDG: [*({"ddgType": "Local", "label": t} for t in TEXTS),
+                                       *EDGE_MAPS[g.DDG][1:3]]}
+TEXT_NODE_MAPS = [
+    *((g.VAR_NODE, {"name": t, "varType": "i32"}) for t in TEXTS[:4]),
+    (g.VAR_NODE, {"varType": "i32", "name": TEXTS[4]}),   # the same keys in another order
+    *((g.INSTRUCTION, {"instType": "Loop", "label": t, "nresults": 0}) for t in TEXTS[4:]),
+    (g.INSTRUCTION, {"instType": "Const", "valueType": "f64", "value": -0.0}),
+    (g.INSTRUCTION, {"instType": "Store", "offset": 4}),
+    (g.FUNCTION, {"name": "$f{%}", "index": 0, "nargs": 1, "nlocals": 0, "nresults": 1,
+                  "isImport": False, "isExport": True}),
+    (g.MODULE, {"name": "m,\"\\"}), (g.ELSE, {})]
+
+
+def _assert_reference_bytes(cpg: g.Cpg) -> None:
+    """DOT, with every edge type and with a few sets of them, the Datalog
+    files and rows, and the Neo4j CSV equal the row-by-row renderers'."""
+    assert to_dot(cpg) == reference.to_dot(cpg)
+    for kept in ((g.DDG,), (g.AST, g.CG), (g.CFG, g.DDG), ()):
+        assert to_dot(cpg, kept) == reference.to_dot(cpg, kept)
+    assert _datalog_files(cpg) == reference.datalog_files(cpg)
+    assert repr(datalog_facts(cpg)) == repr(reference.datalog_facts(cpg))
+    assert neo4j_csv(cpg) == reference.neo4j_csv(cpg)
+
+
+class TestReferenceBytes:
+    """The column renderers write the bytes of the row-by-row ones kept in
+    `export_reference.py`."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture_and_its_reload(self, name):
+        cpg = fixture_cpg(name)
+        _assert_reference_bytes(cpg)
+        _assert_reference_bytes(_reloaded(to_json(cpg)))
+
+    def test_schema_1_file(self):
+        _assert_reference_bytes(import_json(TestSchema1.PATH))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_module(self, seed):
+        _assert_reference_bytes(build_cpg(gen.random_module(seed))[0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cpg=graphs(TEXT_EDGE_MAPS, TEXT_NODE_MAPS))
+    def test_interleaved_graphs_with_quoted_labels(self, cpg):
+        _assert_reference_bytes(cpg)
+        _assert_reference_bytes(_reloaded(to_json(cpg)))
 
 
 class TestManifest:

@@ -436,6 +436,10 @@ class TestStoreModel:
                         i for i, m in enumerate(model)
                         if m[end] == v and m[2] == g.DDG and m[3]["ddgType"] == d])
         assert [tuple(r) for r in cpg.edge_rows()] == [m[:4] for m in model]
+        src, dst, types, stored = cpg.edge_columns()   # the columns edge_rows zips
+        assert list(zip(src, dst, [g.EDGE_TYPES[t] for t in types], stored)) == \
+            [m[:4] for m in model]
+        assert [id(p) for p in stored] == [id(p) for *_, p in cpg.edge_rows()]
         runs = list(cpg.edge_runs())   # the same rows, DDG ones in maximal runs
         assert [(s, d, t, p) for d, srcs, t, maps in runs for s, p in zip(srcs, maps)] == \
             [m[:4] for m in model]
@@ -470,6 +474,17 @@ class TestStoreModel:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             assert to_json(import_json(path)) == text
+
+    def test_edge_columns_are_copies(self):
+        cpg = _graph_with_cfg(3)
+        cpg.add_edge(0, 2, g.DDG, {"ddgType": "Local", "label": "$x"})
+        src, dst, types, maps = cpg.edge_columns()
+        rows = list(cpg.edge_rows())
+        src[0], dst[0] = 2, 0
+        assert list(cpg.edge_rows()) == rows
+        cpg.add_edge(1, 2, g.CFG)   # a writer is not held off by a reader's columns
+        assert len(cpg.edge_columns()[0]) == len(src) + 1
+        assert isinstance(types, bytes) and isinstance(maps, tuple)
 
 
 class TestAddDdgRun:
