@@ -13,6 +13,10 @@ The fixpoint is Bourdoncle's (1993) recursive iteration over a weak topological
 order, which structured control flow gives for free: program order, with each
 loop a nested component (header, then body) iterated while its header's input
 grows. An inner loop whose input is unchanged is not re-swept by outer loops.
+Kildall (1973) needs a join only where paths merge: a node with two or more CFG
+predecessors, the entry's Function node among them. Any other node's inbox is
+the state its one predecessor last sent, which holds every earlier one, since
+that inbox only grows and the transfer is monotone; one `!=` finds growth.
 
 The transfer pops each node's operands, by `ir.instruction_arity` without
 label or function context, and pushes by its instType: a branch or `return`
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 from .ast_builder import BuildContext, FunctionLayout
 from .errors import DataflowError
-from .ir import ELSE as ELSE_EV, ENTER as ENTER_EV, EXIT as EXIT_EV, \
+from .ir import ELSE as ELSE_EV, ENTER as ENTER_EV, PLAIN as PLAIN_EV, \
     instruction_arity, walk
 from . import graph as g
 from . import opcodes as op
@@ -68,16 +72,6 @@ class State(NamedTuple):
     locals_: tuple[int, ...] = ()
     stack: tuple[int, ...] = ()
 
-    def push(self, deps: int) -> "State":
-        return State(self.globals_, self.locals_, self.stack + (deps,))
-
-    def pop(self, n: int) -> tuple[list[int], "State"]:
-        if len(self.stack) < n:
-            raise DataflowError(f"abstract stack underflow: need {n}, have {len(self.stack)}")
-        if n == 0:
-            return [], self
-        return list(self.stack[-n:]), State(self.globals_, self.locals_, self.stack[:-n])
-
 
 def join(a: State | None, b: State) -> tuple[State, bool]:
     """Pointwise union; returns (joined, grew-relative-to-a). Allocates only
@@ -96,15 +90,12 @@ def join(a: State | None, b: State) -> tuple[State, bool]:
 
 
 def _join_slots(xs: tuple, ys: tuple) -> tuple:
-    """`xs` itself unless some set of `ys` adds to its slot. A slot that
-    does not grow keeps `xs`'s set, one that `ys` covers takes `ys`'s, and
-    only the rest are unions."""
-    if ys is not xs:
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            if x | y != x:
-                return xs[:i] + tuple(x if (u := x | y) == x else y if u == y else u
-                                      for x, y in zip(xs[i:], ys[i:]))
-    return xs
+    """`xs` itself unless some set of `ys` adds to its slot, tested at C
+    level. A slot that does not grow keeps `xs`'s set, one that `ys` covers
+    takes `ys`'s, and only the rest are unions."""
+    if ys is xs or (us := tuple(map(or_, xs, ys))) == xs:
+        return xs
+    return tuple(x if u == x else y if u == y else u for x, y, u in zip(xs, ys, us))
 
 
 def _flags(bits: int) -> bytes:
@@ -159,7 +150,7 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     func = layout.func
     if func.is_import:
         return fd
-    module, deps = ctx.module, fd.deps
+    module, deps, info = ctx.module, fd.deps, fd.info
     fd.n_locals, fd.n_globals = len(func.params) + len(func.locals), len(module.globals)
     # locals and globals are separate namespaces: one name->slot map each
     slots = {"local": {name: i for i, (name, _) in enumerate(func.params + func.locals)},
@@ -169,40 +160,11 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
     height = 0      # the static stack height; dead code leaves it unread
     bases: list[int] = []   # open frames' base heights, innermost last
     for inst, ev in walk(func.body):
-        node = layout.inst_node[id(inst)]
-        o = inst.opcode
-        if ev == ENTER_EV:
-            if o == "if":
-                height -= 1   # an if pops its condition
-            bases.append(height - inst.block_params)
-        elif ev == ELSE_EV:
-            height = bases[-1]
-        elif ev == EXIT_EV:
-            base = bases.pop()
-            height = base + inst.nresults
-        if o == "block":
-            if ev == ENTER_EV:
-                _add(fd, node, NodeInfo(op.BLOCK, nresults=inst.nresults, base=bases[-1]))
-                order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(op.BEGIN_BLOCK)))
-            else:
-                order.append(node)
-        elif o == "loop":
-            if ev == ENTER_EV:
-                _add(fd, node, NodeInfo(op.LOOP, base=bases[-1]))
-                enclosing.append(order)
-                order = []
-            else:
-                body, order = order, enclosing.pop()
-                order.append((node, body))
-                order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
-                    op.END_LOOP, nresults=inst.nresults, base=base)))
-        elif ev == ELSE_EV:
-            order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
-        elif ev != EXIT_EV:   # a plain instruction or an if
-            tag = op.INST_TYPE[o]
-            nargs, nresults = instruction_arity(inst, module)
-            if ev != ENTER_EV:
-                height += nresults - nargs
+        node, o = layout.inst_node[id(inst)], inst.opcode
+        if ev == PLAIN_EV:
+            tag, nargs, nresults = op.SIMPLE_OPCODES.get(o) or (
+                op.INST_TYPE[o], *instruction_arity(inst, module))
+            height += nresults - nargs
             slot = None if inst.var is None else slots[o.partition(".")[0]][inst.var]
             kind, own = _ORIGINS.get(tag), EMPTY
             if kind and nresults:   # a call without results is no origin
@@ -210,9 +172,38 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
                     inst.type_use.text() if o == "call_indirect" else inst.var
                 own = 1 << len(deps)
                 deps[node] = Dep(kind, node, name, inst.value, inst.value_type)
-            order.append(_add(fd, node, NodeInfo(tag, nargs, nresults, slot, own)))
-        fd.max_height = max(fd.max_height, height)
+            info[node] = NodeInfo(tag, nargs, nresults, slot, own, deps=deps)
+            order.append(node)
+        elif ev == ENTER_EV:
+            if o == "if":
+                height -= 1   # an if pops its condition
+            bases.append(height - inst.block_params)
+            if o == "loop":
+                info[node] = NodeInfo(op.LOOP, base=bases[-1], deps=deps)
+                enclosing.append(order)
+                order = []
+            elif o == "block":
+                info[node] = NodeInfo(op.BLOCK, nresults=inst.nresults, base=bases[-1], deps=deps)
+                order.append(_add(fd, layout.begin_node[id(inst)], NodeInfo(op.BEGIN_BLOCK)))
+            else:
+                order.append(_add(fd, node, NodeInfo(op.IF, 1, inst.nresults)))
+        elif ev == ELSE_EV:
+            height = bases[-1]
+            order.append(_add(fd, layout.else_node[id(inst)], NodeInfo(g.ELSE)))
+        else:
+            base = bases.pop()
+            height = base + inst.nresults
+            if o == "block":
+                order.append(node)
+            elif o == "loop":
+                body, order = order, enclosing.pop()
+                order.append((node, body))
+                order.append(_add(fd, layout.end_node[id(inst)], NodeInfo(
+                    op.END_LOOP, nresults=inst.nresults, base=base)))
+        if height > fd.max_height:
+            fd.max_height = height
     fd.order.append(_add(fd, layout.exit_node, NodeInfo(EXIT, nresults=func.nresults, base=0)))
+    fd.nodes = list(info)
     for name, _ty in func.params:   # their var nodes follow the body's
         var = layout.param_var_node[name]
         deps[var] = Dep(LOCAL_DEP, var, name=name)
@@ -222,7 +213,6 @@ def _prepare(ctx: BuildContext, layout: FunctionLayout) -> FunctionDataflow:
 def _add(fd: FunctionDataflow, node: int, info: NodeInfo) -> int:
     info.deps = fd.deps
     fd.info[node] = info
-    fd.nodes.append(node)
     return node
 
 
@@ -232,24 +222,28 @@ _UNTRACKED = frozenset((op.LOAD, op.MEMORY_SIZE, op.MEMORY_GROW))
 
 def _step(info: NodeInfo, s: State) -> tuple[State, list[int]]:
     """`transfer` on bitsets: (out state, popped bitsets)."""
-    popped, s = s.pop(info.nargs)
-    t = info.tag
+    globals_, locals_, stack = s
+    n, t = info.nargs, info.tag
+    if len(stack) < n:
+        raise DataflowError(f"abstract stack underflow: need {n}, have {len(stack)}")
+    popped, stack = (list(stack[-n:]), stack[:-n]) if n else ([], stack)
     if t in _UNIONS:   # a select's third operand is its condition
-        return s.push(popped[0] | popped[1] if len(popped) > 1 else popped[0]), popped
-    if t == op.LOCAL_GET:
-        return s.push(s.locals_[info.slot] | info.own), popped
-    if t == op.GLOBAL_GET:
-        return s.push(s.globals_[info.slot] | info.own), popped
-    i = info.slot
-    if t == op.LOCAL_SET or t == op.LOCAL_TEE:
-        return State(s.globals_, s.locals_[:i] + (popped[0],) + s.locals_[i + 1:],
-                     s.stack + (popped[0],) if t == op.LOCAL_TEE else s.stack), popped
-    if t == op.GLOBAL_SET:
-        return State(s.globals_[:i] + (popped[0],) + s.globals_[i + 1:], s.locals_,
-                     s.stack), popped
-    if info.own or t in _UNTRACKED:   # a constant or a call result; memory is untracked
-        return s.push(info.own), popped
-    return s, popped
+        stack += (popped[0] | popped[1] if n > 1 else popped[0],)
+    elif t == op.LOCAL_GET:
+        stack += (locals_[info.slot] | info.own,)
+    elif t == op.GLOBAL_GET:
+        stack += (globals_[info.slot] | info.own,)
+    elif t == op.LOCAL_SET or t == op.LOCAL_TEE:
+        locals_ = locals_[:info.slot] + (popped[0],) + locals_[info.slot + 1:]
+        if t == op.LOCAL_TEE:
+            stack = s.stack   # a tee pushes back what it popped
+    elif t == op.GLOBAL_SET:
+        globals_ = globals_[:info.slot] + (popped[0],) + globals_[info.slot + 1:]
+    elif info.own or t in _UNTRACKED:   # a constant or a call result; memory is untracked
+        stack += (info.own,)
+    elif not n:
+        return s, popped
+    return tuple.__new__(State, (globals_, locals_, stack)), popped
 
 
 def transfer(node: int, info: NodeInfo, s: State) -> tuple[State, list[frozenset]]:
@@ -303,13 +297,14 @@ def initial_state(fd: FunctionDataflow) -> State:
 def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
     """Recursive iteration over `fd.order`; res holds each node's inbox.
 
-    A node's inbox joins the adjusted states sent to it; the node is dirty
-    when its inbox grew. Firing it transfers the inbox and sends the result
-    along its CFG out-edges. A pass fires dirty nodes in order and repeats a
-    loop component while its header is dirty. Every CFG edge goes forward in
-    the order or back to an enclosing loop header, so no node stays dirty.
-    An inbox grows at most once per bit of its slots: more growth re-visits
-    than that, summed over the nodes, is a `DataflowError`."""
+    A merge point's inbox joins the adjusted states sent to it, any other's
+    is the last one; the node is dirty when its inbox grew. Firing it
+    transfers the inbox and sends the result along its CFG out-edges. A pass
+    fires dirty nodes in order and repeats a loop component while its header
+    is dirty. Every CFG edge goes forward in the order or back to an
+    enclosing loop header, so no node stays dirty. An inbox grows at most
+    once per bit of its slots: more growth re-visits than that, summed over
+    the nodes, is a `DataflowError`."""
     layout = ctx.layouts[func_name]
     fd = _prepare(ctx, layout)
     cpg, info = ctx.cpg, fd.info
@@ -320,33 +315,36 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
     entry_edges = cpg.out_edges(layout.func_node, g.CFG)
     if not entry_edges:
         return analysis
-    inbox[entry_edges[0].dst] = initial_state(fd)
-    dirty = set(inbox)
-    succs: dict[int, tuple] = {}   # node -> its (successor, frame or None) pairs
+    entry = entry_edges[0].dst
+    inbox[entry] = initial_state(fd)
+    dirty = {entry}
+    # each node's CFG out-edges, and the (frame or None, merge point?) of each
+    # target that is more than a plain set: a frame is the NodeInfo it closes
+    succs = dict(zip(fd.nodes, cpg.edge_lists(fd.nodes, g.CFG)))
+    special = {n: (i if i.base is not None else None, len(preds) > 1)
+               for (n, i), preds in zip(info.items(), cpg.edge_lists(fd.nodes, g.CFG, "in"))
+               if len(preds) > 1 or i.base is not None}
     bound = len(fd.nodes) * (fd.n_globals + fd.n_locals + fd.max_height) * len(fd.deps)
 
     def fire(node: int) -> None:
         dirty.discard(node)
         s = inbox[node]
         out, popped[node] = _step(info[node], s)
-        counts[node] = counts.get(node, 0) + 1
-        out_of = succs.get(node)
-        if out_of is None:   # a first visit: heights are static, and so is which
-            h = len(out.stack)   # edges need a frame fixup (the rest get None)
-            out_of = succs[node] = tuple(
-                (e.dst, None if (t := info[e.dst]).base in (None, h - t.nresults) else t)
-                for e in cpg.out_edges(node, g.CFG))
-            stats.max_stack = max(stats.max_stack, len(s.stack), h)
-        else:
+        if node in counts:
+            counts[node] += 1
             stats.growth_revisits += 1
             if stats.growth_revisits > bound:
                 raise DataflowError(f"{func_name}: {stats.growth_revisits} growth "
                                     f"re-visits pass the lattice bound of {bound}")
-        for succ, frame in out_of:
-            joined, grew = join(inbox.get(succ),
-                                out if frame is None else adjust_for_edge(out, frame))
+        else:   # heights are static: the first visit sees the highest stacks
+            counts[node] = 1
+            stats.max_stack = max(stats.max_stack, len(s.stack), len(out.stack))
+        for e in succs[node]:
+            frame, merge = special.get(succ := e.dst, (None, False))
+            sent = out if frame is None else adjust_for_edge(out, frame)
+            sent, grew = join(inbox.get(succ), sent) if merge else (sent, sent != inbox.get(succ))
             if grew:
-                inbox[succ] = joined
+                inbox[succ] = sent
                 dirty.add(succ)
 
     _run(fd.order, dirty, fire)   # leaves no node dirty: each inbox is its last input

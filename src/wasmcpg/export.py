@@ -295,6 +295,23 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+_FACT_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _fact_cell(value) -> str:
+    r"""A `.facts` cell with backslash, tab, LF and CR written as `\\`, `\t`,
+    `\n` and `\r`, so that each fact is one line."""
+    return _cell(value).translate(_FACT_ESCAPES)
+
+
+def _plain(text: str, tabs: int, lines: int) -> bool:
+    """Whether `text`, rendered with `tabs` tabs and `lines` line feeds
+    around its cells, has no backslash, tab, LF or CR inside one: a C-level
+    count that lets a text with none skip `_fact_cell`."""
+    return text.count("\t") == tabs and text.count("\n") == lines and \
+        "\r" not in text and "\\" not in text
+
+
 # instType -> (predicate, the properties of its cells after the node id)
 _INST_FACTS = {"Loop": ("loop", ("label", "nresults")), "BrIf": ("brIf", ("label",)),
                "Store": ("store", ("offset",)), "Binary": ("binary", ("opcode",)),
@@ -304,6 +321,9 @@ _INST_FACTS = {"Loop": ("loop", ("label", "nresults")), "BrIf": ("brIf", ("label
 # ddgEdge row ends with its origin, the src again
 _EDGE_FACTS = {g.AST: ("astEdge", ("childIndex",)), g.CFG: ("cfgEdge", ("label",)),
                g.CG: ("cgEdge", ()), g.DDG: ("ddgEdge", ("label", "ddgType", "valueType", "value"))}
+
+
+_NO_CALLEE = {"nargs": "", "nresults": ""}
 
 
 def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
@@ -318,10 +338,10 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
         elif n.kind == g.INSTRUCTION:
             t = p["instType"]
             facts["instruction"].append((n.id, t))
-            if t == "Call":
+            if t == "Call":   # empty counts unless its first CG edge reaches a Function
                 targets = cpg.out_edges(n.id, g.CG)
-                tp = cpg.node(targets[0].dst).properties if targets else dict.fromkeys(
-                    ("nargs", "nresults"), "")
+                callee = cpg.node(targets[0].dst) if targets else None
+                tp = callee.properties if callee and callee.kind == g.FUNCTION else _NO_CALLEE
                 facts["call"].append((n.id, p["label"], tp["nargs"], tp["nresults"]))
             elif t in _INST_FACTS:
                 name, keys = _INST_FACTS[t]
@@ -342,14 +362,22 @@ def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
 
 def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
     """`<predicate>.facts` -> its text, tab-separated, in name order."""
-    files = {name: "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
-             for name, rows in _node_facts(cpg).items()}
+    files = {}
+    for name, rows in _node_facts(cpg).items():
+        text = "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
+        if rows and not _plain(text, len(rows) * (len(rows[0]) - 1), len(rows)):
+            text = "".join("\t".join(map(_fact_cell, row)) + "\n" for row in rows)
+        files[name] = text
     heads = [f"{i}\t" for i in range(len(cpg.nodes))]
     origins = [f"\t{i}\n" for i in range(len(cpg.nodes))]   # a ddgEdge row ends with its origin
     for t, (name, keys) in _EDGE_FACTS.items():
         src, dst, at, maps = _edges(cpg, (t,))
-        tails = {i: "".join("\t" + _cell(p.get(k)) for k in keys) + ("" if t == g.DDG else "\n")
+        end = "" if t == g.DDG else "\n"
+        tails = {i: "".join("\t" + _cell(p.get(k)) for k in keys) + end
                  for i, (_, p) in maps.items()}
+        if not _plain("".join(tails.values()), len(tails) * len(keys), len(tails) * len(end)):
+            tails = {i: "".join("\t" + _fact_cell(p.get(k)) for k in keys) + end
+                     for i, (_, p) in maps.items()}
         files[name] = _lines(map(tails.__getitem__, at), src, dst, heads,
                              origins if t == g.DDG else None)
     return {f"{name}.facts": files[name] for name in sorted(files)}

@@ -555,6 +555,16 @@ class Cpg:
     def in_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
         return self._edges(self._in, nid, edge_type)
 
+    def edge_lists(self, nids: Iterable[int], edge_type: str,
+                   direction: str = "out") -> list[Sequence[Edge]]:
+        """Each of `nids`' AST, CFG or CG records of `edge_type` in one
+        direction, in id order: the graph's own lists, read-only, with no
+        copy or id check per node."""
+        table = {"out": self._out, "in": self._in}.get(direction)
+        if table is None or edge_type not in EDGE_TYPES or edge_type == DDG:
+            raise GraphError(f"no stored {direction!r} lists of {edge_type!r} edges")
+        return [table[n].get(edge_type, ()) for n in nids]
+
     def ddg_edges(self, nid: int, ddg_type: str, direction: str) -> list[Edge]:
         """A fresh list of nid's DDG in- or out-edges of one `ddgType`, in id
         order. A frozen graph splits a node's DDG records by ddgType in one

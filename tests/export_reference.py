@@ -75,7 +75,7 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
         if t == "Call":
             nargs = nresults = ""
             targets = cpg.out_edges(n.id, g.CG)
-            if targets:
+            if targets and cpg.node(targets[0].dst).kind == g.FUNCTION:
                 tp = cpg.node(targets[0].dst).properties
                 nargs, nresults = tp["nargs"], tp["nresults"]
             facts["call"].append((n.id, n.properties["label"], nargs, nresults))
@@ -94,8 +94,14 @@ def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     return facts
 
 
+def fact_cell(value) -> str:
+    """A `.facts` cell: backslash, tab, LF and CR written as two characters."""
+    return cell(value).replace("\\", "\\\\").replace("\t", "\\t") \
+        .replace("\n", "\\n").replace("\r", "\\r")
+
+
 def datalog_files(cpg: g.Cpg) -> dict[str, str]:
-    return {f"{name}.facts": "".join("\t".join(map(cell, row)) + "\n" for row in rows)
+    return {f"{name}.facts": "".join("\t".join(map(fact_cell, row)) + "\n" for row in rows)
             for name, rows in sorted(datalog_facts(cpg).items())}
 
 

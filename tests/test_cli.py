@@ -240,6 +240,20 @@ class TestErrors:
             assert "Traceback" not in err
         assert not (tmp_path / "g.dot").exists()
 
+    def test_call_into_a_non_function_exports_empty_counts(self, tmp_path):
+        # the schema does not type CG endpoints: a Call's CG edge may reach
+        # any node, and one that is not a Function gives no counts
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({
+            "edges": [{"dst": 1, "map": 0, "src": 0, "type": "CG"}], "maps": [{}],
+            "nodes": [{"kind": "Instruction", "properties": {"instType": "Call", "label": "$f"}},
+                      {"kind": "Instruction", "properties": {"instType": "Nop"}}],
+            "origins": [], "schema": 2}))
+        code, _, err = run_child(["-m", "wasmcpg.cli", "export", str(graph),
+                                  "--format", "datalog", "-o", str(tmp_path / "facts")])
+        assert code == 0 and "Traceback" not in err, err
+        assert (tmp_path / "facts" / "call.facts").read_text() == "0\t$f\t\t\n"
+
     def test_bad_query_ids(self, capsys):
         code, _, err = run(capsys, "scan", str(FIXTURES / "empty.wat"),
                            "--builtin", "42")

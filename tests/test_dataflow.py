@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import inspect
+import itertools
 import random
 
 import pytest
@@ -362,13 +364,53 @@ class TestAnalyzeFunction:
         assert counts[inner_get] == 1      # inner body swept exactly once
 
     def test_a_join_that_always_grows_trips_the_lattice_bound(self, monkeypatch):
-        join = df.join
-        monkeypatch.setattr(df, "join", lambda a, b: (join(a, b)[0], True))
+        # a transfer that adds a fresh bit to $p on every visit grows the
+        # loop header's inbox on every pass, so the loop never settles
+        step, fresh = df._step, itertools.count(64)
+
+        def growing(info, s):
+            out, popped = step(info, s)
+            return out._replace(locals_=(out.locals_[0] | 1 << next(fresh),)), popped
+
+        monkeypatch.setattr(df, "_step", growing)
         ctx = _context("""(module (func $f (param $p i32)
             (loop $L (br_if $L (local.get $p)))))""")
         with pytest.raises(DataflowError, match=r"^\$f: \d+ growth re-visits pass "
                                                 r"the lattice bound of \d+$"):
             df.analyze_function(ctx, "$f")
+
+    def test_a_loop_at_the_entry_joins_the_initial_state(self):
+        # the loop header's predecessors are the Function node and the back
+        # edge: its inbox keeps $p's parameter bit beside the constant's
+        ctx = _context("""(module (func $f (param $p i32) (result i32)
+            (loop $L (local.set $p (i32.const 1)) (br_if $L (local.get $p)))
+            local.get $p))""")
+        analysis = _checked_analysis(ctx, "$f")
+        assert analysis.res == round_robin_states(ctx, "$f")
+        fd = analysis.fd
+        header = next(n for n, i in fd.info.items() if i.tag == op.LOOP)
+        assert [d.kind for d in df.deps_of(fd, analysis.res[header].locals_[0])] == \
+            ["Const", "Local"]
+
+    @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "cfg_brtable", "q10_vuln"])
+    def test_join_runs_only_into_merge_points(self, name, monkeypatch):
+        # a merge point has two or more CFG predecessors, the entry's
+        # Function node among them; every other inbox is set, not joined
+        join, joined = df.join, set()
+
+        def recording(a, b):   # `succ` is the node the engine sends to
+            joined.add(inspect.currentframe().f_back.f_locals["succ"])
+            return join(a, b)
+
+        ctx, _ = build_fixture(name)
+        oracle = {fn.name: round_robin_states(ctx, fn.name) for fn in ctx.module.functions}
+        monkeypatch.setattr(df, "join", recording)
+        for fn in ctx.module.functions:
+            joined.clear()
+            analysis = df.analyze_function(ctx, fn.name)
+            merges = {n for n in analysis.res if len(ctx.cpg.in_edges(n, g.CFG)) >= 2}
+            assert joined == merges, fn.name
+            assert analysis.res == oracle[fn.name], fn.name
 
     def test_a_reverse_copy_chain_converges_inside_the_engine_bound(self):
         # each pass moves $l0's dependency one local down the chain, so every

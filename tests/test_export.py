@@ -655,6 +655,18 @@ class TestDatalog:
         call_rows = (tmp_path / "facts" / "call.facts").read_text().splitlines()
         assert call_rows and all(len(r.split("\t")) == 4 for r in call_rows)
 
+    def test_tab_newline_and_backslash_cells_are_escaped(self):
+        # a DDG label is any value: one holding a tab, LF, CR or backslash
+        # still renders its fact as one line of seven cells
+        cpg = g.Cpg()
+        a, b = (cpg.add_node(g.INSTRUCTION, {"instType": "Const", "valueType": "i32",
+                                              "value": 1}) for _ in range(2))
+        cpg.add_edge(a, b, g.DDG, {"ddgType": "Local", "label": "x\ty\nz\r\\"})
+        text = _datalog_files(cpg.freeze())["ddgEdge.facts"]
+        assert text == "0\t1\tx\\ty\\nz\\r\\\\\tLocal\t\t\t0\n"
+        assert [len(line.split("\t")) for line in text.splitlines()] == [FACT_ARITIES["ddgEdge"]]
+        assert text == reference.datalog_files(cpg)["ddgEdge.facts"]
+
 
 class TestNeo4j:
     def test_headers_and_labels(self):

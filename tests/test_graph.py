@@ -895,6 +895,17 @@ class TestAccessors:
                   or cpg.node_property(c, "value")) for c in cpg.ast_children(add.id)]
         assert kinds == [("LocalGet", "$y"), ("Const", 2)]
 
+    def test_edge_lists_are_the_typed_edge_lists(self):
+        cpg = fixture_cpg("cfg_brtable")
+        ids = range(len(cpg.nodes))
+        for t in (g.AST, g.CFG, g.CG):
+            for direction, edges in (("out", cpg.out_edges), ("in", cpg.in_edges)):
+                assert [list(es) for es in cpg.edge_lists(ids, t, direction)] == \
+                    [edges(n, t) for n in ids]
+        for args in ((g.DDG,), ("XYZ",), (g.CFG, "up")):
+            with pytest.raises(GraphError, match="no stored"):
+                cpg.edge_lists(ids, *args)
+
 
 class TestDecomposition:
     @pytest.mark.parametrize("name", ALL_FIXTURES)

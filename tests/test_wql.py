@@ -505,7 +505,7 @@ TWIN_STEPS = {
     "empty": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     "mixed": (3, 3, 6, 6, 4, 3, 3, 9, 6, 13),
     "cfg_brtable": (1, 1, 2, 2, 1, 1, 1, 1, 2, 1),
-    "scaling_module(1000)": (3, 3, 6, 6, 3, 3, 3, 213, 6, 19700),
+    "scaling_module(1000)": (3, 3, 6, 6, 3, 3, 3, 213, 6, 7388),
 }
 
 
