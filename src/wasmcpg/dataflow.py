@@ -320,9 +320,9 @@ def analyze_function(ctx: BuildContext, func_name: str) -> FunctionAnalysis:
     dirty = {entry}
     # each node's CFG out-edges, and the (frame or None, merge point?) of each
     # target that is more than a plain set: a frame is the NodeInfo it closes
-    succs = dict(zip(fd.nodes, cpg.edge_lists(fd.nodes, g.CFG)))
+    succs = dict(zip(fd.nodes, cpg._edge_lists(fd.nodes, g.CFG)))
     special = {n: (i if i.base is not None else None, len(preds) > 1)
-               for (n, i), preds in zip(info.items(), cpg.edge_lists(fd.nodes, g.CFG, "in"))
+               for (n, i), preds in zip(info.items(), cpg._edge_lists(fd.nodes, g.CFG, "in"))
                if len(preds) > 1 or i.base is not None}
     bound = len(fd.nodes) * (fd.n_globals + fd.n_locals + fd.max_height) * len(fd.deps)
 

@@ -295,21 +295,13 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-_FACT_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
-
-
 def _fact_cell(value) -> str:
     r"""A `.facts` cell with backslash, tab, LF and CR written as `\\`, `\t`,
     `\n` and `\r`, so that each fact is one line."""
-    return _cell(value).translate(_FACT_ESCAPES)
-
-
-def _plain(text: str, tabs: int, lines: int) -> bool:
-    """Whether `text`, rendered with `tabs` tabs and `lines` line feeds
-    around its cells, has no backslash, tab, LF or CR inside one: a C-level
-    count that lets a text with none skip `_fact_cell`."""
-    return text.count("\t") == tabs and text.count("\n") == lines and \
-        "\r" not in text and "\\" not in text
+    if type(value) is int:   # most cells: ids and counts
+        return str(value)
+    return _cell(value).replace("\\", "\\\\").replace("\t", "\\t") \
+        .replace("\n", "\\n").replace("\r", "\\r")
 
 
 # instType -> (predicate, the properties of its cells after the node id)
@@ -364,20 +356,14 @@ def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
     """`<predicate>.facts` -> its text, tab-separated, in name order."""
     files = {}
     for name, rows in _node_facts(cpg).items():
-        text = "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
-        if rows and not _plain(text, len(rows) * (len(rows[0]) - 1), len(rows)):
-            text = "".join("\t".join(map(_fact_cell, row)) + "\n" for row in rows)
-        files[name] = text
+        files[name] = "".join("\t".join(map(_fact_cell, row)) + "\n" for row in rows)
     heads = [f"{i}\t" for i in range(len(cpg.nodes))]
     origins = [f"\t{i}\n" for i in range(len(cpg.nodes))]   # a ddgEdge row ends with its origin
     for t, (name, keys) in _EDGE_FACTS.items():
         src, dst, at, maps = _edges(cpg, (t,))
         end = "" if t == g.DDG else "\n"
-        tails = {i: "".join("\t" + _cell(p.get(k)) for k in keys) + end
+        tails = {i: "".join("\t" + _fact_cell(p.get(k)) for k in keys) + end
                  for i, (_, p) in maps.items()}
-        if not _plain("".join(tails.values()), len(tails) * len(keys), len(tails) * len(end)):
-            tails = {i: "".join("\t" + _fact_cell(p.get(k)) for k in keys) + end
-                     for i, (_, p) in maps.items()}
         files[name] = _lines(map(tails.__getitem__, at), src, dst, heads,
                              origins if t == g.DDG else None)
     return {f"{name}.facts": files[name] for name in sorted(files)}

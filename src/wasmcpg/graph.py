@@ -555,11 +555,12 @@ class Cpg:
     def in_edges(self, nid: int, edge_type: str | None = None) -> list[Edge]:
         return self._edges(self._in, nid, edge_type)
 
-    def edge_lists(self, nids: Iterable[int], edge_type: str,
-                   direction: str = "out") -> list[Sequence[Edge]]:
+    def _edge_lists(self, nids: Iterable[int], edge_type: str,
+                    direction: str = "out") -> list[Sequence[Edge]]:
         """Each of `nids`' AST, CFG or CG records of `edge_type` in one
-        direction, in id order: the graph's own lists, read-only, with no
-        copy or id check per node."""
+        direction, in id order: the graph's own lists, borrowed, with no copy
+        or id check per node, for the dataflow engine, whose node ids are the
+        graph's own. A caller must not change them."""
         table = {"out": self._out, "in": self._in}.get(direction)
         if table is None or edge_type not in EDGE_TYPES or edge_type == DDG:
             raise GraphError(f"no stored {direction!r} lists of {edge_type!r} edges")

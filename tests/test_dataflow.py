@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import inspect
 import itertools
 import random
 
@@ -395,21 +394,32 @@ class TestAnalyzeFunction:
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "cfg_brtable", "q10_vuln"])
     def test_join_runs_only_into_merge_points(self, name, monkeypatch):
         # a merge point has two or more CFG predecessors, the entry's
-        # Function node among them; every other inbox is set, not joined
-        join, joined = df.join, set()
+        # Function node among them; every other inbox is set, not joined:
+        # each firing joins once per CFG out-edge into a merge point
+        join, run, fired = df.join, df._run, []
 
-        def recording(a, b):   # `succ` is the node the engine sends to
-            joined.add(inspect.currentframe().f_back.f_locals["succ"])
+        def recording(a, b):
+            fired[-1][1] += 1
             return join(a, b)
+
+        def counting(order, dirty, fire):
+            def firing(node):
+                fired.append([node, 0])
+                fire(node)
+            run(order, dirty, firing)
 
         ctx, _ = build_fixture(name)
         oracle = {fn.name: round_robin_states(ctx, fn.name) for fn in ctx.module.functions}
         monkeypatch.setattr(df, "join", recording)
+        monkeypatch.setattr(df, "_run", counting)
         for fn in ctx.module.functions:
-            joined.clear()
+            fired.clear()
             analysis = df.analyze_function(ctx, fn.name)
             merges = {n for n in analysis.res if len(ctx.cpg.in_edges(n, g.CFG)) >= 2}
-            assert joined == merges, fn.name
+            into = {n: [e.dst for e in ctx.cpg.out_edges(n, g.CFG) if e.dst in merges]
+                    for n in analysis.res}
+            assert [joins for _, joins in fired] == [len(into[n]) for n, _ in fired], fn.name
+            assert {m for n, _ in fired for m in into[n]} == merges, fn.name
             assert analysis.res == oracle[fn.name], fn.name
 
     def test_a_reverse_copy_chain_converges_inside_the_engine_bound(self):

@@ -900,11 +900,11 @@ class TestAccessors:
         ids = range(len(cpg.nodes))
         for t in (g.AST, g.CFG, g.CG):
             for direction, edges in (("out", cpg.out_edges), ("in", cpg.in_edges)):
-                assert [list(es) for es in cpg.edge_lists(ids, t, direction)] == \
+                assert [list(es) for es in cpg._edge_lists(ids, t, direction)] == \
                     [edges(n, t) for n in ids]
         for args in ((g.DDG,), ("XYZ",), (g.CFG, "up")):
             with pytest.raises(GraphError, match="no stored"):
-                cpg.edge_lists(ids, *args)
+                cpg._edge_lists(ids, *args)
 
 
 class TestDecomposition:
