@@ -106,10 +106,12 @@ def _emit_findings(findings: list[Finding], output: str | None) -> None:
 
 
 def _print_timing(report) -> None:
+    """One line per stage; the `ddg_emit` line ends with the DDG edge count."""
     total = report.total or 1.0
     for stage in STAGES:
         dt = report.timings.get(stage, 0.0)
-        print(f"  {stage:<12} {dt * 1000:9.2f} ms  {100 * dt / total:5.1f}%",
+        edges = f"  {sum(report.ddg_edges.values())} edges" if stage == "ddg_emit" else ""
+        print(f"  {stage:<12} {dt * 1000:9.2f} ms  {100 * dt / total:5.1f}%{edges}",
               file=sys.stderr)
 
 

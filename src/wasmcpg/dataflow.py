@@ -26,9 +26,13 @@ frame's base once; an edge into a construct exit, a loop header or the
 function exit keeps the values below the target's base and its top
 `nresults` sets, dropping values a branch abandoned.
 
-Edges come from the bits each node popped on its last visit: their union,
-decoded at C level, is one row per consumer, in id order, of its origins,
-ascending, written by `graph.Cpg.add_ddg_rows`. Linear memory is deliberately
+Edges come from the bits each node popped on its last visit: their union is
+one row per consumer, in id order, which `graph.Cpg.add_ddg_rows` writes as
+an edge from each origin whose bit is set, ascending. It sends each origin's
+first edge, a bit of `bits & ~seen`, through `add_edge`, decodes the rest at
+C level, and decodes a bitset that several rows hold once, copying the
+first such row for the others. The pipeline drops the inboxes before
+emission, which needs only the popped bits. Linear memory is deliberately
 untracked: a load pushes the empty set, so a store then a load makes no edge.
 """
 
@@ -62,7 +66,6 @@ class Dep(NamedTuple):
 
 
 EMPTY = 0   # the empty dependency set
-_FLAGS = bytes.maketrans(b"01", b"\0\1")   # `bin` digits as false and true bytes
 
 
 class State(NamedTuple):
@@ -98,15 +101,10 @@ def _join_slots(xs: tuple, ys: tuple) -> tuple:
     return tuple(x if u == x else y if u == y else u for x, y, u in zip(xs, ys, us))
 
 
-def _flags(bits: int) -> bytes:
-    """One byte per bit of `bits`, lowest first: 1 if the bit is set, else 0."""
-    return bin(bits)[:1:-1].encode().translate(_FLAGS)
-
-
 def deps_of(fd, bits: int) -> list[Dep]:
     """The `Dep`s of a bitset, ascending by origin. `fd` is a
     `FunctionDataflow` or one of its `NodeInfo`s: both hold `deps`."""
-    return list(compress(fd.deps.values(), _flags(bits)))
+    return list(compress(fd.deps.values(), g.bit_flags(bits)))
 
 
 EXIT = "Exit"   # tag of the synthetic exit node (its instType, Return, is taken)
@@ -220,13 +218,14 @@ _UNIONS = frozenset((op.BINARY, op.COMPARE, op.UNARY, op.CONVERT, op.SELECT))
 _UNTRACKED = frozenset((op.LOAD, op.MEMORY_SIZE, op.MEMORY_GROW))
 
 
-def _step(info: NodeInfo, s: State) -> tuple[State, list[int]]:
-    """`transfer` on bitsets: (out state, popped bitsets)."""
+def _step(info: NodeInfo, s: State) -> tuple[State, tuple[int, ...]]:
+    """`transfer` on bitsets: (out state, popped bitsets); the popped tuple is
+    a slice of the stack."""
     globals_, locals_, stack = s
     n, t = info.nargs, info.tag
     if len(stack) < n:
         raise DataflowError(f"abstract stack underflow: need {n}, have {len(stack)}")
-    popped, stack = (list(stack[-n:]), stack[:-n]) if n else ([], stack)
+    popped, stack = (stack[-n:], stack[:-n]) if n else ((), stack)
     if t in _UNIONS:   # a select's third operand is its condition
         stack += (popped[0] | popped[1] if n > 1 else popped[0],)
     elif t == op.LOCAL_GET:
@@ -285,7 +284,7 @@ class FunctionAnalysis:
     stats: AnalysisStats
     fd: FunctionDataflow
     # the dependency bitsets each node popped on its last visit, from res[node]
-    popped: dict[int, list[int]] = field(default_factory=dict)
+    popped: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def initial_state(fd: FunctionDataflow) -> State:
@@ -377,12 +376,14 @@ def _run(order: list, dirty: set, fire) -> None:
 def emit_ddg_edges(ctx: BuildContext, analysis: FunctionAnalysis) -> int:
     """Add one DDG edge per (origin, consumer): one row per consumer, in id
     order, of its origins, ascending; returns the count. A row is the union
-    of the bitsets the consumer popped, decoded through `fd.deps`, whose keys
-    are the origins in bit order; an origin's edges share one property map."""
+    of the bitsets the consumer popped, handed to `graph.Cpg.add_ddg_rows`
+    as it is, with `fd.deps`' keys, the origins in bit order: the store
+    decodes each distinct bitset once. An origin's edges share one map."""
     popped, deps = analysis.popped, analysis.fd.deps
-    rows = ((node, list(compress(deps, _flags(bits)))) for node, bits in (
-        (node, reduce(or_, popped[node], 0)) for node in sorted(popped)) if bits)
-    return ctx.cpg.add_ddg_rows(rows, lambda origin: _ddg_props(deps[origin]))
+    # a consumer that popped one set shares it: `reduce` makes no int for it
+    rows = [(node, bits) for node in sorted(popped)
+            if popped[node] and (bits := reduce(or_, popped[node]))]
+    return ctx.cpg.add_ddg_rows(rows, list(deps), lambda origin: _ddg_props(deps[origin]))
 
 
 def _ddg_props(dep: Dep) -> dict:

@@ -233,12 +233,13 @@ def _upgraded(doc: dict) -> dict:
 
 # -- edge columns -------------------------------------------------------------------
 
-def _edges(cpg: g.Cpg, kept: Iterable[str] = g.EDGE_TYPES
+def _edges(columns: tuple, kept: Iterable[str] = g.EDGE_TYPES
            ) -> tuple[Sequence[int], Sequence[int], list[int], dict[int, tuple[str, dict]]]:
-    """The src and dst columns of the edges of the `kept` types, each one's
-    map named by the first of them that holds it (one C-level pass), and the
-    type and map of each such first edge, so each distinct map is rendered once."""
-    src, dst, types, maps = cpg.edge_columns()
+    """The src and dst columns of the edges of the `kept` types, cut from a
+    graph's `edge_columns()`, each one's map named by the first of them that
+    holds it (one C-level pass), and the type and map of each such first
+    edge, so each distinct map is rendered once."""
+    src, dst, types, maps = columns
     mask = types.translate(bytes(t in kept for t in g.EDGE_TYPES).ljust(256, b"\0"))
     start, stop = mask.find(1), mask.rfind(1) + 1
     if mask.count(1) == stop - start:   # consecutive, as each type's edges are in a built graph
@@ -278,7 +279,7 @@ def _dot_text(value) -> str:
 
 
 def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
-    src, dst, at, maps = _edges(cpg, edge_types)
+    src, dst, at, maps = _edges(cpg.edge_columns(), edge_types)
     label = lambda p: "" if p.get("label") is None else f', label="{_dot_text(p["label"])}"'
     attrs = {i: f" [color={EDGE_COLORS[t]}{label(p)}];\n" for i, (t, p) in maps.items()}
     heads = [f"  n{i} -> n" for i in range(len(cpg.nodes))]
@@ -343,9 +344,9 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
 
 def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
     """Predicate name -> rows. Missing optional fields are empty strings."""
-    facts = _node_facts(cpg)
+    facts, columns = _node_facts(cpg), cpg.edge_columns()
     for t, (name, keys) in _EDGE_FACTS.items():
-        src, dst, at, maps = _edges(cpg, (t,))
+        src, dst, at, maps = _edges(columns, (t,))
         cells = {i: tuple(_cell(p.get(k)) for k in keys) for i, (_, p) in maps.items()}
         rows = map(tuple.__add__, zip(src, dst), map(cells.__getitem__, at))
         facts[name] = list(map(tuple.__add__, rows, zip(src)) if t == g.DDG else rows)
@@ -359,8 +360,9 @@ def _datalog_files(cpg: g.Cpg) -> dict[str, str]:
         files[name] = "".join("\t".join(map(_fact_cell, row)) + "\n" for row in rows)
     heads = [f"{i}\t" for i in range(len(cpg.nodes))]
     origins = [f"\t{i}\n" for i in range(len(cpg.nodes))]   # a ddgEdge row ends with its origin
+    columns = cpg.edge_columns()   # read once, cut per edge type
     for t, (name, keys) in _EDGE_FACTS.items():
-        src, dst, at, maps = _edges(cpg, (t,))
+        src, dst, at, maps = _edges(columns, (t,))
         end = "" if t == g.DDG else "\n"
         tails = {i: "".join("\t" + _fact_cell(p.get(k)) for k in keys) + end
                  for i, (_, p) in maps.items()}
@@ -383,7 +385,7 @@ def neo4j_csv(cpg: g.Cpg) -> tuple[str, str]:
         template, keys = shapes[tuple(n.properties)]
         return template % (n.id, n.kind, *map(_csv_cell, map(n.properties.__getitem__, keys)))
     nodes_csv = "\n".join([",".join([":ID", ":LABEL", *node_keys]), *map(row, cpg.nodes)]) + "\n"
-    src, dst, at, maps = _edges(cpg)
+    src, dst, at, maps = _edges(cpg.edge_columns())
     edge_keys = sorted({k for _, p in maps.values() for k in p})
     tails = {i: ",".join(["", t, *(_csv_cell(p.get(k)) for k in edge_keys)]) + "\n"
              for i, (t, p) in maps.items()}

@@ -24,6 +24,11 @@ writes every DDG edge (for `add_edge`, `add_edges`, the emitter's
 `add_ddg_rows` and `add_ddg_run`) as a run of ids into one consumer, whose
 DDG in-adjacency is its list of runs; each origin's DDG out-ids are built
 on the first out-read.
+`add_ddg_rows` takes each consumer's origins as a bitset over its
+function's origin table. A row's first edges, one per origin not yet
+stored, are its `bits & ~seen`; each goes through `add_edge`. A bitset
+that more than one row holds is decoded once: the first such row's id span
+is its memo, and every later row copies the span's sources and maps.
 `add_ddg_run` writes a run whose maps `checked_map` has checked, with no
 Python-level step per edge, for `import_json`. `edge_columns` (a read-only
 copy of the columns, which `edge_rows` zips) and `edge_runs` read the
@@ -42,13 +47,13 @@ from __future__ import annotations
 import gc
 import re
 from array import array
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count
-from operator import attrgetter, not_
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GraphError, SchemaError
@@ -140,6 +145,20 @@ _CODE = {t: i for i, t in enumerate(EDGE_TYPES)}   # an edge type's byte in _typ
 _DDG_BYTE = bytes((_CODE[DDG],))
 _DDG_SPAN = re.compile(re.escape(_DDG_BYTE) + b"+")
 _INT_TYPE = {int}   # the types of a list of node ids, none of them a bool
+_FLAGS = bytes.maketrans(b"01", b"\0\1")   # `bin` digits as false and true bytes
+
+
+def bit_flags(bits: int) -> bytes:
+    """One byte per bit of `bits`, lowest first: 1 if the bit is set, else 0,
+    for `itertools.compress` to pick the set bits' items at C level."""
+    return bin(bits)[:1:-1].encode().translate(_FLAGS)
+
+
+def _row_memo(rows: Sequence[tuple[int, int]]) -> dict[int, slice | None]:
+    """An empty slot per nonzero bitset that more than one of `rows` holds,
+    for `Cpg.add_ddg_rows` to keep that bitset's row in: a count over ints."""
+    return dict.fromkeys(bits for bits, n in Counter(map(itemgetter(1), rows)).items()
+                         if n > 1 and bits)
 
 
 def _check(what: str, schema: dict[str, Any], props: dict[str, Any],
@@ -330,11 +349,15 @@ class Cpg:
         self._out[src].setdefault(edge_type, []).append(edge)
         self._in[dst].setdefault(edge_type, []).append(edge)
 
-    def _put_ddg(self, dst: int, srcs: list[int], maps: Iterable[dict]) -> None:
-        """Append checked DDG edges `src -> dst` of `srcs`, with the stored
-        `maps`, as one run of dst's in-adjacency."""
+    def _put_ddg(self, dst: int, srcs: Sequence[int], maps: Iterable[dict]) -> None:
+        """Append checked DDG edges `src -> dst` of `srcs`, a list or a slice
+        of the src column, with the stored `maps`, as one run of dst's
+        in-adjacency."""
         start, k = len(self._props), len(srcs)
-        self._src.fromlist(srcs)
+        if type(srcs) is list:
+            self._src.fromlist(srcs)
+        else:   # a column slice: one copy at C level
+            self._src.extend(srcs)
         if k == 1:   # add_edge's, where a one-id array would cost more
             self._dst.append(dst)
         else:
@@ -392,31 +415,50 @@ class Cpg:
             raise GraphError(f"dangling edge endpoint in a run into {dst!r}")
         self._put_ddg(dst, srcs, maps)
 
-    def add_ddg_rows(self, rows: Iterable[tuple[int, list[int]]],
+    def add_ddg_rows(self, rows: Sequence[tuple[int, int]], origins: Sequence[int],
                      props_of: Callable[[int], dict[str, Any]]) -> int:
-        """Append the DDG edges `src -> dst` of each row `(dst, srcs)`, in
-        order. Each src's first edge goes through `add_edge`, which validates
-        and copies `props_of(src)`; its later edges share the copy. Returns
-        the count added; edges before a failing one stay added."""
+        """Append the DDG edges of each row `(dst, bits)`, in order: one edge
+        `origins[k] -> dst` per set bit k of `bits`, lowest first. Each
+        origin's first edge goes through `add_edge`, which validates and
+        copies `props_of(origin)`; its later edges share the copy. A row
+        holds a first edge exactly where `bits & ~seen` is set, `seen` being
+        the union of the rows before it; the rest of it is decoded at C
+        level. A bitset that more than one row holds is decoded once: its
+        first row leaves every origin stored, so that row's id span fills
+        the bitset's `_row_memo` slot, and each later row copies the span's
+        sources and maps with one C-level slice and extend per column.
+        Returns the count added; edges before a failing one stay added."""
         self._writable()
-        n_nodes, first = len(self.nodes), len(self._props)
-        stored: dict[int, dict] = {}   # src -> the map its edges share
-        for dst, srcs in rows:
+        n_nodes, first, limit = len(self.nodes), len(self._props), 1 << len(origins)
+        memo = _row_memo(rows)
+        maps: list = [None] * len(origins)   # bit k -> the map origin k's edges share
+        seen = 0
+        for dst, bits in rows:
             if not 0 <= dst < n_nodes:
                 raise GraphError(f"dangling edge endpoint {dst}")
-            start = 0
-            # the positions of srcs with no stored map, tested as `stored` grows
-            for i in compress(count(), map(not_, map(stored.__contains__, srcs))):
+            row = memo.get(bits)
+            if row is not None:   # every origin stored: a copy of the first row
+                self._put_ddg(dst, self._src[row], self._props[row])
+                continue
+            if not 0 <= bits < limit:
+                raise GraphError(f"a row of bits {bits:#x} outside its {len(origins)} origins")
+            flags = bit_flags(bits)
+            srcs, stored = list(compress(origins, flags)), list(compress(maps, flags))
+            new, seen, start, row_start = bits & ~seen, seen | bits, 0, len(self._props)
+            while new:   # each new origin's first edge, lowest first
+                low = new & -new
+                new ^= low
+                i = (bits & (low - 1)).bit_count()   # its place in the row
                 if start < i:
-                    run = srcs[start:i]
-                    self._put_ddg(dst, run, map(stored.__getitem__, run))
+                    self._put_ddg(dst, srcs[start:i], stored[start:i])
                 eid = self.add_edge(srcs[i], dst, DDG, props_of(srcs[i]))
                 # read by id: a wrapped add_edge may store its edge elsewhere
-                stored[srcs[i]] = self._props[eid]
+                maps[low.bit_length() - 1] = self._props[eid]
                 start = i + 1
             if start < len(srcs):
-                run = srcs[start:]
-                self._put_ddg(dst, run, map(stored.__getitem__, run))
+                self._put_ddg(dst, srcs[start:], stored[start:])
+            if bits in memo:
+                memo[bits] = slice(row_start, len(self._props))
         return len(self._props) - first
 
     def freeze(self) -> "Cpg":

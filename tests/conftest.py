@@ -11,6 +11,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from wasmcpg.pipeline import BuildReport, _build
 from wasmcpg.ast_builder import BuildContext
 from wasmcpg.queries import ScanConfig
+from wasmcpg import graph as g
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -63,3 +64,11 @@ def fixture_cpg(name: str):
 @pytest.fixture(scope="session")
 def scan_config() -> ScanConfig:
     return ScanConfig.from_file(str(FIXTURES / "scan_config.json"))
+
+
+@pytest.fixture
+def row_memos(monkeypatch) -> list[dict]:
+    """Each memo `Cpg.add_ddg_rows` makes, in call order, as it was left."""
+    memos, row_memo = [], g._row_memo
+    monkeypatch.setattr(g, "_row_memo", lambda rows: memos.append(row_memo(rows)) or memos[-1])
+    return memos

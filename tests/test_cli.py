@@ -6,18 +6,20 @@ import errno
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, FIXTURES, TOKEN_RE, fixture_source
+from conftest import ALL_FIXTURES, FIXTURES, TOKEN_RE, fixture_cpg, fixture_source
 from test_ast_builder import DEAD_LABELED_IF
 from gen import fold_module, nested_blocks, nested_expression, random_module
 from test_wat_parser import MALFORMED, MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
 from wasmcpg.cli import main
 from wasmcpg.wat_parser import parse_module
+from wasmcpg import graph as g
 
 CONFIG = str(FIXTURES / "scan_config.json")
 MIXED = str(FIXTURES / "mixed.wat")
@@ -82,6 +84,11 @@ class TestScan:
             assert stage in err
         assert "BO Loops" in out
 
+
+    def test_timing_report_counts_the_ddg_edges(self, capsys):
+        code, _, err = run(capsys, "scan", str(FIXTURES / "mixed.wat"), "--timing")
+        (count,) = re.findall(r"^  ddg_emit .* (\d+) edges$", err, re.M)
+        assert code == 0 and int(count) == len(fixture_cpg("mixed").edges_of_type(g.DDG)) > 0
 
 class TestBuildQueryExport:
     def test_build_then_query_then_export(self, capsys, tmp_path):

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg, fixture_source
-from gen import random_module
+from gen import nested_expression, random_module, scaling_module
 from oracle import round_robin_states
 from wasmcpg.ast_builder import build_ast
 from wasmcpg.cfg_builder import build_cfg
 from wasmcpg.cg_builder import build_cg
 from wasmcpg.errors import DataflowError, WasmCpgError
+from wasmcpg.export import to_json
 from wasmcpg.pipeline import _build, build_cpg
 from wasmcpg.wat_parser import parse_module
 from wasmcpg import dataflow as df
@@ -119,7 +120,7 @@ class TestTransfer:
         out, popped = df.transfer(6, info, s)
         assert out.stack == (df.EMPTY, lv | cv)
         assert popped == [{Y4}, {C5}]
-        assert df._step(info, s) == (out, [lv, cv])
+        assert df._step(info, s) == (out, (lv, cv))
 
     def test_select_discards_condition_set(self):
         a, b, c = _bits(C1), _bits(C2), _bits(C3)
@@ -518,10 +519,10 @@ class TestEmitDdgEdges:
         ctx = _context(random_module(seed, max_insts=40))
         rows, add_ddg_rows = [], g.Cpg.add_ddg_rows
 
-        def recording(self, given, props_of):
-            given = list(given)
-            rows.extend(given)
-            return add_ddg_rows(self, given, props_of)
+        def recording(self, given, origins, props_of):   # each row decoded here
+            rows.extend((dst, [o for k, o in enumerate(origins) if bits >> k & 1])
+                        for dst, bits in given)
+            return add_ddg_rows(self, given, origins, props_of)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(g.Cpg, "add_ddg_rows", recording)
@@ -536,8 +537,67 @@ class TestEmitDdgEdges:
                     if deps:   # a consumer that popped nothing has no row
                         expected.append((node, sorted(d.origin for d in deps)))
                 assert rows == expected
-                for _, row in rows:
+                for dst, row in rows:
                     assert all(a < b for a, b in zip(row, row[1:]))
+                    assert [e.src for e in ctx.cpg.in_edges(dst, g.DDG)] == row
+
+    @staticmethod
+    def _emitted_and_reference(src: str) -> tuple[g.Cpg, g.Cpg]:
+        """One module's graph twice, frozen: its DDG edges written by
+        `emit_ddg_edges`, and by one `add_edges` per function, a row per
+        edge in the emitter's order (consumers, then their origins,
+        ascending; the bits decoded here) and one map object per origin."""
+        emitted, reference = _context(src), _context(src)
+        for fn in emitted.module.functions:
+            analysis = df.analyze_function(emitted, fn.name)
+            df.emit_ddg_edges(emitted, analysis)
+            deps = analysis.fd.deps
+            props = {origin: df._ddg_props(dep) for origin, dep in deps.items()}
+            rows = []
+            for node in sorted(analysis.popped):
+                bits = 0
+                for popped in analysis.popped[node]:
+                    bits |= popped
+                rows += [(origin, node, g.DDG, props[origin])
+                         for k, origin in enumerate(deps) if bits >> k & 1]
+            reference.cpg.add_edges(rows)
+        return emitted.cpg.freeze(), reference.cpg.freeze()
+
+    @staticmethod
+    def _assert_same_store(emitted: g.Cpg, reference: g.Cpg) -> None:
+        assert list(emitted.edge_rows()) == list(reference.edge_rows())
+        runs = lambda cpg: [(d, list(srcs), t, list(maps))
+                            for d, srcs, t, maps in cpg.edge_runs()]
+        assert runs(emitted) == runs(reference)
+        # the same edges share a stored map: one per origin
+        sharing = lambda cpg: list(map({}.setdefault, map(id, cpg.edge_columns()[3]),
+                                       itertools.count()))
+        assert sharing(emitted) == sharing(reference)
+        assert to_json(emitted) == to_json(reference)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_emission_equals_a_per_edge_reference(self, seed):
+        src = random_module(seed, max_insts=120, max_loop_depth=4)
+        self._assert_same_store(*self._emitted_and_reference(src))
+
+    def test_a_loop_shaped_module_is_written_from_its_memo(self, row_memos):
+        # loops over four locals pop few distinct bitsets, each many times:
+        # $main's rows fill memo slots, and the copies match the reference
+        emitted, reference = self._emitted_and_reference(scaling_module(240))
+        memo = max(row_memos, key=len)
+        assert len(memo) > 4 and all(isinstance(row, slice) for row in memo.values())
+        self._assert_same_store(emitted, reference)
+
+    def test_a_function_without_a_repeated_bitset_has_no_memo(self, row_memos):
+        cpg, report = build_cpg(nested_expression(40))   # each add pops a wider set
+        assert row_memos == [{}] and report.ddg_edges == {"$f": len(cpg.edges_of_type(g.DDG))}
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_the_report_counts_every_ddg_edge(self, name):
+        ctx, report = build_fixture(name)
+        assert list(report.ddg_edges) == [fn.name for fn in ctx.module.functions]
+        assert sum(report.ddg_edges.values()) == len(ctx.cpg.edges_of_type(g.DDG))
 
     def test_no_value_consumers_no_edges(self):
         ctx = _context("(module (func $f nop nop))")

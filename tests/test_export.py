@@ -534,7 +534,8 @@ def graphs(draw, edge_maps=EDGE_MAPS, node_maps=NODE_MAPS) -> g.Cpg:
     """A frozen graph of up to 6 nodes, some maybe without edges, and batches
     of edges of every type, interleaved: single `add_edge`s (a map copy per
     edge, so origins carry text-equal maps), `add_edges` rows (one copy per
-    map and type), and `add_ddg_rows` rows (one map per origin)."""
+    map and type), and `add_ddg_rows` rows, bitsets over a permutation of
+    the nodes (one map per origin)."""
     cpg = g.Cpg()
     for kind, props in draw(st.lists(st.sampled_from(node_maps), max_size=6)):
         cpg.add_node(kind, props)
@@ -546,17 +547,17 @@ def graphs(draw, edge_maps=EDGE_MAPS, node_maps=NODE_MAPS) -> g.Cpg:
     for kind, batch in draw(st.lists(st.one_of(
             st.tuples(st.sampled_from(["edge", "edges"]), st.lists(edge, max_size=6)),
             st.tuples(st.just("rows"), st.tuples(
-                st.lists(st.tuples(node, st.lists(node, unique=True, max_size=4)), max_size=3),
-                st.integers(0, 4)))), max_size=5)):
+                st.lists(st.tuples(node, st.integers(0, (1 << len(cpg.nodes)) - 1)), max_size=3),
+                st.permutations(range(len(cpg.nodes))), st.integers(0, 4)))), max_size=5)):
         if kind == "edge":
             for row in batch:
                 cpg.add_edge(*row)
         elif kind == "edges":
             cpg.add_edges(batch)
         else:
-            rows, shift = batch
+            rows, origins, shift = batch
             ddg = edge_maps[g.DDG]
-            cpg.add_ddg_rows(rows, lambda src: ddg[(src + shift) % len(ddg)])
+            cpg.add_ddg_rows(rows, origins, lambda src: ddg[(src + shift) % len(ddg)])
     return cpg.freeze()
 
 
@@ -654,6 +655,14 @@ class TestDatalog:
             {f"{name}.facts" for name in FACT_ARITIES}
         call_rows = (tmp_path / "facts" / "call.facts").read_text().splitlines()
         assert call_rows and all(len(r.split("\t")) == 4 for r in call_rows)
+
+    @pytest.mark.parametrize("render", [datalog_facts, _datalog_files])
+    def test_the_edge_columns_are_read_once(self, render, monkeypatch):
+        reads, edge_columns = [], g.Cpg.edge_columns
+        monkeypatch.setattr(g.Cpg, "edge_columns",
+                            lambda cpg: reads.append(cpg) or edge_columns(cpg))
+        cpg = fixture_cpg("mixed")
+        assert render(cpg) and reads == [cpg]
 
     def test_tab_newline_and_backslash_cells_are_escaped(self):
         # a DDG label is any value: one holding a tab, LF, CR or backslash

@@ -253,43 +253,73 @@ def _graph_rows(cpg: g.Cpg) -> tuple:
     return [(e.id, e.src, e.dst, e.type, e.properties) for e in cpg.edges], adj
 
 
+def _bits(places) -> int:
+    """The bitset with bit k set for each k of `places`."""
+    return sum(1 << k for k in set(places))
+
+
+def _decoded(bits: int, origins) -> list[int]:
+    """The origins of a row's set bits, lowest bit first."""
+    return [o for k, o in enumerate(origins) if bits >> k & 1]
+
+
 @st.composite
 def fan_ins(draw):
-    """(node count, runs): consumers ascending, each with its sources ascending."""
+    """(node count, origins, rows): origins a permutation of the nodes,
+    consumers ascending, each row's bits drawn from a pool of up to three,
+    so that rows often repeat a bitset."""
     n = draw(st.integers(2, 8))
+    origins = draw(st.permutations(range(n)))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
     dsts = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
-    return n, [(d, sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))))
-               for d in dsts]
+    return n, origins, [(d, draw(st.sampled_from(pool))) for d in dsts]
 
 
 class TestAddFanIns:
     """`Cpg.add_ddg_rows`, the DDG emitter's write path: one fan-in (a
-    consumer with its origins) per row."""
+    consumer with the bitset of its origins) per row."""
 
     MAPS = {i: {"ddgType": "Local", "label": f"$v{i}"} for i in range(8)}
 
-    def _add(self, cpg, runs):
-        return cpg.add_ddg_rows(runs, self.MAPS.__getitem__)
+    def _add(self, cpg, rows, origins=range(8)):
+        return cpg.add_ddg_rows(rows, origins, self.MAPS.__getitem__)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=fan_ins())
     def test_same_graph_as_add_edges(self, case):
-        n, runs = case
-        fan, rows = _graph_with_cfg(n), _graph_with_cfg(n)
-        added = self._add(fan, runs)
-        assert added == rows.add_edges([(s, d, g.DDG, self.MAPS[s])
-                                        for d, srcs in runs for s in srcs])
-        assert _graph_rows(fan) == _graph_rows(rows)
+        n, origins, rows = case
+        fan, ref = _graph_with_cfg(n), _graph_with_cfg(n)
+        added = self._add(fan, rows, origins)
+        assert added == ref.add_edges([(s, d, g.DDG, self.MAPS[s])
+                                       for d, bits in rows for s in _decoded(bits, origins)])
+        assert _graph_rows(fan) == _graph_rows(ref)
+        runs = lambda cpg: [(d, list(srcs), t, list(maps)) for d, srcs, t, maps in cpg.edge_runs()]
+        assert runs(fan) == runs(ref)
         stored = {}
         for e in fan.edges_of_type(g.DDG):
             assert stored.setdefault(e.src, e.properties) is e.properties
             assert e.properties is not self.MAPS[e.src]
-        assert len(stored) == len({s for _, srcs in runs for s in srcs})
+        assert len(stored) == len({s for _, bits in rows for s in _decoded(bits, origins)})
+
+    def test_only_a_repeated_bitset_gets_a_memo_slot(self):
+        assert g._row_memo([(0, 3), (1, 5), (2, 3), (3, 0), (4, 0), (5, 6)]) == {3: None}
+        assert g._row_memo([(0, 3), (1, 5), (2, 6)]) == {}
+
+    def test_a_repeated_row_is_a_copy_of_its_first(self, row_memos):
+        cpg = _graph_with_cfg(4)
+        rows = [(0, 0b0110), (1, 0b0011), (2, 0b0110), (3, 0b0110)]
+        assert self._add(cpg, rows) == 8
+        assert row_memos == [{0b0110: slice(3, 5)}]   # the first row's ids, after 3 CFG edges
+        first = cpg.in_edges(0, g.DDG)
+        for dst in (2, 3):   # the same origins, sharing the first row's stored maps
+            copy = cpg.in_edges(dst, g.DDG)
+            assert [e.src for e in copy] == [1, 2]
+            assert all(a.properties is b.properties for a, b in zip(first, copy))
 
     def test_dangling_src_keeps_earlier_rows(self):
         cpg = _graph_with_cfg(3)
         with pytest.raises(GraphError, match="dangling"):
-            self._add(cpg, [(0, [1]), (2, [0, 1, 7])])
+            self._add(cpg, [(0, _bits([1])), (2, _bits([0, 1, 7]))])
         assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(1, 0), (0, 2), (1, 2)]
         assert [e.src for e in cpg.in_edges(2, g.DDG)] == [0, 1]
         assert [e.dst for e in cpg.out_edges(1, g.DDG)] == [0, 2]
@@ -303,7 +333,7 @@ class TestAddFanIns:
             return self.MAPS[src]
 
         with pytest.raises(ValueError):   # the second row's first two edges are written
-            cpg.add_ddg_rows([(0, [1, 2]), (2, [1, 2, 0])], props_of)
+            cpg.add_ddg_rows([(0, 0b011), (2, 0b111)], [1, 2, 0], props_of)
         assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [
             (1, 0), (2, 0), (1, 2), (2, 2)]
         assert [e.src for e in cpg.in_edges(2, g.DDG)] == [1, 2]
@@ -312,24 +342,33 @@ class TestAddFanIns:
     def test_dangling_dst_keeps_earlier_runs(self):
         cpg = _graph_with_cfg(3)
         with pytest.raises(GraphError, match="dangling"):
-            self._add(cpg, [(1, [0, 2]), (9, [0])])
+            self._add(cpg, [(1, _bits([0, 2])), (9, _bits([0]))])
         assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(0, 1), (2, 1)]
         with pytest.raises(GraphError, match="dangling"):
-            self._add(cpg, [(-1, [])])
+            self._add(cpg, [(-1, 0)])
+
+    def test_bits_outside_the_origins(self):
+        cpg = _graph_with_cfg(3)
+        for bits in (0b1000, -1):
+            with pytest.raises(GraphError, match="outside its 3 origins"):
+                self._add(cpg, [(1, 0b11), (2, bits)], origins=[0, 1, 2])
+        assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(0, 1), (1, 1)] * 2
+        assert self._add(cpg, [(2, 0), (2, 0)]) == 0   # an empty row adds nothing
+        assert cpg.in_edges(2, g.DDG) == []
 
     def test_out_of_domain_map(self):
         cpg = _graph_with_cfg(3)
         with pytest.raises(SchemaError):
-            cpg.add_ddg_rows([(1, [0])],
+            cpg.add_ddg_rows([(1, 1)], [0],
                              lambda src: {"ddgType": "Local", "label": "$x", "value": 3})
         with pytest.raises(SchemaError):
-            cpg.add_ddg_rows([(1, [0])], lambda src: {"label": "$x"})
+            cpg.add_ddg_rows([(1, 1)], [0], lambda src: {"label": "$x"})
         assert cpg.edges_of_type(g.DDG) == []
 
     def test_frozen_graph_rejects_writes(self):
         cpg = _graph_with_cfg(3).freeze()
         with pytest.raises(GraphError, match="frozen"):
-            self._add(cpg, [(1, [0])])
+            self._add(cpg, [(1, 1)])
         with pytest.raises(GraphError, match="frozen"):
             self._add(cpg, [])
 
@@ -350,9 +389,9 @@ def _store_map(edge_type: str, i: int) -> dict:
 
 @st.composite
 def store_ops(draw):
-    """(node count, writes): single edges in any order, bulk rows and DDG
-    fan-in rows, of every edge type, and DDG runs of one checked map,
-    interleaved."""
+    """(node count, writes): single edges in any order, bulk rows of every
+    edge type, DDG fan-in rows (bitsets over a permutation of the nodes) and
+    DDG runs of one checked map, interleaved."""
     n = draw(st.integers(1, 6))
     node = st.integers(0, n - 1)
     edge = st.tuples(node, node, st.sampled_from(g.EDGE_TYPES), st.integers(0, 3))
@@ -360,8 +399,8 @@ def store_ops(draw):
         st.tuples(st.just("edge"), edge),
         st.tuples(st.just("edges"), st.lists(edge, max_size=8)),
         st.tuples(st.just("rows"), st.tuples(
-            st.lists(st.tuples(node, st.lists(node, max_size=5)), max_size=4),
-            st.integers(0, 3))),
+            st.lists(st.tuples(node, st.integers(0, (1 << n) - 1)), max_size=4),
+            st.permutations(range(n)), st.integers(0, 3))),
         st.tuples(st.just("run"), st.tuples(
             node, st.lists(node, min_size=1, max_size=5), st.integers(0, 3)))), max_size=8))
     return n, ops
@@ -395,10 +434,13 @@ class TestStoreModel:
                 cpg.add_ddg_run(dst, srcs, [props] * len(srcs))
                 model += [(s, dst, g.DDG, props, (call, "run")) for s in srcs]
             else:
-                rows, shift = arg
+                rows, origins, shift = arg
                 props_of = lambda src: DDG_MAPS[(src + shift) % len(DDG_MAPS)]
-                assert cpg.add_ddg_rows(rows, props_of) == sum(len(s) for _, s in rows)
-                model += [(s, d, g.DDG, props_of(s), (call, s)) for d, srcs in rows for s in srcs]
+                decoded = [(d, _decoded(bits, origins)) for d, bits in rows]
+                assert cpg.add_ddg_rows(rows, origins, props_of) == \
+                    sum(len(s) for _, s in decoded)
+                model += [(s, d, g.DDG, props_of(s), (call, s))
+                          for d, srcs in decoded for s in srcs]
             for v in range(n):   # reads between writes must not go stale
                 assert len(cpg.in_edges(v)) == sum(m[1] == v for m in model)
                 assert len(cpg.out_edges(v)) == sum(m[0] == v for m in model)
