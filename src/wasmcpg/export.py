@@ -17,8 +17,8 @@ index]` per DDG origin, its first edge's map. A run lists `"maps"`, an index
 per edge, only where an edge's map is not its origin's. `import_json` reads
 it with one `json.load`, checks each (edge type, map) once and writes each
 run with one `Cpg.add_ddg_run`; texts that differ only in type or sign (`1`,
-`1.0`, `true`; `0.0`, `-0.0`) stay apart. Schema-1 files (a record per node
-and per edge, any layout) still load, more slowly and in more memory.
+`1.0`, `true`; `0.0`, `-0.0`) stay apart. A file of another schema version
+is an `ExportError`; a graph file is rebuilt from its `.wat` by `wasmcpg build`.
 
 Each format renders its files' text, JSON in chunks of records, and
 `_write_whole` writes them all or none (the CLI's findings too).
@@ -131,9 +131,9 @@ def _json_chunks(cpg: g.Cpg) -> Iterator[str]:
 
 
 def import_json(path: str) -> g.Cpg:
-    """Rebuild a frozen graph from a file `to_json` wrote, or a schema-1
-    file. A file that cannot be opened raises `OSError`; one that is not a
-    graph, `ExportError`."""
+    """Rebuild a frozen graph from a file `to_json` wrote. A file that
+    cannot be opened raises `OSError`; one that is not a schema-2 graph,
+    `ExportError`."""
     with g.gc_paused():
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -142,10 +142,11 @@ def import_json(path: str) -> g.Cpg:
                 raise ExportError(f"cannot load graph file {path}: {exc}")
         if not isinstance(doc, dict) or "schema" not in doc:
             raise ExportError("not a serialized graph file")
-        if type(doc["schema"]) is not int or doc["schema"] not in (1, SCHEMA_VERSION):
-            raise ExportError(f"unsupported schema version {doc['schema']!r}")
+        if type(doc["schema"]) is not int or doc["schema"] != SCHEMA_VERSION:
+            raise ExportError(f"unsupported schema version {doc['schema']!r}; rebuild "
+                              f"the graph from its .wat with `wasmcpg build`")
         try:
-            return _load_runs(doc if doc["schema"] == SCHEMA_VERSION else _upgraded(doc)).freeze()
+            return _load_runs(doc).freeze()
         except (KeyError, TypeError, ValueError) as exc:
             # a record that is not an object, lacks a field or has ill-typed values
             raise ExportError(f"malformed graph record: {type(exc).__name__}: {exc}") from exc
@@ -162,7 +163,8 @@ def _load_runs(doc: dict) -> g.Cpg:
         raise ExportError(f"a schema-2 file needs the lists {', '.join(_PARTS)}")
     cpg = g.Cpg()
     for node in nodes:
-        if len(node) != 2 or not isinstance(node["kind"], str):
+        if len(node) != 2 or not isinstance(node["kind"], str) or \
+                type(node["properties"]) is not dict:
             raise ExportError(f"node record {node!r} is not a kind and properties")
         cpg.add_node(node["kind"], node["properties"])   # add_node copies the map
 
@@ -200,35 +202,6 @@ def _load_runs(doc: dict) -> g.Cpg:
                         else map(copies.__getitem__, places))
     cpg.add_edges(singles)
     return cpg
-
-
-def _upgraded(doc: dict) -> dict:
-    """A schema-1 document as schema 2. Each edge names the map of the first
-    edge whose map has the same `repr` (which keeps `1`, `1.0`, `True` and
-    `-0.0` apart), so each distinct map is checked and copied once; each
-    stretch of consecutive DDG edges into one consumer is one run."""
-    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
-    for what, rs in (("node", nodes), ("edge", edges)):
-        if not isinstance(rs, list) or [r["id"] for r in rs] != list(range(len(rs))):
-            raise ExportError(f"{what}s must be a list, its ids dense and ordered")
-    maps = [e.get("properties", {}) for e in edges]
-    places: dict[str, int] = {}   # repr(map) -> the first edge with that text
-    firsts = map(places.setdefault, map(repr, maps), count())   # each edge's map index
-    records: list[dict] = []
-    run = None   # the last record, if it is a DDG run
-    for e, i in zip(edges, firsts):
-        dst = e["dst"]
-        if e["type"] != g.DDG:
-            records.append({"dst": dst, "map": i, "src": e["src"], "type": e["type"]})
-            run = None
-        elif run is not None and type(dst) is int and dst == run["dst"]:
-            run["maps"].append(i)
-            run["src"].append(e["src"])
-        else:
-            run = {"dst": dst, "maps": [i], "src": [e["src"]]}
-            records.append(run)
-    return {"nodes": [{"kind": n["kind"], "properties": n.get("properties", {})} for n in nodes],
-            "maps": maps, "origins": [], "edges": records}
 
 
 # -- edge columns -------------------------------------------------------------------

@@ -45,6 +45,7 @@ out-ids and a frozen graph's per-node DDG record lists.
 from __future__ import annotations
 
 import gc
+import math
 import re
 from array import array
 from collections import Counter, defaultdict, deque
@@ -79,12 +80,14 @@ CG = "CG"
 DDG = "DDG"
 
 # Domains: predicates on a property value. Python's bool is an int, so a
-# domain admits True/False only where it names bool.
+# domain admits True/False only where it names bool. A number is an int or
+# a finite float: `json.load` reads Infinity and NaN; no WAT literal is either.
 _str = lambda v: isinstance(v, str)
 _bool = lambda v: isinstance(v, bool)
 _int = lambda v: isinstance(v, int) and not isinstance(v, bool)
 _count = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
-_number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+_number = lambda v: math.isfinite(v) if isinstance(v, float) else \
+    isinstance(v, int) and not isinstance(v, bool)
 _value_type = lambda v: isinstance(v, str) and v in VALUE_TYPES
 # a CFG label: an if/br_if arm (a bool, so an int), a br_table slot, or "default"
 _cfg_label = lambda v: isinstance(v, int) and v >= 0 or v == "default"
@@ -427,15 +430,19 @@ class Cpg:
         first row leaves every origin stored, so that row's id span fills
         the bitset's `_row_memo` slot, and each later row copies the span's
         sources and maps with one C-level slice and extend per column.
-        Returns the count added; edges before a failing one stay added."""
+        A row whose `dst` or `bits` is not an int (a bool is none) is a
+        `GraphError` before it writes anything. Returns the count added;
+        edges before a failing one stay added."""
         self._writable()
         n_nodes, first, limit = len(self.nodes), len(self._props), 1 << len(origins)
         memo = _row_memo(rows)
         maps: list = [None] * len(origins)   # bit k -> the map origin k's edges share
         seen = 0
         for dst, bits in rows:
-            if not 0 <= dst < n_nodes:
-                raise GraphError(f"dangling edge endpoint {dst}")
+            if type(dst) is not int or not 0 <= dst < n_nodes:
+                raise GraphError(f"dangling edge endpoint {dst!r}")
+            if type(bits) is not int:
+                raise GraphError(f"a row's bits {bits!r} are not an int")
             row = memo.get(bits)
             if row is not None:   # every origin stored: a copy of the first row
                 self._put_ddg(dst, self._src[row], self._props[row])

@@ -122,14 +122,6 @@ class TestBuildQueryExport:
         doc = json.loads(out_path.read_text())
         assert len(doc["nodes"]) == 1 and doc["edges"] == []
 
-    def test_schema_1_file_exports_as_the_build(self, capsys, tmp_path):
-        out = tmp_path / "g.json"
-        code, _, err = run(capsys, "export", str(FIXTURES / "mixed.schema1.json"),
-                           "--format", "json", "-o", str(out))
-        assert code == 0 and "Traceback" not in err
-        code, built, _ = run(capsys, "build", MIXED)
-        assert code == 0 and out.read_text(encoding="utf-8") == built
-
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "build", str(FIXTURES / "mixed.wat"), "-o", str(a))
@@ -219,11 +211,12 @@ class TestErrors:
 
     def test_malformed_graph_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 1, "nodes": [{"kind": "Else"}], "edges": []}')
+        bad.write_text('{"edges": [], "maps": [], "nodes": [{"kind": "Else"}], "origins": [], '
+                       '"schema": 2}')
         code, out, err = run(capsys, "query", str(bad))
         assert code == 3
         assert out == ""
-        assert "error" in err and "Traceback" not in err
+        assert err.startswith("error: node record") and "Traceback" not in err
 
     @pytest.mark.parametrize("edges, origins", [
         ([{"dst": 1, "src": [0]}], [[0, 9]]),                 # a map index past the table
@@ -266,6 +259,16 @@ class TestErrors:
                            "--builtin", "42")
         assert code == 3
 
+
+# `memcpy` writes 16 bytes into `malloc(8)`: the i32 8 is a Const node's and a
+# Const DDG edge's `value`, which a graph file might hold as 1e400 or NaN
+HEAP_COPY = """(module
+  (import "env" "malloc" (func $malloc (param i32) (result i32)))
+  (import "env" "memcpy" (func $memcpy (param i32 i32 i32) (result i32)))
+  (func $heap_copy (param $src i32)
+    (local $buf i32)
+    (local.set $buf (call $malloc (i32.const 8)))
+    (drop (call $memcpy (local.get $buf) (local.get $src) (i32.const 16)))))"""
 
 # an allocation size that overflows to infinity, passed to an allocator
 INF_MALLOC = """(module
@@ -341,6 +344,16 @@ class TestFailClosed:
             (tmp_path / f"{name}.wql").write_text(source)
         (tmp_path / "forever.wql").write_text(FOREVER_WQL)
         assert run(capsys, "build", MIXED, "-o", str(tmp_path / "g.json"))[0] == 0
+        (tmp_path / "heap.wat").write_text(HEAP_COPY)
+        assert run(capsys, "build", f"{tmp_path}/heap.wat", "-o", f"{tmp_path}/heap.json")[0] == 0
+        heap = (tmp_path / "heap.json").read_text()
+        assert heap.count('"value":8,') == 2
+        for name, value in (("inf", "1e400"), ("nan", "NaN")):
+            (tmp_path / f"{name}.json").write_text(heap.replace('"value":8,', f'"value":{value},'))
+        (tmp_path / "props.json").write_text(json.dumps({
+            "edges": [], "maps": [], "origins": [], "schema": 2,
+            "nodes": [{"kind": "Instruction", "properties": [["instType", "Nop"]]}]}))
+        (tmp_path / "old.json").write_text('{"schema": 1, "nodes": [], "edges": []}')
         return tmp_path
 
     @pytest.mark.parametrize("code, argv", [
@@ -364,6 +377,13 @@ class TestFailClosed:
         (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "XYZ"]),
         (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "DDG,ddg"]),
         (3, ["scan", "{t}/inf_malloc.wat", "--config", CONFIG]),
+        (3, ["query", "{t}/inf.json", "--config", CONFIG]),
+        (3, ["query", "{t}/nan.json", "--config", CONFIG]),
+        (3, ["export", "{t}/inf.json", "--format", "json", "-o", "{t}/out.json"]),
+        (3, ["export", "{t}/nan.json", "--format", "json", "-o", "{t}/out.json"]),
+        (3, ["export", "{t}/props.json", "--format", "json", "-o", "{t}/out.json"]),
+        (3, ["query", "{t}/old.json"]),
+        (3, ["export", "{t}/old.json", "--format", "json", "-o", "{t}/out.json"]),
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
         *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
         *[(3, ["query", "{t}/g.json", "--wql", f"{{t}}/{name}.wql"]) for name in BAD_WQL],
@@ -376,6 +396,8 @@ class TestFailClosed:
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
             "query-missing-graph", "export-missing-graph",
             "export-unknown-edge-type", "export-misspelled-edge-type", "infinite-alloc-size",
+            "graph-infinite-value", "graph-nan-value", "export-infinite-value",
+            "export-nan-value", "export-list-properties", "query-schema-1", "export-schema-1",
             *MALFORMED, *BAD_CONFIGS, *BAD_WQL, "wql-step-budget", "wql-step-budget-scan"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])

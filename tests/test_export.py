@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import export_reference as reference
 import gen
-from conftest import ALL_FIXTURES, FIXTURES, fixture_cpg
+from conftest import ALL_FIXTURES, fixture_cpg
 from wasmcpg.errors import ExportError
 from wasmcpg.export import (
     SCHEMA_VERSION,
@@ -41,9 +41,9 @@ FACT_ARITIES = {
 
 
 def _document(cpg: g.Cpg) -> dict:
-    """The graph as a schema-1 document, built field by field."""
+    """The graph as a record per node and per edge, each with its id, built
+    field by field."""
     return {
-        "schema": 1,
         "nodes": [{"id": n.id, "kind": n.kind, "properties": dict(n.properties)}
                   for n in cpg.nodes],
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "type": e.type,
@@ -52,8 +52,8 @@ def _document(cpg: g.Cpg) -> dict:
 
 
 def _decoded(text: str) -> dict:
-    """A schema-2 text read back into the schema-1 document of its graph:
-    each run's edges take their own map indexes, or their origins'."""
+    """A schema-2 text read back into the `_document` of its graph: each
+    run's edges take their own map indexes, or their origins'."""
     doc = json.loads(text)
     assert doc["schema"] == SCHEMA_VERSION == 2
     maps, origin = doc["maps"], dict(doc["origins"])
@@ -65,7 +65,6 @@ def _decoded(text: str) -> dict:
         places = record.get("maps") or [origin[src] for src in record["src"]]
         edges += [(src, record["dst"], g.DDG, maps[i]) for src, i in zip(record["src"], places)]
     return {
-        "schema": 1,
         "nodes": [{"id": i, **n} for i, n in enumerate(doc["nodes"])],
         "edges": [{"id": i, "src": s, "dst": d, "type": t, "properties": p}
                   for i, (s, d, t, p) in enumerate(edges)],
@@ -75,15 +74,6 @@ def _decoded(text: str) -> dict:
 def _exact(doc: dict) -> str:
     """A document as text, which tells `1`, `1.0` and `true` apart as `==` does not."""
     return json.dumps(doc, sort_keys=True)
-
-
-def _line_layout(nodes: list, edges: list) -> str:
-    """Schema-1 records, one per line between the lists' heads, whatever
-    their content."""
-    enc = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
-    parts = ('{"edges":[', ",\n".join(map(enc, edges)),
-             '],"nodes":[', ",\n".join(map(enc, nodes)), '],"schema":1}')
-    return "\n".join(p for p in parts if p) + "\n"
 
 
 def _rows_layout(doc: dict) -> str:
@@ -98,11 +88,12 @@ def _rows_layout(doc: dict) -> str:
 
 
 def _read_both(cpg: g.Cpg, tmp_path) -> tuple[g.Cpg, g.Cpg]:
-    """The graphs read from `to_json`'s file and from a pretty-printed
-    schema-1 document of the same graph."""
+    """The graphs read from `to_json`'s file and from its pretty-printed
+    reprint."""
     path, pretty = tmp_path / "g.json", tmp_path / "pretty.json"
-    path.write_text(to_json(cpg), encoding="utf-8")
-    pretty.write_text(json.dumps(_document(cpg), indent=1), encoding="utf-8")
+    text = to_json(cpg)
+    path.write_text(text, encoding="utf-8")
+    pretty.write_text(json.dumps(json.loads(text), indent=1), encoding="utf-8")
     return import_json(str(path)), import_json(str(pretty))
 
 
@@ -156,9 +147,8 @@ class TestJson:
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "empty"])
     def test_pretty_printed_file_imports(self, name, tmp_path):
         cpg = fixture_cpg(name)
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(_document(cpg), indent=1, sort_keys=True)
-                        + "\n", encoding="utf-8")
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps(json.loads(to_json(cpg)), indent=2), encoding="utf-8")
         assert to_json(import_json(str(path))) == to_json(cpg)
 
     def test_value_types_kept(self, tmp_path):
@@ -271,27 +261,22 @@ class TestJson:
 
     @staticmethod
     def _reordered(doc):
-        dump = lambda r: json.dumps(dict(reversed(r.items())), separators=(",", ":"))
-        return ('{"edges":[\n' + ",\n".join(map(dump, doc["edges"])) + '\n],"nodes":[\n'
-                + ",\n".join(map(dump, doc["nodes"])) + '\n],"schema":1}\n')
-
-    @staticmethod
-    def _extra_key(doc):
-        doc["edges"][-1]["zz"] = 1
-        return _line_layout(doc["nodes"], doc["edges"])
+        """The lists, and each record's keys, in reverse order."""
+        flip = lambda r: dict(reversed(r.items())) if isinstance(r, dict) else r
+        return json.dumps({key: [flip(r) for r in value] if isinstance(value, list) else value
+                           for key, value in reversed(doc.items())}) + "\n"
 
     @staticmethod
     def _two_on_one_line(doc):
-        lines = _line_layout(doc["nodes"], doc["edges"]).split("\n")
+        lines = _rows_layout(doc).split("\n")
         return "\n".join(lines[:1] + [lines[1] + lines[2]] + lines[3:])
 
-    @pytest.mark.parametrize("variant", ["_pretty", "_reordered", "_extra_key",
-                                         "_two_on_one_line"])
+    @pytest.mark.parametrize("variant", ["_pretty", "_reordered", "_two_on_one_line"])
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "libpng_get_token"])
     def test_other_layouts_take_the_document_reader(self, name, variant, tmp_path):
         cpg = fixture_cpg(name)
         path = tmp_path / "g.json"
-        path.write_text(getattr(self, variant)(_document(cpg)), encoding="utf-8")
+        path.write_text(getattr(self, variant)(json.loads(to_json(cpg))), encoding="utf-8")
         assert to_json(import_json(str(path))) == to_json(cpg)
 
     def test_values_equal_in_python_stay_apart(self, tmp_path):
@@ -329,6 +314,13 @@ class TestJson:
         assert [f.key() for f in run_all(loaded, scan_config)] == \
             [f.key() for f in run_all(cpg, scan_config)]
 
+    def test_reject_schema_1(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**_document(fixture_cpg("mixed")), "schema": 1}))
+        with pytest.raises(ExportError, match=r"^unsupported schema version 1; rebuild .*"
+                                              r"`wasmcpg build`$"):
+            import_json(str(path))
+
     def test_reject_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": 99, "nodes": [], "edges": []}')
@@ -355,42 +347,6 @@ class TestJson:
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             import_json(str(tmp_path / "missing.json"))
-
-    NODE = {"id": 0, "kind": "Else", "properties": {}}
-    EDGE = {"id": 0, "src": 0, "dst": 0, "type": "CFG", "properties": {}}
-
-    MALFORMED = [
-        (["Else"], []),
-        ([{"kind": "Else"}], []),
-        ([{"id": 0}], []),
-        ([{"id": "0", "kind": "Else"}], []),
-        ([{"id": 0, "kind": ["Else"]}], []),
-        ([{"id": 0, "kind": "Else", "properties": ["x"]}], []),
-        ([NODE], [7]),
-        ([NODE], [{k: v for k, v in EDGE.items() if k != "src"}]),
-        ([NODE], [{k: v for k, v in EDGE.items() if k != "dst"}]),
-        ([NODE], [{k: v for k, v in EDGE.items() if k != "type"}]),
-        ([NODE], [{k: v for k, v in EDGE.items() if k != "id"}]),
-        ([NODE], [{**EDGE, "src": "0"}]),
-        ({"0": NODE}, []),
-        ([NODE], [{**EDGE, "dst": 5}]),
-        ([NODE], [{**EDGE, "src": -1}]),
-        ([NODE], [{**EDGE, "id": 1}]),
-        ([NODE], [{**EDGE, "type": "XYZ"}]),
-        ([NODE], [{**EDGE, "properties": [1]}]),
-        ([NODE], [{**EDGE, "properties": {"label": "sideways"}}]),
-        ([NODE], [{**EDGE, "type": "AST", "properties": {"childIndex": True}}]),
-        ([NODE], [{**EDGE, "type": "DDG", "properties": {"ddgType": "Nope", "label": 1}}]),
-        ([{**NODE, "kind": "Nope"}], []),
-        ([{**NODE, "id": 1}], []),
-    ]
-
-    @pytest.mark.parametrize("nodes, edges", MALFORMED)
-    def test_reject_malformed_elements(self, tmp_path, nodes, edges):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": 1, "nodes": nodes, "edges": edges}))
-        with pytest.raises(ExportError):
-            import_json(str(path))
 
     # a schema-2 document's maps, nodes and origins, around the faulty records below
     MAPS = [{}, {"ddgType": "Local", "label": "$x"}]
@@ -420,6 +376,14 @@ class TestJson:
         (NODES, [{**RUN, "maps": [2]}]),
         (NODES, [{**RUN, "maps": [1, 1]}]),
         ([{"kind": "Else"}], []),
+        (NODES, [{**ONE, "zz": 1}]),         # a record with a key of no field
+        (NODES, [{**RUN, "zz": 1}]),
+        (NODES, [7]),                        # an edge record that is not an object
+        (NODES, [{"src": [0]}]),             # a run without its consumer
+        (["Else"], []),                      # a node record that is not an object
+        ([{"properties": {}}], []),
+        ([{"kind": ["Else"], "properties": {}}], []),
+        ([{"kind": "Instruction", "properties": [["instType", "Nop"]]}], []),
     ])
     def test_line_layout_fails_as_the_document_does(self, tmp_path, nodes, edges):
         """A faulty schema-2 record fails the same way in `to_json`'s layout
@@ -454,6 +418,8 @@ class TestJson:
         {"origins": [[0, 1], [1, True]]}, {"origins": [[0, 0]]},
         {"maps": [{"label": "sideways"}, MAPS[1]]}, {"nodes": [{**NODES[0], "kind": "Nope"}] * 2},
         {"origins": [[0]]}, {"origins": [0]},
+        {"maps": [[1], MAPS[1]]},   # a map that is not an object
+        {"edges": [{**ONE, "type": "AST"}], "maps": [{"childIndex": True}, MAPS[1]]},
     ], ids=repr)
     def test_malformed_schema_2_document(self, tmp_path, change):
         doc = {"edges": [self.ONE, self.RUN], "maps": self.MAPS, "nodes": self.NODES,
@@ -484,32 +450,6 @@ class TestJson:
         # both edges carry origin 0's map, in one run into node 1
         merged = {**doc, "edges": [self.ONE, {**self.RUN, "src": [0, 0]}]}
         assert to_json(cpg) == _rows_layout(merged)
-
-    def test_well_formed_minimal_graph_loads(self, tmp_path):
-        path = tmp_path / "ok.json"
-        path.write_text(json.dumps({"schema": 1, "nodes": [self.NODE],
-                                    "edges": [self.EDGE]}))
-        cpg = import_json(str(path))
-        assert cpg.frozen and len(cpg.edges) == 1
-
-
-class TestSchema1:
-    """A file the schema-1 writer made: `tests/fixtures/mixed.schema1.json`,
-    `to_json` of `mixed.wat` before schema 2."""
-
-    PATH = str(FIXTURES / "mixed.schema1.json")
-
-    def test_fixture_is_schema_1(self):
-        with open(self.PATH, encoding="utf-8") as fh:
-            assert json.load(fh)["schema"] == 1
-
-    def test_loads_as_the_build(self):
-        loaded, built = import_json(self.PATH), fixture_cpg("mixed")
-        assert _exact(_document(loaded)) == _exact(_document(built))
-        assert list(loaded.edge_rows()) == list(built.edge_rows())
-
-    def test_reexport_is_the_builds_schema_2_text(self):
-        assert to_json(import_json(self.PATH)) == to_json(fixture_cpg("mixed"))
 
 
 # Maps the round-trip property draws from: texts that differ only in type or
@@ -748,9 +688,6 @@ class TestReferenceBytes:
         cpg = fixture_cpg(name)
         _assert_reference_bytes(cpg)
         _assert_reference_bytes(_reloaded(to_json(cpg)))
-
-    def test_schema_1_file(self):
-        _assert_reference_bytes(import_json(TestSchema1.PATH))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_module(self, seed):

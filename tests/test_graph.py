@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import tempfile
 import weakref
@@ -346,6 +347,17 @@ class TestAddFanIns:
         assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == [(0, 1), (2, 1)]
         with pytest.raises(GraphError, match="dangling"):
             self._add(cpg, [(-1, 0)])
+
+    @pytest.mark.parametrize("row", [(2.0, 0b11), (True, 0b01), (2, True), (2, 1.5)], ids=repr)
+    @pytest.mark.parametrize("earlier", [[], [(1, 0b11)]], ids=["first", "later"])
+    def test_a_row_is_two_ints(self, earlier, row):
+        # after (1, 0b11), a row of bits 0b11 copies that row's columns
+        cpg = _graph_with_cfg(3)
+        with pytest.raises(GraphError, match="not an int|dangling"):
+            self._add(cpg, [*earlier, row], origins=[0, 2])
+        assert len({len(column) for column in cpg.edge_columns()}) == 1
+        kept = [(0, 1), (2, 1)] if earlier else []
+        assert [(e.src, e.dst) for e in cpg.edges_of_type(g.DDG)] == kept
 
     def test_bits_outside_the_origins(self):
         cpg = _graph_with_cfg(3)
@@ -877,6 +889,24 @@ class TestSchemaParity:
             add(g.Cpg(), props)
         else:
             with pytest.raises(SchemaError):
+                add(g.Cpg(), props)
+
+
+class TestFiniteNumbers:
+    """A Const node's and a Const DDG edge's `value` is an int or a finite
+    float; an int too large for a float is still a number."""
+
+    @pytest.mark.parametrize("name", ["Const", "DDG-Const"])
+    @pytest.mark.parametrize("value, finite", [
+        (math.inf, False), (-math.inf, False), (math.nan, False), (1e308, True), (10 ** 400, True),
+    ], ids=["inf", "-inf", "nan", "1e308", "10**400"])
+    def test_number_domain(self, name, value, finite):
+        _, dom, _, add = SCHEMA_ELEMENTS[SCHEMA_IDS.index(name)]
+        props = {**_valid(dom), "value": value}
+        if finite:
+            add(g.Cpg(), props)
+        else:
+            with pytest.raises(SchemaError, match="outside its domain"):
                 add(g.Cpg(), props)
 
 
