@@ -267,11 +267,18 @@ class TestJson:
                            for key, value in reversed(doc.items())}) + "\n"
 
     @staticmethod
+    def _extra_key(doc):
+        """`to_json`'s layout with one more top-level key, which names no part
+        of the graph (a key in a record is a fault: see below)."""
+        return _rows_layout(doc)[:-len("}\n")] + ',"zz":1}\n'
+
+    @staticmethod
     def _two_on_one_line(doc):
         lines = _rows_layout(doc).split("\n")
         return "\n".join(lines[:1] + [lines[1] + lines[2]] + lines[3:])
 
-    @pytest.mark.parametrize("variant", ["_pretty", "_reordered", "_two_on_one_line"])
+    @pytest.mark.parametrize("variant", ["_pretty", "_reordered", "_extra_key",
+                                         "_two_on_one_line"])
     @pytest.mark.parametrize("name", ["fig_ddg", "mixed", "libpng_get_token"])
     def test_other_layouts_take_the_document_reader(self, name, variant, tmp_path):
         cpg = fixture_cpg(name)
