@@ -263,18 +263,15 @@ def to_dot(cpg: g.Cpg, edge_types: tuple[str, ...] = g.EDGE_TYPES) -> str:
 
 # -- Datalog facts ---------------------------------------------------------------
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return "" if value is None else str(value)
-
-
 def _fact_cell(value) -> str:
-    r"""A `.facts` cell with backslash, tab, LF and CR written as `\\`, `\t`,
-    `\n` and `\r`, so that each fact is one line."""
+    r"""A `.facts` cell: a bool as `1` or `0`, None as empty, and backslash,
+    tab, LF and CR written as `\\`, `\t`, `\n` and `\r`, so that each fact is
+    one line."""
     if type(value) is int:   # most cells: ids and counts
         return str(value)
-    return _cell(value).replace("\\", "\\\\").replace("\t", "\\t") \
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return "" if value is None else str(value).replace("\\", "\\\\").replace("\t", "\\t") \
         .replace("\n", "\\n").replace("\r", "\\r")
 
 
@@ -293,14 +290,14 @@ _NO_CALLEE = {"nargs": "", "nresults": ""}
 
 
 def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
-    """Predicate name -> rows, with every edge predicate still empty."""
-    facts: dict[str, list[tuple]] = {name: [] for name in ("instruction", "function", "call", *(
-        name for name, _ in (*_INST_FACTS.values(), *_EDGE_FACTS.values())))}
+    """Node predicate name -> rows."""
+    facts: dict[str, list[tuple]] = {name: [] for name in (
+        "instruction", "function", "call", *(name for name, _ in _INST_FACTS.values()))}
     for n in cpg.nodes:
         p = n.properties
         if n.kind == g.FUNCTION:
             facts["function"].append((n.id, p["name"], p["index"], p["nargs"], p["nlocals"],
-                                      p["nresults"], _cell(p["isImport"]), _cell(p["isExport"])))
+                                      p["nresults"], p["isImport"], p["isExport"]))
         elif n.kind == g.INSTRUCTION:
             t = p["instType"]
             facts["instruction"].append((n.id, t))
@@ -312,17 +309,6 @@ def _node_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
             elif t in _INST_FACTS:
                 name, keys = _INST_FACTS[t]
                 facts[name].append((n.id, *(p[k] for k in keys)))
-    return facts
-
-
-def datalog_facts(cpg: g.Cpg) -> dict[str, list[tuple]]:
-    """Predicate name -> rows. Missing optional fields are empty strings."""
-    facts, columns = _node_facts(cpg), cpg.edge_columns()
-    for t, (name, keys) in _EDGE_FACTS.items():
-        src, dst, at, maps = _edges(columns, (t,))
-        cells = {i: tuple(_cell(p.get(k)) for k in keys) for i, (_, p) in maps.items()}
-        rows = map(tuple.__add__, zip(src, dst), map(cells.__getitem__, at))
-        facts[name] = list(map(tuple.__add__, rows, zip(src)) if t == g.DDG else rows)
     return facts
 
 

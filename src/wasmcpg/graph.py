@@ -6,9 +6,11 @@ After ``freeze()`` the graph is immutable and safe for concurrent readers.
 
 The schema is one table: each node kind, instType, edge type and ddgType maps
 each of its properties to a domain, a predicate on the value. Instruction
-nodes are keyed by their `instType`, DDG edges by their `ddgType`. Each
-insertion is checked by one loop: an unknown key, a value outside its domain
-or a missing property raises SchemaError. AST and CFG edge properties are
+nodes are keyed by their `instType`, DDG edges by their `ddgType`. One
+function, `_checked`, checks and copies every node and edge map entering
+the store (in `add_node`, `add_edge` and `checked_map`): a map that is not a
+dict (None is no properties), an unknown key, a value outside its domain or
+a missing property raises SchemaError. AST and CFG edge properties are
 optional; every other property is required.
 
 Edges live in columns, in id order: source, destination, a type byte and a
@@ -91,7 +93,8 @@ _number = lambda v: math.isfinite(v) if isinstance(v, float) else \
 _value_type = lambda v: isinstance(v, str) and v in VALUE_TYPES
 # a CFG label: an if/br_if arm (a bool, so an int), a br_table slot, or "default"
 _cfg_label = lambda v: isinstance(v, int) and v >= 0 or v == "default"
-_any = lambda v: True
+# a DDG label: any value, but a float must be finite, as a number's is
+_label = lambda v: math.isfinite(v) if isinstance(v, float) else True
 
 
 def _keyed(family: dict[str, Any], table: dict[str, dict]) -> dict[str, dict]:
@@ -131,7 +134,7 @@ _EDGE_SCHEMAS: dict[str, dict[str, Any]] = {
     AST: {"childIndex": _count},
     CFG: {"label": _cfg_label},
     CG: {},
-    DDG: {"ddgType": _str, "label": _any},
+    DDG: {"ddgType": _str, "label": _label},
 }
 
 # ddgType -> {property: domain}, for DDG edges
@@ -164,53 +167,48 @@ def _row_memo(rows: Sequence[tuple[int, int]]) -> dict[int, slice | None]:
                          if n > 1 and bits)
 
 
-def _check(what: str, schema: dict[str, Any], props: dict[str, Any],
-           optional: bool) -> None:
-    """Raise SchemaError unless each property of `props` is in `schema` and
-    inside its domain and, unless `optional`, none is missing. Called per
-    node and edge, so error text is built only when raising."""
+# an Instruction node's schema is that of its instType, a DDG edge's that of its ddgType
+_KEYED = {INSTRUCTION: ("instType", _INST_SCHEMAS), DDG: ("ddgType", _DDG_SCHEMAS)}
+
+
+def _checked(schemas: dict[str, dict], name: str, props: dict[str, Any] | None) -> dict[str, Any]:
+    """A copy of `props`, a dict or None for no properties, checked against
+    the schema of node kind or edge type `name` in `schemas`, or of its
+    instType or ddgType: SchemaError unless each property is in it and
+    inside its domain and, except on an AST or CFG edge, none is missing.
+    Called per node and edge, so error text is built only when raising."""
+    if isinstance(props, dict):
+        props = dict(props)
+    elif props is None:
+        props = {}
+    else:
+        raise SchemaError(f"{name!r} properties {props!r} are not a dict")
+    schema = schemas.get(name) if isinstance(name, str) else None
+    if schema is None:
+        raise SchemaError(f"unknown {'node kind' if schemas is _NODE_SCHEMAS else 'edge type'} "
+                          f"{name!r}")
+    keyed = _KEYED.get(name)
+    if keyed is not None:   # an Instruction node or a DDG edge
+        key, by_key = keyed
+        value = props.get(key)
+        schema = by_key.get(value) if isinstance(value, str) else None
+        if schema is None:
+            raise SchemaError(f"bad {key} {value!r}")
     for key, value in props.items():
         domain = schema.get(key)
         if domain is None:
-            raise SchemaError(f"{what}: unexpected property {key!r}")
+            raise SchemaError(f"{name}: unexpected property {key!r}")
         if not domain(value):
-            raise SchemaError(f"{what}: property {key}={value!r} outside its domain")
-    if not optional and len(props) != len(schema):
-        raise SchemaError(f"{what}: missing properties {sorted(set(schema) - set(props))}")
-
-
-def _check_node(kind: str, props: dict[str, Any]) -> None:
-    if kind == INSTRUCTION:
-        kind = props.get("instType")
-        schema = _INST_SCHEMAS.get(kind) if isinstance(kind, str) else None
-        if schema is None:
-            raise SchemaError(f"bad instType {kind!r}")
-    else:
-        schema = _NODE_SCHEMAS.get(kind) if isinstance(kind, str) else None
-        if schema is None:
-            raise SchemaError(f"unknown node kind {kind!r}")
-    _check(kind, schema, props, False)
-
-
-def _check_edge(edge_type: str, props: dict[str, Any]) -> None:
-    if edge_type == DDG:
-        ddg_type = props.get("ddgType")
-        schema = _DDG_SCHEMAS.get(ddg_type) if isinstance(ddg_type, str) else None
-        if schema is None:
-            raise SchemaError(f"bad ddgType {ddg_type!r}")
-    else:
-        schema = _EDGE_SCHEMAS.get(edge_type) if isinstance(edge_type, str) else None
-        if schema is None:
-            raise SchemaError(f"unknown edge type {edge_type!r}")
-    _check(edge_type, schema, props, edge_type in (AST, CFG))
+            raise SchemaError(f"{name}: property {key}={value!r} outside its domain")
+    if len(props) != len(schema) and name not in (AST, CFG):
+        raise SchemaError(f"{name}: missing properties {sorted(set(schema) - set(props))}")
+    return props
 
 
 def checked_map(edge_type: str, props: dict[str, Any]) -> dict[str, Any]:
     """A copy of `props`, checked as the map of an edge of `edge_type`: what
     the graph stores, and what `Cpg.add_ddg_run` takes for DDG."""
-    props = dict(props)
-    _check_edge(edge_type, props)
-    return props
+    return _checked(_EDGE_SCHEMAS, edge_type, props)
 
 
 @contextmanager
@@ -318,8 +316,7 @@ class Cpg:
 
     def add_node(self, kind: str, properties: dict[str, Any] | None = None) -> int:
         self._writable()
-        props = dict(properties or {})
-        _check_node(kind, props)
+        props = _checked(_NODE_SCHEMAS, kind, properties)
         nid = len(self.nodes)
         self.nodes.append(Node(nid, kind, props))
         self._out.append({})
@@ -333,8 +330,7 @@ class Cpg:
         if type(src) is not int or type(dst) is not int or \
                 not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
             raise GraphError(f"dangling edge endpoint {src!r}->{dst!r}")
-        props = dict(properties or {})
-        _check_edge(edge_type, props)
+        props = _checked(_EDGE_SCHEMAS, edge_type, properties)
         if edge_type == DDG:
             self._put_ddg(dst, [src], (props,))
         else:

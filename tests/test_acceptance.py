@@ -19,12 +19,13 @@ from conftest import (
     fixture_source,
     wql_source,
 )
+from export_readers import read_facts
 from gen import random_module, scaling_module
 from oracle import round_robin_states
 from wasmcpg.ast_builder import build_ast
 from wasmcpg.cfg_builder import build_cfg
 from wasmcpg.cg_builder import build_cg
-from wasmcpg.export import datalog_facts, import_json, to_json
+from wasmcpg.export import ExportManifest, export, import_json, to_json
 from wasmcpg.ir import iter_instructions
 from wasmcpg.pipeline import build_cpg
 from wasmcpg.queries import ScanConfig, run_all
@@ -198,14 +199,16 @@ def test_criterion_7_wql_parity(scan_config):
 
 def test_criterion_8_roundtrip_and_arities(tmp_path):
     """JSON export -> import -> export is byte-identical on the whole corpus;
-    Datalog facts keep the documented arities (ddgEdge 7-ary, call 4-ary)."""
+    the Datalog facts `export` writes, read back, keep the documented
+    arities (ddgEdge 7-ary, call 4-ary)."""
     for name in ALL_FIXTURES:
         cpg = fixture_cpg(name)
         first = to_json(cpg)
         path = tmp_path / f"{name}.json"
         path.write_text(first, encoding="utf-8")
         assert to_json(import_json(str(path))) == first, name
-    facts = datalog_facts(fixture_cpg("libpng_get_token"))
+    export(fixture_cpg("libpng_get_token"), ExportManifest("datalog", str(tmp_path / "facts")))
+    facts = read_facts(str(tmp_path / "facts"))
     assert all(len(r) == 7 for r in facts["ddgEdge"])
     assert all(len(r) == 4 for r in facts["call"])
     assert facts["ddgEdge"] and facts["call"]

@@ -14,6 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import export_readers as readers
 import export_reference as reference
 import gen
 from conftest import ALL_FIXTURES, fixture_cpg
@@ -22,7 +23,6 @@ from wasmcpg.export import (
     SCHEMA_VERSION,
     ExportManifest,
     _datalog_files,
-    datalog_facts,
     export,
     import_json,
     neo4j_csv,
@@ -436,6 +436,16 @@ class TestJson:
         with pytest.raises(ExportError):
             import_json(str(path))
 
+    @pytest.mark.parametrize("label", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_ddg_label_must_be_a_finite_number(self, tmp_path, label):
+        # json.dumps writes Infinity, -Infinity and NaN, which json.load reads
+        doc = {"edges": [self.RUN], "maps": [{}, {"ddgType": "Local", "label": label}],
+               "nodes": self.NODES, "origins": [[0, 1]], "schema": 2}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ExportError, match="label=.* outside its domain"):
+            import_json(str(path))
+
     @pytest.mark.parametrize("key", ["edges", "maps", "nodes", "origins"])
     def test_schema_2_needs_every_key(self, tmp_path, key):
         doc = {"edges": [], "maps": [], "nodes": [], "origins": [], "schema": 2}
@@ -573,22 +583,28 @@ class TestDot:
             assert re.fullmatch(rf'  n\d+ (-> n\d+ )?\[(color=\w+, )?label={quoted}\];', line)
 
 
+def _written_facts(cpg: g.Cpg, directory) -> dict[str, list[tuple[str, ...]]]:
+    """The facts `export` writes for `cpg` into `directory`, read back."""
+    export(cpg, ExportManifest("datalog", str(directory)))
+    return readers.read_facts(str(directory))
+
+
 class TestDatalog:
-    def test_fact_arities(self):
+    def test_fact_arities(self, tmp_path):
         for name in ("libpng_get_token", "mixed", "fig_ddg"):
-            facts = datalog_facts(fixture_cpg(name))
+            facts = _written_facts(fixture_cpg(name), tmp_path / name)
             assert set(facts) == set(FACT_ARITIES)
             for pred, rows in facts.items():
                 for row in rows:
                     assert len(row) == FACT_ARITIES[pred], (pred, row)
 
-    def test_fig_ddg_edge_row(self):
-        facts = datalog_facts(fixture_cpg("fig_ddg"))
-        assert (4, 6, "$y", "Local", "", "", 4) in facts["ddgEdge"]
+    def test_fig_ddg_edge_row(self, tmp_path):
+        facts = _written_facts(fixture_cpg("fig_ddg"), tmp_path)
+        assert ("4", "6", "$y", "Local", "", "", "4") in facts["ddgEdge"]
 
-    def test_one_row_per_matching_element(self):
+    def test_one_row_per_matching_element(self, tmp_path):
         cpg = fixture_cpg("libpng_get_token")
-        facts = datalog_facts(cpg)
+        facts = _written_facts(cpg, tmp_path)
         n_inst = sum(1 for n in cpg.nodes if n.kind == g.INSTRUCTION)
         assert len(facts["instruction"]) == n_inst
         assert len(facts["function"]) == len(cpg.nodes_of_kind(g.FUNCTION))
@@ -603,7 +619,7 @@ class TestDatalog:
         call_rows = (tmp_path / "facts" / "call.facts").read_text().splitlines()
         assert call_rows and all(len(r.split("\t")) == 4 for r in call_rows)
 
-    @pytest.mark.parametrize("render", [datalog_facts, _datalog_files])
+    @pytest.mark.parametrize("render", [_datalog_files, to_dot, neo4j_csv])
     def test_the_edge_columns_are_read_once(self, render, monkeypatch):
         reads, edge_columns = [], g.Cpg.edge_columns
         monkeypatch.setattr(g.Cpg, "edge_columns",
@@ -677,12 +693,11 @@ TEXT_NODE_MAPS = [
 
 def _assert_reference_bytes(cpg: g.Cpg) -> None:
     """DOT, with every edge type and with a few sets of them, the Datalog
-    files and rows, and the Neo4j CSV equal the row-by-row renderers'."""
+    files and the Neo4j CSV equal the row-by-row renderers'."""
     assert to_dot(cpg) == reference.to_dot(cpg)
     for kept in ((g.DDG,), (g.AST, g.CG), (g.CFG, g.DDG), ()):
         assert to_dot(cpg, kept) == reference.to_dot(cpg, kept)
     assert _datalog_files(cpg) == reference.datalog_files(cpg)
-    assert repr(datalog_facts(cpg)) == repr(reference.datalog_facts(cpg))
     assert neo4j_csv(cpg) == reference.neo4j_csv(cpg)
 
 
@@ -705,6 +720,51 @@ class TestReferenceBytes:
     def test_interleaved_graphs_with_quoted_labels(self, cpg):
         _assert_reference_bytes(cpg)
         _assert_reference_bytes(_reloaded(to_json(cpg)))
+
+
+def _csv_text(value) -> str:
+    """A Neo4j CSV cell's value: a bool as true or false, None as empty."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _assert_read_back(cpg: g.Cpg, directory: str) -> None:
+    """The DOT, Datalog and Neo4j CSV files `export` writes into `directory`,
+    read back apart from the renderers, hold the graph's nodes and edge rows
+    as far as each format carries them."""
+    rows = list(cpg.edge_rows())
+    label = lambda p: None if p.get("label") is None else str(p["label"])
+    export(cpg, ExportManifest("dot", os.path.join(directory, "g.dot")))
+    assert readers.read_dot(os.path.join(directory, "g.dot")) == (
+        [(n.id, reference._dot_label(n)) for n in cpg.nodes],
+        [(s, d, reference.EDGE_COLORS[t], label(p)) for s, d, t, p in rows])
+    export(cpg, ExportManifest("datalog", os.path.join(directory, "facts")))
+    assert readers.read_facts(os.path.join(directory, "facts")) == {
+        name: [tuple(map(reference.cell, fact)) for fact in facts]
+        for name, facts in reference.datalog_facts(cpg).items()}
+    export(cpg, ExportManifest("neo4j-csv", os.path.join(directory, "csv")))
+    keys = sorted({k for n in cpg.nodes for k in n.properties})
+    assert readers.read_csv(os.path.join(directory, "csv", "nodes.csv")) == [
+        [":ID", ":LABEL", *keys],
+        *([str(n.id), n.kind, *(_csv_text(n.properties.get(k)) for k in keys)] for n in cpg.nodes)]
+    keys = sorted({k for *_, p in rows for k in p})
+    assert readers.read_csv(os.path.join(directory, "csv", "edges.csv")) == [
+        [":START_ID", ":END_ID", ":TYPE", *keys],
+        *([str(s), str(d), t, *(_csv_text(p.get(k)) for k in keys)] for s, d, t, p in rows)]
+
+
+class TestReadBack:
+    """Each text export read back as its consumers read it: a `.facts`
+    line split on tab and unescaped, a CSV file through the `csv` module,
+    and DOT statements whose quoted labels may span lines."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cpg=graphs(TEXT_EDGE_MAPS, TEXT_NODE_MAPS))
+    def test_each_reader_rebuilds_the_graph(self, cpg):
+        for graph in (cpg, _reloaded(to_json(cpg))):
+            with tempfile.TemporaryDirectory() as tmp:
+                _assert_read_back(graph, tmp)
 
 
 class TestManifest:

@@ -143,6 +143,46 @@ class TestAddEdge:
             cpg.edge(0)
 
 
+# pairs that `dict()` would take as a map
+NOT_A_NODE_MAP = [["instType", "Nop"]]
+NOT_A_DDG_MAP = [["ddgType", "Local"], ["label", "$x"]]
+
+
+class TestMapsAreDicts:
+    """A property map entering the store must be a dict; only None means
+    no properties."""
+
+    @pytest.mark.parametrize("kind, props", [
+        (g.INSTRUCTION, NOT_A_NODE_MAP), (g.ELSE, []), (g.ELSE, ""), (g.ELSE, 0)], ids=repr)
+    def test_add_node(self, kind, props):
+        cpg = g.Cpg()
+        with pytest.raises(SchemaError, match="not a dict"):
+            cpg.add_node(kind, props)
+        assert cpg.nodes == []
+
+    @pytest.mark.parametrize("edge_type, props", [
+        (g.DDG, NOT_A_DDG_MAP), (g.CFG, []), (g.AST, ())], ids=repr)
+    def test_add_edge_and_add_edges(self, edge_type, props):
+        cpg = _graph_with_cfg(2)
+        with pytest.raises(SchemaError, match="not a dict"):
+            cpg.add_edge(0, 1, edge_type, props)
+        with pytest.raises(SchemaError, match="not a dict"):   # after one good row
+            cpg.add_edges([(0, 1, g.CG, {}), (1, 0, edge_type, props)])
+        assert [(e.src, e.dst, e.type) for e in cpg.edges] == [(0, 1, g.CFG), (0, 1, g.CG)]
+
+    def test_add_ddg_rows(self):
+        cpg = _graph_with_cfg(2)
+        with pytest.raises(SchemaError, match="not a dict"):
+            cpg.add_ddg_rows([(1, 0b1)], [0], lambda src: NOT_A_DDG_MAP)
+        assert cpg.edges_of_type(g.DDG) == []
+
+    def test_none_is_no_properties(self):
+        cpg = g.Cpg()
+        a, b = cpg.add_node(g.ELSE, None), cpg.add_node(g.ELSE)
+        eid = cpg.add_edge(a, b, g.CFG, None)
+        assert cpg.node(a).properties == cpg.edge(eid).properties == {}
+
+
 class TestAddDdgEdges:
     """`Cpg.add_edges`, the bulk append path of `import_json`, on DDG rows."""
 
@@ -894,7 +934,8 @@ class TestSchemaParity:
 
 class TestFiniteNumbers:
     """A Const node's and a Const DDG edge's `value` is an int or a finite
-    float; an int too large for a float is still a number."""
+    float; an int too large for a float is still a number. A DDG edge's
+    `label` may be any value but a float that is not finite."""
 
     @pytest.mark.parametrize("name", ["Const", "DDG-Const"])
     @pytest.mark.parametrize("value, finite", [
@@ -903,6 +944,20 @@ class TestFiniteNumbers:
     def test_number_domain(self, name, value, finite):
         _, dom, _, add = SCHEMA_ELEMENTS[SCHEMA_IDS.index(name)]
         props = {**_valid(dom), "value": value}
+        if finite:
+            add(g.Cpg(), props)
+        else:
+            with pytest.raises(SchemaError, match="outside its domain"):
+                add(g.Cpg(), props)
+
+    @pytest.mark.parametrize("name", ["DDG-Local", "DDG-Const"])
+    @pytest.mark.parametrize("label, finite", [
+        (math.inf, False), (-math.inf, False), (math.nan, False), (1e308, True), (10 ** 400, True),
+        ("$x", True), (None, True),
+    ], ids=["inf", "-inf", "nan", "1e308", "10**400", "str", "None"])
+    def test_ddg_label_domain(self, name, label, finite):
+        _, dom, _, add = SCHEMA_ELEMENTS[SCHEMA_IDS.index(name)]
+        props = {**_valid(dom), "label": label}
         if finite:
             add(g.Cpg(), props)
         else:
