@@ -16,7 +16,7 @@ the same bytes); `nodes`, `{"kind","properties"}`; `origins`, `[origin, map
 index]` per DDG origin, its first edge's map. A run lists `"maps"`, an index
 per edge, only where an edge's map is not its origin's. `import_json` reads
 it with one `json.load`, checks each (edge type, map) once and writes each
-run with one `Cpg.add_ddg_run`; texts that differ only in type or sign (`1`,
+run with one `Cpg._add_ddg_run`; texts that differ only in type or sign (`1`,
 `1.0`, `true`; `0.0`, `-0.0`) stay apart. A file of another schema version
 is an `ExportError`; a graph file is rebuilt from its `.wat` by `wasmcpg build`.
 
@@ -157,7 +157,7 @@ def import_json(path: str) -> g.Cpg:
 def _load_runs(doc: dict) -> g.Cpg:
     """The graph of a schema-2 document: single edges through `add_edges`,
     which checks and copies each (edge type, map) once, as DDG maps are
-    here, and each DDG run through one `add_ddg_run`."""
+    here, and each DDG run through one `_add_ddg_run`."""
     edges, maps, nodes, origins = parts = [doc.get(k) for k in _PARTS]
     if not all(type(part) is list for part in parts):
         raise ExportError(f"a schema-2 file needs the lists {', '.join(_PARTS)}")
@@ -198,8 +198,8 @@ def _load_runs(doc: dict) -> g.Cpg:
                 raise ExportError(f"a run's maps {places!r} are not map indexes")
             for i in set(places):
                 ddg(i)
-        cpg.add_ddg_run(record["dst"], srcs, map(own.__getitem__, srcs) if places is None
-                        else map(copies.__getitem__, places))
+        cpg._add_ddg_run(record["dst"], srcs, map(own.__getitem__, srcs) if places is None
+                         else map(copies.__getitem__, places))
     cpg.add_edges(singles)
     return cpg
 

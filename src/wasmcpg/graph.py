@@ -23,7 +23,7 @@ distinct value, so a built graph stores one map per edge type and map text.
 AST, CFG and CG edges get their `Edge` record when added, a DDG edge on its
 first read, cached so that a graph holds one record per id. `_put_ddg`
 writes every DDG edge (for `add_edge`, `add_edges`, the emitter's
-`add_ddg_rows` and `add_ddg_run`) as a run of ids into one consumer, whose
+`add_ddg_rows` and `_add_ddg_run`) as a run of ids into one consumer, whose
 DDG in-adjacency is its list of runs; each origin's DDG out-ids are built
 on the first out-read.
 `add_ddg_rows` takes each consumer's origins as a bitset over its
@@ -31,7 +31,7 @@ function's origin table. A row's first edges, one per origin not yet
 stored, are its `bits & ~seen`; each goes through `add_edge`. A bitset
 that more than one row holds is decoded once: the first such row's id span
 is its memo, and every later row copies the span's sources and maps.
-`add_ddg_run` writes a run whose maps `checked_map` has checked, with no
+`_add_ddg_run` writes a run whose maps `checked_map` has checked, with no
 Python-level step per edge, for `import_json`. `edge_columns` (a read-only
 copy of the columns, which `edge_rows` zips) and `edge_runs` read the
 columns, building no record, for the exporters.
@@ -93,8 +93,8 @@ _number = lambda v: math.isfinite(v) if isinstance(v, float) else \
 _value_type = lambda v: isinstance(v, str) and v in VALUE_TYPES
 # a CFG label: an if/br_if arm (a bool, so an int), a br_table slot, or "default"
 _cfg_label = lambda v: isinstance(v, int) and v >= 0 or v == "default"
-# a DDG label: any value, but a float must be finite, as a number's is
-_label = lambda v: math.isfinite(v) if isinstance(v, float) else True
+# a DDG label (a name or a constant): a JSON scalar, which json.load returns unchanged
+_label = lambda v: v is None or isinstance(v, (str, bool)) or _number(v)
 
 
 def _keyed(family: dict[str, Any], table: dict[str, dict]) -> dict[str, dict]:
@@ -207,7 +207,7 @@ def _checked(schemas: dict[str, dict], name: str, props: dict[str, Any] | None) 
 
 def checked_map(edge_type: str, props: dict[str, Any]) -> dict[str, Any]:
     """A copy of `props`, checked as the map of an edge of `edge_type`: what
-    the graph stores, and what `Cpg.add_ddg_run` takes for DDG."""
+    the graph stores, and what `Cpg._add_ddg_run` takes for DDG."""
     return _checked(_EDGE_SCHEMAS, edge_type, props)
 
 
@@ -399,11 +399,11 @@ class Cpg:
                 self._put(src, dst, edge_type, seen[1])
         return len(self._props) - first
 
-    def add_ddg_run(self, dst: int, srcs: list[int], maps: Iterable[dict[str, Any]]) -> None:
+    def _add_ddg_run(self, dst: int, srcs: list[int], maps: Iterable[dict[str, Any]]) -> None:
         """Append the DDG edges `src -> dst` of `srcs`, in order, as one run of
-        dst's in-adjacency, the i-th storing the i-th of `maps` as given: each
-        a `checked_map` of DDG, not checked again. The endpoints are checked
-        with no Python-level step per edge."""
+        dst's in-adjacency, the i-th storing the i-th of `maps`. It trusts its
+        maps, each a `checked_map` of DDG, and neither checks nor copies them;
+        the endpoints are checked with no Python-level step per edge."""
         self._writable()
         maps = list(maps)
         if not srcs or len(maps) != len(srcs):

@@ -4,8 +4,8 @@ Function bodies are flat instruction lists; block/loop/if carry their nested
 bodies on the instruction itself. The parser unfolds folded source
 expressions, so builders always see execution order. `walk` is the one
 traversal of nested bodies: every pass over the IR (validation and AST
-folding, node creation, CFG, dataflow order, printing) iterates its events,
-so none recurses and nesting depth is bounded by memory alone.
+folding, node creation, CFG, dataflow order) iterates its events, so none
+recurses and nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def instruction_arity(
     func: FunctionIR | None = None,
     label_results: dict[str, int] | None = None,
 ) -> tuple[int, int]:
-    """Stack consumption/production of one instruction, per MVP typing.
+    """Stack consumption/production of one plain instruction, per MVP
+    typing; each pass over `walk` handles block, loop and if itself.
 
     Branches and `return` also move the values their target receives: the
     target label's result count (from `label_results`, keyed by label name)
@@ -121,10 +122,6 @@ def instruction_arity(
         if sig is None:
             raise ValidationError("call_indirect without a resolvable signature")
         return len(sig.params) + 1, len(sig.results)
-    if o in ("block", "loop"):
-        return inst.block_params, inst.nresults
-    if o == "if":
-        return 1, inst.nresults
     if o == "return":
         return (func.nresults if func is not None else 0), 0
     if o not in ("br", "br_if", "br_table"):
@@ -273,85 +270,6 @@ def validate_module(module: ModuleIR) -> None:
             raise ValidationError(f"table entry {idx} references no function")
     for f in module.functions:
         validate_function(f, module)
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (flat form); parse(format(parse(s))) is structurally stable.
-
-def _fmt_plain(inst: InstructionIR) -> str:
-    o = inst.opcode
-    parts = [o]
-    if o.endswith(".const"):
-        parts.append(repr(inst.value) if isinstance(inst.value, float) else str(inst.value))
-    elif inst.var is not None:
-        parts.append(inst.var)
-    elif o == "call":
-        parts.append(inst.callee)
-    elif o == "call_indirect":
-        sig = inst.type_use
-        for p in sig.params:
-            parts.append(f"(param {p})")
-        for r in sig.results:
-            parts.append(f"(result {r})")
-    elif o in ("br", "br_if"):
-        parts.append(inst.label)
-    elif o == "br_table":
-        parts.extend(inst.br_targets)
-    if op.INST_TYPE.get(o) in (op.LOAD, op.STORE):
-        if inst.offset:
-            parts.append(f"offset={inst.offset}")
-    return " ".join(parts)
-
-
-def format_module(module: ModuleIR) -> str:
-    """Emit the module back as flat WAT."""
-    lines = ["(module" + (f" {module.name}" if module.name else "")]
-    for g in module.globals:
-        ty = f"(mut {g.value_type})" if g.mutable else g.value_type
-        init = "0" if g.value_type in ("i32", "i64") else "0.0"
-        lines.append(f"  (global {g.name} {ty} ({g.value_type}.const {init}))")
-    for f in module.functions:
-        head = f"  (func {f.name}"
-        if f.is_import:
-            head += ' (import "env" "' + f.name.lstrip("$") + '")'
-        if f.is_export:
-            head += f' (export "{f.export_name or f.name.lstrip("$")}")'
-        for name, ty in f.params:
-            head += f" (param {name} {ty})"
-        for ty in f.results:
-            head += f" (result {ty})"
-        lines.append(head)
-        for name, ty in f.locals:
-            lines.append(f"    (local {name} {ty})")
-        depth = 2
-        wrapped: set[int] = set()   # ifs printed under their wrapper block's label
-        for inst, ev in walk(f.body):
-            pad = "  " * depth
-            if ev == PLAIN:
-                lines.append(pad + _fmt_plain(inst))
-            elif ev == ELSE:
-                lines.append(pad[2:] + "else")
-            elif id(inst) in wrapped:
-                continue
-            elif ev == EXIT:
-                depth -= 1
-                lines.append(pad[2:] + "end")
-            else:
-                head = inst
-                if inst.opcode == "block" and inst.block_params == 1 \
-                        and len(inst.body) == 1 and inst.body[0].opcode == "if":
-                    # collapse the if-wrapper back to a labeled if
-                    head = inst.body[0]
-                    wrapped.add(id(head))
-                result = f" (result {head.value_type or 'i32'})" if head.nresults else ""
-                lines.append(f"{pad}{head.opcode} {inst.label}{result}")
-                depth += 1
-        lines.append("  )")
-    if module.table:
-        names = " ".join(module.functions[i].name for i in module.table)
-        lines.append(f"  (table funcref (elem {names}))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
 
 
 def iter_instructions(seq: Iterable[InstructionIR]) -> Iterator[InstructionIR]:

@@ -1,6 +1,7 @@
 """Tokenizer with an offside rule: INDENT/DEDENT are emitted at bracket depth
 zero only, so bracketed expressions may span lines freely. `//` starts a
-comment where a token could start, never inside a string."""
+comment where a token could start, never inside a string. A string may
+escape `"` and `\\` with a backslash, and no other character."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ _TOKEN_RE = re.compile(r"""
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|&&|\|\||!=|<=|>=|[-+*/=<>!:;,.()\[\]])
 """, re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 @dataclass
@@ -27,8 +29,15 @@ class Token:
     line: int
     col: int
 
-    def __repr__(self):
-        return f"Token({self.type},{self.value!r}@{self.line})"
+
+def _unescape(body: str, line: int, col: int) -> str:
+    """A string literal's `body` with its escapes `\\"` and `\\\\` undone, in one
+    left-to-right pass; any other escape is a syntax error at the literal."""
+    def undo(m: re.Match) -> str:
+        if m.group(1) not in '"\\':
+            raise WqlSyntaxError(f"unknown escape \\{m.group(1)} in a string", line, col)
+        return m.group(1)
+    return _ESCAPE_RE.sub(undo, body)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -63,7 +72,7 @@ def tokenize(source: str) -> list[Token]:
             text = m.group(0)
             col = pos + 1
             if m.lastgroup == "string":
-                tokens.append(Token("STRING", text[1:-1], lineno, col))
+                tokens.append(Token("STRING", _unescape(text[1:-1], lineno, col), lineno, col))
             elif m.lastgroup == "number":
                 tokens.append(Token("NUMBER", text, lineno, col))
             elif m.lastgroup == "name":

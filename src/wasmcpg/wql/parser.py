@@ -73,11 +73,11 @@ class _Parser:
 
     # -- statements -----------------------------------------------------------
     def program(self) -> A.Program:
-        body = self.statements(top=True)
+        body = self.statements()
         self.expect("EOF")
         return A.Program(body=body, line=1)
 
-    def statements(self, top: bool = False) -> list:
+    def statements(self) -> list:
         out = []
         while True:
             t = self.peek()

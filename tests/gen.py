@@ -7,10 +7,9 @@ that require no operands.
 
 from __future__ import annotations
 
-import copy
 import random
 
-from wasmcpg.ir import ELSE, ENTER, PLAIN, _fmt_plain, format_module, instruction_arity, walk
+from wasmcpg.ir import ELSE, ENTER, PLAIN, instruction_arity, walk
 
 BINOPS = ("i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor")
 RELOPS = ("i32.eq", "i32.ne", "i32.lt_s", "i32.gt_s")
@@ -226,19 +225,51 @@ def fold_module(module) -> str:
     `(loop ...)` or `(if ... (then ...) (else ...)?)`, each instruction as
     `(op imm* e*)` over the single-value forms just before it that it pops.
 
-    A folded form abbreviates its flat sequence, so this parses back to the
-    module `format_module` prints.
+    A folded form abbreviates its flat sequence, so this parses back to
+    `module`. A module keeps no global initialiser and no import module
+    name, so each global starts at zero and each import is one of `env`.
     """
-    bare = copy.deepcopy(module)
-    for func in bare.functions:
-        func.body = []
-    bodies = iter([_fold_body(func, module) for func in module.functions])
-    lines = []
-    for line in format_module(bare).split("\n"):
-        if line == "  )":   # a function's closing line
-            lines.append(next(bodies))
-        lines.append(line)
-    return "\n".join(lines)
+    lines = ["(module" + (f" {module.name}" if module.name else "")]
+    for gl in module.globals:
+        ty = f"(mut {gl.value_type})" if gl.mutable else gl.value_type
+        zero = "0" if gl.value_type in ("i32", "i64") else "0.0"
+        lines.append(f"  (global {gl.name} {ty} ({gl.value_type}.const {zero}))")
+    for func in module.functions:
+        head = f"  (func {func.name}"
+        if func.is_import:
+            head += f' (import "env" "{func.name.lstrip("$")}")'
+        if func.is_export:
+            head += f' (export "{func.export_name}")'
+        head += "".join(f" (param {name} {ty})" for name, ty in func.params)
+        head += "".join(f" (result {ty})" for ty in func.results)
+        lines += [head, *(f"    (local {name} {ty})" for name, ty in func.locals),
+                  _fold_body(func, module), "  )"]
+    if module.table:
+        names = " ".join(module.functions[i].name for i in module.table)
+        lines.append(f"  (table funcref (elem {names}))")
+    return "\n".join(lines) + "\n)\n"
+
+
+def _fmt_plain(inst) -> str:
+    """A plain instruction and its immediates, as flat text."""
+    o = inst.opcode
+    parts = [o]
+    if o.endswith(".const"):
+        parts.append(repr(inst.value) if isinstance(inst.value, float) else str(inst.value))
+    elif inst.var is not None:
+        parts.append(inst.var)
+    elif o == "call":
+        parts.append(inst.callee)
+    elif o == "call_indirect":
+        parts += [f"(param {p})" for p in inst.type_use.params]
+        parts += [f"(result {r})" for r in inst.type_use.results]
+    elif o in ("br", "br_if"):
+        parts.append(inst.label)
+    elif o == "br_table":
+        parts.extend(inst.br_targets)
+    if inst.offset:   # a load's or a store's
+        parts.append(f"offset={inst.offset}")
+    return " ".join(parts)
 
 
 def _form(head: str, forms: list) -> str:

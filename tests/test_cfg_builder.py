@@ -16,10 +16,6 @@ def _nodes(cpg, **props):
             if all(n.properties.get(k) == v for k, v in props.items())]
 
 
-def _succs(cpg, nid):
-    return {(e.dst, e.properties.get("label")) for e in cpg.out_edges(nid, g.CFG)}
-
-
 def _cfg_edges(cpg, nid):
     return cpg.in_edges(nid, g.CFG) + cpg.out_edges(nid, g.CFG)
 

@@ -355,9 +355,11 @@ class TestFailClosed:
             "edges": [], "maps": [], "origins": [], "schema": 2,
             "nodes": [{"kind": "Instruction", "properties": [["instType", "Nop"]]}]}))
         (tmp_path / "old.json").write_text('{"schema": 1, "nodes": [], "edges": []}')
-        (tmp_path / "label.json").write_text(json.dumps({
-            "edges": [{"dst": 1, "src": [0]}], "maps": [{"ddgType": "Local", "label": math.inf}],
-            "nodes": [{"kind": "Else", "properties": {}}] * 2, "origins": [[0, 0]], "schema": 2}))
+        for name, label in (("label", math.inf), ("list_label", [1, 2])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "edges": [{"dst": 1, "src": [0]}], "maps": [{"ddgType": "Local", "label": label}],
+                "nodes": [{"kind": "Else", "properties": {}}] * 2, "origins": [[0, 0]],
+                "schema": 2}))
         return tmp_path
 
     @pytest.mark.parametrize("code, argv", [
@@ -390,6 +392,8 @@ class TestFailClosed:
         (3, ["export", "{t}/old.json", "--format", "json", "-o", "{t}/out.json"]),
         (3, ["export", "{t}/label.json", "--format", "json", "-o", "{t}/out.json"]),
         (3, ["query", "{t}/label.json"]),
+        (3, ["export", "{t}/list_label.json", "--format", "json", "-o", "{t}/out.json"]),
+        (3, ["query", "{t}/list_label.json"]),
         *[(3, ["scan", f"{{t}}/{name}.wat"]) for name in MALFORMED],
         *[(3, ["scan", MIXED, "--config", f"{{t}}/{name}.json"]) for name in BAD_CONFIGS],
         *[(3, ["query", "{t}/g.json", "--wql", f"{{t}}/{name}.wql"]) for name in BAD_WQL],
@@ -404,7 +408,8 @@ class TestFailClosed:
             "export-unknown-edge-type", "export-misspelled-edge-type", "infinite-alloc-size",
             "graph-infinite-value", "graph-nan-value", "export-infinite-value",
             "export-nan-value", "export-list-properties", "query-schema-1", "export-schema-1",
-            "export-infinite-label", "query-infinite-label",
+            "export-infinite-label", "query-infinite-label", "export-list-label",
+            "query-list-label",
             *MALFORMED, *BAD_CONFIGS, *BAD_WQL, "wql-step-budget", "wql-step-budget-scan"])
     def test_exit_code_without_traceback(self, capsys, t, code, argv):
         got, out, err = run(capsys, *[a.format(t=t) for a in argv])

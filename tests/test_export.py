@@ -426,6 +426,7 @@ class TestJson:
         {"maps": [{"label": "sideways"}, MAPS[1]]}, {"nodes": [{**NODES[0], "kind": "Nope"}] * 2},
         {"origins": [[0]]}, {"origins": [0]},
         {"maps": [[1], MAPS[1]]},   # a map that is not an object
+        {"maps": [{}, {**MAPS[1], "label": [1, 2]}]},   # a DDG label that is no scalar
         {"edges": [{**ONE, "type": "AST"}], "maps": [{"childIndex": True}, MAPS[1]]},
     ], ids=repr)
     def test_malformed_schema_2_document(self, tmp_path, change):

@@ -176,6 +176,11 @@ class TestMapsAreDicts:
             cpg.add_ddg_rows([(1, 0b1)], [0], lambda src: NOT_A_DDG_MAP)
         assert cpg.edges_of_type(g.DDG) == []
 
+    def test_every_public_writer_is_one_of_these(self):
+        # `_add_ddg_run`, which stores `checked_map` copies unchecked, is private
+        assert [name for name in dir(g.Cpg) if name.startswith("add")] == \
+            ["add_ddg_rows", "add_edge", "add_edges", "add_node"]
+
     def test_none_is_no_properties(self):
         cpg = g.Cpg()
         a, b = cpg.add_node(g.ELSE, None), cpg.add_node(g.ELSE)
@@ -483,7 +488,7 @@ class TestStoreModel:
             elif kind == "run":
                 dst, srcs, i = arg
                 props = g.checked_map(g.DDG, _store_map(g.DDG, i))
-                cpg.add_ddg_run(dst, srcs, [props] * len(srcs))
+                cpg._add_ddg_run(dst, srcs, [props] * len(srcs))
                 model += [(s, dst, g.DDG, props, (call, "run")) for s in srcs]
             else:
                 rows, origins, shift = arg
@@ -582,14 +587,14 @@ class TestStoreModel:
 
 
 class TestAddDdgRun:
-    """`Cpg.add_ddg_run`: DDG edges into one node with maps `checked_map` made."""
+    """`Cpg._add_ddg_run`: DDG edges into one node with maps `checked_map` made."""
 
     LOCAL = {"ddgType": "Local", "label": "$x"}
 
     def test_a_run_is_one_run_of_the_consumer(self):
         cpg = _graph_with_cfg(3)
         props = g.checked_map(g.DDG, self.LOCAL)
-        cpg.add_ddg_run(2, [0, 1, 0], [props] * 3)
+        cpg._add_ddg_run(2, [0, 1, 0], [props] * 3)
         assert [(e.src, e.dst) for e in cpg.in_edges(2, g.DDG)] == [(0, 2), (1, 2), (0, 2)]
         assert all(e.properties is props for e in cpg.edges_of_type(g.DDG))
         assert list(cpg.edge_runs())[-1] == (2, array("i", [0, 1, 0]), g.DDG, [props] * 3)
@@ -602,7 +607,7 @@ class TestAddDdgRun:
         cpg = _graph_with_cfg(3)
         before = len(cpg.edges)
         with pytest.raises(GraphError):
-            cpg.add_ddg_run(dst, srcs, [g.checked_map(g.DDG, self.LOCAL)] * n_maps)
+            cpg._add_ddg_run(dst, srcs, [g.checked_map(g.DDG, self.LOCAL)] * n_maps)
         assert len(cpg.edges) == before
 
     def test_checked_map_is_a_checked_copy(self):
@@ -614,7 +619,7 @@ class TestAddDdgRun:
     def test_frozen_graph_rejects_runs(self):
         cpg = _graph_with_cfg(3).freeze()
         with pytest.raises(GraphError, match="frozen"):
-            cpg.add_ddg_run(1, [0], [g.checked_map(g.DDG, self.LOCAL)])
+            cpg._add_ddg_run(1, [0], [g.checked_map(g.DDG, self.LOCAL)])
 
 
 class TestDdgSlices:
@@ -935,7 +940,7 @@ class TestSchemaParity:
 class TestFiniteNumbers:
     """A Const node's and a Const DDG edge's `value` is an int or a finite
     float; an int too large for a float is still a number. A DDG edge's
-    `label` may be any value but a float that is not finite."""
+    `label` is None, a bool, a string, an int or a finite float."""
 
     @pytest.mark.parametrize("name", ["Const", "DDG-Const"])
     @pytest.mark.parametrize("value, finite", [
@@ -951,14 +956,17 @@ class TestFiniteNumbers:
                 add(g.Cpg(), props)
 
     @pytest.mark.parametrize("name", ["DDG-Local", "DDG-Const"])
-    @pytest.mark.parametrize("label, finite", [
+    # a label is a JSON scalar: what `json.load` gives back unchanged
+    @pytest.mark.parametrize("label, ok", [
         (math.inf, False), (-math.inf, False), (math.nan, False), (1e308, True), (10 ** 400, True),
-        ("$x", True), (None, True),
-    ], ids=["inf", "-inf", "nan", "1e308", "10**400", "str", "None"])
-    def test_ddg_label_domain(self, name, label, finite):
+        ("$x", True), (None, True), (True, True), (b"x", False), ({1, 2}, False),
+        ((1, 2), False), ([1, 2], False), ({1: "a"}, False),
+    ], ids=["inf", "-inf", "nan", "1e308", "10**400", "str", "None", "bool", "bytes", "set",
+            "tuple", "list", "dict"])
+    def test_ddg_label_domain(self, name, label, ok):
         _, dom, _, add = SCHEMA_ELEMENTS[SCHEMA_IDS.index(name)]
         props = {**_valid(dom), "label": label}
-        if finite:
+        if ok:
             add(g.Cpg(), props)
         else:
             with pytest.raises(SchemaError, match="outside its domain"):

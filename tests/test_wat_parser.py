@@ -22,8 +22,8 @@ from wasmcpg.errors import (
 )
 from wasmcpg.ir import (
     InstructionIR,
+    ModuleIR,
     Signature,
-    format_module,
     instruction_arity,
     iter_instructions,
     validate_module,
@@ -84,7 +84,19 @@ class TestParseModule:
         folded = parse_module("""(module (func $f (result i32)
             (i32.add (i32.const 7) (i32.const 1)))
             (func (param i32)))""")
-        assert format_module(flat) == format_module(folded)
+        assert flat == folded
+
+    def test_forms_the_analysis_skips_are_accepted(self):
+        # imported globals, memories and tables; an elem naming its table,
+        # with an (offset ...) and the func keyword; a label after `end`
+        source = ('(module $m (import "env" "g" (global i32)) (import "env" "mem" (memory 1))'
+                  ' (import "env" "t" (table 2 funcref)) (func $f block $b end $b)'
+                  ' (elem $t (offset (i32.const 1)) func $f) (elem (i32.const 0) $f))')
+        m = parse_module(source)
+        assert (m.name, m.table, [f.name for f in m.functions]) == ("$m", [0, 0], ["$f"])
+        assert [i.label for i in m.functions[0].body] == ["$b"]
+        module_node = build_cpg(source)[0].nodes[0]
+        assert (module_node.kind, module_node.properties) == ("Module", {"name": "$m"})
 
     def test_exports_marked(self):
         m = parse_module('(module (func $f (export "f")) '
@@ -249,15 +261,46 @@ class TestErrorPositions:
         # an escaped newline in a string is no line break
         ('(module (export "a\\nb" (func 0))\n (func i32.const x drop))',
          "2:18: bad integer literal 'x'"),
+        ("(module (func $f)\n (export f (func $f)))", "2:10: expected a string literal"),
+        ("(module\n  (type $t (param i32)))", "2:3: (type ...) must wrap a (func ...)"),
+        ('(module\n  (import "a" "b" (data)))', "2:3: unsupported import kind 'data'"),
+        ("(module (func $f)\n  (func $f))", "2:3: duplicate function name $f"),
+        ('(module (func $f)\n (export "x" (func f)))', "2:20: bad function reference 'f'"),
+        ("(module (func\n  nop (type 0)))", "2:7: unexpected (type ...)"),
+        ("(module (func\n  block else end))", "2:9: unexpected 'else'"),
+        ("(module (func\n  nop end))", "2:7: unexpected 'end'"),
+        ("(module (func\n  (nop 1)))", "2:4: nop: unexpected immediate"),
+        ("(module (func\n  (drop (i32.const 0) 1)))", "2:23: drop: unexpected immediate '1'"),
+        ("(module (func\n  block (result i32 i32) end))",
+         "2:3: multi-value blocks are not supported"),
+        ("(module (func\n  i32.const 0 call_indirect (result i32 i32) drop))",
+         "2:15: multi-value signatures are not supported"),
+        ("(module (func\n  i32.const 0 br_table))",
+         "2:15: br_table needs at least a default target"),
+        ("(module (memory 1) (func\n  i32.const 0 i32.load size=4 drop))",
+         "2:15: unknown memarg 'size'"),
+        ("(module (func\n  global.get $nope drop))", "2:14: unknown global $nope"),
+        ("(module (global i32 (i32.const 0)) (func\n  global.get 0 drop))",
+         "2:14: numeric global references are not supported"),
+        ("(module (func\n  (if (i32.const 1) (else))))",
+         "2:3: folded if requires a (then ...) form"),
+        ("(module (func\n  (if (i32.const 1) (then) (else) (nop))))",
+         "2:3: junk after folded if"),
     ], ids=["type-use-mismatch", "missing-end", "unknown-call", "unknown-export",
-            "unknown-elem", "export-index", "call-index", "line-after-an-escaped-newline"])
+            "unknown-elem", "export-index", "call-index", "line-after-an-escaped-newline",
+            "export-name-not-a-string", "type-without-func", "import-kind",
+            "duplicate-function", "bad-function-reference", "immediate-form-as-instruction",
+            "else-outside-if", "end-outside-construct", "folded-head-immediate",
+            "folded-operand-immediate", "multi-value-block", "multi-value-call-indirect",
+            "br-table-without-targets", "unknown-memarg", "unknown-global",
+            "numeric-global", "folded-if-without-then", "junk-after-folded-if"])
     def test_position_of(self, source, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_module(source)
 
 
 FOLDING_INPUTS = {**{name: fixture_source(name) for name in ALL_FIXTURES},
-                  **{f"random-{seed}": random_module(seed) for seed in range(6)}}
+                  **{f"random-{seed}": random_module(seed) for seed in range(10)}}
 
 
 class TestFoldedForms:
@@ -276,20 +319,6 @@ class TestFoldedForms:
         # `(i32.const)` may not take the next instruction's literal
         with pytest.raises(ParseError, match="i32.const: expected a literal"):
             parse_module("(module (func (i32.const) i32.const 1 drop))")
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ALL_FIXTURES)
-    def test_fixture_roundtrip(self, name):
-        m1 = parse_module(fixture_source(name))
-        m2 = parse_module(format_module(m1))
-        assert m1 == m2
-
-    def test_random_modules_roundtrip(self):
-        for seed in range(10):
-            m1 = parse_module(random_module(seed))
-            m2 = parse_module(format_module(m1))
-            assert m1 == m2, f"seed {seed}"
 
 
 # Reference stack effects transcribed independently from the MVP typing rules;
@@ -362,6 +391,8 @@ class TestInstructionArity:
         inst = InstructionIR(opcode="call_indirect",
                              type_use=Signature(("i32", "i32"), ("i32",)))
         assert instruction_arity(inst, m) == (3, 1)
+        with pytest.raises(ValidationError, match="^call_indirect without a resolvable"):
+            instruction_arity(InstructionIR(opcode="call_indirect"), m)
 
     def test_every_simple_opcode_matches_reference(self):
         m = parse_module("(module)")
@@ -370,6 +401,12 @@ class TestInstructionArity:
             assert got == _reference_arity(opcode), opcode
             if opcode in REFERENCE_ARITY:
                 assert got == REFERENCE_ARITY[opcode], opcode
+
+    def test_constructs_have_no_rule(self):
+        m = parse_module("(module)")
+        for opcode in ("block", "loop", "if"):
+            with pytest.raises(ValidationError, match=f"^no arity rule for opcode '{opcode}'$"):
+                instruction_arity(InstructionIR(opcode=opcode), m)
 
     def test_reference_table_is_covered(self):
         assert set(REFERENCE_ARITY) <= set(op.SIMPLE_OPCODES)
@@ -381,6 +418,20 @@ class TestValidation:
         # validate_module re-runs the stack-effect walk; non-negative heights
         # and exact terminal heights are its postcondition
         validate_module(parse_module(fixture_source(name)))
+
+    @pytest.mark.parametrize("source, message", [
+        ("(module (func\n  if end))", "stack underflow at if (#0)"),
+        ("(module (func\n  block i32.const 1 end))", "block leaves 1 values, declared 0"),
+        ("(module (func (result i32)\n  i32.const 1 if (result i32) i32.const 2 end))",
+         "if with results requires an else branch"),
+    ], ids=["if-without-condition", "block-leaves-a-value", "if-result-without-else"])
+    def test_validation_error_text(self, source, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_module(source)
+
+    def test_table_entry_names_a_function(self):
+        with pytest.raises(ValidationError, match="^table entry 0 references no function$"):
+            validate_module(ModuleIR(table=[0]))
 
     def test_random_modules_validate(self):
         for seed in range(20):

@@ -70,6 +70,24 @@ class TestParseWql:
         with pytest.raises(WqlSyntaxError, match=message):
             parse_wql(source)
 
+    @pytest.mark.parametrize("source, message", [
+        ("x := 1;\nelse: y := 2;\n", "2:1: expected 'EOF', found 'else'"),
+        ("if true:\n    x := (1;\n", "2:12: expected ')', found ';'"),
+        ("x := 1 # 2;", "1:8: stray character '#'"),
+        ("if true:\n    x := 1;\n  y := 2;\n", "3:3: inconsistent indentation"),
+        ('x := 1;\ny := "a\\nb";', "2:6: unknown escape \\n in a string"),
+    ], ids=["else-without-if", "unclosed-paren", "stray-character", "inconsistent-indent",
+            "unknown-escape"])
+    def test_syntax_error_text_and_position(self, source, message):
+        with pytest.raises(WqlSyntaxError) as info:
+            parse_wql(source)
+        assert str(info.value) == message
+
+    def test_string_escapes_are_undone(self):
+        # one left-to-right pass: `\\\"` is an escaped backslash, then an escaped quote
+        prog = parse_wql(r'x := "a\"b";' "\n" r'y := "c\\";' "\n" r'z := "\\\"";')
+        assert [s.expr.expr.value for s in prog.body] == ['a"b', "c\\", '\\"']
+
     def test_break_in_an_if_in_a_loop(self):
         prog = parse_wql("foreach x in List(1):\n    if x = 1:\n        break;\n    continue;\n")
         loop = prog.body[0]
@@ -449,7 +467,10 @@ foreach f in functions():
         ("1", "line 1: expected a boolean, got int"),
         ("true && 1", "line 1: expected a boolean, got int"),
         ('"true"', "line 1: expected a boolean, got str"),
-        ("nil && true", "line 1: expected a boolean, got NoneType")])
+        ("nil && true", "line 1: expected a boolean, got NoneType"),
+        # a map's methods: `config` is bound to an empty map
+        ("config.empty()", [1, 2]), ("config.size() = 0", [1, 2]),
+        ("config.size()", "line 1: expected a boolean, got int")])
     def test_only_true_literals_make_a_constant_range(self, pred, want):
         cpg = fixture_cpg("empty")
         prog = parse_wql(f"x := [v in List(1, 2) : {pred}];\nvulnerability(x, 0, 0);")
@@ -550,6 +571,8 @@ RUNTIME_ERRORS = [
     ("x := 1[0];", None, "line 1: cannot index int"),
     ("x := List().nope();", None, "line 1: unknown method 'nope' on list"),
     ("x := List().pop();", None, "line 1: pop from an empty list"),
+    ("if false:\n    x := 1;\nelse:\n    x := nil.name;", None,
+     "line 4: attribute 'name' on nil"),
     ("x := 1;\ny := teleport(x);", None, "line 2: unknown builtin 'teleport'"),
     ("x := descendantsAST(1);", None, "line 1: expected a node, got int"),
     ("x := 1 in 2;", None, "line 1: 'in' expects a list or map"),
