@@ -321,6 +321,17 @@ class TestFoldedForms:
             parse_module("(module (func (i32.const) i32.const 1 drop))")
 
 
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture_roundtrip(self, name):
+        # the printed text parses back to the module and prints the same text
+        m1 = parse_module(fixture_source(name))
+        text = fold_module(m1)
+        m2 = parse_module(text)
+        assert m1 == m2
+        assert fold_module(m2) == text
+
+
 # Reference stack effects transcribed independently from the MVP typing rules;
 # one representative per shape plus the irregular cases.
 REFERENCE_ARITY = {
