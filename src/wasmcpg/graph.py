@@ -541,14 +541,6 @@ class Cpg:
             return n.kind
         return n.properties.get(key)
 
-    def edge_property(self, eid: int, key: str) -> Any:
-        e = self.edge(eid)
-        if key == "id":
-            return e.id
-        if key == "type":
-            return e.type
-        return e.properties.get(key)
-
     def _ddg_out_index(self) -> dict[int, array]:
         """Each origin's DDG edge ids, ascending: built whole on the first
         out-read, since no build step reads them, and dropped by a DDG

@@ -67,7 +67,3 @@ def build_cpg(source: str) -> tuple[g.Cpg, BuildReport]:
     ctx, report = _build(source)
     return ctx.cpg, report
 
-
-def build_context(source: str) -> BuildContext:
-    """Builder context with all edge sets present and the graph frozen."""
-    return _build(source)[0]

@@ -9,8 +9,8 @@ token; unsupported opcodes are hard errors.
 
 Accepted module fields: type, import, func, table, elem, global, export,
 memory, data, start (the last three are checked for shape and otherwise
-ignored). Imports may appear anywhere; function indices follow declaration
-order.
+ignored). Imports may appear anywhere; function and global indices follow
+declaration order.
 """
 
 from __future__ import annotations
@@ -289,19 +289,16 @@ class Parser:
                     kind = _head(f[3])
                     if kind == "func":
                         funcs.append((f, *self._scan_func(f, f[3][1:], len(funcs), True)))
-                    elif kind in ("global", "memory", "table"):
+                    elif kind == "global":
+                        self._add_global(f[3], module)
+                    elif kind in ("memory", "table"):
                         pass  # shape accepted, contents irrelevant to the analysis
                     else:
                         raise ParseError(f"unsupported import kind {kind!r}", f.line, f.col)
                 elif h == "func":
                     funcs.append((f, *self._scan_func(f, f[1:], len(funcs), False)))
                 elif h == "global":
-                    gl = self._parse_global(f, len(module.globals))
-                    if gl.name in self.global_names:
-                        raise NameResolutionError(f"duplicate global name {gl.name}",
-                                                  f.line, f.col)
-                    self.global_names.add(gl.name)
-                    module.globals.append(gl)
+                    self._add_global(f, module)
                 elif h in ("memory", "data", "start"):
                     pass
                 elif h == "table":
@@ -418,9 +415,9 @@ class Parser:
             i += 1
         return offset, [_ref(a) for a in f[i:]]
 
-    def _parse_global(self, f: SExpr, index: int) -> GlobalIR:
-        """A global field; an unnamed one is named by its index among all
-        the module's globals."""
+    def _add_global(self, f: SExpr, module: ModuleIR) -> None:
+        """Append a global field, or an import's global description, to the
+        module's globals; an unnamed one is named by its index among them."""
         i = 1
         name = None
         if _is_atom(f[i]) and f[i].text.startswith("$"):
@@ -433,8 +430,11 @@ class Parser:
         else:
             vt = self._valtype(f[i])
         if name is None:
-            name = f"$g{index}"
-        return GlobalIR(name=name, value_type=vt, mutable=mutable)
+            name = f"$g{len(module.globals)}"
+        if name in self.global_names:
+            raise NameResolutionError(f"duplicate global name {name}", f.line, f.col)
+        self.global_names.add(name)
+        module.globals.append(GlobalIR(name=name, value_type=vt, mutable=mutable))
 
     # -- instruction parsing ---------------------------------------------------
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -45,6 +47,22 @@ def fixture_source(name: str) -> str:
 
 def wql_source(name: str) -> str:
     return (FIXTURES / "wql" / f"{name}.wql").read_text(encoding="utf-8")
+
+
+def run_child(argv, **env):
+    """Exit code, stdout and stderr of a Python child importing from src/."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src"), **env}
+    child = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                           env=env, timeout=300)
+    return child.returncode, child.stdout, child.stderr
+
+
+def run_capped(mib: int, *argv: str):
+    """`run_child` of the CLI's `main(argv)`, in a child that caps its own
+    address space at `mib` MiB."""
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({mib} << 20,) * 2)\n"
+            "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
+    return run_child(["-c", code, *argv])
 
 
 _CTX_CACHE: dict[str, tuple[BuildContext, BuildReport]] = {}

@@ -10,9 +10,9 @@ from wasmcpg.ast_builder import build_ast
 from wasmcpg.errors import ValidationError
 from wasmcpg.ir import (FunctionIR, InstructionIR, ModuleIR, instruction_arity,
                         iter_instructions, validate_function)
-from wasmcpg.pipeline import build_context, build_cpg
+from wasmcpg.pipeline import build_cpg
 from wasmcpg.wat_parser import parse_module
-from wasmcpg import dataflow as df
+from wasmcpg import dataflow as df, pipeline
 from wasmcpg import graph as g
 
 
@@ -93,7 +93,7 @@ class TestDeadCode:
         assert if_children(labeled_cpg) == if_children(plain_cpg) == ["BrIf", "Br"]
 
     def test_dead_nodes_have_no_incoming_cfg_edges_from_live_code(self):
-        ctx = build_context(DEAD_LABELED_IF)
+        ctx, _ = pipeline._build(DEAD_LABELED_IF)
         cpg = ctx.cpg
         layout = ctx.layouts["$f"]
         unreachable = _node(cpg, instType="Unreachable").id

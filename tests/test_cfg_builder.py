@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.errors import ValidationError
-from wasmcpg.pipeline import build_context
+from wasmcpg.pipeline import _build
 from wasmcpg import graph as g
 from wasmcpg import opcodes as op
 
@@ -68,7 +68,7 @@ class TestBranches:
 
 class TestLinearFlow:
     def test_straight_line_chain(self):
-        ctx = build_context("""(module (func $f
+        ctx, _ = _build("""(module (func $f
             i32.const 1
             i32.const 2
             i32.add
@@ -135,7 +135,7 @@ class TestInvariants:
             cpg.nodes_of_kind(g.FUNCTION)) + len(cpg.nodes_of_kind(g.ELSE))
 
     def test_dead_code_after_unconditional_branch(self):
-        ctx = build_context("""(module (func $f
+        ctx, _ = _build("""(module (func $f
             block $b
               br $b
               i32.const 1
@@ -150,7 +150,7 @@ class TestInvariants:
         assert _cfg_edges(cpg, dead_drop.id) == []
 
     def test_dead_branch_adds_no_edge_to_a_live_target(self):
-        ctx = build_context("""(module (func $f (param i32)
+        ctx, _ = _build("""(module (func $f (param i32)
             block $b
               local.get 0
               br_if $b
@@ -176,16 +176,16 @@ class TestInvariants:
         source = f"(module (func $f block $b {self.WITH_OPERANDS[opcode]} {{}} end))"
         # the validator checks no dead instruction: a live i32.add underflows
         if ends:
-            build_context(source.format("i32.add drop"))
+            _build(source.format("i32.add drop"))
         else:
             with pytest.raises(ValidationError, match="underflow"):
-                build_context(source.format("i32.add drop"))
-        cpg = build_context(source.format("i32.const 7 drop")).cpg
+                _build(source.format("i32.add drop"))
+        cpg = _build(source.format("i32.const 7 drop"))[0].cpg
         (after,) = _nodes(cpg, instType="Const", value=7)
         assert (_cfg_edges(cpg, after.id) == []) == ends
 
     def test_code_after_an_infinite_loop_is_dead(self):
-        ctx = build_context("""(module (func $f
+        ctx, _ = _build("""(module (func $f
             block $o
               loop $L
                 br $L

@@ -9,7 +9,7 @@ import pytest
 from conftest import ALL_FIXTURES, build_fixture, fixture_cpg
 from wasmcpg.cg_builder import build_signature_index
 from wasmcpg.ir import Signature, iter_instructions
-from wasmcpg.pipeline import build_context
+from wasmcpg.pipeline import _build
 from wasmcpg.wat_parser import parse_module
 from wasmcpg import graph as g
 
@@ -60,7 +60,7 @@ class TestBuildCg:
         assert edge.properties == {}
 
     def test_indirect_call_single_match(self):
-        ctx = build_context("""(module
+        ctx, _ = _build("""(module
           (func $f (param i32) (result i32) local.get 0)
           (func $g (param i32) (result i32) local.get 0 i32.popcnt)
           (func $h (param f64) (result f64) local.get 0 f64.neg)
@@ -77,7 +77,7 @@ class TestBuildCg:
         assert targets == {"$h"}
 
     def test_no_calls_no_edges(self):
-        ctx = build_context("(module (func $f i32.const 1 drop))")
+        ctx, _ = _build("(module (func $f i32.const 1 drop))")
         assert ctx.cpg.edges_of_type(g.CG) == []
 
     def test_zero_match_indirect_warns(self, caplog):
@@ -88,14 +88,14 @@ class TestBuildCg:
             i32.const 0
             call_indirect (result i64)))"""
         with caplog.at_level(logging.WARNING, logger="wasmcpg.cg_builder"):
-            ctx = build_context(src)
+            ctx, _ = _build(src)
         ci = next(n for n in ctx.cpg.nodes
                   if n.properties.get("instType") == "CallIndirect")
         assert ctx.cpg.out_edges(ci.id, g.CG) == []
         assert any("matches no" in r.message for r in caplog.records)
 
     def test_table_resident_import_is_an_indirect_target(self):
-        ctx = build_context("""(module
+        ctx, _ = _build("""(module
           (import "env" "ext" (func $ext (param i32) (result i32)))
           (func $own (param i32) (result i32) local.get 0)
           (table funcref (elem $ext $own))

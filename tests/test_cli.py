@@ -2,36 +2,34 @@
 
 from __future__ import annotations
 
+import collections
+import copy
 import errno
 import json
 import math
-import os
-import pathlib
+import random
 import re
-import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, FIXTURES, TOKEN_RE, fixture_cpg, fixture_source
+from conftest import (ALL_FIXTURES, FIXTURES, TOKEN_RE, fixture_cpg, fixture_source,
+                      run_capped, run_child)
 from test_ast_builder import DEAD_LABELED_IF
-from gen import fold_module, nested_blocks, nested_expression, random_module
+from gen import fold_module, nested_blocks, nested_expression, random_module, scaling_module
 from test_wat_parser import MALFORMED, MULTI_RESULT, SYNTHESIZED_LOCAL_CLASH
+from test_wql import QUERIES_WQL, TWIN_STEPS
 from wasmcpg.cli import main
+from wasmcpg.errors import WasmCpgError
+from wasmcpg.export import FORMATS, ExportManifest, export, import_json, to_json
+from wasmcpg.queries import ScanConfig, run_all
 from wasmcpg.wat_parser import parse_module
+from wasmcpg.wql import eval_wql, parse_wql
 from wasmcpg import graph as g
 
 CONFIG = str(FIXTURES / "scan_config.json")
 MIXED = str(FIXTURES / "mixed.wat")
-
-
-def run_child(argv, **env):
-    """Exit code, stdout and stderr of a Python child importing from src/."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src"), **env}
-    child = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                           env=env, timeout=300)
-    return child.returncode, child.stdout, child.stderr
 
 
 def run(capsys, *argv):
@@ -91,7 +89,38 @@ class TestScan:
         (count,) = re.findall(r"^  ddg_emit .* (\d+) edges$", err, re.M)
         assert code == 0 and int(count) == len(fixture_cpg("mixed").edges_of_type(g.DDG)) > 0
 
+    def test_a_host_that_froze_its_heap_scans_as_usual(self, capsys):
+        # in a child, as gc.freeze() would freeze the test run's heap: the
+        # build leaves the host's freeze count and GC as they were. A first
+        # scan runs before the freeze, since a process's first build frees
+        # a few objects made before it
+        code = ("import contextlib, gc, io, sys; from wasmcpg.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()): main(['scan', sys.argv[1]])\n"
+                "gc.freeze(); frozen = gc.get_freeze_count()\n"
+                "code = main(['scan', sys.argv[1]])\n"
+                "print(gc.get_freeze_count() == frozen > 0, gc.isenabled(), file=sys.stderr)\n"
+                "sys.exit(code)")
+        plain = run(capsys, "scan", MIXED)
+        assert plain[0] in (0, 1)
+        assert run_child(["-c", code, MIXED]) == (*plain[:2], "True True\n")
+
+
+# (fixture, options): every fixture with the built-in queries, and each
+# packaged WQL query on mixed.wat and on its own qNN_vuln.wat
+SAVED_GRAPH_RUNS = [pytest.param(name, (), id=name) for name in ALL_FIXTURES] + [
+    pytest.param(name, ("--wql", str(path)), id=f"{path.name[:3]}-{name}")
+    for path in sorted(QUERIES_WQL.glob("*.wql")) for name in ("mixed", f"{path.name[:3]}_vuln")]
+
+
 class TestBuildQueryExport:
+    @pytest.mark.parametrize("name, options", SAVED_GRAPH_RUNS)
+    def test_a_saved_graph_gives_the_scan_findings(self, capsys, tmp_path, name, options):
+        wat, graph = str(FIXTURES / f"{name}.wat"), str(tmp_path / "g.json")
+        scan = run(capsys, "scan", wat, "--config", CONFIG, *options)
+        assert scan[0] in (0, 1)
+        assert run(capsys, "build", wat, "-o", graph) == (0, "", "")
+        assert run(capsys, "query", graph, "--config", CONFIG, *options) == scan
+
     def test_build_then_query_then_export(self, capsys, tmp_path):
         graph = tmp_path / "cpg.json"
         code, out, _ = run(capsys, "build", str(FIXTURES / "q06_vuln.wat"),
@@ -159,6 +188,21 @@ class TestOutputFiles:
         code, out, _ = run(capsys, "build", MIXED)
         assert code == 0
         assert out.encode("utf-8") == path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_an_export_repeated_to_one_path_writes_the_same_bytes(self, capsys, tmp_path, fmt):
+        # and leaves no *.part file; a json export is the saved graph itself
+        graph, out = tmp_path / "g.json", tmp_path / "out"
+        assert run(capsys, "build", MIXED, "-o", str(graph)) == (0, "", "")
+        written = []
+        for _ in range(2):
+            assert run(capsys, "export", str(graph), "--format", fmt, "-o", str(out))[:2] == (0, "")
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            written.append({f.name: f.read_bytes() for f in files})
+        assert written[0] == written[1]
+        assert not list(tmp_path.rglob("*.part"))
+        if fmt == "json":
+            assert written[0] == {"out": graph.read_bytes()}
 
     @pytest.mark.parametrize("command", ["build", "scan"])
     def test_an_output_that_cannot_be_created_is_named_as_given(self, command, capsys,
@@ -439,6 +483,19 @@ class TestFailClosed:
                   "--wql-budget", "1000")
         assert got == (3, "", "error: line 1: step budget of 1000 exceeded\n")
 
+    def test_q10_runs_within_its_pinned_steps(self, capsys, tmp_path):
+        # the pin is the twin step count test_wql.py keeps; one step less
+        # fails in q10's loop over the stores
+        steps = TWIN_STEPS["scaling_module(1000)"][9]
+        wat, graph = tmp_path / "scaling.wat", tmp_path / "g.json"
+        wat.write_text(scaling_module(1000))
+        assert run(capsys, "build", str(wat), "-o", str(graph)) == (0, "", "")
+        argv = ["query", str(graph), "--config", CONFIG,
+                "--wql", str(QUERIES_WQL / "q10_bo_loops.wql"), "--wql-budget"]
+        assert run(capsys, *argv, str(steps))[0] in (0, 1)
+        assert run(capsys, *argv, str(steps - 1)) == (
+            3, "", f"error: line 9: step budget of {steps - 1} exceeded\n")
+
     def test_too_deep_wql_names_its_line_and_column(self, capsys, t):
         # the 46th "+" of a 1,000-term sum crosses the parser's nesting bound
         (t / "deep.wql").write_text("x := " + " + ".join(["1"] * 1000) + ";\n")
@@ -466,22 +523,24 @@ class TestFailClosed:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
     def test_3000_deep_expression_scans_in_300_mib(self, tmp_path):
-        # its dependency sets are bitsets: the DDG fits where the next test's does not
+        # its dependency sets are bitsets: the DDG fits where the 6,000-deep one's does not
         path = tmp_path / "deep.wat"
         path.write_text(nested_expression(3000))
-        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
-                "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
-        assert run_child(["-c", code, "scan", str(path)]) == (0, "", "")
+        assert run_capped(300, "scan", str(path)) == (0, "", "")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+    def test_8000_instruction_scaling_module_scans_in_250_mib(self, tmp_path):
+        # its 1.6 M DDG edges live in columns, with no record per edge until one is read
+        path = tmp_path / "scaling.wat"
+        path.write_text(scaling_module(8000))
+        assert run_capped(250, "scan", str(path)) == (0, "", "")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
     def test_out_of_memory_is_an_analysis_error(self, tmp_path):
-        # the DDG of a 6,000-deep expression does not fit in 300 MiB; the
-        # child caps its own address space
+        # the DDG of a 6,000-deep expression does not fit in 300 MiB
         path = tmp_path / "deep.wat"
         path.write_text(nested_expression(6000))
-        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
-                "from wasmcpg.cli import main; sys.exit(main(sys.argv[1:]))")
-        assert run_child(["-c", code, "scan", str(path)]) == (3, "", "error: out of memory\n")
+        assert run_capped(300, "scan", str(path)) == (3, "", "error: out of memory\n")
 
     def test_log_level_is_not_read_from_the_environment(self):
         # in a child: under pytest the root logger already has handlers
@@ -535,3 +594,129 @@ class TestScanProperty:
         code, _, err = run(capsys, "scan", str(path), "--config", CONFIG)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+# JSON values a graph file or a scan configuration can hold; json.dumps
+# writes a non-finite float as NaN or Infinity, which json.load reads back
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+TWINS = {int(path.name[1:3]): parse_wql(path.read_text(encoding="utf-8"))
+         for path in sorted(QUERIES_WQL.glob("*.wql"))}
+
+
+def assert_twins_agree(cpg, config: ScanConfig) -> None:
+    """Each built-in query and its packaged twin find the same findings on
+    `cpg`, whenever neither ends in a `WasmCpgError`."""
+    bindings = config.to_wql_bindings()
+    for qid, twin in TWINS.items():
+        try:
+            native = collections.Counter(f.key() for f in run_all(cpg, config, {qid}))
+            wql = collections.Counter(f.key() for f in eval_wql(twin, cpg, bindings))
+        except WasmCpgError:
+            continue
+        assert wql == native, qid
+
+
+def _slots(doc) -> list:
+    """Every (container, key) pair of a JSON document."""
+    slots, todo = [], [doc]
+    while todo:
+        parent = todo.pop()
+        for key in (list(parent) if isinstance(parent, dict) else range(len(parent))):
+            slots.append((parent, key))
+            if isinstance(parent[key], (dict, list)):
+                todo.append(parent[key])
+    return slots
+
+
+MIXED_DOCUMENT = to_json(fixture_cpg("mixed"))
+
+
+@st.composite
+def graph_documents(draw):
+    """mixed.wat's schema-2 graph file with one edit: a key or list item
+    deleted, a list item repeated, or a value replaced by a new JSON value
+    or by a copy of another one in the file. The edit is at a path drawn
+    uniformly, or at a list item, which more often leaves a graph that
+    loads."""
+    doc = json.loads(MIXED_DOCUMENT)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    slots = _slots(doc)
+    items = [slot for slot in slots if isinstance(slot[0], list)]
+    parent, key = rnd.choice(rnd.choice((slots, items)))
+    edit = rnd.choice(("delete", "repeat", "copy", "new"))
+    if edit == "delete":
+        del parent[key]
+    elif edit == "repeat" and isinstance(parent, list):
+        parent.insert(key, parent[key])
+    elif edit == "copy":
+        other, at = rnd.choice(slots)
+        parent[key] = copy.deepcopy(other[at])
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+# the function names scan_config.json lists, and two it does not
+FUNCTION_NAMES = st.sampled_from(("$malloc", "$free", "$memcpy", "$printf", "$gets", "$strcat",
+                                  "$read_input", "$source", "$send", "$sink", "$f", "$nope"))
+CONFIG_FIELDS = {
+    "sources": st.lists(FUNCTION_NAMES, max_size=3),
+    "sinks": st.lists(FUNCTION_NAMES, max_size=3),
+    "dangerousFunctions": st.lists(FUNCTION_NAMES, max_size=3),
+    "formatFunctions": st.dictionaries(FUNCTION_NAMES, st.integers(-1, 4), max_size=2),
+    "allocPairs": st.dictionaries(FUNCTION_NAMES, FUNCTION_NAMES, max_size=2),
+    "taintDepth": st.integers(-1, 6) | st.just(10 ** 9),
+}
+
+
+@st.composite
+def scan_configs(draw):
+    """A scan configuration object: each field absent, of its own shape or
+    any JSON value, and maybe a key of no field."""
+    config = {}
+    for key, shaped in CONFIG_FIELDS.items():
+        kind = draw(st.sampled_from(("absent",) * 3 + ("shaped",) * 6 + ("any",)))
+        if kind != "absent":
+            config[key] = draw(shaped if kind == "shaped" else JSON_VALUES)
+    if draw(st.booleans()):
+        config[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    return config
+
+
+class TestInputProperties:
+    """A graph file and a scan configuration, like WAT above, end in a
+    `WasmCpgError` or a result, never in another exception."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(doc=graph_documents())
+    def test_a_mutated_graph_file_loads_queries_and_exports(self, tmp_path, scan_config, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cpg = import_json(str(path))
+        except WasmCpgError:
+            return
+        assert_twins_agree(cpg, scan_config)
+        for fmt in FORMATS:
+            try:
+                export(cpg, ExportManifest(fmt, str(tmp_path / fmt)))
+            except WasmCpgError:
+                pass
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=scan_configs())
+    def test_a_scan_configuration_runs_on_every_fixture(self, data):
+        try:
+            config = ScanConfig.from_dict(data)
+        except WasmCpgError:
+            return
+        for name in ALL_FIXTURES:
+            assert_twins_agree(fixture_cpg(name), config)

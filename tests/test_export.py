@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import export_readers as readers
 import export_reference as reference
@@ -755,6 +755,17 @@ def _assert_read_back(cpg: g.Cpg, directory: str) -> None:
         *([str(s), str(d), t, *(_csv_text(p.get(k)) for k in keys)] for s, d, t, p in rows)]
 
 
+# a graph file whose DDG label holds a tab and a newline, and whose Call's
+# CG edge reaches a Nop: the schema does not type CG endpoints
+ODD_DOCUMENT = {
+    "edges": [{"dst": 1, "map": 0, "src": 0, "type": "CG"}, {"dst": 0, "src": [2]}],
+    "maps": [{}, {"ddgType": "Local", "label": "x\ty\nz"}],
+    "nodes": [{"kind": "Instruction", "properties": {"instType": "Call", "label": "$f"}},
+              {"kind": "Instruction", "properties": {"instType": "Nop"}},
+              {"kind": "Instruction", "properties": {"instType": "LocalGet", "label": "$x"}}],
+    "origins": [[2, 1]], "schema": 2}
+
+
 class TestReadBack:
     """Each text export read back as its consumers read it: a `.facts`
     line split on tab and unescaped, a CSV file through the `csv` module,
@@ -762,6 +773,7 @@ class TestReadBack:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(cpg=graphs(TEXT_EDGE_MAPS, TEXT_NODE_MAPS))
+    @example(cpg=_reloaded(json.dumps(ODD_DOCUMENT)))
     def test_each_reader_rebuilds_the_graph(self, cpg):
         for graph in (cpg, _reloaded(to_json(cpg))):
             with tempfile.TemporaryDirectory() as tmp:

@@ -87,8 +87,9 @@ class TestAddEdge:
     def test_ddg_edge_properties(self):
         cpg, a, b = self._two_nodes()
         eid = cpg.add_edge(a, b, g.DDG, {"ddgType": "Local", "label": "$y"})
-        assert cpg.edge_property(eid, "ddgType") == "Local"
-        assert cpg.edge_property(eid, "type") == "DDG"
+        edge = cpg.edge(eid)
+        assert edge.properties.get("ddgType") == "Local"
+        assert edge.type == "DDG"
 
     def test_cfg_self_loop_accepted(self):
         cpg, a, _ = self._two_nodes()
@@ -219,7 +220,7 @@ class TestAddDdgEdges:
         first, second = cpg.edges
         assert first.properties is second.properties
         props["label"] = "$changed"   # the graph holds its own copy
-        assert cpg.edge_property(second.id, "label") == "$y"
+        assert cpg.edge(second.id).properties.get("label") == "$y"
 
     def test_frozen_graph_rejects_writes(self):
         cpg, a, b, _ = self._three_nodes()
@@ -1016,7 +1017,7 @@ class TestAccessors:
     def test_ast_edge_has_no_label(self):
         cpg = fixture_cpg("fig_ddg")
         ast_edge = next(e for e in cpg.edges if e.type == g.AST)
-        assert cpg.edge_property(ast_edge.id, "label") is None
+        assert cpg.edge(ast_edge.id).properties.get("label") is None
 
     def test_absent_property_is_none(self):
         cpg = fixture_cpg("fig_ddg")

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import ANSWER_KEY, CORPUS, build_fixture, fixture_cpg, fixture_source
 from wasmcpg.errors import ConfigError
-from wasmcpg.pipeline import build_context
+from wasmcpg.pipeline import build_cpg
 from wasmcpg.queries import QUERIES, ScanConfig, run_all
 from wasmcpg.wql import eval_wql, parse_wql
 
@@ -36,7 +36,7 @@ class TestRunAll:
 
     def test_findings_ordered_by_query_id(self, scan_config):
         # one module carrying both a dangerous call and a tainted flow
-        ctx = build_context("""(module
+        cpg, _ = build_cpg("""(module
           (import "env" "read_input" (func $read_input (result i32)))
           (import "env" "send" (func $send (param i32)))
           (import "env" "gets" (func $gets (param i32) (result i32)))
@@ -49,7 +49,7 @@ class TestRunAll:
             local.set $x
             local.get $x
             call $send))""")
-        findings = run_all(ctx.cpg, scan_config)
+        findings = run_all(cpg, scan_config)
         assert [f.query for f in findings] == sorted(f.query for f in findings)
         assert {f.query for f in findings} == {2, 6}
 
@@ -178,10 +178,10 @@ class TestRenameInvariance:
         src = fixture_source("q06_vuln").replace("$read_input", "$fetch")\
                                         .replace("$send", "$emit")\
                                         .replace("$relay", "$forward")
-        ctx = build_context(src)
+        cpg, _ = build_cpg(src)
         renamed_cfg = ScanConfig.from_dict({
             "sources": ["$fetch"], "sinks": ["$emit"]})
-        findings = run_all(ctx.cpg, renamed_cfg)
+        findings = run_all(cpg, renamed_cfg)
         base = run_all(fixture_cpg("q06_vuln"), scan_config)
         mapping = {"$read_input": "$fetch", "$send": "$emit",
                    "$relay": "$forward"}
@@ -255,7 +255,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("source, expected", EDGE_CASES.values(),
                              ids=EDGE_CASES.keys())
     def test_native_findings_and_wql_parity(self, source, expected, scan_config):
-        cpg = build_context(source).cpg
+        cpg, _ = build_cpg(source)
         qids = {3, 4, 10}
         assert _keys(run_all(cpg, scan_config, qids)) == expected
         bindings = scan_config.to_wql_bindings()

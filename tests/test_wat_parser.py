@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import os
-import pathlib
 import re
-import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, TOKEN_RE, fixture_source
+from conftest import ALL_FIXTURES, TOKEN_RE, fixture_source, run_capped, run_child
 from gen import fold_module, nested_blocks, nested_expression, random_module
 from oracle import round_robin_states
 from wasmcpg.errors import (
@@ -30,7 +27,7 @@ from wasmcpg.ir import (
 )
 from wasmcpg.dataflow import analyze_function
 from wasmcpg.export import to_json
-from wasmcpg.pipeline import build_context, build_cpg
+from wasmcpg.pipeline import _build, build_cpg
 from wasmcpg.wat_parser import Atom, SExpr, _read_sexprs, parse_module
 from wasmcpg import opcodes as op
 
@@ -62,6 +59,15 @@ class TestParseModule:
         m = parse_module("(module (global $x i32 (i32.const 0)) "
                          "(global i32 (i32.const 1)) (global (mut i32) (i32.const 2)))")
         assert [gl.name for gl in m.globals] == ["$x", "$g1", "$g2"]
+        # imported globals come first in the index space
+        m = parse_module('(module (import "env" "g" (global i32)) (global i32 (i32.const 1)))')
+        assert [gl.name for gl in m.globals] == ["$g0", "$g1"]
+
+    def test_an_imported_global_is_read_and_written(self):
+        cpg, _ = build_cpg('(module (import "env" "sp" (global $sp (mut i32))) (func $f '
+                           "global.get $sp i32.const 16 i32.sub global.set $sp))")
+        ddg = [e.properties for e in cpg.edges_of_type("DDG")]
+        assert {"ddgType": "Global", "label": "$sp"} in ddg
 
     def test_inline_param_names_after_a_type_use(self):
         m = parse_module("(module (type $t (func (param i32) (result i32))) "
@@ -162,11 +168,7 @@ class TestParseModule:
                 "from wasmcpg.wat_parser import parse_module\n"
                 "print(parse_module('(module (func $f) (table 1 funcref) "
                 "(elem (i32.const 2000000000) $f))').table)")
-        src = pathlib.Path(__file__).parent.parent / "src"
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert run.returncode == 0, run.stderr[-2000:]
-        assert run.stdout == "[0]\n"
+        assert run_child(["-c", code]) == (0, "[0]\n", "")
 
 
 # inserted between tokens; each is one way a comment can end
@@ -462,6 +464,8 @@ DUPLICATE_NAMES = {
     "param-local": ("(module (func (param $a i32) (local $a i32)))", "local name \\$a"),
     "globals": ("(module (global $a i32 (i32.const 0)) (global $a i32 (i32.const 0)))",
                 "global name \\$a"),
+    "imported-global": ('(module (import "env" "a" (global $a i32)) (global $a i32 (i32.const 0)))',
+                        "global name \\$a"),
     "synthesized-local": (SYNTHESIZED_LOCAL_CLASH, "local name \\$1"),
     "synthesized-param": ("(module (func (param i32) (local $0 i32)))", "local name \\$0"),
     "synthesized-global-first": (
@@ -568,27 +572,21 @@ class TestDeepNesting:
     def test_3000_deep_blocks_build_with_the_oracle_ddg(self):
         # the oracle sweeps in reverse postorder, so block depth costs it no
         # extra sweeps; engine and oracle both find no dependencies
-        ctx = build_context(nested_blocks(3000))
+        ctx, _ = _build(nested_blocks(3000))
         assert analyze_function(ctx, "$f").res == round_robin_states(ctx, "$f")
         assert len(ctx.cpg.nodes) > 6000 and ctx.cpg.edges_of_type("DDG") == []
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
-    def test_20000_deep_blocks_build_in_1_gib(self):
+    def test_20000_deep_blocks_build_in_1_gib(self, tmp_path):
         # the dataflow state holds no per-frame data, so the DDG's memory is
-        # linear in block depth; the child caps its own address space
-        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                "import gen; from wasmcpg.pipeline import build_cpg\n"
-                "print(len(build_cpg(gen.nested_blocks(20_000))[0].nodes))")
-        tests = pathlib.Path(__file__).parent
-        path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path}, timeout=300)
-        assert run.returncode == 0, run.stderr[-2000:]
-        assert int(run.stdout) > 40_000
+        # linear in block depth: a CLI scan of it fits
+        path = tmp_path / "deep.wat"
+        path.write_text(nested_blocks(20_000))
+        assert run_capped(1024, "scan", str(path)) == (0, "", "")
 
     def test_10000_deep_eqz_chain_builds(self):
         source = ("(module (func $f (param i32) (result i32) "
                   + "(i32.eqz " * 10_000 + "(local.get 0)" + ")" * 10_000 + "))")
-        cpg = build_context(source).cpg
+        cpg, _ = build_cpg(source)
         # every eqz depends on the parameter and on the local.get reading it
         assert len(cpg.edges_of_type("DDG")) == 2 * 10_000
