@@ -61,6 +61,9 @@ class ExportManifest:
         if unknown:
             raise ExportError(f"unknown edge types {unknown}; expected some of "
                               f"{', '.join(g.EDGE_TYPES)}")
+        if self.format != "dot" and set(self.edge_types) != set(g.EDGE_TYPES):
+            raise ExportError(f"an edge type filter applies to dot only; "
+                              f"{self.format} exports every edge type")
 
 
 # -- JSON --------------------------------------------------------------------

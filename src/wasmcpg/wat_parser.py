@@ -9,8 +9,9 @@ token; unsupported opcodes are hard errors.
 
 Accepted module fields: type, import, func, table, elem, global, export,
 memory, data, start (the last three are checked for shape and otherwise
-ignored). Imports may appear anywhere; function and global indices follow
-declaration order.
+ignored). Imports may appear anywhere; each index space (types, functions,
+globals, a function's params then locals) follows declaration order, and a
+reference into one is a `$name` or a decimal index, resolved by `_Space`.
 """
 
 from __future__ import annotations
@@ -177,14 +178,49 @@ def _parse_number(text: str, kind: str, where: Atom) -> int | float:
 # ---------------------------------------------------------------------------
 # Module parsing
 
+class _Space:
+    """One index space: its items in index order and a `$name -> index` map.
+    An item added without a name is referred to by its index only."""
+
+    def __init__(self, kind: str, items: list | None = None):
+        self.kind = kind
+        self.items = [] if items is None else items
+        self.names: dict[str, int] = {}
+
+    def add(self, name: str | None, item, where) -> None:
+        if name is not None:
+            if name in self.names:
+                raise NameResolutionError(f"duplicate {self.kind} name {name}",
+                                          where.line, where.col)
+            self.names[name] = len(self.items)
+        self.items.append(item)
+
+    def resolve(self, atom: Atom, where=None):
+        """The item `atom`, a `$name` or a decimal index, refers to; an error
+        is reported at `where`, by default at `atom`."""
+        ref = atom.text
+        if ref.startswith("$"):
+            index = self.names.get(ref)
+            problem = f"unknown {self.kind} {ref}"
+        else:
+            index = int(ref) if ref.isdecimal() else None
+            problem = f"bad {self.kind} reference {ref!r}"
+            if index is not None and index >= len(self.items):
+                index, problem = None, f"{self.kind} index {index} out of range"
+        if index is None:
+            where = atom if where is None else where
+            raise NameResolutionError(problem, where.line, where.col)
+        return self.items[index]
+
+
 class Parser:
     def __init__(self, source: str):
         self.source = source
-        self.types: dict[str, Signature] = {}
-        self.type_order: list[Signature] = []
-        self.func_index: dict[str, int] = {}
-        self.func_names: list[str] = []   # func_index's keys, by index
-        self.global_names: set[str] = set()
+        self.module = ModuleIR()
+        self.types = _Space("type")
+        self.funcs = _Space("function", self.module.functions)
+        self.globals = _Space("global", self.module.globals)
+        self.locals = _Space("local")   # the function being parsed: params, then locals
         self._label_counter = 0
         self._used_labels: set[str] = set()
 
@@ -235,15 +271,11 @@ class Parser:
             i += 1
         i = self._parse_params_results(forms, i, params, results)
         if type_form is not None:
-            type_ref = type_form[1].text
-            if type_ref not in self.types:
-                raise NameResolutionError(f"unknown type {type_ref}",
-                                          type_form.line, type_form.col)
-            sig = self.types[type_ref]
+            sig = self.types.resolve(type_form[1], type_form)
             if params or results:
                 inline = Signature(tuple(t for _, t in params), tuple(results))
                 if inline != sig:
-                    raise ParseError(f"type use mismatch for {type_ref}",
+                    raise ParseError(f"type use mismatch for {type_form[1].text}",
                                      type_form.line, type_form.col)
             return i, sig
         return i, Signature(tuple(t for _, t in params), tuple(results))
@@ -253,7 +285,7 @@ class Parser:
         top = _read_sexprs(self.source)
         if len(top) != 1 or _head(top[0]) != "module":
             raise ParseError("expected a single (module ...) form", 1, 1)
-        module = ModuleIR()
+        module = self.module
         fields = top[0][1:]
         if fields and _is_atom(fields[0]) and fields[0].text.startswith("$"):
             module.name = fields[0].text
@@ -279,26 +311,22 @@ class Parser:
                         raise ParseError("(type ...) must wrap a (func ...)", f.line, f.col)
                     params, results = [], []
                     self._parse_params_results(list(f[i])[1:], 0, params, results)
-                    sig = Signature(tuple(t for _, t in params), tuple(results))
-                    self.type_order.append(sig)
-                    key = name if name is not None else str(len(self.type_order) - 1)
-                    if key in self.types:
-                        raise NameResolutionError(f"duplicate type name {key}", f.line, f.col)
-                    self.types[key] = sig
+                    self.types.add(name, Signature(tuple(t for _, t in params),
+                                                   tuple(results)), f)
                 elif h == "import":
                     kind = _head(f[3])
                     if kind == "func":
-                        funcs.append((f, *self._scan_func(f, f[3][1:], len(funcs), True)))
+                        self._scan_func(f, f[3][1:], True)
                     elif kind == "global":
-                        self._add_global(f[3], module)
+                        self._add_global(f[3])
                     elif kind in ("memory", "table"):
                         pass  # shape accepted, contents irrelevant to the analysis
                     else:
                         raise ParseError(f"unsupported import kind {kind!r}", f.line, f.col)
                 elif h == "func":
-                    funcs.append((f, *self._scan_func(f, f[1:], len(funcs), False)))
+                    funcs.append((f, *self._scan_func(f, f[1:], False)))
                 elif h == "global":
-                    self._add_global(f, module)
+                    self._add_global(f)
                 elif h in ("memory", "data", "start"):
                     pass
                 elif h == "table":
@@ -317,57 +345,31 @@ class Parser:
             except (IndexError, AttributeError, TypeError):   # short, or an atom for a form
                 raise ParseError(f"malformed ({h} ...) field", f.line, f.col) from None
 
-        for f, func, _ in funcs:
-            if func.name in self.func_index:
-                raise ParseError(f"duplicate function name {func.name}", f.line, f.col)
-            self.func_index[func.name] = func.index
-            module.functions.append(func)
-        self.func_names = list(self.func_index)
-
         for name, ref in exports:
-            func = module.functions[self._resolve_func_ref(ref)]
+            func = self.funcs.resolve(ref)
             func.is_export, func.export_name = True, name
 
         # pass 2: bodies, once every function and global has its name
         for f, func, body in funcs:
-            self._locals = [n for n, _ in func.params + func.locals]
-            self._local_set = set(self._locals)
-            if len(self._local_set) < len(self._locals):
-                seen: set[str] = set()
-                dup = next(n for n in self._locals if n in seen or seen.add(n))
-                raise NameResolutionError(
-                    f"duplicate local name {dup} in {func.name}", f.line, f.col)
+            self.locals = _Space("local")
+            for name, _ in func.params + func.locals:
+                self.locals.add(name, name, f)
             if not func.is_import:
                 func.body = self._parse_body(body)
 
         slots: dict[int, int] = {}   # table slot -> function index; later elems win
         for offset, refs in table_elems:
             for slot, ref in enumerate(refs, offset):
-                slots[slot] = self._resolve_func_ref(ref)
+                slots[slot] = self.funcs.resolve(ref).index
         module.table = [slots[k] for k in sorted(slots)]
         return module
 
-    def _resolve_func_ref(self, atom: Atom) -> int:
-        ref = atom.text
-        if ref.startswith("$"):
-            if ref not in self.func_index:
-                raise NameResolutionError(f"unknown function {ref}", atom.line, atom.col)
-            return self.func_index[ref]
-        try:
-            idx = int(ref)
-        except ValueError:
-            raise NameResolutionError(f"bad function reference {ref!r}", atom.line, atom.col)
-        if not 0 <= idx < len(self.func_index):
-            raise NameResolutionError(f"function index {idx} out of range",
-                                      atom.line, atom.col)
-        return idx
-
-    def _scan_func(self, f: SExpr, forms: list, index: int,
-                   in_import: bool) -> tuple[FunctionIR, list]:
-        """The header of field `f`'s function, bodiless, and its body forms.
-        `forms` follow the `func` keyword, of `f` itself or of its import
-        description; an import's params take positional names, and its
-        forms past the type use are ignored."""
+    def _scan_func(self, f: SExpr, forms: list, in_import: bool) -> tuple[FunctionIR, list]:
+        """Add field `f`'s function, bodiless, to the function space; returns
+        it and its body forms. `forms` follow the `func` keyword, of `f`
+        itself or of its import description; an import's params take
+        positional names, and its forms past the type use are ignored."""
+        index = len(self.funcs.items)
         func = FunctionIR(name=f"${index}", index=index, is_import=in_import)
         i = 0
         if forms and _is_atom(forms[0]) and forms[0].text.startswith("$"):
@@ -385,6 +387,7 @@ class Parser:
         func.results = list(sig.results)
         if len(func.results) > 1:
             raise ParseError("multi-value signatures are not supported", f.line, f.col)
+        self.funcs.add(func.name, func, f)
         if in_import:
             return func, []
         while i < len(forms) and _head(forms[i]) == "local":
@@ -415,9 +418,9 @@ class Parser:
             i += 1
         return offset, [_ref(a) for a in f[i:]]
 
-    def _add_global(self, f: SExpr, module: ModuleIR) -> None:
-        """Append a global field, or an import's global description, to the
-        module's globals; an unnamed one is named by its index among them."""
+    def _add_global(self, f: SExpr) -> None:
+        """Add a global field, or an import's global description, to the
+        global space; an unnamed one is named by its index there."""
         i = 1
         name = None
         if _is_atom(f[i]) and f[i].text.startswith("$"):
@@ -430,11 +433,8 @@ class Parser:
         else:
             vt = self._valtype(f[i])
         if name is None:
-            name = f"$g{len(module.globals)}"
-        if name in self.global_names:
-            raise NameResolutionError(f"duplicate global name {name}", f.line, f.col)
-        self.global_names.add(name)
-        module.globals.append(GlobalIR(name=name, value_type=vt, mutable=mutable))
+            name = f"$g{len(self.globals.items)}"
+        self.globals.add(name, GlobalIR(name=name, value_type=vt, mutable=mutable), f)
 
     # -- instruction parsing ---------------------------------------------------
 
@@ -527,12 +527,12 @@ class Parser:
             a = take_atom("a literal")
             inst.value_type = opname.split(".")[0]
             inst.value = _parse_number(a.text, inst.value_type, a)
-        elif opname.startswith("local.") or opname.startswith("global."):
-            a = take_atom("a variable")
-            inst.var = self._resolve_var(opname, a)
+        elif opname.startswith("local."):
+            inst.var = self.locals.resolve(take_atom("a variable"))
+        elif opname.startswith("global."):
+            inst.var = self.globals.resolve(take_atom("a variable")).name
         elif opname == "call":
-            a = take_atom("a function")
-            inst.callee = self.func_names[self._resolve_func_ref(a)]
+            inst.callee = self.funcs.resolve(take_atom("a function")).name
         elif opname == "call_indirect":
             forms = it.take_heads(("type", "param", "result"))
             _, sig = self._parse_typeuse(forms, 0, [])
@@ -565,25 +565,6 @@ class Parser:
                 elif n & (n - 1) or not n:
                     raise ParseError(f"align={val} is not a power of two", a.line, a.col)
         return inst
-
-    def _resolve_var(self, opname: str, a: Atom) -> str:
-        """A variable reference, against the current function's `_locals`
-        (and `_local_set`) or the module's globals."""
-        ref = a.text
-        if opname.startswith("local."):
-            if ref.startswith("$"):
-                if ref not in self._local_set:
-                    raise NameResolutionError(f"unknown local {ref}", a.line, a.col)
-                return ref
-            if not ref.isdecimal() or int(ref) >= len(self._locals):
-                raise NameResolutionError(f"bad local reference {ref!r}", a.line, a.col)
-            return self._locals[int(ref)]
-        if ref.startswith("$"):
-            if ref not in self.global_names:
-                raise NameResolutionError(f"unknown global {ref}", a.line, a.col)
-            return ref
-        raise NameResolutionError("numeric global references are not supported",
-                                  a.line, a.col)
 
     def _resolve_label(self, a: Atom, labels: list[str]) -> str:
         ref = a.text

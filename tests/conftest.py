@@ -22,7 +22,8 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 TOKEN_RE = re.compile(r'"(?:\\.|[^"\\])*"|[()]|[^\s()";]+')
 
 CORPUS = [f"q{i:02d}_{kind}" for i in range(1, 11) for kind in ("vuln", "clean")]
-EXTRA = ["fig_ddg", "libpng_get_token", "empty", "mixed", "cfg_brtable"]
+EXTRA = ["fig_ddg", "libpng_get_token", "empty", "mixed", "cfg_brtable",
+         "q08_wasm2wat_vuln", "q08_wasm2wat_clean"]
 ALL_FIXTURES = CORPUS + EXTRA
 
 # expected findings per corpus fixture: (query id, kind, function, label)

@@ -220,7 +220,7 @@ def nested_expression(depth: int) -> str:
             + "(i32.add (i32.const 1) " * depth + "(i32.const 0)" + ")" * depth + "))")
 
 
-def fold_module(module) -> str:
+def fold_module(module, by_index: bool = False) -> str:
     """`module` printed in folded form: each construct as `(block ...)`,
     `(loop ...)` or `(if ... (then ...) (else ...)?)`, each instruction as
     `(op imm* e*)` over the single-value forms just before it that it pops.
@@ -228,7 +228,16 @@ def fold_module(module) -> str:
     A folded form abbreviates its flat sequence, so this parses back to
     `module`. A module keeps no global initialiser and no import module
     name, so each global starts at zero and each import is one of `env`.
+    With `by_index`, each reference to a local, a global or a function, the
+    table's included, is written as its index, as `wasm2wat` prints it;
+    declarations keep their names.
     """
+
+    def refs(names) -> dict[str, str]:   # a declared name -> how a reference writes it
+        return {name: str(i) if by_index else name for i, name in enumerate(names)}
+
+    spaces = {"global": refs(gl.name for gl in module.globals),
+              "call": refs(f.name for f in module.functions)}
     lines = ["(module" + (f" {module.name}" if module.name else "")]
     for gl in module.globals:
         ty = f"(mut {gl.value_type})" if gl.mutable else gl.value_type
@@ -242,24 +251,26 @@ def fold_module(module) -> str:
             head += f' (export "{func.export_name}")'
         head += "".join(f" (param {name} {ty})" for name, ty in func.params)
         head += "".join(f" (result {ty})" for ty in func.results)
+        spaces["local"] = refs(name for name, _ in func.params + func.locals)
         lines += [head, *(f"    (local {name} {ty})" for name, ty in func.locals),
-                  _fold_body(func, module), "  )"]
+                  _fold_body(func, module, spaces), "  )"]
     if module.table:
-        names = " ".join(module.functions[i].name for i in module.table)
+        names = " ".join(spaces["call"][module.functions[i].name] for i in module.table)
         lines.append(f"  (table funcref (elem {names}))")
     return "\n".join(lines) + "\n)\n"
 
 
-def _fmt_plain(inst) -> str:
-    """A plain instruction and its immediates, as flat text."""
+def _fmt_plain(inst, spaces) -> str:
+    """A plain instruction and its immediates, as flat text; `spaces` maps
+    "local", "global" and "call" to how each declared name is referred to."""
     o = inst.opcode
     parts = [o]
     if o.endswith(".const"):
         parts.append(repr(inst.value) if isinstance(inst.value, float) else str(inst.value))
     elif inst.var is not None:
-        parts.append(inst.var)
+        parts.append(spaces[o.partition(".")[0]][inst.var])
     elif o == "call":
-        parts.append(inst.callee)
+        parts.append(spaces["call"][inst.callee])
     elif o == "call_indirect":
         parts += [f"(param {p})" for p in inst.type_use.params]
         parts += [f"(result {r})" for r in inst.type_use.results]
@@ -285,7 +296,7 @@ def _operands(forms: list, n: int) -> list:
     return tail
 
 
-def _fold_body(func, module) -> str:
+def _fold_body(func, module, spaces) -> str:
     # innermost last: [construct, its forms, its then-forms once in its else];
     # a form is (text, number of values it leaves)
     frames: list[list] = [[None, [], None]]
@@ -293,7 +304,7 @@ def _fold_body(func, module) -> str:
         forms = frames[-1][1]
         if ev == PLAIN:
             nargs, nres = instruction_arity(inst, module)
-            forms.append((_form(_fmt_plain(inst), _operands(forms, nargs)), nres))
+            forms.append((_form(_fmt_plain(inst, spaces), _operands(forms, nargs)), nres))
         elif ev == ENTER:
             frames.append([inst, [], None])
         elif ev == ELSE:

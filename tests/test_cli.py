@@ -426,6 +426,9 @@ class TestFailClosed:
         (2, ["export", "{t}/missing.json", "--format", "dot", "-o", "{t}/g.dot"]),
         (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "XYZ"]),
         (3, ["export", "{t}/g.json", "--format", "dot", "-o", "{t}/g.dot", "--edges", "DDG,ddg"]),
+        (3, ["export", "{t}/g.json", "--format", "datalog", "-o", "{t}/facts", "--edges", "AST"]),
+        (3, ["export", "{t}/g.json", "--format", "neo4j-csv", "-o", "{t}/csv", "--edges", "AST"]),
+        (3, ["export", "{t}/g.json", "--format", "json", "-o", "{t}/e.json", "--edges", "AST"]),
         (3, ["scan", "{t}/inf_malloc.wat", "--config", CONFIG]),
         (3, ["query", "{t}/inf.json", "--config", CONFIG]),
         (3, ["query", "{t}/nan.json", "--config", CONFIG]),
@@ -449,7 +452,9 @@ class TestFailClosed:
             "duplicate-local-name",
             "wql-parens-too-deep", "wql-unary-too-deep", "wql-sum-too-deep",
             "query-missing-graph", "export-missing-graph",
-            "export-unknown-edge-type", "export-misspelled-edge-type", "infinite-alloc-size",
+            "export-unknown-edge-type", "export-misspelled-edge-type",
+            "export-datalog-edge-filter", "export-neo4j-csv-edge-filter",
+            "export-json-edge-filter", "infinite-alloc-size",
             "graph-infinite-value", "graph-nan-value", "export-infinite-value",
             "export-nan-value", "export-list-properties", "query-schema-1", "export-schema-1",
             "export-infinite-label", "query-infinite-label", "export-list-label",
@@ -520,6 +525,18 @@ class TestFailClosed:
         assert got == (3, "", "error: unknown edge types ['']; expected some of "
                               "AST, CFG, CG, DDG\n")
         assert not (t / "e.dot").exists()
+
+    @pytest.mark.parametrize("fmt", ["datalog", "neo4j-csv", "json"])
+    def test_an_edge_filter_outside_dot_writes_nothing(self, capsys, t, fmt):
+        got = run(capsys, "export", f"{t}/g.json", "--format", fmt, "-o", f"{t}/out",
+                  "--edges", "CFG,DDG")
+        assert got == (3, "", "error: an edge type filter applies to dot only; "
+                              f"{fmt} exports every edge type\n")
+        assert not (t / "out").exists()
+        # naming every edge type filters nothing
+        got = run(capsys, "export", f"{t}/g.json", "--format", fmt, "-o", f"{t}/out",
+                  "--edges", "DDG,CG,CFG,AST")
+        assert got[0] == 0 and (t / "out").exists()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
     def test_3000_deep_expression_scans_in_300_mib(self, tmp_path):

@@ -145,6 +145,15 @@ class TestIndividualQueries:
         cpg = fixture_cpg("q08_clean")
         assert QUERIES[8](cpg, scan_config) == []
 
+    @pytest.mark.parametrize("name, expected", [
+        ("q08_wasm2wat_vuln", [(8, "BO StaticBuffer", "$stack_copy", "$memcpy")]),
+        ("q08_wasm2wat_clean", []),
+    ])
+    def test_q8_on_a_stack_pointer_read_as_global_0(self, scan_config, name, expected):
+        # the frame prologue as wasm2wat prints it: `global.get 0` of an
+        # unnamed imported `__stack_pointer`
+        assert _keys(run_all(fixture_cpg(name), scan_config)) == expected
+
     def test_q10_flags_libpng_loop(self, scan_config):
         findings = QUERIES[10](fixture_cpg("libpng_get_token"), scan_config)
         assert [(f.function, f.label) for f in findings] == [("$get_token", "$L4")]

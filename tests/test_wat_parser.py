@@ -282,8 +282,15 @@ class TestErrorPositions:
         ("(module (memory 1) (func\n  i32.const 0 i32.load size=4 drop))",
          "2:15: unknown memarg 'size'"),
         ("(module (func\n  global.get $nope drop))", "2:14: unknown global $nope"),
-        ("(module (global i32 (i32.const 0)) (func\n  global.get 0 drop))",
-         "2:14: numeric global references are not supported"),
+        ("(module (global i32 (i32.const 0)) (func\n  global.get 1 drop))",
+         "2:14: global index 1 out of range"),
+        ("(module (type $t (func))\n  (func (type 1)))", "2:9: type index 1 out of range"),
+        ("(module (type (func)) (func\n  i32.const 0 call_indirect (type 1)))",
+         "2:29: type index 1 out of range"),
+        ("(module\n  (func (type t)))", "2:9: bad type reference 't'"),
+        ("(module (func (param i32) (local i64)\n  local.get 2 drop))",
+         "2:13: local index 2 out of range"),
+        ("(module (func $f\n  call +0))", "2:8: bad function reference '+0'"),
         ("(module (func\n  (if (i32.const 1) (else))))",
          "2:3: folded if requires a (then ...) form"),
         ("(module (func\n  (if (i32.const 1) (then) (else) (nop))))",
@@ -295,7 +302,8 @@ class TestErrorPositions:
             "else-outside-if", "end-outside-construct", "folded-head-immediate",
             "folded-operand-immediate", "multi-value-block", "multi-value-call-indirect",
             "br-table-without-targets", "unknown-memarg", "unknown-global",
-            "numeric-global", "folded-if-without-then", "junk-after-folded-if"])
+            "global-index", "type-index", "call-indirect-type-index", "bad-type-reference",
+            "local-index", "signed-function-index", "folded-if-without-then", "junk-after-folded-if"])
     def test_position_of(self, source, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_module(source)
@@ -321,6 +329,36 @@ class TestFoldedForms:
         # `(i32.const)` may not take the next instruction's literal
         with pytest.raises(ParseError, match="i32.const: expected a literal"):
             parse_module("(module (func (i32.const) i32.const 1 drop))")
+
+
+class TestIndexSpaces:
+    """A reference to a type, function, global or local is a `$name` or a
+    decimal index into its space, imports first, as `wasm2wat` prints it."""
+
+    @pytest.mark.parametrize("source", FOLDING_INPUTS.values(), ids=FOLDING_INPUTS.keys())
+    def test_printed_by_index_builds_the_same_graph(self, source):
+        module = parse_module(source)
+        by_index = fold_module(module, by_index=True)
+        assert not re.search(r"\((?:local\.\w+|global\.\w+|call) \$|\(elem [^)]*\$", by_index)
+        assert parse_module(by_index) == module
+        assert to_json(build_cpg(by_index)[0]) == to_json(build_cpg(source)[0])
+
+    def test_a_type_index_refers_to_a_named_type(self):
+        m = parse_module("(module (type $t (func (param i32) (result i32))) "
+                         "(func $f (type 0) local.get 0) "
+                         "(func $g i32.const 0 i32.const 1 call_indirect (type 0) drop))")
+        sig = Signature(("i32",), ("i32",))
+        assert m.functions[0].signature == sig
+        assert m.functions[1].body[2].type_use == sig
+
+    def test_an_imported_global_is_read_by_index(self):
+        source = ('(module (import "env" "__stack_pointer" (global (mut i32))) '
+                  "(global $x i32 (i32.const 0)) (func $f "
+                  "global.get 0 global.get 1 i32.sub global.set 0))")
+        body = parse_module(source).functions[0].body
+        assert [i.var for i in body if i.var] == ["$g0", "$x", "$g0"]
+        ddg = [e.properties for e in build_cpg(source)[0].edges_of_type("DDG")]
+        assert {"ddgType": "Global", "label": "$g0"} in ddg
 
 
 class TestRoundTrip:
@@ -476,6 +514,7 @@ DUPLICATE_NAMES = {
         "global name \\$g1"),
     "types": ("(module (type $t (func (param i32))) (type $t (func (result i32))))",
               "type name \\$t"),
+    "functions": ("(module (func $f) (func $f))", "function name \\$f"),
 }
 
 # malformed WAT that once escaped as ValueError, IndexError or AttributeError
